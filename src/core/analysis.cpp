@@ -29,10 +29,12 @@ PositiveSelectionTest BranchSiteAnalysis::run() {
   FitResult h1 = fit(Hypothesis::H1);
   // The scan reuses the H1 shard: at the maximum just fitted, every
   // propagator it needs is already cached (when caching is on).  The
-  // branch model has no site mixture, so there is nothing to scan.
+  // branch model has no site mixture, so there is nothing to scan; nor is
+  // there for a cancelled H1 fit, whose truncated point has no meaningful
+  // posteriors (as in BatchAnalysis).
   lik::EvalCounters scanCounters;
   lik::SiteClassPosteriors posteriors;
-  if (h1.modelKind != model::ModelKind::Branch)
+  if (!h1.cancelled && h1.modelKind != model::ModelKind::Branch)
     posteriors = siteScanAtFit(
         *context_, h1, context_->likelihoodOptions(),
         context_->cacheShard(AnalysisContext::shardSlot(Hypothesis::H1)),

@@ -3,6 +3,8 @@
 // by maximum likelihood, perform the likelihood-ratio test for positive
 // selection on the marked foreground branch, and report per-site posterior
 // probabilities (the full CodeML branch-site workflow of paper Sec. I-A).
+// The same class runs every other ModelSpec kind (FitOptions::modelSpec):
+// the branch model, clade model C and M1a vs M2a.
 //
 // BranchSiteAnalysis is a thin wrapper over the shared-context machinery of
 // core/context.hpp: it owns one AnalysisContext and drives the same

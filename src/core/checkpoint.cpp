@@ -209,20 +209,6 @@ std::string Checkpoint::serialize() const {
     os << "converged " << (fit.converged ? 1 : 0) << '\n';
     os << "end\n";
   }
-  for (const auto& [key, st] : inFlightNm) {
-    os << "task " << key << '\n';
-    os << "status nm\n";
-    os << "dim " << (st.vertex.empty() ? 0 : st.vertex.front().size())
-       << '\n';
-    os << "vertices";
-    for (const auto& v : st.vertex)
-      for (const double x : v) os << ' ' << hexDouble(x);
-    os << '\n';
-    writeDoubles(os, "fv", st.fv);
-    os << "iterations " << st.iterations << '\n';
-    os << "functionEvaluations " << st.functionEvaluations << '\n';
-    os << "end\n";
-  }
   for (const auto& [key, st] : inFlight) {
     os << "task " << key << '\n';
     os << "status bfgs\n";
@@ -332,8 +318,7 @@ Checkpoint Checkpoint::parse(std::string_view text, const std::string& origin) {
                             "' has unknown field '" + f + "'");
       }
     };
-    if (ck.completed.count(key) || ck.inFlight.count(key) ||
-        ck.inFlightNm.count(key))
+    if (ck.completed.count(key) || ck.inFlight.count(key))
       throw ConfigError("checkpoint '" + origin + "': duplicate task '" +
                         key + "'");
 
@@ -415,34 +400,6 @@ Checkpoint Checkpoint::parse(std::string_view text, const std::string& origin) {
       st.slowProgress = parseIntField(need("slowProgress"),
                                       ctx("slowProgress"));
       ck.inFlight.emplace(key, std::move(st));
-    } else if (status == "nm") {
-      knownOnly({"dim", "vertices", "fv", "iterations",
-                 "functionEvaluations"});
-      opt::NelderMeadState st;
-      // The dimension is bounded before any arithmetic touches it: with an
-      // unbounded corruption-controlled value, n + 1 alone would already be
-      // signed-overflow UB for LONG_MAX.
-      const long dim = parseLong(need("dim"), ctx("dim"));
-      constexpr long kMaxDim = 1 << 20;
-      if (dim <= 0 || dim > kMaxDim)
-        throw ConfigError(ctx("dim") + ": implausible simplex dimension " +
-                          std::to_string(dim));
-      const std::size_t n = static_cast<std::size_t>(dim);
-      const auto flat = parseDoubles(need("vertices"), ctx("vertices"));
-      st.fv = parseDoubles(need("fv"), ctx("fv"));
-      if (flat.size() != (n + 1) * n || st.fv.size() != n + 1)
-        throw ConfigError("checkpoint '" + origin + "': task '" + key +
-                          "' has inconsistent simplex dimensions (dim " +
-                          std::to_string(dim) + ", vertices " +
-                          std::to_string(flat.size()) + ", fv " +
-                          std::to_string(st.fv.size()) + ")");
-      st.vertex.assign(n + 1, std::vector<double>(n));
-      for (std::size_t v = 0; v <= n; ++v)
-        for (std::size_t i = 0; i < n; ++i) st.vertex[v][i] = flat[v * n + i];
-      st.iterations = parseIntField(need("iterations"), ctx("iterations"));
-      st.functionEvaluations = parseLong(need("functionEvaluations"),
-                                         ctx("functionEvaluations"));
-      ck.inFlightNm.emplace(key, std::move(st));
     } else {
       throw ConfigError("checkpoint '" + origin + "': task '" + key +
                         "' has unknown status '" + std::string(status) + "'");
@@ -622,32 +579,6 @@ opt::BfgsCheckpointSink CheckpointManager::fitSink(const std::string& key) {
   };
 }
 
-std::optional<opt::NelderMeadState> CheckpointManager::nmState(
-    const std::string& key) const {
-  support::MutexLock lock(mutex_);
-  const auto it = data_.inFlightNm.find(key);
-  if (it == data_.inFlightNm.end()) return std::nullopt;
-  return it->second;
-}
-
-opt::NelderMeadCheckpointSink CheckpointManager::nmSink(
-    const std::string& key) {
-  return [this, key](const opt::NelderMeadState& state) {
-    std::optional<Snapshot> snap;
-    {
-      support::MutexLock lock(mutex_);
-      data_.inFlightNm[key] = state;
-      const auto now = std::chrono::steady_clock::now();
-      const bool throttled =
-          wroteOnce_ && everySeconds_ > 0 &&
-          std::chrono::duration<double>(now - lastWrite_).count() <
-              everySeconds_;
-      if (!throttled) snap = snapshotLocked();
-    }
-    if (snap) writeSnapshot(*snap);
-  };
-}
-
 void CheckpointManager::recordCompleted(const std::string& key,
                                         const FitResult& result) {
   Snapshot snap;
@@ -659,7 +590,6 @@ void CheckpointManager::recordCompleted(const std::string& key,
     persisted.iterationsReplayed = 0;
     data_.completed[key] = std::move(persisted);
     data_.inFlight.erase(key);
-    data_.inFlightNm.erase(key);
     snap = snapshotLocked();  // completions always persist, never throttled
   }
   writeSnapshot(snap);

@@ -60,13 +60,9 @@ struct Checkpoint {
   /// persisted — they describe work done by the process that did it.
   std::map<std::string, FitResult> completed;
   /// Mid-fit optimizer snapshots by task key; loading one continues the
-  /// trajectory from the recorded iteration.
+  /// trajectory from the recorded iteration.  A key lives in at most one of
+  /// the two maps.
   std::map<std::string, opt::BfgsState> inFlight;
-  /// Same for Nelder-Mead-driven tasks; a key lives in at most one of the
-  /// three maps.  No core fit path drives Nelder-Mead yet — this is the
-  /// persistence seam for the planned derivative-free restart mode, pinned
-  /// by tests so the format does not need a version bump when it lands.
-  std::map<std::string, opt::NelderMeadState> inFlightNm;
 
   std::string serialize() const;
   /// Inverse of serialize.  Malformed or truncated text, an unknown format
@@ -118,10 +114,6 @@ class CheckpointManager {
   /// the whole checkpoint when the throttle allows.  Safe to call from
   /// concurrently running tasks.
   opt::BfgsCheckpointSink fitSink(const std::string& key);
-
-  /// Nelder-Mead counterparts of inFlightState / fitSink.
-  std::optional<opt::NelderMeadState> nmState(const std::string& key) const;
-  opt::NelderMeadCheckpointSink nmSink(const std::string& key);
 
   /// Record a finished fit (dropping any in-flight state for `key`) and
   /// persist immediately — completion must never be lost to the throttle.

@@ -336,8 +336,9 @@ model::ModelSpec modelSpecFor(AnalysisKind kind, int numBranchClasses) {
     case AnalysisKind::CladeC:
       spec = model::ModelSpec::cladeC(numBranchClasses);
       break;
-    default:
-      SLIM_REQUIRE(false, "modelSpecFor: 'model = site' has no ModelSpec");
+    case AnalysisKind::Site:
+      spec = model::ModelSpec::site();  // branch-homogeneous: marks ignored
+      break;
   }
   spec.validate();
   return spec;
@@ -379,13 +380,12 @@ std::vector<std::string> scanBatchDirectory(const std::string& dir) {
   return files;
 }
 
-PositiveSelectionTest runFromConfig(const Config& rawConfig) {
-  Config config = applyRunDeadline(resolveTuningProfile(rawConfig));
-  SLIM_REQUIRE(config.analysis != AnalysisKind::Site,
-               "runFromConfig: control file requests 'model = site'");
-  SLIM_REQUIRE(config.foreground.empty(),
-               "runFromConfig: 'foreground =' scans run through the batch "
-               "workflow (runBatchFromConfig)");
+namespace {
+
+/// The single-gene test of any model kind: H0, H1, the LRT and the NEB
+/// scan through BranchSiteAnalysis (or a one-gene checkpointed batch), plus
+/// the text report.
+PositiveSelectionTest runSingleGene(Config config) {
   const auto in = loadInputs(config);
   config.fit.modelSpec =
       modelSpecFor(config.analysis, tree::numBranchClasses(in.tree));
@@ -408,6 +408,18 @@ PositiveSelectionTest runFromConfig(const Config& rawConfig) {
   emitReport(config,
              [&](std::ostream& os) { writeTestReport(os, test, config.engine); });
   return test;
+}
+
+}  // namespace
+
+PositiveSelectionTest runFromConfig(const Config& rawConfig) {
+  Config config = applyRunDeadline(resolveTuningProfile(rawConfig));
+  SLIM_REQUIRE(config.analysis != AnalysisKind::Site,
+               "runFromConfig: control file requests 'model = site'");
+  SLIM_REQUIRE(config.foreground.empty(),
+               "runFromConfig: 'foreground =' scans run through the batch "
+               "workflow (runBatchFromConfig)");
+  return runSingleGene(std::move(config));
 }
 
 BatchRunOutput runBatchFromConfig(const Config& rawConfig) {
@@ -465,8 +477,8 @@ BatchRunOutput runBatchFromConfig(const Config& rawConfig) {
   return out;
 }
 
-SiteModelTest runSiteModelFromConfig(const Config& rawConfig) {
-  const Config config = applyRunDeadline(resolveTuningProfile(rawConfig));
+PositiveSelectionTest runSiteModelFromConfig(const Config& rawConfig) {
+  Config config = applyRunDeadline(resolveTuningProfile(rawConfig));
   SLIM_REQUIRE(config.analysis == AnalysisKind::Site,
                "runSiteModelFromConfig: control file requests '" +
                    std::string(analysisKindName(config.analysis)) + "'");
@@ -476,22 +488,7 @@ SiteModelTest runSiteModelFromConfig(const Config& rawConfig) {
   SLIM_REQUIRE(config.foreground.empty(),
                "'foreground =' scans support 'model = branch-site', 'branch' "
                "and 'clade-c', not 'model = site'");
-  const auto in = loadInputs(config);
-  SiteModelFitOptions options;
-  options.frequencyModel = config.fit.frequencyModel;
-  options.bfgs = config.fit.bfgs;
-  options.initialParams.kappa = config.fit.initialParams.kappa;
-  options.initialParams.omega0 = config.fit.initialParams.omega0;
-  options.initialParams.omega2 = config.fit.initialParams.omega2;
-  options.initialParams.p0 = config.fit.initialParams.p0;
-  options.initialParams.p1 = config.fit.initialParams.p1;
-  options.tuning = config.fit.tuning;
-  SiteModelAnalysis analysis(in.codons, in.tree, config.engine, options);
-  const auto test = analysis.run();
-  emitReport(config, [&](std::ostream& os) {
-    writeSiteModelReport(os, test, config.engine);
-  });
-  return test;
+  return runSingleGene(std::move(config));
 }
 
 }  // namespace slim::core

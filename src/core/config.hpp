@@ -54,7 +54,6 @@
 
 #include "core/analysis.hpp"
 #include "core/batch.hpp"
-#include "core/site_models.hpp"
 
 namespace slim::core {
 
@@ -80,8 +79,9 @@ inline const char* analysisKindName(AnalysisKind k) noexcept {
     case AnalysisKind::BranchSite: return "branch-site";
     case AnalysisKind::Site: return "site";
     case AnalysisKind::Branch: return "branch";
-    default: return "clade-c";
+    case AnalysisKind::CladeC: return "clade-c";
   }
+  return "?";
 }
 
 /// Parsed control file.
@@ -141,12 +141,12 @@ struct Config {
 /// profile (see core/tuning_profile.hpp).
 Config resolveTuningProfile(Config config);
 
-/// The ModelSpec a non-site `model =` selection requests over a tree with
+/// The ModelSpec a `model =` selection requests over a tree with
 /// `numBranchClasses` branch classes (branch-site always uses the fixed
-/// two-class Table I shape; scans mark each set as class 1, so they pass 2).
-/// Validated here, so an unmarked tree under `model = branch` / `clade-c`
-/// fails with the spec's keyed "mark at least one branch" error before any
-/// fitting starts; `model = site` has no spec and throws.
+/// two-class Table I shape and `site` the branch-homogeneous one; scans
+/// mark each set as class 1, so they pass 2).  Validated here, so an
+/// unmarked tree under `model = branch` / `clade-c` fails with the spec's
+/// keyed "mark at least one branch" error before any fitting starts.
 model::ModelSpec modelSpecFor(AnalysisKind analysis, int numBranchClasses);
 
 /// Load one alignment file: FASTA when the first non-blank character is
@@ -166,8 +166,10 @@ tree::Tree loadTreeFile(const std::string& path);
 /// `foreground =` (scans run through runBatchFromConfig).
 PositiveSelectionTest runFromConfig(const Config& config);
 
-/// Same, for `model = site`: the M1a-vs-M2a test (no #1 mark needed).
-SiteModelTest runSiteModelFromConfig(const Config& config);
+/// Same, for `model = site`: the M1a-vs-M2a test (no #1 mark needed; h0 is
+/// the M1a fit, h1 the M2a fit, LRT df = 2).  Refuses checkpoints and
+/// `foreground =` scans.
+PositiveSelectionTest runSiteModelFromConfig(const Config& config);
 
 /// Result of the multi-gene workflow, in seqfile order.
 struct BatchRunOutput {

@@ -39,13 +39,13 @@ struct FitOptions {
   model::CodonFrequencyModel frequencyModel = model::CodonFrequencyModel::F3x4;
   /// Optimizer controls; maxIterations is the paper's "iterations" column.
   opt::BfgsOptions bfgs{};
-  /// Which scenario to fit: branch-site A (default), the branch model, or
-  /// clade model C, over the tree's branch classes (model/model_spec.hpp).
+  /// Which scenario to fit: branch-site A (default), the branch model,
+  /// clade model C over the tree's branch classes, or M1a/M2a (`site`; H0 =
+  /// M1a, H1 = M2a) — model/model_spec.hpp.
   model::ModelSpec modelSpec{};
-  /// Starting substitution parameters.  For the non-branch-site kinds the
-  /// fields are reinterpreted: kappa/omega0/p0/p1 keep their roles where the
-  /// model has them, omega0 seeds the background/shared class omega and
-  /// omega2 the non-background class omegas.
+  /// Starting substitution parameters.  Every kind reads the fields it has
+  /// (M1a reads p0 but not p1); the branch model's background class omega
+  /// starts at omega0, every other per-class omega at omega2.
   model::BranchSiteParams initialParams{};
   /// When false, every branch starts at initialBranchLength instead of the
   /// lengths carried by the input tree.
@@ -67,8 +67,8 @@ struct FitResult {
   model::BranchSiteParams params;
   /// Per-branch-class omega MLEs: one per branch class for the branch
   /// model, the divergent omegas for clade model C (H0 fits carry the
-  /// single shared value).  Empty for branch-site A, whose omegas live in
-  /// `params` — keeping its reports and checkpoint records byte-identical.
+  /// single shared value).  Empty for branch-site A and the site models,
+  /// whose omegas live in `params` (M1a: p1 = 1 - p0, omega2 pinned to 1).
   std::vector<double> classOmegas;
   std::vector<double> branchLengths;  ///< Post-order branch order.
   int iterations = 0;
@@ -208,7 +208,10 @@ struct FitCheckpointHooks {
   std::string resumedFromPath;
 };
 
-/// Maximize ln L under one hypothesis over the context's shared data.
+/// Maximize ln L under one hypothesis over the context's shared data — the
+/// one fit driver of every model kind: the optimization vector is the
+/// ParameterLayout generated from (fitOptions.modelSpec, hypothesis, number
+/// of branches), see core/objective.hpp.
 /// `likOptions` is the fully resolved engine configuration for this task —
 /// a scheduler running task-level fan-out passes numThreads = 1 so the
 /// nested pattern sweep stays serial.  `fitOptions` must agree with the
@@ -225,8 +228,9 @@ FitResult fitHypothesis(const AnalysisContext& context,
 
 /// NEB site scan at an H1 maximum.  `scanCounters` receives the engine
 /// counters of this evaluation (work that per-fit counters do not cover).
-/// Dispatches on the fit's model kind (branch-site A / clade model C);
-/// the branch model has no site mixture and must not be scanned.
+/// The fit's mixture comes from the same spec builder the fit used
+/// (buildFitSpec); the branch model has no site mixture and must not be
+/// scanned.
 lik::SiteClassPosteriors siteScanAtFit(
     const AnalysisContext& context, const FitResult& h1Fit,
     const lik::LikelihoodOptions& likOptions,

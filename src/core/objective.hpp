@@ -1,8 +1,21 @@
 #pragma once
-// The likelihood side of the derivative-aware objective contract.
+// The likelihood side of the derivative-aware objective contract, and the
+// one parameter layout every fit optimizes over.
 //
-// LikelihoodObjective adapts one fit task (an evaluator plus a parameter
-// packing) onto opt::ObjectiveFunction:
+// ParameterLayout generates a fit's optimization vector from (ModelSpec,
+// Hypothesis, numBranches) — the same generator serves branch-site A, the
+// branch model, clade model C and M1a/M2a (docs/models.md has the table):
+//
+//   kappa, omega0 (all kinds but branch), omega2 (branch-site H1, site H1),
+//   class omegas (branch, clade-c), proportions, branch lengths
+//
+// with log / logistic / simplex transforms (opt/transforms.hpp).  It also
+// owns the start point (initial values, optional seeded jitter);
+// buildFitSpec turns unpacked values into the MixtureSpec the engine
+// evaluates.
+//
+// LikelihoodObjective adapts one fit task (an evaluator plus its layout)
+// onto opt::ObjectiveFunction:
 //
 //   * value(x) runs the fit's main evaluator, with the usual infeasibility
 //     mapping (transform underflow / eigensolver failure -> a large finite
@@ -24,65 +37,104 @@
 //     optimizer differentiates at the point it just evaluated — the common
 //     case, costing zero re-evaluations) and finite-differences only the
 //     leading substitution/mixture coordinates through evaluateMany.
-//
-// Both fitHypothesis (branch-site model A) and the site-model fits drive
-// their BFGS searches through this class; they differ only in the
-// PreparePoint hook that maps an optimization vector onto (branch lengths,
-// mixture spec).
 
-#include <functional>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "core/context.hpp"
 #include "core/engine.hpp"
 #include "core/scheduler.hpp"
 #include "lik/branch_site_likelihood.hpp"
+#include "model/model_spec.hpp"
 #include "model/site_mixture.hpp"
 #include "opt/objective.hpp"
 #include "opt/transforms.hpp"
 
 namespace slim::core {
 
+/// A fit's substitution parameters in model space: the classic
+/// kappa/omega0/omega2/p0/p1 block plus the per-branch-class omegas of the
+/// branch and clade-c kinds (the FitResult::params / classOmegas pair).
+struct ModelPoint {
+  model::BranchSiteParams params;
+  std::vector<double> classOmegas;
+};
+
+/// The mixture a fit of `kind` under `h` describes at (params,
+/// classOmegas) — the spec builder shared by fits and site scans.  Throws
+/// std::invalid_argument when a value is outside its domain.
+model::MixtureSpec buildFitSpec(const bio::GeneticCode& gc,
+                                std::span<const double> pi,
+                                model::ModelKind kind, model::Hypothesis h,
+                                const model::BranchSiteParams& params,
+                                std::span<const double> classOmegas);
+
+/// The optimization vector of one fit.  Checkpoints store these vectors and
+/// BFGS trajectories depend on them, so the layout of every (kind,
+/// hypothesis) row is a persistent format.
+class ParameterLayout {
+ public:
+  ParameterLayout(const model::ModelSpec& spec, model::Hypothesis h,
+                  int numBranches);
+
+  int dim() const noexcept { return branchOffset_ + numBranches_; }
+  /// Branch lengths occupy [branchOffset, dim): the vector's tail.
+  int branchOffset() const noexcept { return branchOffset_; }
+  int numBranches() const noexcept { return numBranches_; }
+  model::ModelKind kind() const noexcept { return kind_; }
+  model::Hypothesis hypothesis() const noexcept { return hypothesis_; }
+
+  /// Internal-coordinate -> branch-length transform: logistic onto (0, 50]
+  /// expected substitutions per codon, PAML's own bound.
+  static opt::Transform branchTransform() noexcept {
+    return opt::Transform::logistic(0.0, 50.0);
+  }
+
+  /// Lengths below 1e-6 are packed as 1e-6.
+  std::vector<double> pack(const ModelPoint& point,
+                           std::span<const double> lengths) const;
+  ModelPoint unpack(std::span<const double> x) const;
+  double branchLength(std::span<const double> x, int k) const;
+
+  /// The fit's starting vector: `initial` mapped onto the kind (class
+  /// omegas start at omega2, the branch model's background class at
+  /// omega0) at `lengths`, multiplicatively jittered when jitterSeed != 0.
+  /// Draw order: kappa, omega0, omega2 (whenever the kind frees it under
+  /// H1 — also under H0, so seeded H0 branch-length draws never shift),
+  /// each class omega, each branch length.
+  std::vector<double> start(const model::BranchSiteParams& initial,
+                            std::vector<double> lengths,
+                            std::uint64_t jitterSeed) const;
+
+ private:
+  model::ModelKind kind_;
+  model::Hypothesis hypothesis_;
+  int numBranches_;
+  int numClassOmegas_;
+  // Coordinate offsets; -1 when the row has no such parameter.
+  int omega0At_ = -1, omega2At_ = -1, classOmegaAt_ = -1, proportionAt_ = -1;
+  bool singleProportion_ = false;  ///< M1a: logistic p0, not the simplex
+  int branchOffset_ = 0;
+};
+
 class LikelihoodObjective final : public opt::ObjectiveFunction {
  public:
-  /// Applies point x to an evaluator — unpack and validate the parameters,
-  /// set every branch length — and returns the mixture spec to evaluate.
-  /// Must be self-contained (it also runs against pool evaluators, whose
-  /// branch lengths start wherever the previous probe left them) and throw
-  /// std::invalid_argument for infeasible points.
-  using PreparePoint = std::function<model::MixtureSpec(
-      lik::BranchSiteLikelihood&, std::span<const double>)>;
-
-  /// Where the branch-length block lives in the optimization vector.
-  struct Layout {
-    int branchOffset = 0;  ///< Coordinates [branchOffset, branchOffset + n).
-    int numBranches = 0;
-    /// Internal-coordinate -> branch-length transform (chain-rule factor for
-    /// the analytic block).
-    opt::Transform branchTransform = opt::Transform::identity();
-  };
-
-  /// `evaluator` is the fit's main evaluator (caller-owned, must outlive
-  /// this object).  `poolOptions` configures probe evaluators — pass the
-  /// fit's resolved engine options with numThreads forced to 1, since the
-  /// parallelism moves up to the coordinate fan-out.  `fanWorkers` <= 1
-  /// disables the pool (every probe runs on the main evaluator).
+  /// `evaluator` is the fit's main evaluator over `context`'s data
+  /// (caller-owned; both must outlive this object).  `poolOptions`
+  /// configures probe evaluators — pass the fit's resolved engine options;
+  /// numThreads is forced to 1, since the parallelism moves up to the
+  /// coordinate fan-out.  `fanWorkers` <= 1 disables the pool (every probe
+  /// runs on the main evaluator).
   LikelihoodObjective(lik::BranchSiteLikelihood& evaluator,
-                      const seqio::CodonAlignment& alignment,
-                      const seqio::SitePatterns& patterns,
-                      const std::vector<double>& pi, const tree::Tree& tree,
-                      model::Hypothesis hypothesis,
+                      const AnalysisContext& context, ParameterLayout layout,
                       lik::LikelihoodOptions poolOptions, GradientMode mode,
-                      ParallelPolicy policy, int fanWorkers, Layout layout,
-                      PreparePoint prepare);
+                      ParallelPolicy policy, int fanWorkers);
 
   double value(std::span<const double> x) override;
   std::vector<double> evaluateMany(
       const std::vector<std::vector<double>>& points) override;
-  /// True exactly when evaluateMany would fan a 2-point batch (the
-  /// speculative pair a caller like Nelder-Mead would add) instead of
-  /// falling back to the sequential loop.
-  bool batchEvaluationProfitable() const override { return wouldFan(2); }
   opt::GradientResult valueAndGradient(
       std::span<const double> x, std::span<double> grad,
       const opt::GradientOptions& options) override;
@@ -95,26 +147,26 @@ class LikelihoodObjective final : public opt::ObjectiveFunction {
   int poolSize() const noexcept { return static_cast<int>(pool_.size()); }
 
  private:
+  /// Apply point x to an evaluator — build its mixture, set every branch
+  /// length — and return the mixture to evaluate.  Self-contained (pool
+  /// evaluators start wherever the previous probe left them); throws
+  /// std::invalid_argument for infeasible points.
+  model::MixtureSpec prepare(lik::BranchSiteLikelihood& evaluator,
+                             std::span<const double> x) const;
   double evalOn(lik::BranchSiteLikelihood& evaluator,
                 std::span<const double> x);
   /// Whether a batch of numPoints would be fanned across the probe pool
-  /// under the policy (the single gate evaluateMany and
-  /// batchEvaluationProfitable share).
+  /// under the policy.
   bool wouldFan(int numPoints) const;
   void ensurePool(int evaluators);
 
   lik::BranchSiteLikelihood& main_;
-  const seqio::CodonAlignment& alignment_;
-  const seqio::SitePatterns& patterns_;
-  const std::vector<double>& pi_;
-  const tree::Tree& tree_;
-  model::Hypothesis hypothesis_;
+  const AnalysisContext& context_;
+  ParameterLayout layout_;
   lik::LikelihoodOptions poolOptions_;
   GradientMode mode_;
   ParallelPolicy policy_;
   int fanWorkers_;
-  Layout layout_;
-  PreparePoint prepare_;
 
   std::unique_ptr<TaskScheduler> scheduler_;  // created on first fan-out
   std::vector<std::unique_ptr<lik::BranchSiteLikelihood>> pool_;

@@ -11,37 +11,86 @@
 
 namespace slim::core {
 
+namespace {
+
+const char* stopReason(const FitResult& fit) {
+  return fit.cancelled ? " (cancelled)"
+         : fit.converged ? " (converged)"
+                         : " (iteration cap reached)";
+}
+
+/// The per-kind wording of a test report.
+struct ReportText {
+  const char* title;       ///< Followed by " (<engine> engine)".
+  const char* detected;    ///< Verdict lines at the 5% level.
+  const char* notDetected;
+  const char* nebHeading;  ///< Followed by " > <threshold> (NEB):".
+};
+
+ReportText reportText(model::ModelKind kind) {
+  switch (kind) {
+    case model::ModelKind::BranchSite:
+      return {"Branch-site test for positive selection",
+              "positive selection DETECTED on the foreground branch",
+              "no significant evidence of positive selection",
+              "Sites with posterior P(positive selection)"};
+    case model::ModelKind::Branch:
+      return {"Branch-model test, one omega per branch class",
+              "branch-class omega heterogeneity DETECTED",
+              "no significant branch-class omega heterogeneity", nullptr};
+    case model::ModelKind::CladeC:
+      return {"Clade model C test vs M2a_rel",
+              "branch-class omega heterogeneity DETECTED",
+              "no significant branch-class omega heterogeneity",
+              "Sites with posterior P(positive selection)"};
+    case model::ModelKind::Site:
+      return {"Site-model test for positive selection, M1a vs M2a",
+              "positive selection DETECTED across the gene",
+              "no significant evidence of positive selection",
+              "Sites with posterior P(omega2 class)"};
+  }
+  return {"?", "?", "?", nullptr};
+}
+
+}  // namespace
+
 void writeFitReport(std::ostream& os, const FitResult& fit) {
-  os << "  " << model::hypothesisName(fit.hypothesis)
-     << ": lnL = " << std::fixed << std::setprecision(6) << fit.lnL
-     << std::defaultfloat << '\n'
+  const auto kind = fit.modelKind;
+  const bool site = kind == model::ModelKind::Site;
+  // The site models keep their own names for H0/H1.
+  const char* name = !site ? model::hypothesisName(fit.hypothesis)
+                     : fit.hypothesis == model::Hypothesis::H0 ? "M1a"
+                                                               : "M2a";
+  os << "  " << name << ": lnL = " << std::fixed << std::setprecision(6)
+     << fit.lnL << std::defaultfloat << '\n'
      << "    kappa  = " << fit.params.kappa << '\n';
   // The branch model has no omega0 site class and no mixture proportions;
   // the other kinds keep the classic parameter block (byte-identical for
   // branch-site, whose classOmegas is always empty).
-  if (fit.modelKind != model::ModelKind::Branch)
+  if (kind != model::ModelKind::Branch)
     os << "    omega0 = " << fit.params.omega0 << '\n';
-  if (fit.modelKind == model::ModelKind::BranchSite) {
+  if (kind == model::ModelKind::BranchSite || site) {
     if (fit.hypothesis == model::Hypothesis::H1)
       os << "    omega2 = " << fit.params.omega2 << '\n';
   } else {
-    os << (fit.modelKind == model::ModelKind::CladeC
-               ? "    divergent omegas ="
-               : "    class omegas =");
+    os << (kind == model::ModelKind::CladeC ? "    divergent omegas ="
+                                             : "    class omegas =");
     for (const double w : fit.classOmegas) os << ' ' << w;
     os << '\n';
   }
-  if (fit.modelKind != model::ModelKind::Branch)
+  if (kind != model::ModelKind::Branch)
     os << "    p0 = " << fit.params.p0 << ", p1 = " << fit.params.p1 << '\n';
-  os
-     << "    iterations = " << fit.iterations
+  if (site) {
+    // The site report has never carried evaluation counts or timings.
+    os << "    iterations = " << fit.iterations << stopReason(fit)
+       << ", simd = " << linalg::simdLevelName(fit.simd)
+       << ", backend = " << backend::backendKindName(fit.backend) << '\n';
+    return;
+  }
+  os << "    iterations = " << fit.iterations
      << ", function evaluations = " << fit.functionEvaluations << " + "
      << fit.gradientEvaluations << " gradient ("
-     << gradientModeName(fit.gradientMode) << ')'
-     << (fit.cancelled
-             ? " (cancelled)"
-             : fit.converged ? " (converged)" : " (iteration cap reached)")
-     << '\n'
+     << gradientModeName(fit.gradientMode) << ')' << stopReason(fit) << '\n'
      << "    wall time = " << std::setprecision(3) << fit.seconds
      << " s, simd = " << linalg::simdLevelName(fit.simd)
      << ", backend = " << backend::backendKindName(fit.backend);
@@ -56,15 +105,8 @@ void writeFitReport(std::ostream& os, const FitResult& fit) {
 void writeTestReport(std::ostream& os, const PositiveSelectionTest& test,
                      EngineKind engine, double siteThreshold) {
   const auto kind = test.h1.modelKind;
-  if (kind == model::ModelKind::BranchSite)
-    os << "Branch-site test for positive selection (" << engineName(engine)
-       << " engine)\n";
-  else if (kind == model::ModelKind::Branch)
-    os << "Branch-model test, one omega per branch class ("
-       << engineName(engine) << " engine)\n";
-  else
-    os << "Clade model C test vs M2a_rel (" << engineName(engine)
-       << " engine)\n";
+  const ReportText text = reportText(kind);
+  os << text.title << " (" << engineName(engine) << " engine)\n";
   writeFitReport(os, test.h0);
   writeFitReport(os, test.h1);
   os << "  LRT: 2*dlnL = " << std::setprecision(6) << test.lrt.statistic
@@ -75,23 +117,13 @@ void writeTestReport(std::ostream& os, const PositiveSelectionTest& test,
   if (kind == model::ModelKind::BranchSite)
     os << ", p(mixture) = " << test.lrt.pMixture;
   os << '\n';
-  if (test.lrt.significantAt(0.05))
-    os << (kind == model::ModelKind::BranchSite
-               ? "  => positive selection DETECTED on the foreground branch "
-                 "(5% level)\n"
-               : "  => branch-class omega heterogeneity DETECTED (5% "
-                 "level)\n");
-  else
-    os << (kind == model::ModelKind::BranchSite
-               ? "  => no significant evidence of positive selection (5% "
-                 "level)\n"
-               : "  => no significant branch-class omega heterogeneity (5% "
-                 "level)\n");
+  os << "  => "
+     << (test.lrt.significantAt(0.05) ? text.detected : text.notDetected)
+     << " (5% level)\n";
 
   // The branch model has no site mixture — nothing to scan.
-  if (kind == model::ModelKind::Branch) return;
-  os << "  Sites with posterior P(positive selection) > " << siteThreshold
-     << " (NEB):\n";
+  if (text.nebHeading == nullptr) return;
+  os << "  " << text.nebHeading << " > " << siteThreshold << " (NEB):\n";
   bool any = false;
   const auto& bySite = test.posteriors.positiveSelectionBySite;
   for (std::size_t i = 0; i < bySite.size(); ++i) {
@@ -109,50 +141,6 @@ std::string testReportString(const PositiveSelectionTest& test,
   std::ostringstream os;
   writeTestReport(os, test, engine, siteThreshold);
   return os.str();
-}
-
-namespace {
-
-void writeSiteFit(std::ostream& os, const SiteModelFitResult& fit) {
-  os << "  " << siteModelName(fit.model) << ": lnL = " << std::fixed
-     << std::setprecision(6) << fit.lnL << std::defaultfloat << '\n'
-     << "    kappa  = " << fit.params.kappa << '\n'
-     << "    omega0 = " << fit.params.omega0 << '\n';
-  if (fit.model == SiteModel::M2a)
-    os << "    omega2 = " << fit.params.omega2 << '\n';
-  os << "    p0 = " << fit.params.p0 << ", p1 = " << fit.params.p1 << '\n'
-     << "    iterations = " << fit.iterations
-     << (fit.converged ? " (converged)" : " (iteration cap reached)")
-     << ", simd = " << linalg::simdLevelName(fit.simd)
-     << ", backend = " << backend::backendKindName(fit.backend) << '\n';
-}
-
-}  // namespace
-
-void writeSiteModelReport(std::ostream& os, const SiteModelTest& test,
-                          EngineKind engine, double siteThreshold) {
-  os << "Site-model test for positive selection, M1a vs M2a ("
-     << engineName(engine) << " engine)\n";
-  writeSiteFit(os, test.m1a);
-  writeSiteFit(os, test.m2a);
-  os << "  LRT: 2*dlnL = " << std::setprecision(6) << test.lrt.statistic
-     << ", p(chi2_2) = " << test.lrt.pChi2 << '\n';
-  if (test.lrt.significantAt(0.05))
-    os << "  => positive selection DETECTED across the gene (5% level)\n";
-  else
-    os << "  => no significant evidence of positive selection (5% level)\n";
-  os << "  Sites with posterior P(omega2 class) > " << siteThreshold
-     << " (NEB):\n";
-  bool any = false;
-  for (std::size_t i = 0; i < test.posteriors.positiveSelectionBySite.size();
-       ++i) {
-    if (test.posteriors.positiveSelectionBySite[i] > siteThreshold) {
-      os << "    site " << (i + 1) << "  P = " << std::setprecision(4)
-         << test.posteriors.positiveSelectionBySite[i] << '\n';
-      any = true;
-    }
-  }
-  if (!any) os << "    (none)\n";
 }
 
 void writeBatchSummary(std::ostream& os,

@@ -10,25 +10,22 @@
 
 #include "core/analysis.hpp"
 #include "core/batch.hpp"
-#include "core/site_models.hpp"
 
 namespace slim::core {
 
 /// Write a one-hypothesis fit summary.
 void writeFitReport(std::ostream& os, const FitResult& fit);
 
-/// Write the full test report: both fits, the LRT, and sites whose
-/// posterior probability of positive selection exceeds siteThreshold.
+/// Write the full test report of any model kind: both fits, the LRT, and
+/// sites whose posterior probability of positive selection exceeds
+/// siteThreshold (the site models' report keeps its M1a/M2a wording and
+/// carries no timings).
 void writeTestReport(std::ostream& os, const PositiveSelectionTest& test,
                      EngineKind engine, double siteThreshold = 0.95);
 
 /// Convenience: the full test report as a string.
 std::string testReportString(const PositiveSelectionTest& test,
                              EngineKind engine, double siteThreshold = 0.95);
-
-/// Write the M1a-vs-M2a site-model test report (df = 2 LRT, NEB sites).
-void writeSiteModelReport(std::ostream& os, const SiteModelTest& test,
-                          EngineKind engine, double siteThreshold = 0.95);
 
 /// Per-gene verdict table plus the aggregate engine counters of a batch run
 /// (tests and geneNames are parallel, in GeneHandle order).

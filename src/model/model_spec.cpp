@@ -17,24 +17,33 @@ void ModelSpec::validate() const {
                    "branch/clade models need at least 2 branch classes "
                    "(mark at least one branch)");
       break;
+    case ModelKind::Site:
+      SLIM_REQUIRE(numBranchClasses == 1,
+                   "site models are branch-homogeneous (1 branch class)");
+      break;
   }
 }
 
-int ModelSpec::numSiteClasses() const noexcept {
+int ModelSpec::numSiteClasses(Hypothesis h) const noexcept {
   switch (kind) {
     case ModelKind::BranchSite: return kNumSiteClasses;  // 0, 1, 2a, 2b
     case ModelKind::Branch: return 1;
-    default: return 3;  // CladeC: 0, 1, 2 (divergent)
+    case ModelKind::CladeC: return 3;  // 0, 1, 2 (divergent)
+    case ModelKind::Site: return h == Hypothesis::H1 ? 3 : 2;  // M2a / M1a
   }
+  return 0;
 }
 
 int ModelSpec::numOmegaSlots(Hypothesis h) const noexcept {
   switch (kind) {
     case ModelKind::BranchSite: return kNumOmegaClasses;
     case ModelKind::Branch: return h == Hypothesis::H1 ? numBranchClasses : 1;
-    default:  // CladeC: omega0, 1, then the divergent omegas.
+    case ModelKind::CladeC:  // omega0, 1, then the divergent omegas.
       return h == Hypothesis::H1 ? 2 + numBranchClasses : 3;
+    case ModelKind::Site:  // omega0, 1 (+ omega2 under M2a)
+      return numSiteClasses(h);
   }
+  return 0;
 }
 
 std::vector<std::vector<int>> ModelSpec::omegaAssignment(Hypothesis h) const {
@@ -64,6 +73,10 @@ std::vector<std::vector<int>> ModelSpec::omegaAssignment(Hypothesis h) const {
       table = {{0}, {1}, divergent};
       break;
     }
+    case ModelKind::Site:
+      // One column: class m runs at slot m on every branch.
+      for (int m = 0; m < numSiteClasses(h); ++m) table.push_back({m});
+      break;
   }
   return table;
 }
@@ -83,17 +96,21 @@ double ModelSpec::lrtDegreesOfFreedom() const noexcept {
   switch (kind) {
     case ModelKind::BranchSite: return 1.0;
     case ModelKind::Branch:
-    case ModelKind::CladeC:
-    default: return static_cast<double>(numBranchClasses - 1);
+    case ModelKind::CladeC: return static_cast<double>(numBranchClasses - 1);
+    case ModelKind::Site: return 2.0;  // omega2 and the third proportion
   }
+  return 0.0;
 }
 
 int ModelSpec::numClassOmegaParams(Hypothesis h) const noexcept {
   switch (kind) {
-    case ModelKind::BranchSite: return 0;
-    case ModelKind::Branch: return h == Hypothesis::H1 ? numBranchClasses : 1;
-    default: return h == Hypothesis::H1 ? numBranchClasses : 1;  // divergent
+    case ModelKind::BranchSite:
+    case ModelKind::Site: return 0;
+    case ModelKind::Branch:
+    case ModelKind::CladeC:  // clade C: the divergent omegas
+      return h == Hypothesis::H1 ? numBranchClasses : 1;
   }
+  return 0;
 }
 
 MixtureSpec buildBranchModelSpec(const bio::GeneticCode& gc,

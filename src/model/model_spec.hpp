@@ -4,7 +4,7 @@
 // A scenario is described by (a) a *branch classification* — the integer #k
 // Newick marks partitioning branches into classes 0..B-1, class 0 being the
 // background (tree/branch_classes.hpp) — and (b) a ModelSpec owning the
-// (site class x branch class) -> omega-slot assignment table.  Three model
+// (site class x branch class) -> omega-slot assignment table.  Four model
 // families are expressed as instances of the same spec:
 //
 //   branch-site A   4 site classes x 2 branch classes, Table I
@@ -14,6 +14,8 @@
 //   clade-c         3 site classes; class 2 is divergent with its own
 //                   omega per branch class (H0 = M2a_rel, shared divergent
 //                   omega; LRT df = B - 1)
+//   site            branch-homogeneous M1a (H0: omega0, 1) vs M2a (H1:
+//                   omega0, 1, omega2 > 1); LRT df = 2
 //
 // ModelSpec is a cheap value type carried in core::FitOptions; the numeric
 // builders below turn concrete parameter values into the MixtureSpec the
@@ -26,14 +28,16 @@
 
 namespace slim::model {
 
-enum class ModelKind { BranchSite, Branch, CladeC };
+enum class ModelKind { BranchSite, Branch, CladeC, Site };
 
 inline const char* modelKindName(ModelKind k) noexcept {
   switch (k) {
     case ModelKind::BranchSite: return "branch-site";
     case ModelKind::Branch: return "branch";
-    default: return "clade-c";
+    case ModelKind::CladeC: return "clade-c";
+    case ModelKind::Site: return "site";
   }
+  return "?";
 }
 
 /// Structural description of one scenario: which model family, over how
@@ -49,11 +53,15 @@ struct ModelSpec {
   static ModelSpec cladeC(int numBranchClasses) {
     return {ModelKind::CladeC, numBranchClasses};
   }
+  /// M1a vs M2a: branch-homogeneous, so one branch class (marks ignored).
+  static ModelSpec site() { return {ModelKind::Site, 1}; }
 
   /// Throws std::invalid_argument on an impossible shape.
   void validate() const;
 
-  int numSiteClasses() const noexcept;
+  /// Site classes under h (only the site kind's count depends on h: M1a
+  /// has 2, M2a 3).
+  int numSiteClasses(Hypothesis h = Hypothesis::H1) const noexcept;
 
   /// Number of distinct omega slots under hypothesis h.
   int numOmegaSlots(Hypothesis h) const noexcept;
@@ -72,7 +80,8 @@ struct ModelSpec {
   double lrtDegreesOfFreedom() const noexcept;
 
   /// Number of free per-branch-class omega parameters under h (0 for
-  /// branch-site, which keeps its classic kappa/omega0/omega2/p0/p1 set).
+  /// branch-site and site, which keep the classic kappa/omega0/omega2/p0/p1
+  /// set).
   int numClassOmegaParams(Hypothesis h) const noexcept;
 
   friend bool operator==(const ModelSpec&, const ModelSpec&) = default;

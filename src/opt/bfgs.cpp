@@ -89,8 +89,7 @@ BfgsResult minimizeBfgs(ObjectiveFunction& f, std::span<const double> x0,
     res.x.assign(x0.begin(), x0.end());
     res.value = f.value(res.x);
     ++res.functionEvaluations;
-    // The *initial* point must be feasible — same contract as Nelder-Mead.
-    // Everywhere past this line a non-finite value is survivable: NaN/inf
+    // The *initial* point must be feasible.  Everywhere past this line a non-finite value is survivable: NaN/inf
     // line-search trials are failed steps that backtrack, and a non-finite
     // gradient (an FD probe stepping off a bound into NaN territory) ends the
     // optimization cleanly at the last accepted point instead of corrupting

@@ -1,8 +1,8 @@
 #pragma once
 // Cooperative cancellation for the optimization drivers.
 //
-// A CancelPredicate is polled by minimizeBfgs/minimizeNelderMead at iteration
-// boundaries — the same points where checkpoint snapshots are taken — so a
+// A CancelPredicate is polled by minimizeBfgs at iteration boundaries — the
+// same points where checkpoint snapshots are taken — so a
 // cancelled fit always stops at a state the checkpoint machinery has (or
 // could have) persisted, and a later resume continues the identical
 // trajectory.  Cancellation can only truncate a trajectory, never alter it,

@@ -3,18 +3,18 @@
 //
 // A genome-scan fit can run for hours; on preemptible infrastructure
 // (gcodeml's operating regime, PAPERS.md) a killed process must not lose
-// every converged iteration.  The drivers in bfgs.cpp / nelder_mead.cpp
-// therefore accept an optional CheckpointSink — called after the initial
-// gradient (or simplex) and after every completed iteration with a state
-// from which the *same trajectory* can continue — and an optional source
-// state to resume from.  Because each snapshot captures the full internal
-// state (iterate, gradient, inverse Hessian / simplex, counters) and the
-// objectives are deterministic in their input bits, a resumed run replays
-// the remaining iterations bit-identically to the uninterrupted one.
+// every converged iteration.  The BFGS driver (bfgs.cpp) therefore accepts
+// an optional checkpoint sink — called after the initial gradient and after
+// every completed iteration with a state from which the *same trajectory*
+// can continue — and an optional source state to resume from.  Because each
+// snapshot captures the full internal state (iterate, gradient, inverse
+// Hessian, counters) and the objectives are deterministic in their input
+// bits, a resumed run replays the remaining iterations bit-identically to
+// the uninterrupted one.
 //
 // Serialization (exact-bit hex-float text, versioning, config hashes,
 // atomic file I/O) lives above this layer in core/checkpoint.hpp; here the
-// states are plain in-memory structs so the optimizers stay free of any
+// state is a plain in-memory struct so the optimizer stays free of any
 // file-format dependency.
 
 #include <functional>
@@ -37,19 +37,10 @@ struct BfgsState {
   int slowProgress = 0;  ///< Consecutive below-f-tolerance improvements.
 };
 
-/// Everything minimizeNelderMead needs to continue a run.
-struct NelderMeadState {
-  std::vector<std::vector<double>> vertex;  ///< n+1 simplex vertices.
-  std::vector<double> fv;                   ///< f at each vertex.
-  int iterations = 0;                       ///< Completed iterations.
-  long functionEvaluations = 0;
-};
-
-/// Called by the drivers with a resumable snapshot.  Implementations decide
+/// Called by the driver with a resumable snapshot.  Implementations decide
 /// persistence and throttling (core::CheckpointManager serializes and
 /// atomically writes, at most once per checkpointEverySec); an exception
 /// thrown from a sink aborts the optimization and propagates to the caller.
 using BfgsCheckpointSink = std::function<void(const BfgsState&)>;
-using NelderMeadCheckpointSink = std::function<void(const NelderMeadState&)>;
 
 }  // namespace slim::opt

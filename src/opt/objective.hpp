@@ -22,9 +22,8 @@
 //     evaluateMany, so a batching objective parallelizes FD gradients with no
 //     optimizer changes.
 //
-// minimizeBfgs / minimizeNelderMead consume this interface; legacy
-// std::function objectives are adapted by CallableObjective (or the
-// convenience overloads in bfgs.hpp / nelder_mead.hpp).
+// minimizeBfgs consumes this interface; legacy std::function objectives are
+// adapted by CallableObjective (or the convenience overload in bfgs.hpp).
 
 #include <functional>
 #include <limits>
@@ -75,11 +74,6 @@ class ObjectiveFunction {
   /// the sequential value() loop.
   virtual std::vector<double> evaluateMany(
       const std::vector<std::vector<double>>& points);
-
-  /// Whether evaluateMany actually runs points concurrently (so callers may
-  /// add speculative points for free) rather than falling back to the
-  /// sequential loop, where every speculative point costs a full evaluation.
-  virtual bool batchEvaluationProfitable() const { return false; }
 
   /// Fill grad with the gradient of f at x and return what was done.  The
   /// default finite-differences every coordinate through evaluateMany.

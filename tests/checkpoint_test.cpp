@@ -25,7 +25,6 @@
 #include "core/config.hpp"
 #include "core/report.hpp"
 #include "opt/bfgs.hpp"
-#include "opt/nelder_mead.hpp"
 #include "sim/datasets.hpp"
 #include "support/atomic_file.hpp"
 
@@ -185,44 +184,6 @@ TEST(BfgsResume, MismatchedDimensionsThrow) {
       std::invalid_argument);
 }
 
-TEST(NelderMeadResume, ContinuesTheSameTrajectoryBitForBit) {
-  const std::vector<double> x0{-1.2, 1.0};
-  opt::NelderMeadOptions options;
-  options.maxIterations = 300;
-
-  std::vector<opt::NelderMeadState> states;
-  opt::CallableObjective full(rosenbrock());
-  const auto uninterrupted = opt::minimizeNelderMead(
-      full, x0, options,
-      [&states](const opt::NelderMeadState& st) { states.push_back(st); });
-  ASSERT_GT(states.size(), 10u);
-
-  for (const std::size_t k : {std::size_t{0}, states.size() / 3,
-                              states.size() - 1}) {
-    opt::CallableObjective fresh(rosenbrock());
-    const auto resumed =
-        opt::minimizeNelderMead(fresh, x0, options, {}, &states[k]);
-    EXPECT_EQ(resumed.x, uninterrupted.x) << "k=" << k;
-    EXPECT_EQ(resumed.value, uninterrupted.value) << "k=" << k;
-    EXPECT_EQ(resumed.iterations, uninterrupted.iterations) << "k=" << k;
-    EXPECT_EQ(resumed.functionEvaluations, uninterrupted.functionEvaluations)
-        << "k=" << k;
-    EXPECT_EQ(resumed.converged, uninterrupted.converged) << "k=" << k;
-  }
-
-  // The same resume through the on-disk format: serialize the mid-run
-  // simplex, parse it back, continue — still bit-identical.
-  Checkpoint ck;
-  ck.inFlightNm["t"] = states[states.size() / 2];
-  const Checkpoint back = Checkpoint::parse(ck.serialize(), "nm");
-  opt::CallableObjective fresh(rosenbrock());
-  const auto resumed = opt::minimizeNelderMead(fresh, x0, options, {},
-                                               &back.inFlightNm.at("t"));
-  EXPECT_EQ(resumed.x, uninterrupted.x);
-  EXPECT_EQ(resumed.value, uninterrupted.value);
-  EXPECT_EQ(resumed.functionEvaluations, uninterrupted.functionEvaluations);
-}
-
 // ---------- checkpoint file format ----------
 
 Checkpoint sampleCheckpoint() {
@@ -258,13 +219,6 @@ Checkpoint sampleCheckpoint() {
   st.analyticCoordinates = 3;
   st.slowProgress = 1;
   ck.inFlight["g1:gene B/H0"] = st;  // key with a space must survive
-
-  opt::NelderMeadState nm;
-  nm.vertex = {{1.0, 2.0}, {-0.5, 1e-300}, {0.25, -0.0}};
-  nm.fv = {-3.0, -2.5, 7.0};
-  nm.iterations = 5;
-  nm.functionEvaluations = 19;
-  ck.inFlightNm["g2:geneC/H1"] = nm;
   return ck;
 }
 
@@ -294,14 +248,6 @@ TEST(CheckpointFormat, SerializeParseRoundTripIsExact) {
   EXPECT_EQ(b.gradientMode, a.gradientMode);
   EXPECT_EQ(b.simd, a.simd);
   EXPECT_EQ(b.converged, a.converged);
-
-  ASSERT_EQ(back.inFlightNm.size(), 1u);
-  const opt::NelderMeadState& na = ck.inFlightNm.at("g2:geneC/H1");
-  const opt::NelderMeadState& nb = back.inFlightNm.at("g2:geneC/H1");
-  EXPECT_EQ(nb.vertex, na.vertex);
-  EXPECT_EQ(nb.fv, na.fv);
-  EXPECT_EQ(nb.iterations, na.iterations);
-  EXPECT_EQ(nb.functionEvaluations, na.functionEvaluations);
 
   const opt::BfgsState& sa = ck.inFlight.at("g1:gene B/H0");
   const opt::BfgsState& sb = back.inFlight.at("g1:gene B/H0");
@@ -377,16 +323,15 @@ TEST(CheckpointFormat, RefusesCorruptedAndMismatchedInput) {
     bad.replace(at, end - at, "hInv 0x1p+0 0x1p+0");
     expectParseError(bad, "dimensions");
   }
-  // Inconsistent simplex dimensions (n+1 vertices of size n, n+1 values).
-  {
-    std::string bad = good;
-    const auto at = bad.find("dim ");
-    bad.replace(at, bad.find('\n', at) - at, "dim 7");
-    expectParseError(bad, "simplex");
-  }
+  // A record of a status no optimizer writes (the retired Nelder-Mead
+  // "nm" snapshots among them) is refused by name.
+  expectParseError(
+      "slimcodeml-checkpoint v1\nconfigHash 0000000000000001\n"
+      "task g0:a/H0\nstatus nm\ndim 1\nvertices 0x0p+0 0x1p+0\n"
+      "fv 0x0p+0 0x1p+0\niterations 1\nfunctionEvaluations 2\nend\n",
+      "unknown status 'nm'");
   // Integer fields that would overflow long or wrap through the int cast
-  // are keyed errors, never silent clamping/truncation — and an absurd
-  // simplex dimension is refused before any arithmetic can overflow.
+  // are keyed errors, never silent clamping/truncation.
   for (const char* hostile :
        {"iterations 99999999999999999999999", "iterations 4294967296",
         "slowProgress 92233720368547758070"}) {
@@ -396,12 +341,6 @@ TEST(CheckpointFormat, RefusesCorruptedAndMismatchedInput) {
     const auto at = bad.find(std::string(field) + " ");
     bad.replace(at, bad.find('\n', at) - at, hostile);
     expectParseError(bad, "out of range");
-  }
-  {
-    std::string bad = good;
-    const auto at = bad.find("dim ");
-    bad.replace(at, bad.find('\n', at) - at, "dim 9223372036854775807");
-    expectParseError(bad, "dim");
   }
 }
 
@@ -490,15 +429,6 @@ TEST(Manager, RecordsCompletionsAndInFlightState) {
   mgr.fitSink("g0:a/H0")(st);
   ASSERT_TRUE(mgr.inFlightState("g0:a/H0").has_value());
   EXPECT_EQ(mgr.inFlightState("g0:a/H0")->iterations, 3);
-
-  opt::NelderMeadState nm;
-  nm.vertex = {{0.0}, {1.0}};
-  nm.fv = {5.0, 6.0};
-  nm.iterations = 2;
-  mgr.nmSink("g0:a/H1")(nm);
-  ASSERT_TRUE(mgr.nmState("g0:a/H1").has_value());
-  EXPECT_EQ(mgr.nmState("g0:a/H1")->iterations, 2);
-  EXPECT_FALSE(mgr.nmState("g0:a/H0").has_value());
 
   FitResult fit;
   fit.hypothesis = Hypothesis::H0;

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "core/config.hpp"
 
@@ -287,14 +288,75 @@ TEST_F(ConfigRun, SiteModelEndToEnd) {
                  "\nmodel = site\noutfile = -\nmaxIterations = 3\n");
   const auto cfg = Config::parseFile(ctl);
   const auto test = runSiteModelFromConfig(cfg);
-  EXPECT_TRUE(std::isfinite(test.m1a.lnL));
-  EXPECT_TRUE(std::isfinite(test.m2a.lnL));
+  EXPECT_TRUE(std::isfinite(test.h0.lnL));  // M1a
+  EXPECT_TRUE(std::isfinite(test.h1.lnL));  // M2a
   EXPECT_DOUBLE_EQ(test.lrt.df, 2.0);
   // Kind mismatch is rejected on both entry points.
   EXPECT_THROW(runFromConfig(cfg), std::invalid_argument);
   std::remove(fasta.c_str());
   std::remove(nwk.c_str());
   std::remove(ctl.c_str());
+}
+
+class SiteRun : public ConfigRun {
+ protected:
+  /// A `model = site` control file over a 5-taxon gene (no marks needed).
+  std::string siteCtl(const std::string& tag, const std::string& extra) {
+    const std::string fasta = path(tag + ".fasta");
+    const std::string nwk = path(tag + ".nwk");
+    write(fasta,
+          ">human\nATGGCTAAATTTCCCGGGACTTGCGGAGAT\n"
+          ">chimp\nATGGCTAAATTCCCCGGGACTTGCGGAGAT\n"
+          ">gorilla\nATGGCAAAATTTCCCGGAACTTGTGGAGAC\n"
+          ">orangutan\nATGGCTAAGTTTCCAGGGACATGCGGTGAT\n"
+          ">macaque\nATGGCGAAGTTTCCAGGAACATGTGGTGAC\n");
+    write(nwk,
+          "(((human:0.02,chimp:0.02):0.015,gorilla:0.04):0.02,"
+          "(orangutan:0.08,macaque:0.10):0.03);");
+    return "seqfile = " + fasta + "\ntreefile = " + nwk +
+           "\nmodel = site\nmaxIterations = 3\n" + extra;
+  }
+
+  /// Run a site-model control file; returns its text report.
+  std::string report(const std::string& ctlText, const std::string& name,
+                     PositiveSelectionTest* test = nullptr) {
+    Config cfg = Config::parseString(ctlText);
+    cfg.outfile = path(name);
+    const auto result = runSiteModelFromConfig(cfg);
+    if (test != nullptr) *test = result;
+    std::ifstream in(cfg.outfile);
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::remove(cfg.outfile.c_str());
+    return text.str();
+  }
+};
+
+TEST_F(SiteRun, CancelledFitsAreReportedCancelled) {
+  // A nanoscopic budget: both fits stop at their first iteration boundary.
+  PositiveSelectionTest test;
+  const std::string text =
+      report(siteCtl("scancel", "timeoutSec = 0.000001\n"), "scancel.txt",
+             &test);
+  EXPECT_TRUE(test.h0.cancelled);
+  EXPECT_TRUE(test.h1.cancelled);
+  // No NEB scan at a truncated M2a point.
+  EXPECT_TRUE(test.posteriors.positiveSelectionBySite.empty());
+  EXPECT_NE(text.find("M1a: lnL"), std::string::npos) << text;
+  EXPECT_NE(text.find("M2a: lnL"), std::string::npos) << text;
+  const auto first = text.find("(cancelled)");
+  ASSERT_NE(first, std::string::npos) << text;
+  EXPECT_NE(text.find("(cancelled)", first + 1), std::string::npos) << text;
+  EXPECT_EQ(text.find("iteration cap reached"), std::string::npos) << text;
+}
+
+TEST_F(SiteRun, SeedJittersTheStart) {
+  const std::string base = siteCtl("sseed", "");
+  const std::string unseeded = report(base, "sseed_u.txt");
+  EXPECT_EQ(report(base + "seed = 0\n", "sseed_0.txt"), unseeded);
+  const std::string seeded = report(base + "seed = 5\n", "sseed_5a.txt");
+  EXPECT_EQ(report(base + "seed = 5\n", "sseed_5b.txt"), seeded);
+  EXPECT_NE(seeded, unseeded);
 }
 
 TEST_F(ConfigRun, MissingFilesRaise) {

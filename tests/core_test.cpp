@@ -1,4 +1,4 @@
-// Tests for the top-level analysis API: parameter packing, fitting, LRT
+// Tests for the top-level analysis API: the parameter layout, fitting, LRT
 // plumbing and report output.  Fits here use tiny datasets and tight
 // iteration caps to stay fast; the statistically meaningful end-to-end
 // scenarios live in integration_test.cpp.
@@ -12,8 +12,11 @@
 #include <string_view>
 
 #include "core/analysis.hpp"
+#include "core/objective.hpp"
 #include "core/report.hpp"
+#include "opt/transforms.hpp"
 #include "sim/datasets.hpp"
+#include "sim/rng.hpp"
 
 namespace slim::core {
 namespace {
@@ -55,6 +58,143 @@ TEST(Engine, NamesAndOptionsPresets) {
   EXPECT_EQ(slim.flavor, linalg::Flavor::Opt);
   EXPECT_EQ(slim.reconstruction, expm::ReconstructionPath::Syrk);
   EXPECT_EQ(slim.propagation, lik::PropagationStrategy::BundledGemm);
+}
+
+// ---------- the parameter layout ----------
+
+// Checkpoints store optimization vectors and BFGS trajectories depend on
+// them, so every (kind, hypothesis) row is pinned coordinate by coordinate
+// against vectors assembled by hand from the transforms.  EXPECT_EQ holds on
+// any host: both sides run the same transform arithmetic.
+
+const model::BranchSiteParams kLayoutParams{2.5, 0.2, 3.0, 0.4, 0.35};
+// The third length sits below the 1e-6 floor pack() clamps to.
+const std::vector<double> kLayoutLengths{0.05, 0.3, 1e-9, 2.0};
+
+struct LayoutRow {
+  model::ModelSpec spec;
+  Hypothesis h;
+  std::vector<double> classOmegas;
+  std::vector<double> head;  ///< Expected coordinates before the lengths.
+};
+
+std::vector<LayoutRow> layoutRows() {
+  const auto logPos = opt::Transform::logAbove(0.0);
+  const auto unit = opt::Transform::logistic(0.0, 1.0);
+  const auto aboveOne = opt::Transform::logAbove(1.0);
+  const auto& p = kLayoutParams;
+  const auto [u, v] = opt::simplex2ToInternal(p.p0, p.p1);
+  const double k = logPos.toInternal(p.kappa), w0 = unit.toInternal(p.omega0),
+               w2 = aboveOne.toInternal(p.omega2);
+  const std::vector<double> omegas{0.3, 1.7, 4.0};
+  const double c0 = logPos.toInternal(0.3), c1 = logPos.toInternal(1.7),
+               c2 = logPos.toInternal(4.0);
+  const auto branch = model::ModelSpec::branch(3);
+  const auto cladeC = model::ModelSpec::cladeC(3);
+  return {
+      {model::ModelSpec::branchSite(), Hypothesis::H0, {}, {k, w0, u, v}},
+      {model::ModelSpec::branchSite(), Hypothesis::H1, {}, {k, w0, w2, u, v}},
+      {branch, Hypothesis::H0, {0.3}, {k, c0}},
+      {branch, Hypothesis::H1, omegas, {k, c0, c1, c2}},
+      {cladeC, Hypothesis::H0, {0.3}, {k, w0, c0, u, v}},
+      {cladeC, Hypothesis::H1, omegas, {k, w0, c0, c1, c2, u, v}},
+      {model::ModelSpec::site(), Hypothesis::H0, {},
+       {k, w0, unit.toInternal(p.p0)}},
+      {model::ModelSpec::site(), Hypothesis::H1, {}, {k, w0, w2, u, v}},
+  };
+}
+
+TEST(ParameterLayout, PacksEveryRowExactly) {
+  const auto branch = opt::Transform::logistic(0.0, 50.0);
+  for (const LayoutRow& row : layoutRows()) {
+    const std::string name = std::string(model::modelKindName(row.spec.kind)) +
+                             "/" + model::hypothesisName(row.h);
+    const ParameterLayout layout(row.spec, row.h, 4);
+    std::vector<double> want = row.head;
+    for (const double t : kLayoutLengths)
+      want.push_back(branch.toInternal(std::max(t, 1e-6)));
+    const std::vector<double> x =
+        layout.pack({kLayoutParams, row.classOmegas}, kLayoutLengths);
+    EXPECT_EQ(x, want) << name;
+    EXPECT_EQ(layout.dim(), static_cast<int>(want.size())) << name;
+    EXPECT_EQ(layout.branchOffset(), static_cast<int>(row.head.size()))
+        << name;
+
+    // Round trip through unpack: every parameter the row carries comes back.
+    const auto near = [&name](double got, double expected) {
+      EXPECT_NEAR(got, expected, 1e-12 * std::max(1.0, std::fabs(expected)))
+          << name;
+    };
+    const ModelPoint back = layout.unpack(x);
+    near(back.params.kappa, kLayoutParams.kappa);
+    ASSERT_EQ(back.classOmegas.size(), row.classOmegas.size()) << name;
+    for (std::size_t c = 0; c < row.classOmegas.size(); ++c)
+      near(back.classOmegas[c], row.classOmegas[c]);
+    for (int b = 0; b < 4; ++b)
+      near(layout.branchLength(x, b), std::max(kLayoutLengths[b], 1e-6));
+    const auto kind = row.spec.kind;
+    if (kind == model::ModelKind::Branch) continue;  // kappa + omegas only
+    near(back.params.omega0, kLayoutParams.omega0);
+    near(back.params.p0, kLayoutParams.p0);
+    if (kind == model::ModelKind::Site && row.h == Hypothesis::H0)
+      EXPECT_EQ(back.params.p1, 1.0 - back.params.p0) << name;  // M1a
+    else
+      near(back.params.p1, kLayoutParams.p1);
+    if (kind == model::ModelKind::BranchSite ||
+        kind == model::ModelKind::Site) {
+      if (row.h == Hypothesis::H1)
+        near(back.params.omega2, kLayoutParams.omega2);
+      else
+        EXPECT_EQ(back.params.omega2, 1.0) << name;  // H0 pins omega2
+    }
+  }
+}
+
+TEST(ParameterLayout, StartValuesAndJitterDrawOrder) {
+  const std::uint64_t seed = 5;
+  const auto jitterFrom = [](sim::Rng& rng) {
+    return [&rng](double v) { return v * std::exp(rng.uniform(-0.1, 0.1)); };
+  };
+  const std::vector<double> lengths{0.05, 0.3, 4e-4, 2.0};
+  const auto& init = kLayoutParams;
+
+  // Unseeded: the branch model's background class starts at omega0, every
+  // other class omega at omega2.
+  const ParameterLayout branch(model::ModelSpec::branch(3), Hypothesis::H1, 4);
+  EXPECT_EQ(branch.start(init, lengths, 0),
+            branch.pack({init, {init.omega0, init.omega2, init.omega2}},
+                        lengths));
+
+  // Branch-site H0: kappa, omega0, then omega2 — drawn although H0 has no
+  // omega2 coordinate — then every branch length.
+  {
+    sim::Rng rng(seed);
+    const auto j = jitterFrom(rng);
+    ModelPoint want{init, {}};
+    want.params.kappa = j(init.kappa);
+    want.params.omega0 = std::min(0.95, j(init.omega0));
+    (void)j(init.omega2 - 1.0 + 0.1);
+    std::vector<double> t;
+    for (const double len : lengths) t.push_back(j(std::max(len, 1e-3)));
+    const ParameterLayout layout(model::ModelSpec::branchSite(),
+                                 Hypothesis::H0, 4);
+    EXPECT_EQ(layout.start(init, lengths, seed), layout.pack(want, t));
+  }
+  // Clade C H1 (no omega2): kappa, omega0, each divergent omega (all
+  // starting at omega2), then every branch length.
+  {
+    sim::Rng rng(seed);
+    const auto j = jitterFrom(rng);
+    ModelPoint want{init, {}};
+    want.params.kappa = j(init.kappa);
+    want.params.omega0 = std::min(0.95, j(init.omega0));
+    for (int c = 0; c < 3; ++c) want.classOmegas.push_back(j(init.omega2));
+    std::vector<double> t;
+    for (const double len : lengths) t.push_back(j(std::max(len, 1e-3)));
+    const ParameterLayout layout(model::ModelSpec::cladeC(3), Hypothesis::H1,
+                                 4);
+    EXPECT_EQ(layout.start(init, lengths, seed), layout.pack(want, t));
+  }
 }
 
 TEST(Fit, ImprovesOverStartAndRespectsCap) {

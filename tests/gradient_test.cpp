@@ -17,7 +17,6 @@
 
 #include "core/analysis.hpp"
 #include "core/objective.hpp"
-#include "core/site_models.hpp"
 #include "model/frequencies.hpp"
 #include "sim/datasets.hpp"
 #include "sim/evolver.hpp"
@@ -146,52 +145,46 @@ TEST(AnalyticGradient, BitIdenticalAcrossThreadCountsAndEngines) {
 
 // ---------- fd-parallel bit-identity ----------
 
-// A minimal packing for driving LikelihoodObjective directly: x is the raw
-// branch-length vector (identity transform), substitution parameters fixed.
-core::LikelihoodObjective::PreparePoint branchOnlyPrepare(
-    const SimData& d, const BranchSiteParams& p, Hypothesis h) {
-  return [&d, p, h](lik::BranchSiteLikelihood& e,
-                    std::span<const double> x) -> model::MixtureSpec {
-    for (int k = 0; k < e.numBranches(); ++k) e.setBranchLength(k, x[k]);
-    return model::buildModelASpec(*d.codons.code, d.pi, p, h);
-  };
-}
-
 TEST(ParallelFiniteDiff, BitIdenticalToSerialForEveryWorkerCount) {
   const auto d = makeData(7, 40, 17);
   const BranchSiteParams p;
   auto likOptions = lik::slimParallelOptions();
   likOptions.numThreads = 1;
+  const auto ctx = core::AnalysisContext::create(
+      d.codons, d.tree, core::EngineKind::SlimParallel);
 
-  // Serial fd reference on a plain evaluator.
-  lik::BranchSiteLikelihood refEval(d.codons, d.patterns, d.pi, d.tree,
-                                    Hypothesis::H1, likOptions);
+  // Serial fd reference on a plain evaluator, over the branch-site H1
+  // layout (every coordinate finite-differenced).
+  lik::BranchSiteLikelihood refEval(ctx->alignment(), ctx->patterns(),
+                                    ctx->pi(), ctx->tree(), Hypothesis::H1,
+                                    likOptions);
   const int numBranches = refEval.numBranches();
-  std::vector<double> x0(numBranches);
-  for (int k = 0; k < numBranches; ++k) x0[k] = refEval.branchLength(k);
+  const core::ParameterLayout layout(model::ModelSpec::branchSite(),
+                                     Hypothesis::H1, numBranches);
+  std::vector<double> lengths(numBranches);
+  for (int k = 0; k < numBranches; ++k) lengths[k] = refEval.branchLength(k);
+  const std::vector<double> x0 = layout.pack({p, {}}, lengths);
 
-  const core::LikelihoodObjective::Layout layout{0, numBranches,
-                                                 opt::Transform::identity()};
-  core::LikelihoodObjective serial(
-      refEval, d.codons, d.patterns, d.pi, d.tree, Hypothesis::H1, likOptions,
-      GradientMode::FiniteDiff, core::ParallelPolicy::Auto, 1, layout,
-      branchOnlyPrepare(d, p, Hypothesis::H1));
+  core::LikelihoodObjective serial(refEval, *ctx, layout, likOptions,
+                                   GradientMode::FiniteDiff,
+                                   core::ParallelPolicy::Auto, 1);
   const double f0 = serial.value(x0);
-  std::vector<double> refGrad(numBranches);
+  std::vector<double> refGrad(x0.size());
   for (bool central : {false, true}) {
     const auto refResult =
         serial.valueAndGradient(x0, refGrad, {1e-7, central, f0});
     EXPECT_EQ(refResult.analyticCoordinates, 0);
 
     for (int workers : {1, 2, 8}) {
-      lik::BranchSiteLikelihood eval(d.codons, d.patterns, d.pi, d.tree,
-                                     Hypothesis::H1, likOptions);
-      core::LikelihoodObjective fanned(
-          eval, d.codons, d.patterns, d.pi, d.tree, Hypothesis::H1, likOptions,
-          GradientMode::ParallelFiniteDiff, core::ParallelPolicy::TaskLevel,
-          workers, layout, branchOnlyPrepare(d, p, Hypothesis::H1));
+      lik::BranchSiteLikelihood eval(ctx->alignment(), ctx->patterns(),
+                                     ctx->pi(), ctx->tree(), Hypothesis::H1,
+                                     likOptions);
+      core::LikelihoodObjective fanned(eval, *ctx, layout, likOptions,
+                                       GradientMode::ParallelFiniteDiff,
+                                       core::ParallelPolicy::TaskLevel,
+                                       workers);
       EXPECT_EQ(fanned.value(x0), f0) << workers;
-      std::vector<double> grad(numBranches);
+      std::vector<double> grad(x0.size());
       fanned.valueAndGradient(x0, grad, {1e-7, central, f0});
       EXPECT_EQ(grad, refGrad) << "workers=" << workers
                                << " central=" << central;
@@ -306,23 +299,26 @@ TEST(GradientModes, FitsAgreeAndAnalyticCutsEvaluations) {
 
 TEST(GradientModes, SiteModelFitsAgreeAcrossModes) {
   const auto d = makeData(6, 30, 29);
-  core::SiteModelFitOptions base;
+  core::FitOptions base;
+  base.modelSpec = model::ModelSpec::site();
+  base.initialParams.p0 = 0.5;  // the M1a/M2a starting proportions
+  base.initialParams.p1 = 0.4;
   base.bfgs.maxIterations = 80;
 
-  core::SiteModelFitResult fd, analytic;
+  core::FitResult fd, analytic;
   {
-    core::SiteModelFitOptions opts = base;
+    core::FitOptions opts = base;
     opts.tuning.gradient = GradientMode::FiniteDiff;
-    core::SiteModelAnalysis analysis(d.codons, d.tree, core::EngineKind::Slim,
-                                     opts);
-    fd = analysis.fit(core::SiteModel::M2a);
+    core::BranchSiteAnalysis analysis(d.codons, d.tree, core::EngineKind::Slim,
+                                      opts);
+    fd = analysis.fit(Hypothesis::H1);  // M2a
   }
   {
-    core::SiteModelFitOptions opts = base;
+    core::FitOptions opts = base;
     opts.tuning.gradient = GradientMode::Analytic;
-    core::SiteModelAnalysis analysis(d.codons, d.tree, core::EngineKind::Slim,
-                                     opts);
-    analytic = analysis.fit(core::SiteModel::M2a);
+    core::BranchSiteAnalysis analysis(d.codons, d.tree, core::EngineKind::Slim,
+                                      opts);
+    analytic = analysis.fit(Hypothesis::H1);
   }
   EXPECT_NEAR(fd.lnL, analytic.lnL, 1e-6 * (1.0 + std::fabs(fd.lnL)));
   EXPECT_LT(analytic.gradientEvaluations, fd.gradientEvaluations);

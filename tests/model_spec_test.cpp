@@ -1,5 +1,6 @@
 // ModelSpec: the (site class x branch class) -> omega-slot assignment table
-// behind branch-site A, the branch model and clade model C.  The central pin
+// behind branch-site A, the branch model, clade model C and M1a/M2a.  The
+// central pin
 // is the first TEST: the generic branch-site table reproduces the historic
 // omegaIndexFor(siteClass, bool) switch cell for cell, which is what keeps
 // the refactored likelihood path bit-identical.
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "bio/genetic_code.hpp"
 #include "model/branch_site.hpp"
@@ -128,8 +130,30 @@ TEST(ModelSpecTest, BuildersProduceValidMixtures) {
                   .branchHomogeneous());
 }
 
+TEST(ModelSpecTest, SiteKindIsM1aVsM2a) {
+  const ModelSpec spec = ModelSpec::site();
+  EXPECT_NO_THROW(spec.validate());
+  // The class count depends on the hypothesis: M1a {omega0, 1}, M2a adds
+  // omega2.
+  EXPECT_EQ(spec.numSiteClasses(Hypothesis::H0), 2);
+  EXPECT_EQ(spec.numSiteClasses(Hypothesis::H1), 3);
+  EXPECT_EQ(spec.numOmegaSlots(Hypothesis::H0), 2);
+  EXPECT_EQ(spec.numOmegaSlots(Hypothesis::H1), 3);
+  EXPECT_DOUBLE_EQ(spec.lrtDegreesOfFreedom(), 2.0);
+  EXPECT_EQ(spec.numClassOmegaParams(Hypothesis::H1), 0);
+  EXPECT_EQ(spec.omegaAssignment(Hypothesis::H0),
+            (std::vector<std::vector<int>>{{0}, {1}}));
+  EXPECT_EQ(spec.omegaAssignment(Hypothesis::H1),
+            (std::vector<std::vector<int>>{{0}, {1}, {2}}));
+  // Branch-homogeneous: every branch class reads the one column.
+  EXPECT_EQ(spec.omegaSlotFor(2, 5), 2);
+  EXPECT_THROW((ModelSpec{ModelKind::Site, 2}).validate(),
+               std::invalid_argument);
+}
+
 TEST(ModelSpecTest, ModelKindNames) {
   EXPECT_STREQ(model::modelKindName(ModelKind::BranchSite), "branch-site");
   EXPECT_STREQ(model::modelKindName(ModelKind::Branch), "branch");
   EXPECT_STREQ(model::modelKindName(ModelKind::CladeC), "clade-c");
+  EXPECT_STREQ(model::modelKindName(ModelKind::Site), "site");
 }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "opt/bfgs.hpp"
-#include "opt/nelder_mead.hpp"
 #include "opt/transforms.hpp"
 
 namespace slim::opt {
@@ -310,74 +309,6 @@ TEST(Bfgs, NaNGradientProbeStopsCleanly) {
   EXPECT_FALSE(r.converged);
   EXPECT_NE(r.message.find("gradient not finite"), std::string::npos)
       << r.message;
-}
-
-// ---------- Nelder-Mead ----------
-
-TEST(NelderMead, SolvesConvexQuadratic) {
-  const Objective f = [](std::span<const double> x) {
-    double s = 0;
-    for (std::size_t i = 0; i < x.size(); ++i)
-      s += (i + 1.0) * (x[i] - 1.0) * (x[i] - 1.0);
-    return s;
-  };
-  const auto r = minimizeNelderMead(f, std::vector<double>{4.0, -2.0, 0.5});
-  EXPECT_TRUE(r.converged);
-  for (double xi : r.x) EXPECT_NEAR(xi, 1.0, 1e-4);
-}
-
-TEST(NelderMead, SolvesRosenbrock) {
-  const Objective f = [](std::span<const double> x) {
-    const double a = 1.0 - x[0];
-    const double b = x[1] - x[0] * x[0];
-    return a * a + 100.0 * b * b;
-  };
-  NelderMeadOptions opts;
-  opts.maxIterations = 5000;
-  const auto r = minimizeNelderMead(f, std::vector<double>{-1.2, 1.0}, opts);
-  EXPECT_NEAR(r.x[0], 1.0, 1e-3);
-  EXPECT_NEAR(r.x[1], 1.0, 1e-3);
-}
-
-TEST(NelderMead, HandlesInfeasibleRegions) {
-  const Objective f = [](std::span<const double> x) -> double {
-    if (x[0] * x[0] + x[1] * x[1] > 1.0)
-      return std::numeric_limits<double>::infinity();
-    return (x[0] - 0.3) * (x[0] - 0.3) + (x[1] + 0.2) * (x[1] + 0.2);
-  };
-  NelderMeadOptions opts;
-  opts.initialStep = 0.2;  // keep the initial simplex feasible
-  const auto r = minimizeNelderMead(f, std::vector<double>{0.0, 0.0}, opts);
-  EXPECT_NEAR(r.x[0], 0.3, 1e-3);
-  EXPECT_NEAR(r.x[1], -0.2, 1e-3);
-}
-
-TEST(NelderMead, AgreesWithBfgsOnSmoothProblem) {
-  const Objective f = [](std::span<const double> x) {
-    return std::pow(x[0] - 2.0, 4) + std::pow(x[1] + 1.0, 2) +
-           0.5 * x[0] * x[1];
-  };
-  const std::vector<double> x0{3.0, 3.0};
-  const auto nm = minimizeNelderMead(f, x0);
-  const auto bf = minimizeBfgs(f, x0);
-  EXPECT_NEAR(nm.value, bf.value, 1e-4 * (1 + std::fabs(bf.value)));
-}
-
-TEST(NelderMead, RespectsIterationCap) {
-  const Objective f = [](std::span<const double> x) { return x[0] * x[0]; };
-  NelderMeadOptions opts;
-  opts.maxIterations = 2;
-  const auto r = minimizeNelderMead(f, std::vector<double>{100.0}, opts);
-  EXPECT_LE(r.iterations, 2);
-  EXPECT_FALSE(r.converged);
-}
-
-TEST(NelderMead, ThrowsOnInfeasibleStart) {
-  const Objective f = [](std::span<const double>) {
-    return std::numeric_limits<double>::quiet_NaN();
-  };
-  EXPECT_THROW(minimizeNelderMead(f, std::vector<double>{0.0}),
-               std::invalid_argument);
 }
 
 TEST(Bfgs, QuarticValleyConverges) {

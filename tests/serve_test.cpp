@@ -27,7 +27,6 @@
 #include "core/report.hpp"
 #include "opt/bfgs.hpp"
 #include "opt/cancel.hpp"
-#include "opt/nelder_mead.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -395,29 +394,6 @@ TEST(CancelPredicate, BfgsStopsAtLastAcceptedPoint) {
   EXPECT_EQ(stopped.iterations, 0);
   EXPECT_EQ(stopped.functionEvaluations, 1);
   EXPECT_EQ(stopped.gradientEvaluations, 0);
-}
-
-TEST(CancelPredicate, NelderMeadStopsCleanly) {
-  const opt::Objective sphere = [](std::span<const double> x) {
-    return x[0] * x[0] + x[1] * x[1];
-  };
-  const std::vector<double> x0 = {2.0, -3.0};
-
-  opt::NelderMeadOptions options;
-  int polls = 0;
-  options.cancel = [&polls] { return ++polls > 5; };
-  const auto cancelled = opt::minimizeNelderMead(sphere, x0, options);
-  EXPECT_TRUE(cancelled.cancelled);
-  EXPECT_FALSE(cancelled.converged);
-  EXPECT_EQ(cancelled.message, "cancelled");
-  EXPECT_GT(cancelled.iterations, 0);
-  // The best simplex vertex at the stop is still a real evaluated point.
-  EXPECT_TRUE(std::isfinite(cancelled.value));
-  EXPECT_LE(cancelled.value, sphere(x0));
-
-  const auto reference = opt::minimizeNelderMead(sphere, x0);
-  EXPECT_FALSE(reference.cancelled);
-  EXPECT_TRUE(reference.converged);
 }
 
 TEST(CancelPredicate, TimeoutSecCtlKeyCancelsRun) {

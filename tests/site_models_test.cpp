@@ -1,13 +1,14 @@
 // Tests for the generic omega-class mixtures and the M1a/M2a site models —
 // the "further ML-based evolutionary models" extension of the paper's
-// conclusion, running through the same likelihood engine as model A.
+// conclusion, running through the same likelihood engine and the same fit
+// driver as model A (ModelSpec kind `site`: H0 = M1a, H1 = M2a).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <functional>
 
-#include "core/site_models.hpp"
+#include "core/analysis.hpp"
 #include "expm/pade.hpp"
 #include "model/codon_model.hpp"
 #include "model/site_mixture.hpp"
@@ -229,13 +230,23 @@ TEST(EvolveMixture, HeterogeneousSpecRequiresMark) {
 
 // ---------- the M1a-vs-M2a analysis ----------
 
-TEST(SiteModelAnalysisTest, FitRunsAndRespectsNesting) {
+/// M1a/M2a fit options with the starting proportions these tests were
+/// written against (p0/p1 = 0.5/0.4; FitOptions defaults to 0.45/0.45).
+core::FitOptions siteOptions(int maxIterations) {
+  core::FitOptions opts;
+  opts.modelSpec = model::ModelSpec::site();
+  opts.initialParams.p0 = 0.5;
+  opts.initialParams.p1 = 0.4;
+  opts.bfgs.maxIterations = maxIterations;
+  return opts;
+}
+
+TEST(SiteModelFit, FitRunsAndRespectsNesting) {
   const auto f = makeFixture(30);
-  core::SiteModelFitOptions opts;
-  opts.bfgs.maxIterations = 8;
-  core::SiteModelAnalysis analysis(f.ca, f.tree, core::EngineKind::Slim, opts);
-  const auto m1a = analysis.fit(core::SiteModel::M1a);
-  const auto m2a = analysis.fit(core::SiteModel::M2a);
+  core::BranchSiteAnalysis analysis(f.ca, f.tree, core::EngineKind::Slim,
+                                    siteOptions(8));
+  const auto m1a = analysis.fit(model::Hypothesis::H0);
+  const auto m2a = analysis.fit(model::Hypothesis::H1);
   EXPECT_TRUE(std::isfinite(m1a.lnL));
   EXPECT_TRUE(std::isfinite(m2a.lnL));
   EXPECT_GT(m1a.params.omega0, 0.0);
@@ -246,16 +257,15 @@ TEST(SiteModelAnalysisTest, FitRunsAndRespectsNesting) {
   EXPECT_GE(m2a.lnL, m1a.lnL - 0.05);
 }
 
-TEST(SiteModelAnalysisTest, WorksOnUnmarkedTree) {
+TEST(SiteModelFit, WorksOnUnmarkedTree) {
   auto f = makeFixture(15);
   tree::Tree bare = tree::Tree::parseNewick(f.tree.toNewick(/*marks=*/false));
-  core::SiteModelFitOptions opts;
-  opts.bfgs.maxIterations = 2;
-  core::SiteModelAnalysis analysis(f.ca, bare, core::EngineKind::Slim, opts);
-  EXPECT_NO_THROW(analysis.fit(core::SiteModel::M1a));
+  core::BranchSiteAnalysis analysis(f.ca, bare, core::EngineKind::Slim,
+                                    siteOptions(2));
+  EXPECT_NO_THROW(analysis.fit(model::Hypothesis::H0));
 }
 
-TEST(SiteModelAnalysisTest, DetectsPervasiveSelection) {
+TEST(SiteModelFit, DetectsPervasiveSelection) {
   // Simulate data where 40% of sites evolve at omega = 8 on all branches:
   // the M1a-vs-M2a LRT (df = 2) should fire.
   sim::Rng rng(555);
@@ -271,14 +281,13 @@ TEST(SiteModelAnalysisTest, DetectsPervasiveSelection) {
   const auto simOut = sim::evolveMixture(gc(), tree, spec, 100, piGen, rng);
   const auto ca = seqio::encodeCodons(simOut.alignment, gc());
 
-  core::SiteModelFitOptions opts;
-  opts.bfgs.maxIterations = 20;
-  core::SiteModelAnalysis analysis(ca, tree, core::EngineKind::Slim, opts);
+  core::BranchSiteAnalysis analysis(ca, tree, core::EngineKind::Slim,
+                                    siteOptions(20));
   const auto test = analysis.run();
   EXPECT_DOUBLE_EQ(test.lrt.df, 2.0);
   EXPECT_GT(test.lrt.statistic, 5.99)  // 5% critical value for df = 2
-      << "M1a lnL=" << test.m1a.lnL << " M2a lnL=" << test.m2a.lnL;
-  EXPECT_GT(test.m2a.params.omega2, 1.5);
+      << "M1a lnL=" << test.h0.lnL << " M2a lnL=" << test.h1.lnL;
+  EXPECT_GT(test.h1.params.omega2, 1.5);
   // Posteriors: 3 classes, expanded to all 100 sites.
   EXPECT_EQ(test.posteriors.post.size(), 3u);
   EXPECT_EQ(test.posteriors.positiveSelectionBySite.size(), 100u);

@@ -24,9 +24,9 @@ namespace {
 
 constexpr const char* kUsage = R"(usage: slimcodeml [--json] [--batch <dir>] [--resume] <control-file>
 
-Fits the selected branch-classification model (branch-site A, the branch
-model or clade model C) under H0 and H1, runs the likelihood-ratio test,
-and writes a report.  Repeating the seqfile line (or --batch) selects the
+Fits the selected model (branch-site A, the branch model, clade model C,
+or M1a vs M2a with `model = site`) under H0 and H1, runs the
+likelihood-ratio test, and writes a report.  Repeating the seqfile line (or --batch) selects the
 multi-gene workflow: every gene's H0/H1 fits are fanned as independent
 tasks across the worker pool, sharing the tree and the propagator cache
 machinery.  `foreground = every-branch` (or a list of branch sets) scans
@@ -160,8 +160,8 @@ int main(int argc, char** argv) {
         return 1;
       }
       const auto test = slim::core::runSiteModelFromConfig(config);
-      std::cerr << "done: M1a lnL = " << test.m1a.lnL
-                << ", M2a lnL = " << test.m2a.lnL
+      std::cerr << "done: M1a lnL = " << test.h0.lnL
+                << ", M2a lnL = " << test.h1.lnL
                 << ", p = " << test.lrt.pChi2 << '\n';
     } else if (config.seqfiles.size() > 1 || !config.foreground.empty()) {
       const auto out = slim::core::runBatchFromConfig(config);
