@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/batch.hpp"
+#include "gbench_main.hpp"
 #include "sim/datasets.hpp"
 
 namespace {
@@ -103,4 +104,6 @@ BENCHMARK(BM_BatchRunAll)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return slim::bench::runMicrobenchmarks(argc, argv);
+}

@@ -2,102 +2,78 @@
 // kernels across sizes around the codon dimension n = 61.
 //
 // This isolates the "use tuned kernels" component of the paper's speedup
-// (its rules of thumb: "Use BLAS...", "Exploit matrix properties...").
+// (its rules of thumb: "Use BLAS...", "Exploit matrix properties...").  The
+// second argument picks the kernel table: 0 = naive (CodeML's loop nests),
+// 1 = scalar (the tuned loops compiled for the generic target).
 
 #include <benchmark/benchmark.h>
 
 #include "backend/compute_backend.hpp"
-#include "linalg/blas2.hpp"
+#include "gbench_main.hpp"
 #include "linalg/blas3.hpp"
+#include "linalg/simd.hpp"
 #include "test_support.hpp"
 
 namespace {
 
 using namespace slim;
-using linalg::Flavor;
 using linalg::Matrix;
-using linalg::Vector;
+
+const linalg::SimdKernels& tableForArg(std::int64_t arg) {
+  return arg ? linalg::simdKernels(linalg::SimdLevel::Scalar)
+             : linalg::naiveKernels();
+}
 
 void BM_Gemm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const Flavor flavor = state.range(1) ? Flavor::Opt : Flavor::Naive;
+  const auto& kern = tableForArg(state.range(1));
   const Matrix a = bench::randomMatrix(n, n, 1);
   const Matrix b = bench::randomMatrix(n, n, 2);
   Matrix c(n, n);
   for (auto _ : state) {
-    linalg::gemm(flavor, a, b, c);
+    linalg::gemm(kern, a.view(), b.view(), c.view());
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-  state.SetLabel(linalg::flavorName(flavor));
+  state.SetLabel(kern.name);
 }
 
 void BM_GemmNT(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const Flavor flavor = state.range(1) ? Flavor::Opt : Flavor::Naive;
+  const auto& kern = tableForArg(state.range(1));
   const Matrix a = bench::randomMatrix(n, n, 3);
   const Matrix b = bench::randomMatrix(n, n, 4);
   Matrix c(n, n);
   for (auto _ : state) {
-    linalg::gemmNT(flavor, a, b, c);
+    linalg::gemmNT(kern, a.view(), b.view(), c.view());
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-  state.SetLabel(linalg::flavorName(flavor));
+  state.SetLabel(kern.name);
 }
 
 void BM_Syrk(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const Flavor flavor = state.range(1) ? Flavor::Opt : Flavor::Naive;
+  const auto& kern = tableForArg(state.range(1));
   const Matrix y = bench::randomMatrix(n, n, 5);
   Matrix c(n, n);
   for (auto _ : state) {
-    linalg::syrk(flavor, y, c);
+    kern.syrk(y.data(), c.data(), n, n);
     benchmark::DoNotOptimize(c.data());
   }
-  // Effective flops of the full product; syrk-opt does half of this.
+  // Effective flops of the full product; the scalar syrk does half of this.
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-  state.SetLabel(linalg::flavorName(flavor));
+  state.SetLabel(kern.name);
 }
 
-void BM_Gemv(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Flavor flavor = state.range(1) ? Flavor::Opt : Flavor::Naive;
-  const Matrix a = bench::randomMatrix(n, n, 6);
-  const Vector x = bench::randomVector(n, 7);
-  Vector y(n);
-  for (auto _ : state) {
-    linalg::gemv(flavor, a, x.span(), y.span());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n);
-  state.SetLabel(linalg::flavorName(flavor));
-}
-
-void BM_Symv(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Flavor flavor = state.range(1) ? Flavor::Opt : Flavor::Naive;
-  const Matrix a = bench::randomSymmetric(n, 8);
-  const Vector x = bench::randomVector(n, 9);
-  Vector y(n);
-  for (auto _ : state) {
-    linalg::symv(flavor, a, x.span(), y.span());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n);
-  state.SetLabel(linalg::flavorName(flavor));
-}
-
-void sizesAndFlavors(benchmark::internal::Benchmark* b) {
+void sizesAndTables(benchmark::internal::Benchmark* b) {
   for (int n : {61, 122, 244})
-    for (int flavor : {0, 1}) b->Args({n, flavor});
+    for (int table : {0, 1}) b->Args({n, table});
 }
 
-BENCHMARK(BM_Gemm)->Apply(sizesAndFlavors);
-BENCHMARK(BM_GemmNT)->Apply(sizesAndFlavors);
-BENCHMARK(BM_Syrk)->Apply(sizesAndFlavors);
-BENCHMARK(BM_Gemv)->Apply(sizesAndFlavors);
-BENCHMARK(BM_Symv)->Apply(sizesAndFlavors);
+BENCHMARK(BM_Gemm)->Apply(sizesAndTables);
+BENCHMARK(BM_GemmNT)->Apply(sizesAndTables);
+BENCHMARK(BM_Syrk)->Apply(sizesAndTables);
 
 // --- Compute-backend dimension (src/backend/) ---------------------------
 //
@@ -113,7 +89,7 @@ backend::BackendKind kindForArg(int arg) {
 }
 
 bool skipUnavailable(benchmark::State& state, backend::BackendKind kind) {
-  if (backend::backendAvailable(kind)) return false;
+  if (backend::backendCompiled(kind)) return false;
   state.SkipWithError("backend unavailable in this build");
   return true;
 }
@@ -176,4 +152,6 @@ BENCHMARK(BM_BackendSyrk)->Apply(sizesAndBackends);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return slim::bench::runMicrobenchmarks(argc, argv);
+}

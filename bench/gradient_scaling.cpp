@@ -15,6 +15,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/analysis.hpp"
+#include "gbench_main.hpp"
 #include "model/frequencies.hpp"
 #include "sim/datasets.hpp"
 #include "sim/evolver.hpp"
@@ -98,4 +99,6 @@ BENCHMARK(BM_H1FitByGradientMode)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return slim::bench::runMicrobenchmarks(argc, argv);
+}

@@ -1,17 +1,16 @@
 // Ablation B (DESIGN.md §5): CPV propagation strategies, end-to-end through
-// BranchSiteLikelihood::logLikelihood at several alignment lengths.
+// BranchSiteLikelihood::logLikelihood at several alignment lengths, on the
+// slim preset's kernel table.
 //
-//   per-site-gemv   — CodeML (one dgemv per site pattern)
+//   per-site-gemv   — CodeML (one matrix x vector product per site pattern,
+//                     run as the panel product W P^T)
 //   bundled-gemm    — SlimCodeML's BLAS-3 bundling (Sec. III-B)
-//   symmetric-symv  — Eq. 12 symmetric propagator + symv
-//   factored-apply  — Yhat factors, no n x n propagator at all
 //
-// Expected shape: bundled-gemm wins at large pattern counts; factored-apply
-// wins when patterns are few relative to n = 61 (it skips the ~n^3
-// reconstruction); per-site-gemv never wins.
+// Expected shape: bundled-gemm wins, by more at large pattern counts.
 
 #include <benchmark/benchmark.h>
 
+#include "gbench_main.hpp"
 #include "lik/branch_site_likelihood.hpp"
 #include "model/frequencies.hpp"
 #include "sim/datasets.hpp"
@@ -70,18 +69,12 @@ void BM_PerSiteGemv(benchmark::State& state) {
 void BM_BundledGemm(benchmark::State& state) {
   evaluate(state, lik::PropagationStrategy::BundledGemm);
 }
-void BM_SymmetricSymv(benchmark::State& state) {
-  evaluate(state, lik::PropagationStrategy::SymmetricSymv);
-}
-void BM_FactoredApply(benchmark::State& state) {
-  evaluate(state, lik::PropagationStrategy::FactoredApply);
-}
 
 BENCHMARK(BM_PerSiteGemv)->Arg(10)->Arg(100)->Arg(1000);
 BENCHMARK(BM_BundledGemm)->Arg(10)->Arg(100)->Arg(1000);
-BENCHMARK(BM_SymmetricSymv)->Arg(10)->Arg(100)->Arg(1000);
-BENCHMARK(BM_FactoredApply)->Arg(10)->Arg(100)->Arg(1000);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return slim::bench::runMicrobenchmarks(argc, argv);
+}

@@ -70,15 +70,6 @@ bool backendCompiled(BackendKind k) noexcept {
   return false;
 }
 
-bool backendAvailable(BackendKind k) noexcept {
-  // Reference and blas have no runtime requirement beyond being compiled in;
-  // `simd` is the dispatch itself and is "available" even when only the
-  // scalar table is (an explicit `backend = simd` at `simd = scalar` routes
-  // the scalar table through the kernel-table path, which is bit-exact with
-  // the reference path by the PR 4 contract).
-  return backendCompiled(k);
-}
-
 BackendKind resolveBackendKind(BackendMode mode, linalg::SimdLevel simdLevel) {
   BackendKind kind;
   switch (mode) {
@@ -98,7 +89,7 @@ BackendKind resolveBackendKind(BackendMode mode, linalg::SimdLevel simdLevel) {
     default:
       throw std::invalid_argument("unknown backend mode");
   }
-  if (!backendAvailable(kind))
+  if (!backendCompiled(kind))
     throw std::invalid_argument(
         std::string("backend '") + backendKindName(kind) +
         "' is not available in this build" +
@@ -111,13 +102,12 @@ ComputeBackend computeBackend(BackendKind kind, linalg::SimdLevel simdLevel) {
   ComputeBackend b;
   b.kind = kind;
   b.name = backendKindName(kind);
+  b.simdLevel = simdLevel;
   switch (kind) {
     case BackendKind::Reference:
-      b.simdLevel = linalg::SimdLevel::Scalar;
       b.ops = linalg::simdKernels(linalg::SimdLevel::Scalar);
       break;
     case BackendKind::Simd:
-      b.simdLevel = simdLevel;
       b.ops = linalg::simdKernels(simdLevel);
       break;
     case BackendKind::Blas: {
@@ -126,12 +116,23 @@ ComputeBackend computeBackend(BackendKind kind, linalg::SimdLevel simdLevel) {
         throw std::invalid_argument(
             "backend 'blas' is not available in this build "
             "(rebuild with -DSLIM_WITH_BLAS=ON)");
-      b.simdLevel = linalg::SimdLevel::Scalar;
       b.ops = *table;
       break;
     }
   }
   return b;
+}
+
+ComputeBackend resolveComputeBackend(linalg::Flavor flavor,
+                                     BackendMode backend,
+                                     linalg::SimdMode simd) {
+  if (flavor == linalg::Flavor::Naive) {
+    ComputeBackend b;  // labelled simd = scalar, backend = reference
+    b.ops = linalg::naiveKernels();
+    return b;
+  }
+  const linalg::SimdLevel level = linalg::resolveSimdLevel(simd);
+  return computeBackend(resolveBackendKind(backend, level), level);
 }
 
 }  // namespace slim::backend

@@ -1,24 +1,23 @@
 #pragma once
-// Runtime-pluggable compute backends for the likelihood engine's hot ops.
+// Runtime-pluggable compute backends, and the one place the engine
+// chooses its arithmetic.
 //
-// PR 4 introduced a cpuid-dispatched SIMD kernel table (linalg/simd.hpp);
-// this layer promotes that table into a real backend interface: a
-// ComputeBackend bundles an identity (kind + name) with a full
-// linalg::SimdKernels ops table covering the hot likelihood panels — the
-// saxpy-form panel gemm, the dot-form gemmNT, syrk, and the two fused
+// A ComputeBackend bundles an identity (kind + name) and the `simd` label
+// with one linalg::SimdKernels ops table (linalg/simd.hpp) covering the hot
+// likelihood panels — the panel gemm and gemmNT, syrk, and the two fused
 // Pi-sandwich reconstructions the propagator builder runs.  The evaluator
-// resolves `backend =` once at construction (exactly like `simd =`) and
-// routes every panel and propagator through the chosen table.
+// calls resolveComputeBackend once at construction and routes every
+// propagator build, panel product and gradient product through the table it
+// returns.
 //
 // Backends:
-//   * reference — the scalar kernel table.  This is the bit-exact oracle:
-//     its entries are the very code the Flavor::Opt scalar path runs, and
-//     the evaluator keeps the legacy non-table code path for it, so
-//     `backend = reference` output is bit-identical to the pre-backend
-//     default at `simd = scalar`.
-//   * simd — the existing AVX2/AVX-512 dispatch, at whatever level
-//     `simd =` resolves to.  Agrees with reference to <= 1e-10 relative on
-//     the log-likelihood (the PR 4 contract, unchanged).
+//   * reference — the scalar kernel table, run through the same path as
+//     every other backend.  The bit-exact oracle: each fused scalar entry
+//     reproduces the unfused product + sandwich + clamp sequence bit for
+//     bit.
+//   * simd — the AVX2/AVX-512 tables, at whatever level `simd =` resolves
+//     to.  Agrees with reference to <= 1e-10 relative on the
+//     log-likelihood.
 //   * blas — vendor CBLAS (OpenBLAS/MKL/...) behind the SLIM_WITH_BLAS
 //     CMake option.  When the option is off the backend is "not compiled"
 //     and an explicit `backend = blas` fails with a keyed error at
@@ -28,18 +27,21 @@
 //   * (GPU slot) — a future `cuda`/`hip` backend plugs in here: add a
 //     BackendKind enumerator, a TU returning its kernel table behind a
 //     CMake option (the backend_blas.cpp pattern), and extend
-//     backendCompiled/backendAvailable.  Because the interface is the same
-//     row-major panel contract the engine already batches through, no
-//     evaluator change is needed.  See docs/backends.md.
+//     backendCompiled.  Because the interface is the same row-major panel
+//     contract the engine already batches through, no evaluator change is
+//     needed.  See docs/backends.md.
+// The `engine = codeml` preset (linalg::Flavor::Naive) bypasses all three:
+// it runs the naive table, CodeML's loop nests, and reports itself as
+// `simd = scalar`, `backend = reference`.
 //
 // Resolution contract (resolveBackendKind): Auto picks Reference when the
-// resolved SIMD level is Scalar and Simd otherwise — i.e. exactly what the
-// engine did before this layer existed.  Auto never picks Blas; vendor
-// libraries reassociate sums, so leaving the deterministic default requires
-// an explicit opt-in.
+// resolved SIMD level is Scalar and Simd otherwise.  Auto never picks Blas;
+// vendor libraries reassociate sums, so leaving the deterministic default
+// requires an explicit opt-in.
 
 #include <string_view>
 
+#include "linalg/kernels.hpp"
 #include "linalg/simd.hpp"
 
 namespace slim::backend {
@@ -68,7 +70,8 @@ bool parseBackendMode(std::string_view text, BackendMode& out) noexcept;
 /// Parse a resolved kind ("reference", "simd", "blas"); false on unknown.
 bool parseBackendKind(std::string_view text, BackendKind& out) noexcept;
 
-/// One resolved backend: identity plus the kernel table the evaluator calls.
+/// One resolved backend: identity and labels plus the kernel table the
+/// evaluator calls.
 /// The ops table obeys the linalg::SimdKernels row-determinism contract
 /// (row i of each output depends only on the operands' row i, or on the full
 /// inputs in a fixed accumulation order), which the engine's thread-count /
@@ -76,20 +79,18 @@ bool parseBackendKind(std::string_view text, BackendKind& out) noexcept;
 /// per-call (one call -> one deterministic result for the whole panel) but
 /// may reassociate within a row, hence the <= 1e-10 (not bit) lnL contract.
 struct ComputeBackend {
+  /// The `backend` label.
   BackendKind kind = BackendKind::Reference;
   const char* name = "reference";
-  /// SIMD level the ops table runs at (Scalar for reference and blas).
+  /// The `simd` label: the level `simd =` resolved to.  The ops table runs
+  /// at this level only for BackendKind::Simd.
   linalg::SimdLevel simdLevel = linalg::SimdLevel::Scalar;
   linalg::SimdKernels ops{};
 };
 
-/// Whether this binary contains the backend (reference/simd: always; blas:
-/// SLIM_WITH_BLAS builds only).
+/// Whether this binary contains the backend (reference/simd: always — simd
+/// falls back to the scalar table; blas: SLIM_WITH_BLAS builds only).
 bool backendCompiled(BackendKind k) noexcept;
-
-/// Compiled in AND runnable right now (same as compiled for reference and
-/// blas; for simd it means some vector level beyond scalar is available).
-bool backendAvailable(BackendKind k) noexcept;
 
 /// Resolve a requested mode against the already-resolved SIMD level.  Auto
 /// picks Reference when `simdLevel` is Scalar and Simd otherwise.  An
@@ -98,10 +99,21 @@ bool backendAvailable(BackendKind k) noexcept;
 /// non-BLAS build fails loudly at evaluator construction.
 BackendKind resolveBackendKind(BackendMode mode, linalg::SimdLevel simdLevel);
 
-/// The backend descriptor for a resolved kind.  `simdLevel` selects the
-/// kernel table for BackendKind::Simd and is ignored otherwise.  The kind
-/// must be available (resolveBackendKind enforces this).
+/// The backend descriptor for a resolved kind.  `simdLevel` is the `simd`
+/// label and selects the kernel table for BackendKind::Simd.  The kind must
+/// be compiled in (resolveBackendKind enforces this).
 ComputeBackend computeBackend(BackendKind kind, linalg::SimdLevel simdLevel);
+
+/// The engine's kernel choice: maps (flavor, `backend =`, `simd =`) to the
+/// one table an evaluator runs and the two labels reports and checkpoint
+/// hashes record.  Flavor::Naive returns the naive table labelled
+/// `simd = scalar`, `backend = reference` and ignores both modes;
+/// Flavor::Opt resolves the modes (resolveSimdLevel, then
+/// resolveBackendKind), so an explicit request the host cannot run throws
+/// std::invalid_argument.
+ComputeBackend resolveComputeBackend(linalg::Flavor flavor,
+                                     BackendMode backend,
+                                     linalg::SimdMode simd);
 
 namespace detail {
 /// Implemented by backend_blas.cpp (the only TU that includes <cblas.h>);

@@ -463,18 +463,17 @@ std::uint64_t checkpointConfigHash(const Config& config) {
   addD("initialBranchLength", config.fit.initialBranchLength);
   add("seed", std::to_string(config.fit.startJitterSeed));
   add("gradient", gradientModeName(config.fit.tuning.gradient));
-  // The *resolved* level: a checkpoint written under `simd = auto` on an
-  // AVX-512 host must not silently continue with different arithmetic on an
-  // AVX2 host — the hash mismatch turns that into a keyed refusal.
-  add("simd", linalg::simdLevelName(
-                  linalg::resolveSimdLevel(config.fit.tuning.simd)));
-  // Same for the compute backend and propagator builder: `backend = auto`
-  // resolves per host capability, and the kernels' summation orders differ
-  // across backends — a resumed trajectory must replay the same arithmetic.
-  add("backend",
-      backend::backendKindName(backend::resolveBackendKind(
-          config.fit.tuning.backend,
-          linalg::resolveSimdLevel(config.fit.tuning.simd))));
+  // The *resolved* kernels, as the engine's evaluators resolve them: a
+  // checkpoint written under `simd = auto` on an AVX-512 host must not
+  // silently continue with different arithmetic on an AVX2 host — the hash
+  // mismatch turns that into a keyed refusal.  `backend = auto` resolves per
+  // host capability too, and the kernels' summation orders differ across
+  // tables; engine = codeml runs the naive table whatever the two keys say.
+  const backend::ComputeBackend kernels = backend::resolveComputeBackend(
+      engineOptions(config.engine).flavor, config.fit.tuning.backend,
+      config.fit.tuning.simd);
+  add("simd", linalg::simdLevelName(kernels.simdLevel));
+  add("backend", backend::backendKindName(kernels.kind));
   add("expm", backend::expmAlgorithmName(config.fit.tuning.expm));
   add("cleandata", config.stopCodonsAsMissing ? "1" : "0");
   // Input files are hashed by path AND content: a pipeline that regenerates

@@ -165,7 +165,7 @@ TuningProfile TuningProfile::load(const std::string& path) {
                       : p.backend == backend::BackendMode::Simd
                           ? backend::BackendKind::Simd
                           : backend::BackendKind::Blas;
-    if (!backend::backendAvailable(kind))
+    if (!backend::backendCompiled(kind))
       throw ConfigError("tuning profile '" + path + "': tuned backend '" +
                         std::string(backend::backendModeName(p.backend)) +
                         "' is not available in this build — re-run "

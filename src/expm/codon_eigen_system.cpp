@@ -7,7 +7,6 @@
 
 namespace slim::expm {
 
-using linalg::Flavor;
 using linalg::Matrix;
 
 CodonEigenSystem::CodonEigenSystem(const Matrix& s, std::span<const double> pi) {
@@ -51,36 +50,6 @@ CodonEigenSystem::CodonEigenSystem(const Matrix& s, std::span<const double> pi) 
 }
 
 void CodonEigenSystem::transitionMatrix(double t, ReconstructionPath path,
-                                        Flavor flavor, ExpmWorkspace& ws,
-                                        Matrix& p) const {
-  const std::size_t nn = n();
-  SLIM_REQUIRE(t >= 0, "branch length must be non-negative");
-  SLIM_REQUIRE(p.rows() == nn && p.square(), "output shape mismatch");
-  if (ws.y.rows() != nn) ws.y.resize(nn, nn);
-  if (ws.z.rows() != nn || ws.z.cols() != nn) ws.z.resize(nn, nn);
-  if (ws.expDiag.size() != nn) ws.expDiag.assign(nn, 0.0);
-
-  if (path == ReconstructionPath::Syrk) {
-    // Step 3: Y = X e^{Lambda t/2}; Step 4: Z = Y Y^T (Eq. 10, ~n^3 flops).
-    for (std::size_t i = 0; i < nn; ++i)
-      ws.expDiag[i] = std::exp(0.5 * eig_.values[i] * t);
-    linalg::scaleCols(eig_.vectors, ws.expDiag.span(), ws.y);
-    linalg::syrk(flavor, ws.y, ws.z);
-  } else {
-    // Eq. 9: Z = (X e^{Lambda t}) X^T, general product, ~2n^3 flops.
-    for (std::size_t i = 0; i < nn; ++i)
-      ws.expDiag[i] = std::exp(eig_.values[i] * t);
-    linalg::scaleCols(eig_.vectors, ws.expDiag.span(), ws.y);
-    linalg::gemmNT(flavor, ws.y, eig_.vectors, ws.z);
-  }
-
-  // Step 5 (Eq. 5): P = Pi^{-1/2} Z Pi^{1/2}; clamp roundoff negatives.
-  linalg::scaleSandwich(ws.z, invSqrtPi_, sqrtPi_, p);
-  for (std::size_t k = 0; k < p.size(); ++k)
-    if (p.data()[k] < 0.0) p.data()[k] = 0.0;
-}
-
-void CodonEigenSystem::transitionMatrix(double t, ReconstructionPath path,
                                         const linalg::SimdKernels& kern,
                                         ExpmWorkspace& ws, Matrix& p) const {
   const std::size_t nn = n();
@@ -90,16 +59,17 @@ void CodonEigenSystem::transitionMatrix(double t, ReconstructionPath path,
   if (ws.expDiag.size() != nn) ws.expDiag.assign(nn, 0.0);
 
   if (path == ReconstructionPath::Syrk) {
-    // Eq. 10 with step 5 fused: P = Pi^{-1/2} (Y Y^T) Pi^{1/2} straight out
-    // of the rank-update loop, clamp included — no ws.z, no mirror pass, no
-    // sandwich pass.
+    // Step 3: Y = X e^{Lambda t/2}; steps 4-5 (Eq. 10, ~n^3 flops) fused:
+    // P = Pi^{-1/2} (Y Y^T) Pi^{1/2} straight out of the rank-update loop,
+    // clamp included.
     for (std::size_t i = 0; i < nn; ++i)
       ws.expDiag[i] = std::exp(0.5 * eig_.values[i] * t);
     linalg::scaleCols(eig_.vectors, ws.expDiag.span(), ws.y);
     kern.syrkSandwich(ws.y.data(), invSqrtPi_.data(), sqrtPi_.data(), p.data(),
                       nn, nn);
   } else {
-    // Eq. 9 with step 5 fused into the general product.
+    // Eq. 9: Z = (X e^{Lambda t}) X^T, general product (~2n^3 flops), with
+    // step 5 and the clamp fused.
     for (std::size_t i = 0; i < nn; ++i)
       ws.expDiag[i] = std::exp(eig_.values[i] * t);
     linalg::scaleCols(eig_.vectors, ws.expDiag.span(), ws.y);
@@ -107,22 +77,6 @@ void CodonEigenSystem::transitionMatrix(double t, ReconstructionPath path,
                         sqrtPi_.data(), p.data(), nn, nn, nn,
                         /*clampNegative=*/true);
   }
-}
-
-void CodonEigenSystem::derivativeMatrix(double t, Flavor flavor,
-                                        ExpmWorkspace& ws, Matrix& dp) const {
-  const std::size_t nn = n();
-  SLIM_REQUIRE(t >= 0, "branch length must be non-negative");
-  SLIM_REQUIRE(dp.rows() == nn && dp.square(), "output shape mismatch");
-  if (ws.y.rows() != nn) ws.y.resize(nn, nn);
-  if (ws.z.rows() != nn || ws.z.cols() != nn) ws.z.resize(nn, nn);
-  if (ws.expDiag.size() != nn) ws.expDiag.assign(nn, 0.0);
-
-  for (std::size_t i = 0; i < nn; ++i)
-    ws.expDiag[i] = eig_.values[i] * std::exp(eig_.values[i] * t);
-  linalg::scaleCols(eig_.vectors, ws.expDiag.span(), ws.y);
-  linalg::gemmNT(flavor, ws.y, eig_.vectors, ws.z);
-  linalg::scaleSandwich(ws.z, invSqrtPi_, sqrtPi_, dp);
 }
 
 void CodonEigenSystem::derivativeMatrix(double t,
@@ -140,105 +94,6 @@ void CodonEigenSystem::derivativeMatrix(double t,
   kern.gemmNTSandwich(ws.y.data(), eig_.vectors.data(), invSqrtPi_.data(),
                       sqrtPi_.data(), dp.data(), nn, nn, nn,
                       /*clampNegative=*/false);
-}
-
-void CodonEigenSystem::symmetricPropagator(double t, Flavor flavor,
-                                           ExpmWorkspace& ws, Matrix& m) const {
-  const std::size_t nn = n();
-  SLIM_REQUIRE(t >= 0, "branch length must be non-negative");
-  SLIM_REQUIRE(m.rows() == nn && m.square(), "output shape mismatch");
-  if (ws.y.rows() != nn) ws.y.resize(nn, nn);
-  makeYhat(t, ws.y);
-  // M = Yhat Yhat^T is symmetric; e^{Qt} w = M (Pi w)  (Eq. 12).
-  linalg::syrk(flavor, ws.y, m);
-}
-
-void CodonEigenSystem::symmetricPropagator(double t,
-                                           const linalg::SimdKernels& kern,
-                                           ExpmWorkspace& ws,
-                                           Matrix& m) const {
-  const std::size_t nn = n();
-  SLIM_REQUIRE(t >= 0, "branch length must be non-negative");
-  SLIM_REQUIRE(m.rows() == nn && m.square(), "output shape mismatch");
-  if (ws.y.rows() != nn) ws.y.resize(nn, nn);
-  makeYhat(t, ws.y);
-  linalg::syrk(kern, ws.y, m);
-}
-
-void CodonEigenSystem::makeYhat(double t, Matrix& yhat) const {
-  const std::size_t nn = n();
-  SLIM_REQUIRE(t >= 0, "branch length must be non-negative");
-  SLIM_REQUIRE(yhat.rows() == nn && yhat.square(), "output shape mismatch");
-  // Yhat = Pi^{-1/2} X e^{Lambda t/2}  (Eq. 13); the exponential depends
-  // only on the column, so hoist it out of the O(n^2) loop.
-  std::vector<double> expHalf(nn);
-  for (std::size_t j = 0; j < nn; ++j)
-    expHalf[j] = std::exp(0.5 * eig_.values[j] * t);
-  for (std::size_t i = 0; i < nn; ++i) {
-    const double li = invSqrtPi_[i];
-    for (std::size_t j = 0; j < nn; ++j)
-      yhat(i, j) = li * eig_.vectors(i, j) * expHalf[j];
-  }
-}
-
-void CodonEigenSystem::applyExp(double t, const Matrix& w, Flavor flavor,
-                                ExpmWorkspace& ws, Matrix& out) const {
-  const std::size_t nn = n();
-  const std::size_t m = w.cols();
-  SLIM_REQUIRE(w.rows() == nn, "applyExp: input rows mismatch");
-  SLIM_REQUIRE(out.rows() == nn && out.cols() == m, "applyExp: output shape");
-  if (ws.y.rows() != nn) ws.y.resize(nn, nn);
-  if (ws.z.rows() != nn || ws.z.cols() != nn) ws.z.resize(nn, nn);
-
-  makeYhat(t, ws.y);
-  linalg::transposeInto(ws.y, ws.z);  // Yhat^T
-
-  // u = Yhat^T (Pi W); out = Yhat u.  Two n x n by n x m products
-  // (~4 n^2 m flops) with no n^3 formation of P.
-  Matrix& piW = ws.applyTmp1;
-  Matrix& u = ws.applyTmp2;
-  if (piW.rows() != nn || piW.cols() != m) piW.resize(nn, m);
-  if (u.rows() != nn || u.cols() != m) u.resize(nn, m);
-  linalg::scaleRows(pi_, w, piW);
-  linalg::gemm(flavor, ws.z, piW, u);
-  linalg::gemm(flavor, ws.y, u, out);
-  for (std::size_t k = 0; k < out.size(); ++k)
-    if (out.data()[k] < 0.0) out.data()[k] = 0.0;
-}
-
-void applyFactoredPanel(const Matrix& yhat, std::span<const double> pi,
-                        linalg::ConstMatrixView w, Flavor flavor,
-                        linalg::MatrixView piW, linalg::MatrixView u,
-                        linalg::MatrixView out) {
-  const std::size_t nn = yhat.rows();
-  SLIM_REQUIRE(yhat.square() && w.cols() == nn, "applyFactoredPanel: shapes");
-  SLIM_REQUIRE(piW.rows() == w.rows() && piW.cols() == nn &&
-                   u.rows() == w.rows() && u.cols() == nn &&
-                   out.rows() == w.rows() && out.cols() == nn,
-               "applyFactoredPanel: workspace shapes");
-  linalg::scaleCols(w, pi, piW);
-  linalg::gemm(flavor, piW, yhat.view(), u);
-  linalg::gemmNT(flavor, u, yhat.view(), out);
-  for (std::size_t k = 0; k < out.size(); ++k)
-    if (out.data()[k] < 0.0) out.data()[k] = 0.0;
-}
-
-void applyFactoredPanel(const Matrix& yhat, std::span<const double> pi,
-                        linalg::ConstMatrixView w,
-                        const linalg::SimdKernels& kern,
-                        linalg::MatrixView piW, linalg::MatrixView u,
-                        linalg::MatrixView out) {
-  const std::size_t nn = yhat.rows();
-  SLIM_REQUIRE(yhat.square() && w.cols() == nn, "applyFactoredPanel: shapes");
-  SLIM_REQUIRE(piW.rows() == w.rows() && piW.cols() == nn &&
-                   u.rows() == w.rows() && u.cols() == nn &&
-                   out.rows() == w.rows() && out.cols() == nn,
-               "applyFactoredPanel: workspace shapes");
-  linalg::scaleCols(w, pi, piW);
-  linalg::gemm(kern, piW, yhat.view(), u);
-  linalg::gemmNT(kern, u, yhat.view(), out);
-  for (std::size_t k = 0; k < out.size(); ++k)
-    if (out.data()[k] < 0.0) out.data()[k] = 0.0;
 }
 
 }  // namespace slim::expm

@@ -12,19 +12,15 @@
 //       Z := (X e^{Lambda t}) X^T [GemmPath, Eq. 9, ~2n^3]
 //   5.  P(t) := Pi^{-1/2} Z Pi^{1/2}                  (O(n^2), Eq. 5)
 //
-// The class also implements the Eq. 12-13 refinement: with
-// Yhat := Pi^{-1/2} X e^{Lambda t/2}, the product M = Yhat Yhat^T is
-// *symmetric* and e^{Qt} w = M (Pi w), enabling symv propagation, or the
-// factored apply e^{Qt} W = Yhat (Yhat^T (Pi W)) that skips the n^3
-// formation of P entirely.
+// Steps 4 and 5 run as one fused entry of the caller's kernel table
+// (linalg/simd.hpp): syrkSandwich for Eq. 10, gemmNTSandwich for Eq. 9.
 
 #include <span>
 #include <vector>
 
 #include "eigenx/sym_eigen.hpp"
-#include "linalg/blas3.hpp"
-#include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/simd.hpp"
 
 namespace slim::expm {
 
@@ -41,11 +37,8 @@ constexpr const char* reconstructionPathName(ReconstructionPath p) noexcept {
 /// Scratch buffers reused across transitionMatrix calls so the per-branch
 /// hot loop performs no allocation.
 struct ExpmWorkspace {
-  linalg::Matrix y;          // X e^{Lambda t} or Yhat
-  linalg::Matrix z;          // reconstruction output / Yhat^T
-  linalg::Vector expDiag;    // e^{lambda_i t} or e^{lambda_i t/2}
-  linalg::Matrix applyTmp1;  // Pi W   (apply path)
-  linalg::Matrix applyTmp2;  // Yhat^T (Pi W)
+  linalg::Matrix y;        // X e^{Lambda t} or X e^{Lambda t/2}
+  linalg::Vector expDiag;  // e^{lambda_i t} or e^{lambda_i t/2}
 };
 
 class CodonEigenSystem {
@@ -62,19 +55,10 @@ class CodonEigenSystem {
   std::span<const double> sqrtPi() const noexcept { return sqrtPi_; }
   std::span<const double> invSqrtPi() const noexcept { return invSqrtPi_; }
 
-  /// Steps 3-5: fill p with P(t) = e^{Qt}.  Tiny negative entries produced
-  /// by roundoff are clamped to 0 (identical policy on every path so that
-  /// engine comparisons are exact-likelihood-equivalent).
-  void transitionMatrix(double t, ReconstructionPath path,
-                        linalg::Flavor flavor, ExpmWorkspace& ws,
-                        linalg::Matrix& p) const;
-
-  /// SIMD-dispatched reconstruction with the Pi^{-1/2}/Pi^{1/2} sandwich
-  /// (and the roundoff clamp) fused into the rank-update loop, so the two
-  /// n x n post-passes of the Flavor path disappear.  With the scalar
-  /// kernel table the result is bit-identical to
-  /// transitionMatrix(..., Flavor::Opt, ...); AVX tables agree to
-  /// floating-point reassociation.
+  /// Steps 3-5: fill p with P(t) = e^{Qt} through the kernel table, the
+  /// Pi^{-1/2}/Pi^{1/2} sandwich and the roundoff clamp (tiny negative
+  /// entries set to 0, the same policy on every path and table) fused into
+  /// the reconstruction product.
   void transitionMatrix(double t, ReconstructionPath path,
                         const linalg::SimdKernels& kern, ExpmWorkspace& ws,
                         linalg::Matrix& p) const;
@@ -83,60 +67,17 @@ class CodonEigenSystem {
   /// propagator, via the same eigendecomposition:
   ///   dP/dt = Pi^{-1/2} X (Lambda e^{Lambda t}) X^T Pi^{1/2},
   /// i.e. the Eq. 9 reconstruction with the exponentials scaled by their
-  /// eigenvalues.  No roundoff clamping: unlike P, dP legitimately carries
-  /// negative entries.  One O(n^3) product per (omega class, branch length)
-  /// — what makes a full analytic branch gradient cost a constant number of
-  /// pruning-sweep equivalents instead of one likelihood evaluation per
-  /// branch.
-  void derivativeMatrix(double t, linalg::Flavor flavor, ExpmWorkspace& ws,
-                        linalg::Matrix& dp) const;
-
-  /// SIMD-dispatched dP/dt with the sandwich fused (no clamp — derivatives
-  /// legitimately carry negative entries).
+  /// eigenvalues, sandwich fused.  No roundoff clamping: unlike P, dP
+  /// legitimately carries negative entries.  One O(n^3) product per (omega
+  /// class, branch length) — what makes a full analytic branch gradient
+  /// cost a constant number of pruning-sweep equivalents instead of one
+  /// likelihood evaluation per branch.
   void derivativeMatrix(double t, const linalg::SimdKernels& kern,
                         ExpmWorkspace& ws, linalg::Matrix& dp) const;
-
-  /// Eq. 12-13: fill m with the *symmetric* propagator M = Yhat Yhat^T such
-  /// that e^{Qt} w = M (Pi w).  Use with linalg::symv.
-  void symmetricPropagator(double t, linalg::Flavor flavor, ExpmWorkspace& ws,
-                           linalg::Matrix& m) const;
-
-  /// SIMD-dispatched form of the Eq. 12 symmetric propagator build.
-  void symmetricPropagator(double t, const linalg::SimdKernels& kern,
-                           ExpmWorkspace& ws, linalg::Matrix& m) const;
-
-  /// Fill yhat with Yhat = Pi^{-1/2} X e^{Lambda t/2} (n x n), the factor of
-  /// the apply path: e^{Qt} W = Yhat (Yhat^T (Pi W)).
-  void makeYhat(double t, linalg::Matrix& yhat) const;
-
-  /// Apply e^{Qt} to a bundle of column vectors: out := e^{Qt} w where w and
-  /// out are n x m.  Uses the factored path (2 gemms of n x n by n x m),
-  /// never forming P; cheaper than reconstruction when m << n/2.
-  void applyExp(double t, const linalg::Matrix& w, linalg::Flavor flavor,
-                ExpmWorkspace& ws, linalg::Matrix& out) const;
 
  private:
   std::vector<double> pi_, sqrtPi_, invSqrtPi_;
   eigenx::SymEigenResult eig_;
 };
-
-/// Pattern-major panel form of the Eq. 13 factored apply, the entry point of
-/// the pattern-blocked likelihood engine: given Yhat (n x n) and a panel W
-/// (p x n) whose rows are CPVs, fill out (p x n) with row h = (e^{Qt} w_h)^T
-/// via ((W Pi) Yhat) Yhat^T — two rectangular gemms, no n x n product.
-/// Roundoff negatives are clamped to 0 (same policy as transitionMatrix).
-/// piW and u are caller-owned workspaces shaped like w.
-void applyFactoredPanel(const linalg::Matrix& yhat, std::span<const double> pi,
-                        linalg::ConstMatrixView w, linalg::Flavor flavor,
-                        linalg::MatrixView piW, linalg::MatrixView u,
-                        linalg::MatrixView out);
-
-/// SIMD-dispatched form: the two rectangular gemms run on the selected
-/// kernel table (bit-identical to the Flavor::Opt form under the scalar
-/// table).
-void applyFactoredPanel(const linalg::Matrix& yhat, std::span<const double> pi,
-                        linalg::ConstMatrixView w,
-                        const linalg::SimdKernels& kern, linalg::MatrixView piW,
-                        linalg::MatrixView u, linalg::MatrixView out);
 
 }  // namespace slim::expm

@@ -8,7 +8,6 @@
 
 namespace slim::expm {
 
-using linalg::Flavor;
 using linalg::Matrix;
 
 Matrix expmPade(const Matrix& a) {
@@ -36,10 +35,14 @@ Matrix expmPade(const Matrix& a) {
   Matrix den = Matrix::identity(n);
   Matrix power = Matrix::identity(n);
   Matrix tmp(n, n);
+  // The oracle's products are pinned to the scalar table so its output is
+  // the same on every host, whatever SIMD level the engine resolves to.
+  // slim-lint: allow(kernel-choice)
+  const auto& kern = linalg::simdKernels(linalg::SimdLevel::Scalar);
   double sign = 1.0;
   for (int k = 1; k <= q; ++k) {
     c *= static_cast<double>(q - k + 1) / (k * (2 * q - k + 1));
-    linalg::gemm(Flavor::Opt, power, b, tmp);
+    linalg::gemm(kern, power.view(), b.view(), tmp.view());
     power = tmp;
     sign = -sign;
     for (std::size_t idx = 0; idx < power.size(); ++idx) {
@@ -52,7 +55,7 @@ Matrix expmPade(const Matrix& a) {
 
   // Undo the scaling by repeated squaring.
   for (int k = 0; k < s; ++k) {
-    linalg::gemm(Flavor::Opt, x, x, tmp);
+    linalg::gemm(kern, x.view(), x.view(), tmp.view());
     x = tmp;
   }
   return x;

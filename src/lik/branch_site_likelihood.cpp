@@ -4,10 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 #include "linalg/blas1.hpp"
-#include "linalg/blas2.hpp"
 #include "linalg/blas3.hpp"
 #include "linalg/diag.hpp"
 #include "model/codon_model.hpp"
@@ -46,34 +44,11 @@ BranchSiteLikelihood::BranchSiteLikelihood(
                "scaling threshold must be in (0,1)");
   SLIM_REQUIRE(options_.numThreads >= 0, "numThreads must be >= 0");
   SLIM_REQUIRE(options_.blockSize >= 0, "blockSize must be >= 0");
-  SLIM_REQUIRE(options_.cacheQuantum >= 0, "cacheQuantum must be >= 0");
-  SLIM_REQUIRE(options_.cacheCapacity > 0, "cacheCapacity must be positive");
 
-  // Resolve the SIMD dispatch once; an explicit avx2/avx512 request on a
-  // host that cannot run it fails loudly here rather than mid-evaluation.
-  simdLevel_ = options_.flavor == linalg::Flavor::Naive
-                   ? linalg::SimdLevel::Scalar
-                   : linalg::resolveSimdLevel(options_.simd);
-  // Resolve the compute backend the same way (Auto reproduces the
-  // pre-backend dispatch: Reference at scalar, Simd otherwise); an explicit
-  // backend missing from the build fails here, not mid-evaluation.
-  backend_ = backend::computeBackend(
-      backend::resolveBackendKind(options_.flavor == linalg::Flavor::Naive
-                                      ? backend::BackendMode::Reference
-                                      : options_.backend,
-                                  simdLevel_),
-      simdLevel_);
-  kern_ = &backend_.ops;
-
-  // The symmetric / factored propagation strategies are artifacts of the
-  // eigendecomposition (they apply M or Yhat, never P itself), so the
-  // adaptive propagator cannot serve them.
-  if (options_.expm == backend::ExpmAlgorithm::Adaptive &&
-      options_.propagation != PropagationStrategy::PerSiteGemv &&
-      options_.propagation != PropagationStrategy::BundledGemm)
-    throw std::invalid_argument(
-        "expm = adaptive supports only the per-site-gemv and bundled-gemm "
-        "propagation strategies");
+  // Resolve the kernel table once; an explicit simd/backend request the
+  // host or build cannot run fails loudly here rather than mid-evaluation.
+  backend_ = backend::resolveComputeBackend(options_.flavor, options_.backend,
+                                            options_.simd);
 
   branchNodes_ = tree_.branches();
   nodeToBranch_.assign(tree_.numNodes(), -1);
@@ -124,113 +99,38 @@ void BranchSiteLikelihood::setAllBranchLengths(double t) {
   for (int k = 0; k < numBranches(); ++k) setBranchLength(k, t);
 }
 
-// The dispatched* helpers route the Opt flavor's O(n^3) builds and panel
-// products through the SIMD table (the scalar table is the Flavor::Opt
-// code, so resolved-scalar keeps the legacy call path — bit-identical and
-// without the fused kernel's clamp on a path that gains nothing) while the
-// Naive flavor always keeps the paper's baseline loop nests.
-
-void BranchSiteLikelihood::dispatchedTransition(
-    const expm::CodonEigenSystem& es, double t, Matrix& out) {
-  if (useSimdKernels())
-    es.transitionMatrix(t, options_.reconstruction, *kern_, expmWs_, out);
-  else
-    es.transitionMatrix(t, options_.reconstruction, options_.flavor, expmWs_,
-                        out);
-}
-
-void BranchSiteLikelihood::dispatchedDerivative(
-    const expm::CodonEigenSystem& es, double t, Matrix& dp) {
-  if (useSimdKernels())
-    es.derivativeMatrix(t, *kern_, expmWs_, dp);
-  else
-    es.derivativeMatrix(t, options_.flavor, expmWs_, dp);
-}
-
-void BranchSiteLikelihood::dispatchedSymmetric(const expm::CodonEigenSystem& es,
-                                               double t, Matrix& out) {
-  if (useSimdKernels())
-    es.symmetricPropagator(t, *kern_, expmWs_, out);
-  else
-    es.symmetricPropagator(t, options_.flavor, expmWs_, out);
-}
-
-void BranchSiteLikelihood::dispatchedGemm(ConstMatrixView a, ConstMatrixView b,
-                                          MatrixView c) {
-  if (useSimdKernels())
-    linalg::gemm(*kern_, a, b, c);
-  else
-    linalg::gemm(options_.flavor, a, b, c);
-}
-
-void BranchSiteLikelihood::dispatchedFactoredPanel(const Matrix& yhat,
-                                                   ConstMatrixView w,
-                                                   MatrixView piW, MatrixView u,
-                                                   MatrixView out) {
-  if (useSimdKernels())
-    expm::applyFactoredPanel(yhat, pi_, w, *kern_, piW, u, out);
-  else
-    expm::applyFactoredPanel(yhat, pi_, w, options_.flavor, piW, u, out);
-}
-
-void BranchSiteLikelihood::buildPropagator(const expm::CodonEigenSystem& es,
-                                           double t, Matrix& out) {
-  if (out.rows() != static_cast<std::size_t>(n_)) out.resize(n_, n_);
-  switch (options_.propagation) {
-    case PropagationStrategy::PerSiteGemv:
-      dispatchedTransition(es, t, out);
-      break;
-    case PropagationStrategy::BundledGemm:
-      // Stored *transposed*: the panel product W P^T then runs as the
-      // saxpy-form gemm W (P^T), which streams contiguous propagator rows
-      // with FMAs instead of doing horizontal-reduction dot products — much
-      // faster for large pattern panels.  The O(n^2) transpose is paid once
-      // per build and amortized over every pattern (and every cache hit).
-      if (transposeScratch_.rows() != static_cast<std::size_t>(n_))
-        transposeScratch_.resize(n_, n_);
-      dispatchedTransition(es, t, transposeScratch_);
-      linalg::transposeInto(transposeScratch_, out);
-      break;
-    case PropagationStrategy::SymmetricSymv:
-      dispatchedSymmetric(es, t, out);
-      break;
-    case PropagationStrategy::FactoredApply:
-      es.makeYhat(t, out);
-      break;
+void BranchSiteLikelihood::transition(int eigenIdx, double t, Matrix& out) {
+  if (options_.expm == backend::ExpmAlgorithm::Eigen) {
+    eigenSystems_[eigenIdx].transitionMatrix(t, options_.reconstruction,
+                                             backend_.ops, expmWs_, out);
+    return;
   }
-}
-
-void BranchSiteLikelihood::adaptiveTransition(int eigenIdx, double t,
-                                              Matrix& out) {
   const Matrix& q = rateMatrices_[eigenIdx];
   if (adaptQt_.rows() != static_cast<std::size_t>(n_)) adaptQt_.resize(n_, n_);
   for (std::size_t i = 0; i < q.size(); ++i)
     adaptQt_.data()[i] = q.data()[i] * t;
-  // The expm's internal products always run on the resolved backend table;
-  // the scalar (reference) table is the deterministic baseline.
-  backend::expmAdaptive(adaptQt_, *kern_, adaptWs_, out);
+  backend::expmAdaptive(adaptQt_, backend_.ops, adaptWs_, out);
   // Same roundoff-negative policy as the eigen-path P(t) builds.
   for (std::size_t i = 0; i < out.size(); ++i)
     if (out.data()[i] < 0.0) out.data()[i] = 0.0;
 }
 
-void BranchSiteLikelihood::buildAdaptivePropagator(int eigenIdx, double t,
-                                                   Matrix& out) {
+void BranchSiteLikelihood::buildPropagator(int eigenIdx, double t,
+                                           Matrix& out) {
   if (out.rows() != static_cast<std::size_t>(n_)) out.resize(n_, n_);
-  switch (options_.propagation) {
-    case PropagationStrategy::PerSiteGemv:
-      adaptiveTransition(eigenIdx, t, out);
-      break;
-    case PropagationStrategy::BundledGemm:
-      // Stored transposed, exactly like the eigen path (see buildPropagator).
-      if (transposeScratch_.rows() != static_cast<std::size_t>(n_))
-        transposeScratch_.resize(n_, n_);
-      adaptiveTransition(eigenIdx, t, transposeScratch_);
-      linalg::transposeInto(transposeScratch_, out);
-      break;
-    default:
-      SLIM_REQUIRE(false, "adaptive expm: unsupported propagation strategy");
+  if (options_.propagation == PropagationStrategy::PerSiteGemv) {
+    transition(eigenIdx, t, out);
+    return;
   }
+  // BundledGemm stores P *transposed*: the panel product W P^T then runs as
+  // the saxpy-form gemm W (P^T), which streams contiguous propagator rows
+  // with FMAs instead of doing horizontal-reduction dot products — much
+  // faster for large pattern panels.  The O(n^2) transpose is paid once per
+  // build and amortized over every pattern (and every cache hit).
+  if (transposeScratch_.rows() != static_cast<std::size_t>(n_))
+    transposeScratch_.resize(n_, n_);
+  transition(eigenIdx, t, transposeScratch_);
+  linalg::transposeInto(transposeScratch_, out);
 }
 
 const Matrix& BranchSiteLikelihood::propagator(int node, int omegaIdx) {
@@ -238,26 +138,19 @@ const Matrix& BranchSiteLikelihood::propagator(int node, int omegaIdx) {
   if (propPtr_[key]) return *propPtr_[key];
 
   const int eigenIdx = omegaToEigen_[omegaIdx];
-  const bool adaptive = options_.expm == backend::ExpmAlgorithm::Adaptive;
-  double t = tree_.branchLength(node);
+  const double t = tree_.branchLength(node);
 
   if (shard_) {
-    if (options_.cacheQuantum > 0.0)
-      t = std::round(t / options_.cacheQuantum) * options_.cacheQuantum;
     const PropagatorCacheShard::Key ck{eigenIdx, std::bit_cast<std::uint64_t>(t)};
     auto it = shard_->entries.find(ck);
     if (it == shard_->entries.end()) {
       // A full cache is flushed at the start of the *next* evaluation:
       // entries inserted this evaluation may already be referenced through
       // propPtr_, so they must stay addressable until the sweep finishes.
-      if (shard_->entries.size() >=
-          static_cast<std::size_t>(options_.cacheCapacity))
+      if (shard_->entries.size() >= PropagatorCacheShard::kCapacity)
         shard_->flushNextEval = true;
       Matrix p;
-      if (adaptive)
-        buildAdaptivePropagator(eigenIdx, t, p);
-      else
-        buildPropagator(eigenSystems_[eigenIdx], t, p);
+      buildPropagator(eigenIdx, t, p);
       ++counters_.propagatorBuilds;
       ++counters_.propagatorCacheMisses;
       it = shard_->entries.emplace(ck, std::move(p)).first;
@@ -269,10 +162,7 @@ const Matrix& BranchSiteLikelihood::propagator(int node, int omegaIdx) {
   }
 
   Matrix& out = propCache_[key];
-  if (adaptive)
-    buildAdaptivePropagator(eigenIdx, t, out);
-  else
-    buildPropagator(eigenSystems_[eigenIdx], t, out);
+  buildPropagator(eigenIdx, t, out);
   ++counters_.propagatorBuilds;
   propPtr_[key] = &out;
   return out;
@@ -288,43 +178,15 @@ void BranchSiteLikelihood::prebuildPropagators() {
 
 void BranchSiteLikelihood::propagateBranch(const Matrix& prop,
                                            ConstMatrixView childCpv,
-                                           MatrixView out,
-                                           PruneWorkspace& ws) {
-  const auto flavor = options_.flavor;
-  const int rows = static_cast<int>(childCpv.rows());
-  switch (options_.propagation) {
-    case PropagationStrategy::PerSiteGemv: {
-      for (int h = 0; h < rows; ++h)
-        linalg::gemv(flavor, prop, childCpv.rowSpan(h), out.rowSpan(h));
-      break;
-    }
-    case PropagationStrategy::BundledGemm: {
-      // prop holds P^T, so out(h,i) = sum_j childCpv(h,j) P^T(j,i)
-      //  ==  (P w_h)_i for every h — one BLAS-3 panel product per branch,
-      // on the SIMD-dispatched saxpy gemm under the Opt flavor.
-      dispatchedGemm(childCpv, prop.view(), out);
-      break;
-    }
-    case PropagationStrategy::SymmetricSymv: {
-      // e^{Qt} w = M (Pi w) with M symmetric (Eq. 12).
-      for (int h = 0; h < rows; ++h) {
-        const double* w = childCpv.row(h);
-        for (int i = 0; i < n_; ++i) ws.vecTmp[i] = pi_[i] * w[i];
-        linalg::symv(flavor, prop, ws.vecTmp.span(), out.rowSpan(h));
-      }
-      // Clamp roundoff negatives (M is not elementwise non-negative).
-      for (std::size_t k = 0; k < out.size(); ++k)
-        if (out.data()[k] < 0.0) out.data()[k] = 0.0;
-      break;
-    }
-    case PropagationStrategy::FactoredApply: {
-      // out = ((W Pi) Yhat) Yhat^T, two rectangular gemms, no n x n product.
-      dispatchedFactoredPanel(prop, childCpv, ws.applyPiW.rowBlock(0, rows),
-                              ws.applyU.rowBlock(0, rows), out);
-      break;
-    }
+                                           MatrixView out) {
+  if (options_.propagation == PropagationStrategy::PerSiteGemv) {
+    // prop holds P: row h of W P^T is CodeML's per-site product P w_h.
+    linalg::gemmNT(backend_.ops, childCpv, prop.view(), out);
+  } else {
+    // prop holds P^T, so out(h,i) = sum_j childCpv(h,j) P^T(j,i)
+    //  ==  (P w_h)_i for every h — one BLAS-3 panel product per branch.
+    linalg::gemm(backend_.ops, childCpv, prop.view(), out);
   }
-  ws.patternPropagations += rows;
 }
 
 void BranchSiteLikelihood::pruneClassBlock(int m, int h0, int len,
@@ -334,13 +196,8 @@ void BranchSiteLikelihood::pruneClassBlock(int m, int h0, int len,
     ws.nodeCpv.resize(numNodes);
     ws.nodeScaleLog.resize(numNodes);
   }
-  if (ws.tmp.rows() != static_cast<std::size_t>(blockMax_)) {
+  if (ws.tmp.rows() != static_cast<std::size_t>(blockMax_))
     ws.tmp.resize(blockMax_, n_);
-    ws.applyPiW.resize(blockMax_, n_);
-    ws.applyU.resize(blockMax_, n_);
-  }
-  if (ws.vecTmp.size() != static_cast<std::size_t>(n_))
-    ws.vecTmp.assign(n_, 0.0);
 
   const int root = tree_.root();
   const auto& cls = activeClasses_[m];
@@ -367,7 +224,8 @@ void BranchSiteLikelihood::pruneClassBlock(int m, int h0, int len,
       // Prebuilt before the parallel region; read-only here.
       const Matrix& prop = *propPtr_[propIndex(child, omegaIdx)];
       const MatrixView out = ws.tmp.rowBlock(0, len);
-      propagateBranch(prop, childCpv, out, ws);
+      propagateBranch(prop, childCpv, out);
+      ws.patternPropagations += len;
       linalg::hadamardInPlace(ConstMatrixView(out).span(), cpv.span());
       if (!childIsLeaf)
         for (int h = 0; h < len; ++h)
@@ -409,15 +267,14 @@ void BranchSiteLikelihood::prepareEigenSystems(const MixtureSpec& spec) {
       shard_->flushNextEval = false;
     }
     // Entries are only reusable when they were built by this evaluator's
-    // exact code path: resolved backend, its SIMD level, and the propagator
-    // algorithm (mirroring how checkpointConfigHash pins resolved simd).
-    // Different backends agree to <= 1e-10, not bit for bit, and eigen vs
-    // adaptive propagators differ at roundoff, so a shard warmed by one
-    // path must never serve another.
+    // exact code path: kernel table and propagator algorithm (mirroring how
+    // checkpointConfigHash pins the resolved kernels).  Different tables
+    // agree to <= 1e-10, not bit for bit, and eigen vs adaptive propagators
+    // differ at roundoff, so a shard warmed by one path must never serve
+    // another.
     const bool pathMatches =
-        !shard_->builtStamped ||
-        (shard_->builtBackend == backend_.kind &&
-         shard_->builtSimd == backend_.simdLevel &&
+        shard_->builtKernels.empty() ||
+        (shard_->builtKernels == backend_.ops.name &&
          shard_->builtExpm == options_.expm);
     // Identical substitution parameters since the shard was filled mean the
     // eigensystems — and every cached propagator derived from them — are
@@ -445,13 +302,11 @@ void BranchSiteLikelihood::prepareEigenSystems(const MixtureSpec& spec) {
   omegaToEigen_.assign(numOmegas_, -1);
   for (int k = 0; k < numOmegas_; ++k) {
     int found = -1;
-    if (options_.cacheEigenByOmega) {
-      for (int j = 0; j < k; ++j)
-        if (spec.omegas[j] == spec.omegas[k]) {
-          found = omegaToEigen_[j];
-          break;
-        }
-    }
+    for (int j = 0; j < k; ++j)
+      if (spec.omegas[j] == spec.omegas[k]) {
+        found = omegaToEigen_[j];
+        break;
+      }
     if (found < 0) {
       if (adaptive) {
         Matrix q(n_, n_);
@@ -470,10 +325,8 @@ void BranchSiteLikelihood::prepareEigenSystems(const MixtureSpec& spec) {
   if (shard_) {
     shard_->specOmegas = spec.omegas;
     shard_->specScaledS = spec.scaledS;
-    shard_->builtBackend = backend_.kind;
-    shard_->builtSimd = backend_.simdLevel;
+    shard_->builtKernels = backend_.ops.name;
     shard_->builtExpm = options_.expm;
-    shard_->builtStamped = true;
   }
 }
 
@@ -666,34 +519,22 @@ void BranchSiteLikelihood::buildGradientPropagators() {
       if (built[slot]) continue;
       built[slot] = 1;
       const int eigenIdx = omegaToEigen_[omegaIdx];
-      double t = tree_.branchLength(node);
-      // Differentiate at the same (possibly quantized) length the evaluation
-      // propagated with, so gradient and objective describe one function.
-      if (shard_ && options_.cacheQuantum > 0.0)
-        t = std::round(t / options_.cacheQuantum) * options_.cacheQuantum;
       Matrix& p = gradProp_[slot];
       Matrix& pT = gradPropT_[slot];
       if (p.rows() != static_cast<std::size_t>(n_)) p.resize(n_, n_);
       if (pT.rows() != static_cast<std::size_t>(n_)) pT.resize(n_, n_);
       // The evaluation's propagator table (still addressable — the gradient
-      // runs on the retained state of the last evaluation) already holds P^T
-      // under BundledGemm and P under PerSiteGemv; the symmetric / factored
-      // strategies store M / Yhat, so reconstruct P for those.
-      const Matrix* stored = slot < propPtr_.size() ? propPtr_[slot] : nullptr;
-      if (stored && options_.propagation == PropagationStrategy::BundledGemm) {
+      // runs on the retained state of the last evaluation) holds P^T under
+      // BundledGemm and P under PerSiteGemv for every slot visited here.
+      const Matrix* stored = propPtr_[slot];
+      SLIM_REQUIRE(stored != nullptr,
+                   "gradient: propagator missing from the last evaluation");
+      if (options_.propagation == PropagationStrategy::BundledGemm) {
         pT = *stored;
         linalg::transposeInto(pT, p);
-      } else if (stored &&
-                 options_.propagation == PropagationStrategy::PerSiteGemv) {
+      } else {
         p = *stored;
         linalg::transposeInto(p, pT);
-      } else {
-        if (adaptive)
-          adaptiveTransition(eigenIdx, t, p);
-        else
-          dispatchedTransition(eigenSystems_[eigenIdx], t, p);
-        linalg::transposeInto(p, pT);
-        ++counters_.propagatorBuilds;
       }
       Matrix& dT = gradDerivT_[slot];
       if (dT.rows() != static_cast<std::size_t>(n_)) dT.resize(n_, n_);
@@ -701,9 +542,11 @@ void BranchSiteLikelihood::buildGradientPropagators() {
         // dP/dt = Q e^{Qt} = Q P exactly (Q and e^{Qt} commute); derivatives
         // legitimately carry negative entries, so no clamp — matching the
         // eigen path's derivativeMatrix policy.
-        dispatchedGemm(rateMatrices_[eigenIdx].view(), p.view(), dp.view());
+        linalg::gemm(backend_.ops, rateMatrices_[eigenIdx].view(), p.view(),
+                     dp.view());
       } else {
-        dispatchedDerivative(eigenSystems_[eigenIdx], t, dp);
+        eigenSystems_[eigenIdx].derivativeMatrix(tree_.branchLength(node),
+                                                 backend_.ops, expmWs_, dp);
       }
       linalg::transposeInto(dp, dT);
       ++counters_.propagatorBuilds;
@@ -728,8 +571,8 @@ void BranchSiteLikelihood::gradientClassBlock(
     ws.deriv.resize(blockMax_, n_);
   }
 
-  // The gradient sweep's panel products run on the same SIMD dispatch as
-  // the likelihood sweep's BundledGemm path.
+  // The gradient sweep's panel products run on the evaluator's kernel
+  // table, like the likelihood sweep's.
   const int root = tree_.root();
   const auto& cls = activeClasses_[m];
   const auto omegaOf = [&](int node) {
@@ -767,8 +610,8 @@ void BranchSiteLikelihood::gradientClassBlock(
       if (prodStore.rows() != static_cast<std::size_t>(blockMax_))
         prodStore.resize(blockMax_, n_);
       const MatrixView prod = prodStore.rowBlock(0, len);
-      dispatchedGemm(childPanel(c), gradPropT_[propIndex(c, omegaOf(c))].view(),
-                prod);
+      linalg::gemm(backend_.ops, childPanel(c),
+                   gradPropT_[propIndex(c, omegaOf(c))].view(), prod);
       linalg::hadamardInPlace(ConstMatrixView(prod).span(), d.span());
       for (int h = 0; h < len; ++h) scale[h] += ws.sDown[c][h];
       ws.patternPropagations += len;
@@ -826,7 +669,8 @@ void BranchSiteLikelihood::gradientClassBlock(
 
       const std::size_t slot = propIndex(c, omegaOf(c));
       const MatrixView deriv = ws.deriv.rowBlock(0, len);
-      dispatchedGemm(childPanel(c), gradDerivT_[slot].view(), deriv);
+      linalg::gemm(backend_.ops, childPanel(c), gradDerivT_[slot].view(),
+                   deriv);
       ws.patternPropagations += len;
 
       const int k = nodeToBranch_[c];
@@ -848,7 +692,8 @@ void BranchSiteLikelihood::gradientClassBlock(
         if (upC.rows() != static_cast<std::size_t>(blockMax_))
           upC.resize(blockMax_, n_);
         const MatrixView uc = upC.rowBlock(0, len);
-        dispatchedGemm(ConstMatrixView(o), gradProp_[slot].view(), uc);
+        linalg::gemm(backend_.ops, ConstMatrixView(o), gradProp_[slot].view(),
+                     uc);
         ws.patternPropagations += len;
         auto& us = ws.uScale[c];
         us.assign(len, 0.0);

@@ -18,7 +18,10 @@
 // The evaluator is the *shared* machinery of both engines; CodeML-vs-
 // SlimCodeML behaviour is injected exclusively through LikelihoodOptions
 // (kernel flavor, reconstruction path, propagation strategy), so measured
-// speedups isolate exactly the optimizations the paper describes.
+// speedups isolate exactly the optimizations the paper describes.  The
+// flavor and the `simd`/`backend` modes resolve once, at construction, to
+// one kernel table (backend::resolveComputeBackend) that every propagator
+// build, panel product and gradient product calls.
 
 #include <cstdint>
 #include <memory>
@@ -43,7 +46,7 @@ namespace slim::lik {
 struct EvalCounters {
   std::int64_t evaluations = 0;           ///< logLikelihood calls
   std::int64_t eigenDecompositions = 0;   ///< symmetric eigenproblems solved
-  std::int64_t propagatorBuilds = 0;      ///< P(t) / dP(t) / M / Yhat constructions
+  std::int64_t propagatorBuilds = 0;      ///< P(t) / dP(t) constructions
   std::int64_t patternPropagations = 0;   ///< branch x class x pattern ops
   /// Analytic branch-gradient sweeps (logLikelihoodGradientBranches calls);
   /// each replaces numBranches finite-difference evaluations.
@@ -169,7 +172,7 @@ class BranchSiteLikelihood {
   }
   /// The SIMD level options().simd resolved to at construction (Scalar when
   /// the flavor is Naive — the baseline loop nests are never vectorized).
-  linalg::SimdLevel simdLevel() const noexcept { return simdLevel_; }
+  linalg::SimdLevel simdLevel() const noexcept { return backend_.simdLevel; }
   /// The compute backend options().backend resolved to at construction
   /// (Reference when the flavor is Naive, like simd).
   backend::BackendKind backendKind() const noexcept { return backend_.kind; }
@@ -195,9 +198,6 @@ class BranchSiteLikelihood {
     std::vector<linalg::Matrix> nodeCpv;  // per node: blockMax x n
     std::vector<std::vector<double>> nodeScaleLog;  // per node: blockMax
     linalg::Matrix tmp;                   // propagation scratch (blockMax x n)
-    linalg::Matrix applyPiW;              // FactoredApply scratch
-    linalg::Matrix applyU;                // FactoredApply scratch
-    linalg::Vector vecTmp;                // symv scratch (n)
     std::int64_t patternPropagations = 0;
   };
 
@@ -237,8 +237,7 @@ class BranchSiteLikelihood {
   double gradientBranchesFromState(std::span<double> gradT);
 
   // Build the (P, P^T, dP^T) triple for every (branch node, omega) the
-  // active classes reference, reusing the propagators the evaluation cached
-  // where their stored layout permits.
+  // active classes reference, from the propagators the evaluation stored.
   void buildGradientPropagators();
 
   // Down + up sweep for site class m over patterns [h0, h0 + len), writing
@@ -264,36 +263,19 @@ class BranchSiteLikelihood {
   // Ensure the propagator for (branch node, omega class) is built.
   const linalg::Matrix& propagator(int node, int omegaIdx);
 
-  // Reconstruct the strategy's propagator (P, M or Yhat) at branch length t.
-  void buildPropagator(const expm::CodonEigenSystem& es, double t,
-                       linalg::Matrix& out);
+  // P(t) = e^{Q t} for omega group eigenIdx: the eigen reconstruction, or
+  // (options_.expm == Adaptive) the adaptive expm with the eigen path's
+  // roundoff-negative clamp.
+  void transition(int eigenIdx, double t, linalg::Matrix& out);
 
-  // Adaptive-expm counterparts (options_.expm == Adaptive): plain
-  // P(t) = e^{Q t} with the eigen path's roundoff-negative clamp, and the
-  // strategy-oriented store (P for per-site-gemv, P^T for bundled-gemm).
-  void adaptiveTransition(int eigenIdx, double t, linalg::Matrix& out);
-  void buildAdaptivePropagator(int eigenIdx, double t, linalg::Matrix& out);
-
-  // SIMD-or-flavor dispatch, kept in one place so every routed call site
-  // follows the same rule (kern_ for Opt above scalar, legacy flavor path
-  // otherwise — see useSimdKernels()).
-  void dispatchedTransition(const expm::CodonEigenSystem& es, double t,
-                            linalg::Matrix& out);
-  void dispatchedDerivative(const expm::CodonEigenSystem& es, double t,
-                            linalg::Matrix& dp);
-  void dispatchedSymmetric(const expm::CodonEigenSystem& es, double t,
-                           linalg::Matrix& out);
-  void dispatchedGemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
-                      linalg::MatrixView c);
-  void dispatchedFactoredPanel(const linalg::Matrix& yhat,
-                               linalg::ConstMatrixView w,
-                               linalg::MatrixView piW, linalg::MatrixView u,
-                               linalg::MatrixView out);
+  // The strategy's stored propagator at branch length t: P for
+  // per-site-gemv, P^T for bundled-gemm.
+  void buildPropagator(int eigenIdx, double t, linalg::Matrix& out);
 
   // Propagate a panel of child CPVs through one branch (strategy dispatch).
   void propagateBranch(const linalg::Matrix& prop,
-                       linalg::ConstMatrixView childCpv, linalg::MatrixView out,
-                       PruneWorkspace& ws);
+                       linalg::ConstMatrixView childCpv,
+                       linalg::MatrixView out);
 
   std::size_t propIndex(int node, int omegaIdx) const noexcept {
     return static_cast<std::size_t>(node) * numOmegas_ + omegaIdx;
@@ -306,24 +288,9 @@ class BranchSiteLikelihood {
   model::Hypothesis hypothesis_;
   LikelihoodOptions options_;
 
-  // Compute-backend dispatch, resolved once at construction.  kern_ points
-  // at backend_.ops, the selected function-pointer table; the reference
-  // (scalar) table is the same code Flavor::Opt runs, so routing through it
-  // never changes results.  Naive flavor keeps its own loop nests (kern_
-  // unused on that path).
-  linalg::SimdLevel simdLevel_ = linalg::SimdLevel::Scalar;
+  // The one kernel table (backend_.ops) and its report labels, resolved
+  // once at construction.
   backend::ComputeBackend backend_;
-  const linalg::SimdKernels* kern_ = nullptr;
-
-  // True when the hot paths should go through kern_.  The Reference backend
-  // (what Auto resolves to at scalar SIMD) keeps the original Flavor::Opt
-  // call path instead — bit-identical either way (the scalar table is that
-  // code), but the legacy unfused reconstruction sequence avoids the fused
-  // kernel's per-element clamp on a path that gains nothing from dispatch.
-  bool useSimdKernels() const noexcept {
-    return options_.flavor == linalg::Flavor::Opt &&
-           backend_.kind != backend::BackendKind::Reference;
-  }
 
   int n_ = 0;             // codon states (61)
   int npat_ = 0;          // site patterns

@@ -2,8 +2,9 @@
 // Likelihood-engine configuration.
 //
 // The paper's CodeML-vs-SlimCodeML comparison decomposes into three
-// orthogonal choices, each independently selectable here so that benches can
-// ablate them; the two named presets reproduce the paper's two systems.
+// orthogonal choices — kernel flavor, reconstruction path, propagation
+// strategy — each independently selectable here so that benches can ablate
+// them; the two named presets reproduce the paper's two systems.
 
 #include "backend/compute_backend.hpp"
 #include "backend/expm_pade.hpp"
@@ -13,31 +14,21 @@
 
 namespace slim::lik {
 
-/// How P(t) (or its factors) is applied to the conditional probability
-/// vectors of all site patterns along one branch.
+/// How P(t) is applied to the conditional probability vectors of all site
+/// patterns along one branch.
 enum class PropagationStrategy {
-  /// One gemv per site pattern (CodeML, Sec. III-B first paragraph).
+  /// One matrix x vector product P w_h per site pattern (CodeML, Sec. III-B
+  /// first paragraph), run as the panel product W P^T: row h of the table's
+  /// gemmNT is exactly P w_h.
   PerSiteGemv,
   /// One gemm over the whole pattern bundle (Sec. III-B "single matrix x
   /// matrix operation ... including all sites"; BLAS level 3).
   BundledGemm,
-  /// Eq. 12: form the symmetric M = Yhat Yhat^T once per branch, then one
-  /// symv per pattern on Pi w — "saves about half of the memory accesses".
-  SymmetricSymv,
-  /// Factored apply e^{Qt} W = Yhat (Yhat^T (Pi W)): two gemms per branch,
-  /// never forming an n x n propagator.  Wins when the pattern count is
-  /// small relative to n (skips the ~n^3 reconstruction entirely).
-  FactoredApply,
 };
 
 constexpr const char* propagationStrategyName(PropagationStrategy s) noexcept {
-  switch (s) {
-    case PropagationStrategy::PerSiteGemv: return "per-site-gemv";
-    case PropagationStrategy::BundledGemm: return "bundled-gemm";
-    case PropagationStrategy::SymmetricSymv: return "symmetric-symv";
-    case PropagationStrategy::FactoredApply: return "factored-apply";
-  }
-  return "?";
+  return s == PropagationStrategy::PerSiteGemv ? "per-site-gemv"
+                                               : "bundled-gemm";
 }
 
 struct LikelihoodOptions {
@@ -47,10 +38,6 @@ struct LikelihoodOptions {
   /// Rescale a pattern's conditional vector when its maximum drops below
   /// this (underflow protection for deep trees).
   double scalingThreshold = 1e-200;
-  /// Reuse the eigendecomposition across omega classes with equal omega
-  /// (under H0, omega2 == omega1 == 1: 2 decompositions instead of 3).
-  /// Shared by both presets so speedups isolate the paper's optimizations.
-  bool cacheEigenByOmega = true;
 
   // --- pattern-blocked parallel engine (post-paper extensions).  The
   // defaults reproduce the single-threaded, uncached behaviour bit for bit,
@@ -65,46 +52,37 @@ struct LikelihoodOptions {
   /// Site patterns per panel block (the unit of work distribution and of
   /// the level-3 kernel calls); 0 puts all patterns in one block.
   int blockSize = 64;
-  /// Persist propagators across evaluations keyed by (omega class, branch
-  /// length) so optimizer line searches and finite-difference gradients that
-  /// move few coordinates skip redundant eigen-reconstructions.  The cache
-  /// flushes whenever the substitution parameters (hence the eigensystems)
-  /// change.  Hit/miss counts are surfaced through EvalCounters.
+  /// Persist propagators across evaluations keyed by (omega class, exact
+  /// branch length) so optimizer line searches and finite-difference
+  /// gradients that move few coordinates skip redundant
+  /// eigen-reconstructions; cached and uncached likelihoods are
+  /// bit-identical.  The cache flushes whenever the substitution parameters
+  /// (hence the eigensystems) change, and once it holds 2048 propagators.
+  /// Hit/miss counts are surfaced through EvalCounters.
   bool cachePropagators = false;
-  /// > 0: snap branch lengths to multiples of this before keying *and*
-  /// building cached propagators (an explicit accuracy-for-hits trade).
-  /// 0 (default) keys on the exact branch length, which keeps cached and
-  /// uncached likelihoods bit-identical.
-  double cacheQuantum = 0.0;
-  /// Cached propagator count at which the cache is flushed (each entry is an
-  /// n x n matrix, ~30 KB for n = 61).
-  int cacheCapacity = 2048;
 
-  /// SIMD kernel selection for the Flavor::Opt hot paths (panel gemms and
-  /// the fused-sandwich eigen-reconstruction).  Auto picks the widest level
-  /// compiled in and supported by the CPU; an explicit avx2/avx512 request
-  /// fails evaluator construction when unavailable.  Ignored (forced
-  /// scalar) under Flavor::Naive, whose loop nests are the paper's CodeML
-  /// baseline.  Each level is bit-identical to itself across thread counts
-  /// and block sizes; scalar is the bit-exact reference and AVX levels
-  /// agree with it to <= 1e-10 relative on lnL.
+  /// SIMD kernel selection under Flavor::Opt (`simd =` ctl key).  Auto
+  /// picks the widest level compiled in and supported by the CPU; an
+  /// explicit avx2/avx512 request fails evaluator construction when
+  /// unavailable.  Ignored under Flavor::Naive, which runs the naive table
+  /// and reports `scalar`.  Each level is bit-identical to itself across
+  /// thread counts and block sizes; scalar is the bit-exact reference and
+  /// AVX levels agree with it to <= 1e-10 relative on lnL.
   linalg::SimdMode simd = linalg::SimdMode::Auto;
 
-  /// Compute backend for the Flavor::Opt hot ops (`backend =` ctl key).
-  /// Auto resolves to `reference` when the SIMD level resolves to scalar and
-  /// to `simd` otherwise — exactly the pre-backend dispatch — and never to
-  /// `blas` (vendor kernels reassociate, so leaving the deterministic
-  /// default is an explicit opt-in).  An explicit backend missing from the
-  /// build (blas without SLIM_WITH_BLAS) fails evaluator construction.
-  /// Forced to `reference` under Flavor::Naive, like `simd`.
+  /// Compute backend under Flavor::Opt (`backend =` ctl key).  Auto
+  /// resolves to `reference` (the scalar table) when the SIMD level
+  /// resolves to scalar and to `simd` otherwise, and never to `blas`
+  /// (vendor kernels reassociate, so leaving the deterministic default is
+  /// an explicit opt-in).  An explicit backend missing from the build (blas
+  /// without SLIM_WITH_BLAS) fails evaluator construction.  Ignored under
+  /// Flavor::Naive, which reports `reference`.
   backend::BackendMode backend = backend::BackendMode::Auto;
 
   /// Propagator builder (`expm =` ctl key).  Eigen is the paper's
   /// symmetric-eigendecomposition pipeline (reversible Q only); Adaptive is
   /// the Higham–Al-Mohy scaling-and-squaring expm, correct for general rate
-  /// matrices and restricted to the per-site-gemv / bundled-gemm
-  /// propagation strategies (the symmetric/factored strategies are
-  /// artifacts of the eigen path).
+  /// matrices.  Both run their products on the evaluator's kernel table.
   backend::ExpmAlgorithm expm = backend::ExpmAlgorithm::Eigen;
 };
 
@@ -112,14 +90,14 @@ struct LikelihoodOptions {
 /// per-site matrix x vector propagation.
 constexpr LikelihoodOptions codemlBaselineOptions() noexcept {
   return {linalg::Flavor::Naive, expm::ReconstructionPath::Gemm,
-          PropagationStrategy::PerSiteGemv, 1e-200, true};
+          PropagationStrategy::PerSiteGemv, 1e-200};
 }
 
 /// SlimCodeML as evaluated in the paper: tuned kernels, Eq. 10 dsyrk
 /// reconstruction, per-site propagation bundled into BLAS-3.
 constexpr LikelihoodOptions slimOptions() noexcept {
   return {linalg::Flavor::Opt, expm::ReconstructionPath::Syrk,
-          PropagationStrategy::BundledGemm, 1e-200, true};
+          PropagationStrategy::BundledGemm, 1e-200};
 }
 
 /// The production preset: the slim kernels plus every post-paper lever —

@@ -17,10 +17,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "backend/compute_backend.hpp"
 #include "backend/expm_pade.hpp"
 #include "linalg/matrix.hpp"
 #include "support/thread_safety.hpp"
@@ -33,7 +33,7 @@ namespace slim::lik {
 struct PropagatorCacheShard {
   /// Key: eigensystem identity (index into the evaluator's per-spec
   /// eigensystem table — stable while the fingerprint below matches) plus
-  /// the branch length's bit pattern (possibly snapped to cacheQuantum).
+  /// the branch length's exact bit pattern.
   struct Key {
     int eigen = 0;
     std::uint64_t tBits = 0;
@@ -47,8 +47,12 @@ struct PropagatorCacheShard {
     }
   };
 
+  /// Entry count at which the store is flushed (each entry is an n x n
+  /// matrix, ~30 KB for n = 61).
+  static constexpr std::size_t kCapacity = 2048;
+
   std::unordered_map<Key, linalg::Matrix, KeyHash> entries;
-  /// Set when the capacity limit is hit mid-evaluation; entries inserted
+  /// Set when kCapacity is reached mid-evaluation; entries inserted
   /// during an evaluation may already be referenced by the sweep, so the
   /// flush is deferred to the start of the next one.
   bool flushNextEval = false;
@@ -59,19 +63,16 @@ struct PropagatorCacheShard {
   std::vector<double> specOmegas;
   std::vector<linalg::Matrix> specScaledS;
   /// Identity of the code path that built the entries (mirroring how
-  /// checkpointConfigHash pins the resolved simd level): the resolved
-  /// backend, its SIMD level, and the propagator algorithm.  Different
-  /// backends are only <= 1e-10 close, not bit-equal, and eigen vs adaptive
-  /// propagators differ at roundoff — so a shard warmed by one code path
-  /// must never serve another.  An evaluator presenting a different triple
-  /// flushes the entries (prepareEigenSystems), exactly as a spec change
-  /// does.  Defaults match a freshly created shard before first use.
-  backend::BackendKind builtBackend = backend::BackendKind::Reference;
-  linalg::SimdLevel builtSimd = linalg::SimdLevel::Scalar;
-  backend::ExpmAlgorithm builtExpm = backend::ExpmAlgorithm::Eigen;
-  /// False until an evaluator stamps the triple; a virgin shard matches any
+  /// checkpointConfigHash pins the resolved kernels): the kernel table's
+  /// name and the propagator algorithm.  Different tables are only
+  /// <= 1e-10 close, not bit-equal, and eigen vs adaptive propagators
+  /// differ at roundoff — so a shard warmed by one code path must never
+  /// serve another.  An evaluator presenting a different pair flushes the
+  /// entries (prepareEigenSystems), exactly as a spec change does.  Empty
+  /// until an evaluator stamps the pair; a virgin shard matches any
   /// evaluator (there is nothing stale to serve).
-  bool builtStamped = false;
+  std::string_view builtKernels;
+  backend::ExpmAlgorithm builtExpm = backend::ExpmAlgorithm::Eigen;
 };
 
 /// Directory of cache shards held by an analysis context.  shard() is safe

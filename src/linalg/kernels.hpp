@@ -1,27 +1,16 @@
 #pragma once
-// Kernel flavor selection.
+// Kernel flavor: which family of kernel tables an engine preset runs.
 //
 // The SlimCodeML paper compares CodeML's hand-rolled C loops against tuned
-// BLAS kernels (GotoBLAS2).  We reproduce that comparison with two in-repo
-// flavors of every kernel:
+// BLAS kernels (GotoBLAS2).  The flavor is that comparison's switch:
 //
-//   Flavor::Naive — faithful transcriptions of the textbook / PAML loop
-//                   nests (dot-product-form gemm with strided column access,
-//                   per-element gemv, no blocking, no restrict).
-//   Flavor::Opt   — cache- and vectorizer-friendly implementations (saxpy-
-//                   form gemm, k-blocking, __restrict pointers, symmetric
-//                   rank-k and symv kernels that exploit structure).
+//   Flavor::Naive — the `naive` kernel table (linalg/simd.hpp): faithful
+//                   transcriptions of the PAML loop nests.
+//   Flavor::Opt   — the tuned tables (scalar / avx2 / avx512 / blas), chosen
+//                   by the `simd =` and `backend =` keys.
 //
-// Every kernel produces identical results up to floating-point reassociation;
-// tests assert agreement to tight tolerances.
-
-#ifndef SLIM_RESTRICT
-#if defined(__GNUC__) || defined(__clang__)
-#define SLIM_RESTRICT __restrict__
-#else
-#define SLIM_RESTRICT
-#endif
-#endif
+// backend::resolveComputeBackend is the one function that reads it; every
+// linalg, expm and lik entry point takes the resolved table instead.
 
 namespace slim::linalg {
 
@@ -29,10 +18,5 @@ enum class Flavor {
   Naive,  ///< CodeML-style reference loops.
   Opt,    ///< SlimCodeML-style optimized kernels.
 };
-
-/// Human-readable flavor name for reports and benchmarks.
-constexpr const char* flavorName(Flavor f) noexcept {
-  return f == Flavor::Naive ? "naive" : "opt";
-}
 
 }  // namespace slim::linalg

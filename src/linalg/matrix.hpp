@@ -3,9 +3,9 @@
 //
 // These are deliberately minimal: contiguous storage, bounds-checked factory
 // functions, and unchecked element access on the hot path.  All numerical
-// kernels live in blas1/blas2/blas3.hpp so that the baseline-vs-optimized
-// kernel comparison (the subject of the SlimCodeML paper) is isolated from
-// the container type.
+// kernels live in blas1.hpp and the kernel tables of simd.hpp so that the
+// baseline-vs-optimized kernel comparison (the subject of the SlimCodeML
+// paper) is isolated from the container type.
 
 #include <cstddef>
 #include <initializer_list>

@@ -3,20 +3,74 @@
 #include <stdexcept>
 #include <string>
 
-#include "linalg/kernels.hpp"
-
 namespace slim::linalg {
 
 namespace {
 
+// --- naive kernels: CodeML's loop nests ---------------------------------
+//
+// PAML's matby transcription: one accumulator per output element, starting
+// from 0.0, summed in k order; gemm reads B down a column (strided).  No
+// restrict, no blocking, no symmetric kernel.  The sandwich entries compute
+// each element of the general product first and then (l[i] * t) * r[j] and
+// the clamp, the order of a product + scaleSandwich + clamp sequence.
+
+void gemmNaive(const double* a, const double* b, double* c, std::size_t m,
+               std::size_t kk, std::size_t n) {
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      double t = 0.0;
+      for (std::size_t k = 0; k < kk; ++k) t += a[i * kk + k] * b[k * n + j];
+      c[i * n + j] = t;
+    }
+}
+
+double dotNaive(const double* x, const double* y, std::size_t kk) {
+  double t = 0.0;
+  for (std::size_t k = 0; k < kk; ++k) t += x[k] * y[k];
+  return t;
+}
+
+void gemmNTNaive(const double* a, const double* b, double* c, std::size_t m,
+                 std::size_t kk, std::size_t n) {
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      c[i * n + j] = dotNaive(a + i * kk, b + j * kk, kk);
+}
+
+// The full product Y Y^T, 2 n^2 k flops: what a code base without a
+// symmetric kernel runs (the cost expm_kernels times for Eq. 10 naive).
+void syrkNaive(const double* y, double* c, std::size_t n, std::size_t kk) {
+  gemmNTNaive(y, y, c, n, kk, n);
+}
+
+void gemmNTSandwichNaive(const double* a, const double* b, const double* l,
+                         const double* r, double* c, std::size_t m,
+                         std::size_t kk, std::size_t n, bool clampNegative) {
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      const double v = l[i] * dotNaive(a + i * kk, b + j * kk, kk) * r[j];
+      c[i * n + j] = clampNegative && v < 0.0 ? 0.0 : v;
+    }
+}
+
+void syrkSandwichNaive(const double* y, const double* l, const double* r,
+                       double* p, std::size_t n, std::size_t kk) {
+  gemmNTSandwichNaive(y, y, l, r, p, n, kk, n, /*clampNegative=*/true);
+}
+
+constexpr SimdKernels kNaiveKernels{
+    "naive",           gemmNaive,         gemmNTNaive,
+    syrkNaive,         syrkSandwichNaive, gemmNTSandwichNaive,
+};
+
 // --- scalar reference kernels -------------------------------------------
 //
-// These are the Flavor::Opt loop nests of blas3.cpp on raw pointers (the
-// Opt overloads delegate here, so "scalar table" and "Opt flavor" are the
-// same machine code).  The fused variants keep the exact association of the
-// unfused sequence — dot accumulated in four partials, then
-// (l[i] * dot) * r[j] as in scaleSandwich's li * z * r[j] — so fused and
-// unfused scalar reconstructions are bit-identical.
+// The tuned loop nests on raw pointers, compiled for the generic target.
+// The fused variants keep the exact association of the unfused sequence —
+// dot accumulated in four partials, then (l[i] * dot) * r[j] as in
+// scaleSandwich's li * z * r[j] — so fused and unfused scalar
+// reconstructions are bit-identical.
 
 void gemmScalar(const double* SLIM_RESTRICT a, const double* SLIM_RESTRICT b,
                 double* SLIM_RESTRICT c, std::size_t m, std::size_t kk,
@@ -217,6 +271,8 @@ SimdLevel resolveSimdLevel(SimdMode mode) {
   }
   return SimdLevel::Scalar;
 }
+
+const SimdKernels& naiveKernels() noexcept { return kNaiveKernels; }
 
 const SimdKernels& simdKernels(SimdLevel level) {
   const SimdKernels* table = compiledTable(level);

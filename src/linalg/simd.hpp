@@ -1,19 +1,28 @@
 #pragma once
-// Runtime-dispatched SIMD kernel layer (AVX2 / AVX-512) behind Flavor::Opt.
+// Kernel tables: the five-entry function-pointer interface through which
+// every propagator build, panel product and gradient product of the engine
+// runs, plus the cpuid-checked dispatch among the vector tables.
 //
-// The scalar Opt kernels in blas3.cpp are compiled for the generic target
-// (SSE2 on x86-64), so the vectorizer leaves half the machine idle on any
-// AVX-capable host.  This layer provides hand-vectorized variants of the
-// three hot likelihood panels — the saxpy-form panel gemm, the dot-form
-// gemmNT/syrk, and the eigen-reconstruction with the Pi^{-1/2}/Pi^{1/2}
-// sandwich *fused* into the rank-update loop — selected once at evaluator
-// construction through a cpuid-checked function-pointer table.
+//   naive          CodeML's hand-rolled loop nests, the paper's baseline:
+//                  dot-form gemm with strided access of B, one accumulator,
+//                  no blocking, no restrict.  syrk is the full general
+//                  product (2 n^2 k flops — no symmetric kernel), and the
+//                  sandwich entries apply l[i] * t * r[j] (then the clamp)
+//                  to each element of that product.
+//   scalar         The tuned loop nests compiled for the generic target:
+//                  saxpy-form gemm, four-accumulator dot products, mirrored
+//                  syrk, and the Pi^{-1/2}/Pi^{1/2} sandwich fused into the
+//                  rank-update loop.
+//   avx2, avx512   Hand-vectorized variants of the scalar table, selected
+//                  once per evaluator through simdKernels(level).
+//   blas           Vendor CBLAS (backend/backend_blas.cpp).
+//
+// backend::resolveComputeBackend picks the one table an evaluator uses.
 //
 // Contract (asserted by tests/simd_kernel_test.cpp):
-//   * SimdLevel::Scalar is the bit-exact reference: its table entries are
-//     the same code the Flavor::Opt kernels run, and the fused scalar
-//     reconstruction reproduces the unfused syrk + scaleSandwich + clamp
-//     sequence bit for bit.
+//   * The fused sandwich entries of the naive and scalar tables reproduce
+//     their table's product followed by scaleSandwich and the clamp, bit
+//     for bit.
 //   * Every SIMD level is deterministic per row of output — results are
 //     bit-identical across thread counts and pattern-block sizes — and
 //     agrees with scalar to <= 1e-10 relative on the log-likelihood.
@@ -26,9 +35,6 @@
 #include <cstddef>
 #include <string_view>
 
-// Same definition as linalg/kernels.hpp (identical token sequence, so both
-// headers can appear in one TU); repeated here so the ISA-flagged kernel
-// TUs need no other project header.
 #ifndef SLIM_RESTRICT
 #if defined(__GNUC__) || defined(__clang__)
 #define SLIM_RESTRICT __restrict__
@@ -61,7 +67,7 @@ const char* simdLevelName(SimdLevel l) noexcept;
 /// false on unknown text (out untouched).
 bool parseSimdMode(std::string_view text, SimdMode& out) noexcept;
 
-/// One ISA's kernel set.  All matrices are dense row-major and contiguous
+/// One kernel table.  All matrices are dense row-major and contiguous
 /// (leading dimension == column count), the layout every panel and
 /// propagator in the engine uses.  Row i of each output depends only on the
 /// operands' row i (gemm/gemmNT) or on the full inputs in a fixed
@@ -71,15 +77,16 @@ bool parseSimdMode(std::string_view text, SimdMode& out) noexcept;
 struct SimdKernels {
   const char* name;
 
-  /// c[m x n] := a[m x k] * b[k x n]  (saxpy form, streams rows of b and c).
+  /// c[m x n] := a[m x k] * b[k x n].
   void (*gemm)(const double* a, const double* b, double* c, std::size_t m,
                std::size_t k, std::size_t n);
 
-  /// c[m x n] := a[m x k] * b[n x k]^T  (dot form over contiguous rows).
+  /// c[m x n] := a[m x k] * b[n x k]^T (dot products of contiguous rows).
   void (*gemmNT)(const double* a, const double* b, double* c, std::size_t m,
                  std::size_t k, std::size_t n);
 
-  /// c[n x n] := y[n x k] * y^T, upper triangle computed once and mirrored.
+  /// c[n x n] := y[n x k] * y^T (the vector tables compute the upper
+  /// triangle once and mirror it).
   void (*syrk)(const double* y, double* c, std::size_t n, std::size_t k);
 
   /// Fused Eq. 10 reconstruction: p := diag(l) (Y Y^T) diag(r) with
@@ -115,6 +122,9 @@ SimdLevel resolveSimdLevel(SimdMode mode);
 
 /// The kernel table for a level; level must be available.
 const SimdKernels& simdKernels(SimdLevel level);
+
+/// CodeML's loop nests as a kernel table (the `engine = codeml` baseline).
+const SimdKernels& naiveKernels() noexcept;
 
 namespace detail {
 /// Implemented by kernels_avx2.cpp / kernels_avx512.cpp (the only TUs built

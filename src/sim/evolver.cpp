@@ -46,6 +46,11 @@ SimulatedAlignment evolveMixture(const bio::GeneticCode& gc,
   std::vector<Matrix> pCache(static_cast<std::size_t>(numNodes) *
                              spec.numOmegas());
   expm::ExpmWorkspace ws;
+  // Simulated alignments must be bit-identical on every host (seeded
+  // fixtures, byte-compared validation reports), so the propagators are
+  // pinned to the scalar table rather than the detected SIMD level.
+  // slim-lint: allow(kernel-choice)
+  const auto& kern = linalg::simdKernels(linalg::SimdLevel::Scalar);
   auto transition = [&](int node, int omegaIdx) -> const Matrix& {
     Matrix& p =
         pCache[static_cast<std::size_t>(node) * spec.numOmegas() + omegaIdx];
@@ -53,7 +58,7 @@ SimulatedAlignment evolveMixture(const bio::GeneticCode& gc,
       p.resize(n, n);
       systems[omegaIdx].transitionMatrix(tree.branchLength(node),
                                          expm::ReconstructionPath::Syrk,
-                                         linalg::Flavor::Opt, ws, p);
+                                         kern, ws, p);
     }
     return p;
   };

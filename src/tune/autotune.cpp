@@ -107,7 +107,7 @@ AutotuneResult autotune(const AutotuneOptions& options) {
   for (const auto kind :
        {backend::BackendKind::Reference, backend::BackendKind::Simd,
         backend::BackendKind::Blas})
-    if (backend::backendAvailable(kind)) backends.push_back(kind);
+    if (backend::backendCompiled(kind)) backends.push_back(kind);
 
   backend::BackendKind bestBackend = backend::BackendKind::Reference;
   linalg::SimdLevel bestLevel = linalg::SimdLevel::Scalar;

@@ -41,7 +41,7 @@ std::vector<BackendKind> availableBackends() {
   std::vector<BackendKind> out;
   for (const auto k :
        {BackendKind::Reference, BackendKind::Simd, BackendKind::Blas})
-    if (backendAvailable(k)) out.push_back(k);
+    if (backendCompiled(k)) out.push_back(k);
   return out;
 }
 
@@ -73,8 +73,8 @@ TEST(BackendPlumbing, ParseAndNames) {
 }
 
 TEST(BackendPlumbing, AutoReproducesPreBackendDispatch) {
-  // Auto at scalar SIMD is the legacy scalar path; at any vector level it is
-  // the PR-4 kernel dispatch.  Auto never opts into vendor BLAS.
+  // Auto at scalar SIMD is the reference (scalar) table; at any vector
+  // level it is that level's table.  Auto never opts into vendor BLAS.
   EXPECT_EQ(resolveBackendKind(BackendMode::Auto, linalg::SimdLevel::Scalar),
             BackendKind::Reference);
   for (const auto level : {linalg::SimdLevel::Avx2, linalg::SimdLevel::Avx512})
@@ -86,14 +86,10 @@ TEST(BackendPlumbing, AutoReproducesPreBackendDispatch) {
 TEST(BackendPlumbing, ReferenceAndSimdAlwaysCompiled) {
   EXPECT_TRUE(backendCompiled(BackendKind::Reference));
   EXPECT_TRUE(backendCompiled(BackendKind::Simd));
-  EXPECT_TRUE(backendAvailable(BackendKind::Reference));
-  // blas availability tracks the build option.
-  EXPECT_EQ(backendAvailable(BackendKind::Blas),
-            backendCompiled(BackendKind::Blas));
 }
 
 TEST(BackendPlumbing, UnavailableExplicitBackendThrowsKeyed) {
-  if (backendAvailable(BackendKind::Blas)) {
+  if (backendCompiled(BackendKind::Blas)) {
     EXPECT_EQ(resolveBackendKind(BackendMode::Blas, linalg::SimdLevel::Scalar),
               BackendKind::Blas);
     return;
@@ -182,8 +178,7 @@ TEST(AdaptiveExpm, MatchesEigenPathOnReversibleQ) {
   Matrix want(61, 61), qt(61, 61), got(61, 61);
   const auto& kern = linalg::simdKernels(linalg::SimdLevel::Scalar);
   for (double t : {1e-4, 0.05, 0.7, 4.0}) {
-    es.transitionMatrix(t, expm::ReconstructionPath::Syrk, linalg::Flavor::Opt,
-                        ews, want);
+    es.transitionMatrix(t, expm::ReconstructionPath::Syrk, kern, ews, want);
     for (std::size_t k = 0; k < q.size(); ++k) qt.data()[k] = q.data()[k] * t;
     expmAdaptive(qt, kern, aws, got);
     for (std::size_t k = 0; k < got.size(); ++k) {
@@ -222,12 +217,13 @@ Matrix expmTaylorReference(const Matrix& a) {
   const double scale = std::ldexp(1.0, -s);
   for (std::size_t k = 0; k < b.size(); ++k) b.data()[k] *= scale;
 
+  const auto& scalar = linalg::simdKernels(linalg::SimdLevel::Scalar);
   Matrix sum = Matrix::identity(n);
   Matrix term = Matrix::identity(n);
   Matrix next(n, n);
   for (int k = 1; k <= 64; ++k) {
     // term := term * b / k
-    linalg::gemm(linalg::Flavor::Opt, term, b, next);
+    linalg::gemm(scalar, term.view(), b.view(), next.view());
     double maxTerm = 0.0;
     for (std::size_t i = 0; i < next.size(); ++i) {
       next.data()[i] /= k;
@@ -239,7 +235,7 @@ Matrix expmTaylorReference(const Matrix& a) {
     if (maxTerm < 1e-20) break;
   }
   for (int r = 0; r < s; ++r) {
-    linalg::gemm(linalg::Flavor::Opt, sum, sum, next);
+    linalg::gemm(scalar, sum.view(), sum.view(), next.view());
     std::swap(sum, next);
   }
   return sum;
@@ -402,7 +398,7 @@ TEST(BackendLikelihood, ReferenceBitIdenticalToDefaultScalarPath) {
 // On a vector-capable host, `backend = simd` is exactly what Auto resolves
 // to — bit-identical.
 TEST(BackendLikelihood, ExplicitSimdMatchesAutoBitwise) {
-  if (!backend::backendAvailable(BackendKind::Simd))
+  if (!backend::backendCompiled(BackendKind::Simd))
     GTEST_SKIP() << "no vector SIMD level on this host";
   const Fixture f = makeFixture();
   const BranchSiteParams p = testParams();
@@ -418,13 +414,12 @@ TEST(BackendLikelihood, ExplicitSimdMatchesAutoBitwise) {
 }
 
 // Every backend available in this build agrees with reference to <= 1e-10
-// relative lnL on all routed propagation strategies.
+// relative lnL on both propagation strategies.
 TEST(BackendLikelihood, EveryAvailableBackendWithin1e10OfReference) {
   const Fixture f = makeFixture();
   const BranchSiteParams p = testParams();
   for (const auto strategy :
-       {PropagationStrategy::BundledGemm, PropagationStrategy::FactoredApply,
-        PropagationStrategy::PerSiteGemv}) {
+       {PropagationStrategy::BundledGemm, PropagationStrategy::PerSiteGemv}) {
     LikelihoodOptions refOpts =
         optionsWith(BackendMode::Reference, linalg::SimdMode::Scalar);
     refOpts.propagation = strategy;
@@ -434,7 +429,7 @@ TEST(BackendLikelihood, EveryAvailableBackendWithin1e10OfReference) {
     ASSERT_TRUE(std::isfinite(want));
     for (const BackendKind kind :
          {BackendKind::Simd, BackendKind::Blas}) {
-      if (!backend::backendAvailable(kind)) continue;
+      if (!backend::backendCompiled(kind)) continue;
       LikelihoodOptions opts = optionsWith(
           kind == BackendKind::Simd ? BackendMode::Simd : BackendMode::Blas,
           linalg::SimdMode::Auto);
@@ -453,7 +448,7 @@ TEST(BackendLikelihood, EveryAvailableBackendWithin1e10OfReference) {
 TEST(BackendLikelihood, ExplicitUnavailableBackendFailsConstruction) {
   const Fixture f = makeFixture();
   for (const BackendKind kind : {BackendKind::Simd, BackendKind::Blas}) {
-    if (backend::backendAvailable(kind)) continue;
+    if (backend::backendCompiled(kind)) continue;
     EXPECT_THROW(
         BranchSiteLikelihood(
             f.alignment, f.patterns, f.pi, f.tree, Hypothesis::H1,
@@ -527,17 +522,6 @@ TEST(AdaptiveLikelihood, BitIdenticalAcrossThreadsAndBlocks) {
       EXPECT_EQ(eval.logLikelihood(p), want)
           << "threads = " << threads << " blockSize = " << blockSize;
     }
-  }
-}
-
-TEST(AdaptiveLikelihood, EigenOnlyStrategiesRefuseAdaptive) {
-  const Fixture f = makeFixture();
-  for (const auto strategy : {PropagationStrategy::SymmetricSymv,
-                              PropagationStrategy::FactoredApply}) {
-    EXPECT_THROW(BranchSiteLikelihood(f.alignment, f.patterns, f.pi, f.tree,
-                                      Hypothesis::H1,
-                                      adaptiveOptions(strategy)),
-                 std::invalid_argument);
   }
 }
 

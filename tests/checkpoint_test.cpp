@@ -719,6 +719,26 @@ TEST(ConfigHash, KeysTrajectoryShapingSettingsOnly) {
   EXPECT_NE(checkpointConfigHash(c), h);
 }
 
+TEST(ConfigHash, CodemlPinsTheNaiveKernelsItRuns) {
+  // engine = codeml runs the naive table whatever `simd =`/`backend =` say,
+  // so those keys must not split its checkpoints; under slim they pick the
+  // arithmetic and must.
+  Config reference;
+  reference.seqfile = "a.fasta";
+  reference.seqfiles = {"a.fasta"};
+  reference.treefile = "t.nwk";
+  reference.fit.tuning.backend = backend::BackendMode::Reference;
+  Config simdScalar = reference;
+  simdScalar.fit.tuning.backend = backend::BackendMode::Simd;
+  simdScalar.fit.tuning.simd = linalg::SimdMode::Scalar;
+
+  reference.engine = simdScalar.engine = EngineKind::CodemlBaseline;
+  EXPECT_EQ(checkpointConfigHash(reference), checkpointConfigHash(simdScalar));
+
+  reference.engine = simdScalar.engine = EngineKind::Slim;
+  EXPECT_NE(checkpointConfigHash(reference), checkpointConfigHash(simdScalar));
+}
+
 TEST(ConfigHash, CoversInputFileContent) {
   // An alignment regenerated in place between crash and resume must
   // invalidate the checkpoint even though its path is unchanged.

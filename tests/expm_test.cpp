@@ -1,8 +1,8 @@
 // Tests for the matrix-exponential pipeline — the mathematical core of the
-// paper.  Every reconstruction path (Eq. 9 gemm, Eq. 10 syrk), the symmetric
-// propagator (Eq. 12-13) and the factored apply are validated against each
-// other, against the independent Pade oracle, and against CTMC invariants
-// (stochasticity, semigroup property, equilibrium).
+// paper.  Both reconstruction paths (Eq. 9 gemm, Eq. 10 syrk) on the naive
+// and scalar kernel tables are validated against the independent Pade
+// oracle and against CTMC invariants (stochasticity, semigroup property,
+// equilibrium).
 
 #include <gtest/gtest.h>
 
@@ -10,8 +10,8 @@
 
 #include "expm/codon_eigen_system.hpp"
 #include "expm/pade.hpp"
-#include "linalg/blas2.hpp"
 #include "linalg/blas3.hpp"
+#include "linalg/simd.hpp"
 #include "model/branch_site.hpp"
 #include "model/codon_model.hpp"
 #include "test_util.hpp"
@@ -19,12 +19,16 @@
 namespace slim::expm {
 namespace {
 
-using linalg::Flavor;
 using linalg::Matrix;
+using linalg::SimdKernels;
 using linalg::Vector;
 using testutil::randomFrequencies;
 
 const bio::GeneticCode& gc() { return bio::GeneticCode::universal(); }
+
+const SimdKernels& scalar() {
+  return linalg::simdKernels(linalg::SimdLevel::Scalar);
+}
 
 struct CodonSetup {
   std::vector<double> pi;
@@ -77,11 +81,12 @@ TEST(Pade, LargeNormTriggersScaling) {
 
 // ---------- eigendecomposition pipeline vs the oracle ----------
 
-class ExpmPath : public ::testing::TestWithParam<
-                     std::tuple<ReconstructionPath, Flavor, double>> {};
+class ExpmPath
+    : public ::testing::TestWithParam<
+          std::tuple<ReconstructionPath, const SimdKernels*, double>> {};
 
 TEST_P(ExpmPath, MatchesPadeOracle) {
-  const auto [path, flavor, t] = GetParam();
+  const auto [path, kern, t] = GetParam();
   const auto cs = makeCodonSetup(2.0, 0.5, 11);
   const CodonEigenSystem es(cs.s, cs.pi);
 
@@ -91,9 +96,9 @@ TEST_P(ExpmPath, MatchesPadeOracle) {
 
   ExpmWorkspace ws;
   Matrix p(es.n(), es.n());
-  es.transitionMatrix(t, path, flavor, ws, p);
+  es.transitionMatrix(t, path, *kern, ws, p);
   EXPECT_LT(maxAbsDiff(p, ref), 1e-10)
-      << reconstructionPathName(path) << " flavor=" << flavorName(flavor)
+      << reconstructionPathName(path) << " table=" << kern->name
       << " t=" << t;
 }
 
@@ -101,7 +106,7 @@ INSTANTIATE_TEST_SUITE_P(
     PathsFlavorsTimes, ExpmPath,
     ::testing::Combine(::testing::Values(ReconstructionPath::Gemm,
                                          ReconstructionPath::Syrk),
-                       ::testing::Values(Flavor::Naive, Flavor::Opt),
+                       ::testing::Values(&linalg::naiveKernels(), &scalar()),
                        ::testing::Values(0.01, 0.1, 0.5, 2.0)));
 
 // ---------- CTMC invariants ----------
@@ -111,7 +116,7 @@ TEST(CodonEigenSystem, TransitionAtZeroIsIdentity) {
   const CodonEigenSystem es(cs.s, cs.pi);
   ExpmWorkspace ws;
   Matrix p(es.n(), es.n());
-  es.transitionMatrix(0.0, ReconstructionPath::Syrk, Flavor::Opt, ws, p);
+  es.transitionMatrix(0.0, ReconstructionPath::Syrk, scalar(), ws, p);
   EXPECT_LT(maxAbsDiff(p, Matrix::identity(es.n())), 1e-11);
 }
 
@@ -121,7 +126,7 @@ TEST(CodonEigenSystem, RowsAreStochastic) {
   ExpmWorkspace ws;
   Matrix p(es.n(), es.n());
   for (double t : {0.05, 0.3, 1.0, 5.0}) {
-    es.transitionMatrix(t, ReconstructionPath::Syrk, Flavor::Opt, ws, p);
+    es.transitionMatrix(t, ReconstructionPath::Syrk, scalar(), ws, p);
     for (std::size_t i = 0; i < p.rows(); ++i) {
       double rowSum = 0;
       for (std::size_t j = 0; j < p.cols(); ++j) {
@@ -140,10 +145,10 @@ TEST(CodonEigenSystem, SemigroupProperty) {
   ExpmWorkspace ws;
   const std::size_t n = es.n();
   Matrix pt(n, n), ps(n, n), pts(n, n), prod(n, n);
-  es.transitionMatrix(0.2, ReconstructionPath::Syrk, Flavor::Opt, ws, pt);
-  es.transitionMatrix(0.5, ReconstructionPath::Syrk, Flavor::Opt, ws, ps);
-  es.transitionMatrix(0.7, ReconstructionPath::Syrk, Flavor::Opt, ws, pts);
-  linalg::gemm(Flavor::Opt, pt, ps, prod);
+  es.transitionMatrix(0.2, ReconstructionPath::Syrk, scalar(), ws, pt);
+  es.transitionMatrix(0.5, ReconstructionPath::Syrk, scalar(), ws, ps);
+  es.transitionMatrix(0.7, ReconstructionPath::Syrk, scalar(), ws, pts);
+  linalg::gemm(scalar(), pt.view(), ps.view(), prod.view());
   EXPECT_LT(maxAbsDiff(prod, pts), 1e-11);
 }
 
@@ -153,10 +158,12 @@ TEST(CodonEigenSystem, EquilibriumIsStationary) {
   const CodonEigenSystem es(cs.s, cs.pi);
   ExpmWorkspace ws;
   Matrix p(es.n(), es.n());
-  es.transitionMatrix(0.7, ReconstructionPath::Syrk, Flavor::Opt, ws, p);
+  es.transitionMatrix(0.7, ReconstructionPath::Syrk, scalar(), ws, p);
   Vector piV(es.n()), out(es.n());
   for (std::size_t i = 0; i < es.n(); ++i) piV[i] = cs.pi[i];
-  linalg::gemvT(Flavor::Opt, p, piV.span(), out.span());
+  // The row vector pi^T times P, as a 1 x n panel product.
+  linalg::gemm(scalar(), linalg::ConstMatrixView(piV.data(), 1, es.n()),
+               p.view(), linalg::MatrixView(out.data(), 1, es.n()));
   EXPECT_LT(maxAbsDiff(out, piV), 1e-11);
 }
 
@@ -166,7 +173,7 @@ TEST(CodonEigenSystem, LongTimeLimitIsEquilibrium) {
   const CodonEigenSystem es(cs.s, cs.pi);
   ExpmWorkspace ws;
   Matrix p(es.n(), es.n());
-  es.transitionMatrix(500.0, ReconstructionPath::Syrk, Flavor::Opt, ws, p);
+  es.transitionMatrix(500.0, ReconstructionPath::Syrk, scalar(), ws, p);
   // Tolerance reflects eigenvector roundoff amplified by Pi^{-1/2} at the
   // rank-one limit; the Pade cross-check above is tighter at realistic t.
   for (std::size_t i = 0; i < es.n(); ++i)
@@ -189,77 +196,10 @@ TEST(CodonEigenSystem, DetailedBalanceOfP) {
   const CodonEigenSystem es(cs.s, cs.pi);
   ExpmWorkspace ws;
   Matrix p(es.n(), es.n());
-  es.transitionMatrix(0.4, ReconstructionPath::Syrk, Flavor::Opt, ws, p);
+  es.transitionMatrix(0.4, ReconstructionPath::Syrk, scalar(), ws, p);
   for (std::size_t i = 0; i < es.n(); ++i)
     for (std::size_t j = i + 1; j < es.n(); ++j)
       EXPECT_NEAR(cs.pi[i] * p(i, j), cs.pi[j] * p(j, i), 1e-12);
-}
-
-// ---------- Eq. 12-13: symmetric propagator and factored apply ----------
-
-TEST(SymmetricPropagator, EquivalentToTransitionMatrix) {
-  const auto cs = makeCodonSetup(2.0, 2.5, 13);
-  const CodonEigenSystem es(cs.s, cs.pi);
-  ExpmWorkspace ws;
-  const std::size_t n = es.n();
-  const double t = 0.3;
-
-  Matrix p(n, n), m(n, n);
-  es.transitionMatrix(t, ReconstructionPath::Syrk, Flavor::Opt, ws, p);
-  es.symmetricPropagator(t, Flavor::Opt, ws, m);
-
-  // M must be symmetric.
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      EXPECT_DOUBLE_EQ(m(i, j), m(j, i));
-
-  // M (Pi w) == P w for random w.
-  const Vector w = testutil::randomVector(n, 14);
-  Vector piw(n), viaM(n), viaP(n);
-  for (std::size_t i = 0; i < n; ++i) piw[i] = cs.pi[i] * w[i];
-  linalg::symv(Flavor::Opt, m, piw.span(), viaM.span());
-  linalg::gemv(Flavor::Opt, p, w.span(), viaP.span());
-  EXPECT_LT(maxAbsDiff(viaM, viaP), 1e-11);
-}
-
-TEST(FactoredApply, MatchesTransitionMatrixOnBundles) {
-  const auto cs = makeCodonSetup(2.0, 0.1, 15);
-  const CodonEigenSystem es(cs.s, cs.pi);
-  ExpmWorkspace ws;
-  const std::size_t n = es.n();
-  const double t = 0.25;
-
-  Matrix p(n, n);
-  es.transitionMatrix(t, ReconstructionPath::Syrk, Flavor::Opt, ws, p);
-
-  for (std::size_t cols : {1u, 3u, 17u}) {
-    Matrix w(n, cols);
-    for (std::size_t k = 0; k < w.size(); ++k)
-      w.data()[k] = 0.5 + 0.5 * std::sin(static_cast<double>(k));
-    Matrix viaApply(n, cols), viaP(n, cols);
-    es.applyExp(t, w, Flavor::Opt, ws, viaApply);
-    linalg::gemm(Flavor::Opt, p, w, viaP);
-    EXPECT_LT(maxAbsDiff(viaApply, viaP), 1e-11) << "cols=" << cols;
-  }
-}
-
-TEST(MakeYhat, FactorsReproduceP) {
-  // Pi^{1/2} Yhat Yhat^T Pi^{1/2} == Z == Pi^{1/2} P Pi^{-1/2}... verified
-  // via P = Yhat Yhat^T Pi directly.
-  const auto cs = makeCodonSetup(2.2, 0.6, 16);
-  const CodonEigenSystem es(cs.s, cs.pi);
-  const std::size_t n = es.n();
-  const double t = 0.15;
-  Matrix yhat(n, n), m(n, n), p(n, n);
-  es.makeYhat(t, yhat);
-  linalg::syrk(Flavor::Opt, yhat, m);
-  // P_ij = M_ij pi_j.
-  ExpmWorkspace ws;
-  Matrix pRef(n, n);
-  es.transitionMatrix(t, ReconstructionPath::Syrk, Flavor::Opt, ws, pRef);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      EXPECT_NEAR(m(i, j) * cs.pi[j], pRef(i, j), 1e-11);
 }
 
 // ---------- input validation ----------
@@ -276,11 +216,11 @@ TEST(CodonEigenSystem, RejectsBadInput) {
   ExpmWorkspace ws;
   Matrix p(61, 61);
   EXPECT_THROW(
-      es.transitionMatrix(-0.1, ReconstructionPath::Syrk, Flavor::Opt, ws, p),
+      es.transitionMatrix(-0.1, ReconstructionPath::Syrk, scalar(), ws, p),
       std::invalid_argument);
   Matrix bad(60, 60);
   EXPECT_THROW(
-      es.transitionMatrix(0.1, ReconstructionPath::Syrk, Flavor::Opt, ws, bad),
+      es.transitionMatrix(0.1, ReconstructionPath::Syrk, scalar(), ws, bad),
       std::invalid_argument);
 }
 
@@ -294,7 +234,7 @@ TEST(CodonEigenSystem, WorksForNon61Dimensions) {
   const CodonEigenSystem es(s, pi);
   ExpmWorkspace ws;
   Matrix p(n, n);
-  es.transitionMatrix(0.2, ReconstructionPath::Syrk, Flavor::Opt, ws, p);
+  es.transitionMatrix(0.2, ReconstructionPath::Syrk, scalar(), ws, p);
   for (int i = 0; i < n; ++i) {
     double rowSum = 0;
     for (int j = 0; j < n; ++j) rowSum += p(i, j);

@@ -1,24 +1,23 @@
-// Tests for the dense containers and the two-flavor BLAS kernels.
-// The key invariant: Naive and Opt flavors agree to floating-point
-// reassociation tolerance on every kernel, for every shape.
+// Tests for the dense containers and the BLAS-style kernels.
+// The key invariant: the naive and scalar kernel tables agree to
+// floating-point reassociation tolerance on every kernel, for every shape.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "linalg/blas1.hpp"
-#include "linalg/blas2.hpp"
 #include "linalg/blas3.hpp"
 #include "linalg/diag.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/simd.hpp"
 #include "test_util.hpp"
 
 namespace slim::linalg {
 namespace {
 
 using testutil::randomMatrix;
-using testutil::randomSymmetric;
 using testutil::randomVector;
 
 // ---------- containers ----------
@@ -134,49 +133,20 @@ TEST(Blas1, Hadamard) {
   EXPECT_DOUBLE_EQ(y[1], 10.0);
 }
 
-// ---------- BLAS-2/3 flavor agreement (property sweep) ----------
+// ---------- BLAS-3 naive vs scalar table agreement (property sweep) -------
+
+const SimdKernels& naive() { return naiveKernels(); }
+const SimdKernels& scalar() { return simdKernels(SimdLevel::Scalar); }
 
 class FlavorAgreement : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(FlavorAgreement, Gemv) {
-  const std::size_t n = GetParam();
-  const Matrix a = randomMatrix(n, n + 3, 1);
-  const Vector x = randomVector(n + 3, 2);
-  Vector y1(n), y2(n);
-  gemv(Flavor::Naive, a, x.span(), y1.span());
-  gemv(Flavor::Opt, a, x.span(), y2.span());
-  EXPECT_LT(maxAbsDiff(y1, y2), 1e-12 * static_cast<double>(n + 1));
-}
-
-TEST_P(FlavorAgreement, GemvT) {
-  const std::size_t n = GetParam();
-  const Matrix a = randomMatrix(n + 2, n, 3);
-  const Vector x = randomVector(n + 2, 4);
-  Vector y1(n), y2(n);
-  gemvT(Flavor::Naive, a, x.span(), y1.span());
-  gemvT(Flavor::Opt, a, x.span(), y2.span());
-  EXPECT_LT(maxAbsDiff(y1, y2), 1e-12 * static_cast<double>(n + 1));
-}
-
-TEST_P(FlavorAgreement, SymvMatchesGemvOnSymmetricInput) {
-  const std::size_t n = GetParam();
-  const Matrix a = randomSymmetric(n, 5);
-  const Vector x = randomVector(n, 6);
-  Vector y1(n), y2(n), y3(n);
-  symv(Flavor::Naive, a, x.span(), y1.span());
-  symv(Flavor::Opt, a, x.span(), y2.span());
-  gemv(Flavor::Opt, a, x.span(), y3.span());
-  EXPECT_LT(maxAbsDiff(y1, y2), 1e-12 * static_cast<double>(n + 1));
-  EXPECT_LT(maxAbsDiff(y1, y3), 1e-12 * static_cast<double>(n + 1));
-}
 
 TEST_P(FlavorAgreement, Gemm) {
   const std::size_t n = GetParam();
   const Matrix a = randomMatrix(n, n + 1, 7);
   const Matrix b = randomMatrix(n + 1, n + 2, 8);
   Matrix c1(n, n + 2), c2(n, n + 2);
-  gemm(Flavor::Naive, a, b, c1);
-  gemm(Flavor::Opt, a, b, c2);
+  gemm(naive(), a.view(), b.view(), c1.view());
+  gemm(scalar(), a.view(), b.view(), c2.view());
   EXPECT_LT(maxAbsDiff(c1, c2), 1e-12 * static_cast<double>(n + 1));
 }
 
@@ -185,13 +155,13 @@ TEST_P(FlavorAgreement, GemmNT) {
   const Matrix a = randomMatrix(n, n + 4, 9);
   const Matrix b = randomMatrix(n + 1, n + 4, 10);
   Matrix c1(n, n + 1), c2(n, n + 1);
-  gemmNT(Flavor::Naive, a, b, c1);
-  gemmNT(Flavor::Opt, a, b, c2);
+  gemmNT(naive(), a.view(), b.view(), c1.view());
+  gemmNT(scalar(), a.view(), b.view(), c2.view());
   EXPECT_LT(maxAbsDiff(c1, c2), 1e-12 * static_cast<double>(n + 1));
 
   // gemmNT(a, b) must equal gemm(a, b^T).
   Matrix c3(n, n + 1);
-  gemm(Flavor::Opt, a, transposed(b), c3);
+  gemm(scalar(), a.view(), transposed(b).view(), c3.view());
   EXPECT_LT(maxAbsDiff(c1, c3), 1e-12 * static_cast<double>(n + 1));
 }
 
@@ -199,10 +169,10 @@ TEST_P(FlavorAgreement, Syrk) {
   const std::size_t n = GetParam();
   const Matrix y = randomMatrix(n, n + 2, 11);
   Matrix c1(n, n), c2(n, n);
-  syrk(Flavor::Naive, y, c1);
-  syrk(Flavor::Opt, y, c2);
+  naive().syrk(y.data(), c1.data(), n, n + 2);
+  scalar().syrk(y.data(), c2.data(), n, n + 2);
   EXPECT_LT(maxAbsDiff(c1, c2), 1e-12 * static_cast<double>(n + 1));
-  // Result must be exactly symmetric in the Opt flavor (mirrored).
+  // Result must be exactly symmetric in the scalar table (mirrored).
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)
       EXPECT_DOUBLE_EQ(c2(i, j), c2(j, i));
@@ -211,33 +181,17 @@ TEST_P(FlavorAgreement, Syrk) {
 INSTANTIATE_TEST_SUITE_P(Sizes, FlavorAgreement,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 16, 31, 61));
 
-// ---------- gemv alpha/beta semantics ----------
-
-TEST(Blas2, GemvAlphaBeta) {
-  const Matrix a = Matrix::fromRows({{1, 2}, {3, 4}});
-  Vector x{1, 1}, y{10, 20};
-  gemv(Flavor::Opt, a, x.span(), y.span(), 2.0, 0.5);
-  EXPECT_DOUBLE_EQ(y[0], 2.0 * 3.0 + 0.5 * 10.0);
-  EXPECT_DOUBLE_EQ(y[1], 2.0 * 7.0 + 0.5 * 20.0);
-}
-
-TEST(Blas2, DimensionMismatchThrows) {
-  const Matrix a(3, 4);
-  Vector x(3), y(3);
-  EXPECT_THROW(gemv(Flavor::Opt, a, x.span(), y.span()),
-               std::invalid_argument);
-  const Matrix sq(3, 3);
-  Vector x3(4);
-  EXPECT_THROW(symv(Flavor::Opt, sq, x3.span(), y.span()),
-               std::invalid_argument);
-}
-
 TEST(Blas3, AliasAndShapeChecks) {
   Matrix a(3, 3), c(3, 3);
-  EXPECT_THROW(gemm(Flavor::Opt, a, a, a), std::invalid_argument);
+  EXPECT_THROW(gemm(scalar(), a.view(), a.view(), a.view()),
+               std::invalid_argument);
   Matrix bad(2, 3);
-  EXPECT_THROW(gemm(Flavor::Opt, a, a, bad), std::invalid_argument);
-  EXPECT_THROW(syrk(Flavor::Opt, a, a), std::invalid_argument);
+  EXPECT_THROW(gemm(scalar(), a.view(), a.view(), bad.view()),
+               std::invalid_argument);
+  EXPECT_THROW(gemmNT(scalar(), a.view(), a.view(), a.view()),
+               std::invalid_argument);
+  EXPECT_THROW(gemmNT(naive(), a.view(), bad.view(), c.view()),
+               std::invalid_argument);
 }
 
 // ---------- diagonal scaling ----------
@@ -290,7 +244,8 @@ TEST(Lu, ResidualSmallOnRandomSystems) {
     const Vector b = randomVector(n, seed + 100);
     const Vector x = LuFactorization(a).solve(b);
     Vector r(n);
-    gemv(Flavor::Opt, a, x.span(), r.span());
+    gemmNT(scalar(), a.view(), ConstMatrixView(x.data(), 1, n),
+           MatrixView(r.data(), n, 1));
     for (std::size_t i = 0; i < n; ++i)
       EXPECT_NEAR(r[i], b[i], 1e-10) << "seed " << seed << " row " << i;
   }

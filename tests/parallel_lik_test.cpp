@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "lik/branch_site_likelihood.hpp"
@@ -86,36 +87,54 @@ TEST(ParallelEngine, ThreadCountInvariance) {
   }
 }
 
+// Both presets' kernel tables (slim: the resolved SIMD table; codeml: the
+// naive table) under both propagation strategies.
+std::vector<LikelihoodOptions> presetsByStrategy() {
+  std::vector<LikelihoodOptions> out;
+  for (const LikelihoodOptions& preset :
+       {slimOptions(), codemlBaselineOptions()})
+    for (auto strategy :
+         {PropagationStrategy::PerSiteGemv, PropagationStrategy::BundledGemm}) {
+      LikelihoodOptions o = preset;
+      o.propagation = strategy;
+      out.push_back(o);
+    }
+  return out;
+}
+
+std::string label(const LikelihoodOptions& o) {
+  return std::string(o.flavor == linalg::Flavor::Naive ? "codeml " : "slim ") +
+         propagationStrategyName(o.propagation);
+}
+
 TEST(ParallelEngine, ThreadCountInvarianceAllStrategies) {
   const Fixture f = makeFixture();
   const BranchSiteParams p = testParams();
-  for (auto strategy :
-       {PropagationStrategy::PerSiteGemv, PropagationStrategy::BundledGemm,
-        PropagationStrategy::SymmetricSymv,
-        PropagationStrategy::FactoredApply}) {
-    LikelihoodOptions base = slimOptions();
-    base.propagation = strategy;
+  for (const LikelihoodOptions& base : presetsByStrategy()) {
     BranchSiteLikelihood serial(f.alignment, f.patterns, f.pi, f.tree,
                                 Hypothesis::H1, withThreads(base, 1));
     BranchSiteLikelihood threaded(f.alignment, f.patterns, f.pi, f.tree,
                                   Hypothesis::H1, withThreads(base, 4));
     EXPECT_EQ(threaded.logLikelihood(p), serial.logLikelihood(p))
-        << propagationStrategyName(strategy);
+        << label(base);
   }
 }
 
 TEST(ParallelEngine, BlockSizeInvariance) {
   const Fixture f = makeFixture();
   const BranchSiteParams p = testParams();
-  BranchSiteLikelihood whole(f.alignment, f.patterns, f.pi, f.tree,
-                             Hypothesis::H1,
-                             withThreads(slimOptions(), 1, /*blockSize=*/0));
-  const double want = whole.logLikelihood(p);
-  for (int blockSize : {1, 3, 8, 64}) {
-    BranchSiteLikelihood eval(f.alignment, f.patterns, f.pi, f.tree,
-                              Hypothesis::H1,
-                              withThreads(slimOptions(), 2, blockSize));
-    EXPECT_EQ(eval.logLikelihood(p), want) << "blockSize = " << blockSize;
+  for (const LikelihoodOptions& base : presetsByStrategy()) {
+    BranchSiteLikelihood whole(f.alignment, f.patterns, f.pi, f.tree,
+                               Hypothesis::H1,
+                               withThreads(base, 1, /*blockSize=*/0));
+    const double want = whole.logLikelihood(p);
+    for (int blockSize : {1, 3, 8, 64}) {
+      BranchSiteLikelihood eval(f.alignment, f.patterns, f.pi, f.tree,
+                                Hypothesis::H1,
+                                withThreads(base, 2, blockSize));
+      EXPECT_EQ(eval.logLikelihood(p), want)
+          << label(base) << " blockSize = " << blockSize;
+    }
   }
 }
 
@@ -239,23 +258,6 @@ TEST(PropagatorCache, ParameterChangeFlushesCache) {
   // All propagators were rebuilt against the fresh eigensystems.
   EXPECT_EQ(c.propagatorCacheHits, 0);
   EXPECT_EQ(eval.cachedPropagators(), entries);
-}
-
-TEST(PropagatorCache, QuantizedKeysStayAccurate) {
-  const Fixture f = makeFixture();
-  LikelihoodOptions exact = withThreads(slimOptions(), 1);
-  exact.cachePropagators = true;
-  LikelihoodOptions quantized = exact;
-  quantized.cacheQuantum = 1e-7;  // snap branch lengths to a fine grid
-  BranchSiteLikelihood a(f.alignment, f.patterns, f.pi, f.tree, Hypothesis::H1,
-                         exact);
-  BranchSiteLikelihood b(f.alignment, f.patterns, f.pi, f.tree, Hypothesis::H1,
-                         quantized);
-  const double la = a.logLikelihood(testParams());
-  const double lb = b.logLikelihood(testParams());
-  // Quantization is an explicit approximation: agreement to the grid's
-  // effect on the propagators, not bit-equality.
-  EXPECT_NEAR(la, lb, 1e-6 * std::fabs(la));
 }
 
 // ---------- thread pool ----------

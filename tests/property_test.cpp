@@ -35,8 +35,8 @@ TEST_P(CtmcInvariants, StochasticityAndReversibility) {
   const expm::CodonEigenSystem es(s, pi);
   expm::ExpmWorkspace ws;
   linalg::Matrix p(61, 61);
-  es.transitionMatrix(t, expm::ReconstructionPath::Syrk, linalg::Flavor::Opt,
-                      ws, p);
+  es.transitionMatrix(t, expm::ReconstructionPath::Syrk,
+                      linalg::simdKernels(linalg::SimdLevel::Scalar), ws, p);
   for (int i = 0; i < 61; ++i) {
     double rowSum = 0;
     for (int j = 0; j < 61; ++j) {

@@ -1,12 +1,12 @@
-// Tests for the runtime-dispatched SIMD kernel layer (linalg/simd.hpp).
+// Tests for the kernel tables (linalg/simd.hpp).
 //
 // The contract under test:
-//   * the scalar table is the bit-exact reference — identical to the
-//     Flavor::Opt kernels, and its fused-sandwich reconstruction is
-//     bit-identical to the unfused syrk + scaleSandwich + clamp sequence;
-//   * every compiled-and-supported SIMD level agrees with scalar to tight
-//     elementwise tolerances on the kernels and to <= 1e-10 *relative* on
-//     the log-likelihood;
+//   * the fused-sandwich entries of the naive and scalar tables are
+//     bit-identical to their table's unfused product + scaleSandwich +
+//     clamp sequence;
+//   * the naive table and every compiled-and-supported SIMD level agree
+//     with scalar to tight elementwise tolerances on the kernels, and every
+//     SIMD level agrees to <= 1e-10 *relative* on the log-likelihood;
 //   * each level is bit-identical to itself across thread counts and block
 //     sizes (EXPECT_EQ on doubles), because kernel results are invariant
 //     under any row partition of a panel.
@@ -38,6 +38,13 @@ std::vector<SimdLevel> availableLevels() {
   std::vector<SimdLevel> out{SimdLevel::Scalar};
   if (simdLevelAvailable(SimdLevel::Avx2)) out.push_back(SimdLevel::Avx2);
   if (simdLevelAvailable(SimdLevel::Avx512)) out.push_back(SimdLevel::Avx512);
+  return out;
+}
+
+// The naive table plus every runnable SIMD level's table.
+std::vector<const SimdKernels*> availableTables() {
+  std::vector<const SimdKernels*> out{&naiveKernels()};
+  for (SimdLevel level : availableLevels()) out.push_back(&simdKernels(level));
   return out;
 }
 
@@ -79,10 +86,10 @@ TEST(SimdKernels, GemmMatchesScalarOnEveryLevel) {
     Matrix want(m, n);
     simdKernels(SimdLevel::Scalar)
         .gemm(a.data(), b.data(), want.data(), m, k, n);
-    for (SimdLevel level : availableLevels()) {
+    for (const SimdKernels* kern : availableTables()) {
       Matrix got(m, n);
-      simdKernels(level).gemm(a.data(), b.data(), got.data(), m, k, n);
-      expectClose(got, want, simdLevelName(level));
+      kern->gemm(a.data(), b.data(), got.data(), m, k, n);
+      expectClose(got, want, kern->name);
     }
   }
 }
@@ -96,12 +103,12 @@ TEST(SimdKernels, GemmNTAndSyrkMatchScalarOnEveryLevel) {
   simdKernels(SimdLevel::Scalar)
       .gemmNT(a.data(), b.data(), wantNT.data(), m, k, n);
   simdKernels(SimdLevel::Scalar).syrk(y.data(), wantSyrk.data(), n, k);
-  for (SimdLevel level : availableLevels()) {
+  for (const SimdKernels* kern : availableTables()) {
     Matrix gotNT(m, n), gotSyrk(n, n);
-    simdKernels(level).gemmNT(a.data(), b.data(), gotNT.data(), m, k, n);
-    simdKernels(level).syrk(y.data(), gotSyrk.data(), n, k);
-    expectClose(gotNT, wantNT, simdLevelName(level));
-    expectClose(gotSyrk, wantSyrk, simdLevelName(level));
+    kern->gemmNT(a.data(), b.data(), gotNT.data(), m, k, n);
+    kern->syrk(y.data(), gotSyrk.data(), n, k);
+    expectClose(gotNT, wantNT, kern->name);
+    expectClose(gotSyrk, wantSyrk, kern->name);
   }
 }
 
@@ -116,59 +123,106 @@ TEST(SimdKernels, FusedSandwichMatchesScalarOnEveryLevel) {
   simdKernels(SimdLevel::Scalar)
       .gemmNTSandwich(y.data(), y.data(), l.data(), r.data(), wantGemm.data(),
                       n, n, n, false);
-  for (SimdLevel level : availableLevels()) {
+  for (const SimdKernels* kern : availableTables()) {
     Matrix gotSyrk(n, n), gotGemm(n, n);
-    simdKernels(level).syrkSandwich(y.data(), l.data(), r.data(),
-                                    gotSyrk.data(), n, n);
-    simdKernels(level).gemmNTSandwich(y.data(), y.data(), l.data(), r.data(),
-                                      gotGemm.data(), n, n, n, false);
-    expectClose(gotSyrk, wantSyrk, simdLevelName(level));
-    expectClose(gotGemm, wantGemm, simdLevelName(level));
+    kern->syrkSandwich(y.data(), l.data(), r.data(), gotSyrk.data(), n, n);
+    kern->gemmNTSandwich(y.data(), y.data(), l.data(), r.data(),
+                         gotGemm.data(), n, n, n, false);
+    expectClose(gotSyrk, wantSyrk, kern->name);
+    expectClose(gotGemm, wantGemm, kern->name);
   }
 }
 
-// ---------- scalar fusion is bit-exact ----------
+// ---------- naive and scalar fusion is bit-exact ----------
 
-TEST(SimdKernels, ScalarFusedSandwichIsBitIdenticalToUnfused) {
-  const int n = 61;
-  const Matrix y = randomMatrix(n, n, 59);
-  const auto l = randomPositive(n, 61);
-  const auto r = randomPositive(n, 67);
-  const auto& scalar = simdKernels(SimdLevel::Scalar);
+// The two tables whose fused entries must reproduce the unfused sequence
+// bit for bit: the naive table (CodeML's product, then the sandwich and the
+// clamp) and the scalar reference.
+const SimdKernels* const kBitExactTables[] = {
+    &naiveKernels(), &simdKernels(SimdLevel::Scalar)};
 
-  // Unfused reference: syrk, then scaleSandwich, then the clamp — the exact
-  // sequence the Flavor::Opt transitionMatrix used to run.
-  Matrix z(n, n), want(n, n);
-  scalar.syrk(y.data(), z.data(), n, n);
-  scaleSandwich(z, l, r, want);
-  for (std::size_t k = 0; k < want.size(); ++k)
-    if (want.data()[k] < 0.0) want.data()[k] = 0.0;
-
-  Matrix got(n, n);
-  scalar.syrkSandwich(y.data(), l.data(), r.data(), got.data(), n, n);
-  EXPECT_EQ(got, want);
+// Unfused reference: the table's product z, then scaleSandwich, then the
+// clamp when asked.
+Matrix unfusedSandwich(const Matrix& z, const std::vector<double>& l,
+                       const std::vector<double>& r, bool clampNegative) {
+  Matrix out(z.rows(), z.cols());
+  scaleSandwich(z, l, r, out);
+  if (clampNegative)
+    for (std::size_t k = 0; k < out.size(); ++k)
+      if (out.data()[k] < 0.0) out.data()[k] = 0.0;
+  return out;
 }
 
-TEST(SimdKernels, ScalarTransitionMatrixMatchesFlavorOptBitwise) {
+TEST(SimdKernels, FusedSandwichIsBitIdenticalToUnfused) {
+  const int n = 61;
+  const Matrix y = randomMatrix(n, n, 59);
+  const Matrix b = randomMatrix(n, n, 73);
+  const auto l = randomPositive(n, 61);
+  const auto r = randomPositive(n, 67);
+  for (const SimdKernels* kern : kBitExactTables) {
+    Matrix z(n, n), got(n, n);
+    kern->syrk(y.data(), z.data(), n, n);
+    kern->syrkSandwich(y.data(), l.data(), r.data(), got.data(), n, n);
+    EXPECT_EQ(got, unfusedSandwich(z, l, r, true)) << kern->name;
+
+    kern->gemmNT(y.data(), b.data(), z.data(), n, n, n);
+    for (bool clampNegative : {true, false}) {
+      kern->gemmNTSandwich(y.data(), b.data(), l.data(), r.data(), got.data(),
+                           n, n, n, clampNegative);
+      EXPECT_EQ(got, unfusedSandwich(z, l, r, clampNegative))
+          << kern->name << " clamp = " << clampNegative;
+    }
+  }
+}
+
+TEST(SimdKernels, TransitionMatrixMatchesUnfusedSequenceBitwise) {
   sim::Rng rng(71);
   const auto pi = sim::randomCodonFrequencies(61, 5, rng);
   Matrix s(61, 61);
   model::buildExchangeability(bio::GeneticCode::universal(), 2.0, 0.4, s);
   const expm::CodonEigenSystem es(s, pi);
-  const auto& scalar = simdKernels(SimdLevel::Scalar);
+  const std::vector<double> l(es.invSqrtPi().begin(), es.invSqrtPi().end());
+  const std::vector<double> r(es.sqrtPi().begin(), es.sqrtPi().end());
 
-  expm::ExpmWorkspace wsA, wsB;
-  Matrix want(61, 61), got(61, 61);
-  for (double t : {1e-4, 0.05, 0.7, 4.0}) {
-    for (auto path :
-         {expm::ReconstructionPath::Syrk, expm::ReconstructionPath::Gemm}) {
-      es.transitionMatrix(t, path, Flavor::Opt, wsA, want);
-      es.transitionMatrix(t, path, scalar, wsB, got);
-      EXPECT_EQ(got, want) << "t = " << t;
+  // Steps 3-4 of the pipeline by hand: Y = X e^{Lambda t'} (t' = t/2 on the
+  // Eq. 10 path, scaled by Lambda for dP/dt), then the table's product.
+  const auto product = [&](const SimdKernels& kern, double t,
+                           expm::ReconstructionPath path, bool derivative) {
+    std::vector<double> d(61);
+    for (int i = 0; i < 61; ++i) {
+      const double lambda = es.eigenvalues()[i];
+      d[i] = derivative ? lambda * std::exp(lambda * t)
+             : path == expm::ReconstructionPath::Syrk
+                 ? std::exp(0.5 * lambda * t)
+                 : std::exp(lambda * t);
     }
-    es.derivativeMatrix(t, Flavor::Opt, wsA, want);
-    es.derivativeMatrix(t, scalar, wsB, got);
-    EXPECT_EQ(got, want) << "dP/dt at t = " << t;
+    Matrix y(61, 61), z(61, 61);
+    scaleCols(es.eigenvectors(), d, y);
+    if (!derivative && path == expm::ReconstructionPath::Syrk)
+      kern.syrk(y.data(), z.data(), 61, 61);
+    else
+      kern.gemmNT(y.data(), es.eigenvectors().data(), z.data(), 61, 61, 61);
+    return z;
+  };
+
+  for (const SimdKernels* kern : kBitExactTables) {
+    expm::ExpmWorkspace ws;
+    Matrix got(61, 61);
+    for (double t : {1e-4, 0.05, 0.7, 4.0}) {
+      for (auto path :
+           {expm::ReconstructionPath::Syrk, expm::ReconstructionPath::Gemm}) {
+        es.transitionMatrix(t, path, *kern, ws, got);
+        EXPECT_EQ(got, unfusedSandwich(product(*kern, t, path, false), l, r,
+                                       true))
+            << kern->name << " t = " << t;
+      }
+      es.derivativeMatrix(t, *kern, ws, got);
+      EXPECT_EQ(got, unfusedSandwich(product(*kern, t,
+                                             expm::ReconstructionPath::Gemm,
+                                             true),
+                                     l, r, false))
+          << kern->name << " dP/dt at t = " << t;
+    }
   }
 }
 
@@ -181,17 +235,16 @@ TEST(SimdKernels, SimdTransitionMatrixCloseToScalar) {
 
   expm::ExpmWorkspace wsA, wsB;
   Matrix want(61, 61), got(61, 61);
-  es.transitionMatrix(0.1, expm::ReconstructionPath::Syrk, Flavor::Opt, wsA,
-                      want);
-  for (SimdLevel level : availableLevels()) {
-    es.transitionMatrix(0.1, expm::ReconstructionPath::Syrk,
-                        simdKernels(level), wsB, got);
-    expectClose(got, want, simdLevelName(level));
+  es.transitionMatrix(0.1, expm::ReconstructionPath::Syrk,
+                      simdKernels(SimdLevel::Scalar), wsA, want);
+  for (const SimdKernels* kern : availableTables()) {
+    es.transitionMatrix(0.1, expm::ReconstructionPath::Syrk, *kern, wsB, got);
+    expectClose(got, want, kern->name);
     // Rows of a propagator are probability distributions.
     for (int i = 0; i < 61; ++i) {
       double sum = 0.0;
       for (int j = 0; j < 61; ++j) sum += got(i, j);
-      EXPECT_NEAR(sum, 1.0, 1e-9) << simdLevelName(level) << " row " << i;
+      EXPECT_NEAR(sum, 1.0, 1e-9) << kern->name << " row " << i;
     }
   }
 }
@@ -294,15 +347,13 @@ LikelihoodOptions optionsFor(SimdLevel level, PropagationStrategy strategy,
   return o;
 }
 
-// Every compiled SIMD flavor agrees with scalar to <= 1e-10 relative lnL on
-// all three routed hot paths (bundled gemm, factored apply, per-site gemv's
-// reconstruction-only route).
+// Every compiled SIMD level agrees with scalar to <= 1e-10 relative lnL on
+// both propagation strategies (bundled gemm, per-site gemmNT panel).
 TEST(SimdLikelihood, LnlAgreesWithScalarWithin1e10Relative) {
   const Fixture f = makeFixture();
   const BranchSiteParams p = testParams();
   for (auto strategy :
-       {PropagationStrategy::BundledGemm, PropagationStrategy::FactoredApply,
-        PropagationStrategy::PerSiteGemv}) {
+       {PropagationStrategy::BundledGemm, PropagationStrategy::PerSiteGemv}) {
     BranchSiteLikelihood scalarEval(f.alignment, f.patterns, f.pi, f.tree,
                                     Hypothesis::H1,
                                     optionsFor(SimdLevel::Scalar, strategy));
@@ -321,7 +372,7 @@ TEST(SimdLikelihood, LnlAgreesWithScalarWithin1e10Relative) {
   }
 }
 
-// Each SIMD flavor is bit-identical to itself for every thread count and
+// Each SIMD level is bit-identical to itself for every thread count and
 // block size — the same invariance the scalar engine has always asserted.
 TEST(SimdLikelihood, EachLevelBitIdenticalAcrossThreadsAndBlocks) {
   const Fixture f = makeFixture();
@@ -388,9 +439,8 @@ TEST(SimdLikelihood, GradientSweepInvariantPerLevelAndCloseToScalar) {
   }
 }
 
-// simd = scalar through the public options is bit-identical to the pre-SIMD
-// engine (the scalar table *is* the Flavor::Opt code), and the Naive flavor
-// always resolves to scalar regardless of the requested mode.
+// simd = scalar resolves to the scalar table, and the Naive flavor always
+// reports scalar regardless of the requested mode.
 TEST(SimdLikelihood, ScalarModeAndNaiveFlavorContracts) {
   const Fixture f = makeFixture();
   const BranchSiteParams p = testParams();

@@ -163,7 +163,7 @@ TEST(TuningProfileFormat, V1ProfileParsesWithBackendUnset) {
 // A profile tuned with a backend this build lacks (e.g. blas without
 // -DSLIM_WITH_BLAS) must refuse at load(), naming the backend.
 TEST(TuningProfileLoad, RefusesUnavailableTunedBackend) {
-  if (backend::backendAvailable(backend::BackendKind::Blas))
+  if (backend::backendCompiled(backend::BackendKind::Blas))
     GTEST_SKIP() << "blas backend available in this build";
   const TempDir dir("blasrefuse");
   TuningProfile p = localProfile();

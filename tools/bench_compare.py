@@ -59,12 +59,14 @@ def convert_one(doc, merged):
                 "real_time_ns": ns,
                 "items_per_second": float(row.get("items_per_second", 0.0)),
             }
+    # The microsuites add the host's detected SIMD level to the context
+    # (bench/gbench_main.hpp); other Google Benchmark binaries leave it out.
     ctx = doc.get("context", {})
     if ctx:
         return {
             "name": ctx.get("host_name", platform.node() or "unknown"),
             "hardwareThreads": int(ctx.get("num_cpus", 0)),
-            "simd": "unknown",
+            "simd": ctx.get("simd", "unknown"),
         }
     return None
 

@@ -39,6 +39,14 @@ docs/static-analysis.md):
                        and whether that compiles depends on include order in
                        unrelated TUs.  Each cycle is reported once, at the
                        lexicographically smallest participating header.
+  kernel-choice        One place chooses the engine's arithmetic.  In src/,
+                       linalg::Flavor and the kernel-table accessors
+                       (simdKernels(, naiveKernels(, *KernelTable() appear
+                       only in linalg/, backend/ (whose
+                       resolveComputeBackend maps flavor, `backend =` and
+                       `simd =` to one table) and lik/options.hpp (the
+                       presets).  Every other function takes the resolved
+                       table as a parameter.
 
 Waivers: a finding is suppressed when the offending line, or the line
 directly above it, carries
@@ -77,6 +85,13 @@ ISA_ALLOWED_FILES = {
     os.path.join("src", "linalg", "kernels_avx2.cpp"),
     os.path.join("src", "linalg", "kernels_avx512.cpp"),
 }
+
+# Where the kernel choice may be made (see kernel-choice above).
+KERNEL_CHOICE_DIRS = (
+    os.path.join("src", "linalg") + os.sep,
+    os.path.join("src", "backend") + os.sep,
+)
+KERNEL_CHOICE_FILES = {os.path.join("src", "lik", "options.hpp")}
 
 WAIVER = re.compile(r"//\s*slim-lint:\s*allow\(([a-z-]+)\)")
 
@@ -222,6 +237,8 @@ UNORDERED_DECL = re.compile(
 )
 RANGE_FOR = re.compile(r"\bfor\s*\([^;()]*?:\s*(?:[\w.\->]*[.\->])?(\w+)\s*\)")
 ISA_INCLUDE = re.compile(r'#\s*include\s*[<"](?:immintrin|x86intrin)\.h[>"]')
+KERNEL_CHOICE = re.compile(
+    r"\bFlavor\b|\b(?:simdKernels|naiveKernels|\w*KernelTable)\s*\(")
 CMAKE_ISA_FLAG = re.compile(r"-m(?:avx|sse|fma)\w*|-march=")
 
 
@@ -280,6 +297,17 @@ def check_file(relpath: str, text: str, findings: list[Finding]) -> None:
                     f"range-for over unordered container '{m.group(1)}' — "
                     "iteration order is hash-dependent; iterate a sorted "
                     "view or waive if provably order-independent")
+
+    # --- kernel-choice ------------------------------------------------------
+    if (not relpath.startswith(KERNEL_CHOICE_DIRS)
+            and relpath not in KERNEL_CHOICE_FILES):
+        for ln, cl in enumerate(clean_lines, 1):
+            m = KERNEL_CHOICE.search(cl)
+            if m:
+                add(ln, "kernel-choice",
+                    f"'{m.group(0).rstrip('( ')}' outside linalg/, backend/ "
+                    "and lik/options.hpp — take the table "
+                    "backend::resolveComputeBackend chose as a parameter")
 
     # --- isa-flags ----------------------------------------------------------
     if relpath not in ISA_ALLOWED_FILES:
