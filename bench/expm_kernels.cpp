@@ -12,8 +12,6 @@
 #include <cmath>
 #include <vector>
 
-#include "backend/compute_backend.hpp"
-#include "backend/expm_pade.hpp"
 #include "expm/codon_eigen_system.hpp"
 #include "expm/pade.hpp"
 #include "gbench_main.hpp"
@@ -167,48 +165,6 @@ void BM_PadeOracle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PadeOracle);
-
-// --- Propagator-builder dimension: eigen vs adaptive expm ---------------
-//
-// The eigen path amortizes one decomposition per omega class and costs one
-// reconstruction per (branch, class); the Higham scaling-and-squaring path
-// (src/backend/expm_pade.cpp) pays its Pade evaluation on every call but
-// needs no symmetrizable Q.  Benchmarked per call at a typical branch
-// length through each available backend's gemm.
-void adaptiveExpm(benchmark::State& state, backend::BackendKind kind) {
-  if (!backend::backendCompiled(kind)) {
-    state.SkipWithError("backend unavailable in this build");
-    return;
-  }
-  auto& s = setup();
-  const auto be = backend::computeBackend(kind, linalg::detectSimdLevel());
-  linalg::Matrix q(61, 61);
-  model::buildRateMatrix(s.s, s.pi, q);
-  backend::AdaptiveExpmWorkspace ws;
-  linalg::Matrix qt(61, 61), p(61, 61);
-  double t = 0.01;
-  for (auto _ : state) {
-    for (std::size_t k = 0; k < q.size(); ++k) qt.data()[k] = q.data()[k] * t;
-    backend::expmAdaptive(qt, be.ops, ws, p);
-    benchmark::DoNotOptimize(p.data());
-    t += 1e-6;
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel(be.name);
-}
-
-void BM_AdaptiveExpm_Reference(benchmark::State& state) {
-  adaptiveExpm(state, backend::BackendKind::Reference);
-}
-void BM_AdaptiveExpm_Simd(benchmark::State& state) {
-  adaptiveExpm(state, backend::BackendKind::Simd);
-}
-void BM_AdaptiveExpm_Blas(benchmark::State& state) {
-  adaptiveExpm(state, backend::BackendKind::Blas);
-}
-BENCHMARK(BM_AdaptiveExpm_Reference);
-BENCHMARK(BM_AdaptiveExpm_Simd);
-BENCHMARK(BM_AdaptiveExpm_Blas);
 
 }  // namespace
 

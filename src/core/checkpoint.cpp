@@ -124,13 +124,12 @@ backend::BackendKind parseBackendKindField(std::string_view rest,
   return k;
 }
 
-backend::ExpmAlgorithm parseExpmField(std::string_view rest,
-                                      const std::string& context) {
-  backend::ExpmAlgorithm a = backend::ExpmAlgorithm::Eigen;
-  if (!backend::parseExpmAlgorithm(rest, a))
+// The eigen path is the only propagator builder, so `eigen` is the one
+// value a completed-fit record may carry.
+void checkExpmField(std::string_view rest, const std::string& context) {
+  if (rest != "eigen")
     throw ConfigError(context + ": unknown expm algorithm '" +
                       std::string(rest) + "'");
-  return a;
 }
 
 // Line cursor over the checkpoint text, tracking line numbers for errors.
@@ -205,7 +204,9 @@ std::string Checkpoint::serialize() const {
     os << "gradientMode " << gradientModeName(fit.gradientMode) << '\n';
     os << "simd " << linalg::simdLevelName(fit.simd) << '\n';
     os << "backend " << backend::backendKindName(fit.backend) << '\n';
-    os << "expm " << backend::expmAlgorithmName(fit.expm) << '\n';
+    // The one propagator builder, still written so the format stays
+    // byte-identical for readers of earlier versions.
+    os << "expm eigen\n";
     os << "converged " << (fit.converged ? 1 : 0) << '\n';
     os << "end\n";
   }
@@ -365,11 +366,11 @@ Checkpoint Checkpoint::parse(std::string_view text, const std::string& origin) {
       fit.simd = parseSimdLevel(need("simd"), ctx("simd"));
       // Fields introduced with the backend subsystem.  Optional on parse:
       // hand-written fixtures and the hash pin (which covers the resolved
-      // backend/expm) keep compatibility honest either way.
+      // backend) keep compatibility honest either way.
       if (const auto it = fields.find("backend"); it != fields.end())
         fit.backend = parseBackendKindField(it->second, ctx("backend"));
       if (const auto it = fields.find("expm"); it != fields.end())
-        fit.expm = parseExpmField(it->second, ctx("expm"));
+        checkExpmField(it->second, ctx("expm"));
       fit.converged = parseLong(need("converged"), ctx("converged")) != 0;
       ck.completed.emplace(key, std::move(fit));
     } else if (status == "bfgs") {
@@ -474,7 +475,10 @@ std::uint64_t checkpointConfigHash(const Config& config) {
       config.fit.tuning.simd);
   add("simd", linalg::simdLevelName(kernels.simdLevel));
   add("backend", backend::backendKindName(kernels.kind));
-  add("expm", backend::expmAlgorithmName(config.fit.tuning.expm));
+  // A literal since the eigen path became the only propagator builder:
+  // without this line every configuration would hash differently, and every
+  // checkpoint written before that would be refused on --resume.
+  add("expm", "eigen");
   add("cleandata", config.stopCodonsAsMissing ? "1" : "0");
   // Input files are hashed by path AND content: a pipeline that regenerates
   // an alignment in place between crash and resume must get the keyed

@@ -2,14 +2,19 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <sstream>
+#include <system_error>
+#include <utility>
 
 #include "core/checkpoint.hpp"
+#include "core/objective.hpp"
 #include "core/scan.hpp"
 #include "core/tuning_profile.hpp"
 #include "core/report.hpp"
@@ -73,12 +78,34 @@ int parseInt(const std::string& key, const std::string& v, int lineNo) {
   return i;
 }
 
+// Seeds are exact unsigned 64-bit decimals: read through a double, values
+// above 2^53 would round, and two different seeds could draw the same
+// jitter.  Signs, fractions, exponents and trailing text are refused.
+std::uint64_t parseSeed(const std::string& key, const std::string& v,
+                        int lineNo) {
+  std::uint64_t s = 0;
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, s);
+  if (ec != std::errc() || ptr != end)
+    badLine(lineNo, "value for '" + key +
+                        "' must be a non-negative integer below 2^64, got '" +
+                        v + "'");
+  return s;
+}
+
 }  // namespace
 
 Config Config::parse(std::istream& in) {
   Config cfg;
   std::string line;
   int lineNo = 0;
+  // Starting values by key: the line and text that last set each, for the
+  // domain check once `model =` is known.
+  std::map<std::string, std::pair<int, std::string>> startLines;
+  const auto parseStart = [&](const std::string& key, const std::string& v) {
+    startLines[key] = {lineNo, v};
+    return parseDouble(key, v, lineNo);
+  };
   while (std::getline(in, line)) {
     ++lineNo;
     // Strip comments ('*' like codeml, plus '#').
@@ -129,9 +156,6 @@ Config Config::parse(std::istream& in) {
       if (!backend::parseBackendMode(value, cfg.fit.tuning.backend))
         badLine(lineNo,
                 "backend must be 'auto', 'reference', 'simd' or 'blas'");
-    } else if (key == "expm") {
-      if (!backend::parseExpmAlgorithm(value, cfg.fit.tuning.expm))
-        badLine(lineNo, "expm must be 'eigen' or 'adaptive'");
     } else if (key == "parallel") {
       if (value == "auto")
         cfg.fit.tuning.policy = ParallelPolicy::Auto;
@@ -179,15 +203,15 @@ Config Config::parse(std::istream& in) {
       cfg.fit.bfgs.maxIterations = parseInt(key, value, lineNo);
       if (cfg.fit.bfgs.maxIterations < 0) badLine(lineNo, "negative cap");
     } else if (key == "kappa") {
-      cfg.fit.initialParams.kappa = parseDouble(key, value, lineNo);
+      cfg.fit.initialParams.kappa = parseStart(key, value);
     } else if (key == "omega0") {
-      cfg.fit.initialParams.omega0 = parseDouble(key, value, lineNo);
+      cfg.fit.initialParams.omega0 = parseStart(key, value);
     } else if (key == "omega2") {
-      cfg.fit.initialParams.omega2 = parseDouble(key, value, lineNo);
+      cfg.fit.initialParams.omega2 = parseStart(key, value);
     } else if (key == "p0") {
-      cfg.fit.initialParams.p0 = parseDouble(key, value, lineNo);
+      cfg.fit.initialParams.p0 = parseStart(key, value);
     } else if (key == "p1") {
-      cfg.fit.initialParams.p1 = parseDouble(key, value, lineNo);
+      cfg.fit.initialParams.p1 = parseStart(key, value);
     } else if (key == "cleandata") {
       cfg.stopCodonsAsMissing = parseInt(key, value, lineNo) != 0;
     } else if (key == "tuning") {
@@ -202,13 +226,7 @@ Config Config::parse(std::istream& in) {
       cfg.timeoutSec = parseDouble(key, value, lineNo);
       if (cfg.timeoutSec < 0) badLine(lineNo, "timeoutSec must be >= 0");
     } else if (key == "seed") {
-      const double s = parseDouble(key, value, lineNo);
-      // Integral and strictly below 2^64, so the cast is defined behaviour.
-      if (s < 0 || s >= 18446744073709551616.0 || std::floor(s) != s)
-        badLine(lineNo,
-                "value for 'seed' must be a non-negative integer below "
-                "2^64, got '" + value + "'");
-      cfg.fit.startJitterSeed = static_cast<std::uint64_t>(s);
+      cfg.fit.startJitterSeed = parseSeed(key, value, lineNo);
     } else {
       badLine(lineNo, "unknown key '" + key + "'");
     }
@@ -220,6 +238,18 @@ Config Config::parse(std::istream& in) {
     throw ConfigError("control file: seqfile is required");
   if (cfg.treefile.empty())
     throw ConfigError("control file: treefile is required");
+  // A start outside its parameter's domain would be clamped to the boundary
+  // and never move; refuse it before any fit starts.  Only the spec's kind
+  // matters here, so any valid branch-class count does.
+  const model::ModelKind kind = modelSpecFor(cfg.analysis, 2).kind;
+  for (const auto& [key, set] : startLines) {
+    const auto& [setLine, text] = set;
+    if (const auto domain = startValueOutsideDomain(kind, key,
+                                                    cfg.fit.initialParams))
+      badLine(setLine, "value for '" + key + "' must lie in " + *domain +
+                           " under model = " + analysisKindName(cfg.analysis) +
+                           ", got '" + text + "'");
+  }
   return cfg;
 }
 

@@ -21,12 +21,12 @@
 //     gradient = fd                * fd | fd-parallel | analytic
 //     simd     = auto              * auto | scalar | avx2 | avx512
 //     backend  = auto              * auto | reference | simd | blas
-//     expm     = eigen             * eigen | adaptive (scaling-and-squaring)
 //     blockSize = 64               * site patterns per work block
 //     cachePropagators = 1         * persistent propagator cache on/off
 //     CodonFreq = 2                * 0 equal, 1 F1x4, 2 F3x4, 3 F61
 //     maxIterations = 200
-//     kappa = 2.0                  * initial values
+//     kappa = 2.0                  * initial values, each inside its
+//                                  * open domain (docs/models.md)
 //     omega0 = 0.1
 //     omega2 = 2.0
 //     p0 = 0.45
@@ -50,6 +50,7 @@
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/analysis.hpp"

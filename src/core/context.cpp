@@ -115,7 +115,6 @@ FitResult fitHypothesis(const AnalysisContext& context, Hypothesis hypothesis,
   r.gradientMode = mode;
   r.simd = eval.simdLevel();
   r.backend = eval.backendKind();
-  r.expm = eval.expmAlgorithm();
   r.converged = bfgsResult.converged;
   r.cancelled = bfgsResult.cancelled;
   r.message = bfgsResult.message;

@@ -83,8 +83,6 @@ struct FitResult {
   linalg::SimdLevel simd = linalg::SimdLevel::Scalar;
   /// The compute backend the evaluator resolved `backend =` to.
   backend::BackendKind backend = backend::BackendKind::Reference;
-  /// The propagator builder the fit ran with (`expm =` ctl key).
-  backend::ExpmAlgorithm expm = backend::ExpmAlgorithm::Eigen;
   bool converged = false;
   /// True when a cancel predicate (deadline, SIGTERM, daemon cancel) stopped
   /// the optimizer; lnL/params hold the last accepted point.

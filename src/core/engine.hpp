@@ -99,8 +99,6 @@ struct LikelihoodTuning {
   /// lik::LikelihoodOptions::backend.  The resolved kind is recorded in
   /// FitResult::backend and the text/JSON reports.
   backend::BackendMode backend = backend::BackendMode::Auto;
-  /// Propagator builder (`expm =` ctl key); see lik::LikelihoodOptions::expm.
-  backend::ExpmAlgorithm expm = backend::ExpmAlgorithm::Eigen;
 };
 
 constexpr lik::LikelihoodOptions resolvedEngineOptions(
@@ -112,7 +110,6 @@ constexpr lik::LikelihoodOptions resolvedEngineOptions(
     o.cachePropagators = tuning.cachePropagators != 0;
   o.simd = tuning.simd;
   o.backend = tuning.backend;
-  o.expm = tuning.expm;
   return o;
 }
 

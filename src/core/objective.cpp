@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 
 #include "sim/rng.hpp"
@@ -58,6 +59,41 @@ model::MixtureSpec buildFitSpec(const bio::GeneticCode& gc,
   }
   SLIM_REQUIRE(false, "buildFitSpec: unknown model kind");
   return {};
+}
+
+std::optional<std::string> startValueOutsideDomain(
+    ModelKind kind, std::string_view name,
+    const model::BranchSiteParams& start) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  // The transform each parameter gets, as in pack(): positive() for kappa
+  // and the class omegas that omega0/omega2 seed in the branch and clade-c
+  // kinds, unitInterval() for omega0, aboveOne() for omega2 and the simplex
+  // for the proportions, which the branch kind does not have.
+  double value = 0, lo = 0, hi = inf;
+  const char* note = "";
+  if (name == "kappa") {
+    value = start.kappa;
+  } else if (name == "omega0") {
+    value = start.omega0;
+    if (kind != ModelKind::Branch) hi = 1;
+  } else if (name == "omega2") {
+    value = start.omega2;
+    if (hasOmega2(kind)) lo = 1;
+  } else if ((name == "p0" || name == "p1") && kind != ModelKind::Branch) {
+    value = name == "p0" ? start.p0 : start.p1;
+    const double other = name == "p0" ? start.p1 : start.p0;
+    hi = 1;
+    if (other > 0 && other < 1) {
+      hi = 1 - other;
+      note = " (p0 + p1 < 1)";
+    }
+  } else {
+    return std::nullopt;
+  }
+  if (value > lo && value < hi) return std::nullopt;
+  std::ostringstream os;
+  os << '(' << lo << ", " << hi << ')' << note;
+  return os.str();
 }
 
 // ---------- ParameterLayout ----------

@@ -40,7 +40,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/context.hpp"
@@ -70,6 +73,20 @@ model::MixtureSpec buildFitSpec(const bio::GeneticCode& gc,
                                 model::ModelKind kind, model::Hypothesis h,
                                 const model::BranchSiteParams& params,
                                 std::span<const double> classOmegas);
+
+/// Whether starting value `name` (the ctl key: kappa, omega0, omega2, p0 or
+/// p1) of `start` lies outside the open domain ParameterLayout's transform
+/// gives that parameter in a fit of `kind` under H1, which reads everything
+/// H0 does.  pack() would clamp such a value to within 1e-15 of the
+/// boundary, where the transform's slope vanishes and BFGS never moves the
+/// coordinate.  Returns the allowed interval as text, e.g. "(1, inf)", when
+/// the value is outside it; nullopt when it is inside or the kind never
+/// reads `name`.  The proportions share the open 2-simplex, so while the
+/// other proportion is in (0, 1) it lowers the upper bound to 1 minus it
+/// ("(0, 0.55) (p0 + p1 < 1)").
+std::optional<std::string> startValueOutsideDomain(
+    model::ModelKind kind, std::string_view name,
+    const model::BranchSiteParams& start);
 
 /// The optimization vector of one fit.  Checkpoints store these vectors and
 /// BFGS trajectories depend on them, so the layout of every (kind,

@@ -93,10 +93,7 @@ void writeFitReport(std::ostream& os, const FitResult& fit) {
      << gradientModeName(fit.gradientMode) << ')' << stopReason(fit) << '\n'
      << "    wall time = " << std::setprecision(3) << fit.seconds
      << " s, simd = " << linalg::simdLevelName(fit.simd)
-     << ", backend = " << backend::backendKindName(fit.backend);
-  if (fit.expm == backend::ExpmAlgorithm::Adaptive)
-    os << ", expm = adaptive";
-  os << '\n';
+     << ", backend = " << backend::backendKindName(fit.backend) << '\n';
   if (!fit.resumedFrom.empty())
     os << "    resumed from " << fit.resumedFrom << " ("
        << fit.iterationsReplayed << " iterations replayed)\n";
@@ -231,10 +228,6 @@ void jsonFit(std::ostream& os, const FitResult& fit) {
   jsonString(os, linalg::simdLevelName(fit.simd));
   os << ",\"backend\":";
   jsonString(os, backend::backendKindName(fit.backend));
-  // Only adaptive-expm fits carry the key: an `expm = eigen` run's JSON
-  // stays byte-identical to what earlier versions emitted modulo "backend".
-  if (fit.expm == backend::ExpmAlgorithm::Adaptive)
-    os << ",\"expm\":\"adaptive\"";
   os << ",\"converged\":" << (fit.converged ? "true" : "false");
   // Only cancelled fits carry the flag, keeping untouched runs' JSON
   // byte-identical to what earlier versions emitted.

@@ -8,7 +8,6 @@
 #include "linalg/blas1.hpp"
 #include "linalg/blas3.hpp"
 #include "linalg/diag.hpp"
-#include "model/codon_model.hpp"
 #include "model/frequencies.hpp"
 #include "support/require.hpp"
 #include "tree/branch_classes.hpp"
@@ -99,27 +98,12 @@ void BranchSiteLikelihood::setAllBranchLengths(double t) {
   for (int k = 0; k < numBranches(); ++k) setBranchLength(k, t);
 }
 
-void BranchSiteLikelihood::transition(int eigenIdx, double t, Matrix& out) {
-  if (options_.expm == backend::ExpmAlgorithm::Eigen) {
-    eigenSystems_[eigenIdx].transitionMatrix(t, options_.reconstruction,
-                                             backend_.ops, expmWs_, out);
-    return;
-  }
-  const Matrix& q = rateMatrices_[eigenIdx];
-  if (adaptQt_.rows() != static_cast<std::size_t>(n_)) adaptQt_.resize(n_, n_);
-  for (std::size_t i = 0; i < q.size(); ++i)
-    adaptQt_.data()[i] = q.data()[i] * t;
-  backend::expmAdaptive(adaptQt_, backend_.ops, adaptWs_, out);
-  // Same roundoff-negative policy as the eigen-path P(t) builds.
-  for (std::size_t i = 0; i < out.size(); ++i)
-    if (out.data()[i] < 0.0) out.data()[i] = 0.0;
-}
-
 void BranchSiteLikelihood::buildPropagator(int eigenIdx, double t,
                                            Matrix& out) {
   if (out.rows() != static_cast<std::size_t>(n_)) out.resize(n_, n_);
+  const expm::CodonEigenSystem& es = eigenSystems_[eigenIdx];
   if (options_.propagation == PropagationStrategy::PerSiteGemv) {
-    transition(eigenIdx, t, out);
+    es.transitionMatrix(t, options_.reconstruction, backend_.ops, expmWs_, out);
     return;
   }
   // BundledGemm stores P *transposed*: the panel product W P^T then runs as
@@ -129,7 +113,8 @@ void BranchSiteLikelihood::buildPropagator(int eigenIdx, double t,
   // build and amortized over every pattern (and every cache hit).
   if (transposeScratch_.rows() != static_cast<std::size_t>(n_))
     transposeScratch_.resize(n_, n_);
-  transition(eigenIdx, t, transposeScratch_);
+  es.transitionMatrix(t, options_.reconstruction, backend_.ops, expmWs_,
+                     transposeScratch_);
   linalg::transposeInto(transposeScratch_, out);
 }
 
@@ -260,22 +245,17 @@ void BranchSiteLikelihood::pruneClassBlock(int m, int h0, int len,
 }
 
 void BranchSiteLikelihood::prepareEigenSystems(const MixtureSpec& spec) {
-  const bool adaptive = options_.expm == backend::ExpmAlgorithm::Adaptive;
   if (shard_) {
     if (shard_->flushNextEval) {
       shard_->entries.clear();
       shard_->flushNextEval = false;
     }
     // Entries are only reusable when they were built by this evaluator's
-    // exact code path: kernel table and propagator algorithm (mirroring how
-    // checkpointConfigHash pins the resolved kernels).  Different tables
-    // agree to <= 1e-10, not bit for bit, and eigen vs adaptive propagators
-    // differ at roundoff, so a shard warmed by one path must never serve
-    // another.
-    const bool pathMatches =
-        shard_->builtKernels.empty() ||
-        (shard_->builtKernels == backend_.ops.name &&
-         shard_->builtExpm == options_.expm);
+    // kernel table (mirroring how checkpointConfigHash pins the resolved
+    // kernels).  Different tables agree to <= 1e-10, not bit for bit, so a
+    // shard warmed by one table must never serve another.
+    const bool pathMatches = shard_->builtKernels.empty() ||
+                             shard_->builtKernels == backend_.ops.name;
     // Identical substitution parameters since the shard was filled mean the
     // eigensystems — and every cached propagator derived from them — are
     // still valid.  This is what makes optimizer line searches and
@@ -284,9 +264,7 @@ void BranchSiteLikelihood::prepareEigenSystems(const MixtureSpec& spec) {
     const bool specMatches = pathMatches &&
                              spec.omegas == shard_->specOmegas &&
                              spec.scaledS == shard_->specScaledS;
-    const bool prepared = adaptive ? !rateMatrices_.empty()
-                                   : !eigenSystems_.empty();
-    if (specMatches && prepared) return;
+    if (specMatches && !eigenSystems_.empty()) return;
     // A *warm* shard handed to a fresh evaluator (specMatches, but no local
     // eigensystems yet) keeps its entries: the decomposition below is
     // deterministic, so the eigen indices the stored keys refer to come out
@@ -294,11 +272,9 @@ void BranchSiteLikelihood::prepareEigenSystems(const MixtureSpec& spec) {
     if (!specMatches) shard_->entries.clear();
   }
 
-  // One eigendecomposition — or, in adaptive-expm mode, one rate matrix —
-  // per *distinct* omega value (e.g. under the model A null,
-  // omega2 == omega1 == 1 shares one).
+  // One eigendecomposition per *distinct* omega value (e.g. under the
+  // model A null, omega2 == omega1 == 1 shares one).
   eigenSystems_.clear();
-  rateMatrices_.clear();
   omegaToEigen_.assign(numOmegas_, -1);
   for (int k = 0; k < numOmegas_; ++k) {
     int found = -1;
@@ -308,16 +284,9 @@ void BranchSiteLikelihood::prepareEigenSystems(const MixtureSpec& spec) {
         break;
       }
     if (found < 0) {
-      if (adaptive) {
-        Matrix q(n_, n_);
-        model::buildRateMatrix(spec.scaledS[k], pi_, q);
-        rateMatrices_.push_back(std::move(q));
-        found = static_cast<int>(rateMatrices_.size()) - 1;
-      } else {
-        eigenSystems_.emplace_back(spec.scaledS[k], pi_);
-        ++counters_.eigenDecompositions;
-        found = static_cast<int>(eigenSystems_.size()) - 1;
-      }
+      eigenSystems_.emplace_back(spec.scaledS[k], pi_);
+      ++counters_.eigenDecompositions;
+      found = static_cast<int>(eigenSystems_.size()) - 1;
     }
     omegaToEigen_[k] = found;
   }
@@ -326,7 +295,6 @@ void BranchSiteLikelihood::prepareEigenSystems(const MixtureSpec& spec) {
     shard_->specOmegas = spec.omegas;
     shard_->specScaledS = spec.scaledS;
     shard_->builtKernels = backend_.ops.name;
-    shard_->builtExpm = options_.expm;
   }
 }
 
@@ -509,7 +477,6 @@ void BranchSiteLikelihood::buildGradientPropagators() {
   gradDerivT_.resize(propSlots);
   std::vector<char> built(propSlots, 0);
   Matrix dp(n_, n_);
-  const bool adaptive = options_.expm == backend::ExpmAlgorithm::Adaptive;
   for (int node : branchNodes_) {
     const int branchClass = tree_.node(node).mark;
     for (int m = 0; m < numClasses_; ++m) {
@@ -538,16 +505,8 @@ void BranchSiteLikelihood::buildGradientPropagators() {
       }
       Matrix& dT = gradDerivT_[slot];
       if (dT.rows() != static_cast<std::size_t>(n_)) dT.resize(n_, n_);
-      if (adaptive) {
-        // dP/dt = Q e^{Qt} = Q P exactly (Q and e^{Qt} commute); derivatives
-        // legitimately carry negative entries, so no clamp — matching the
-        // eigen path's derivativeMatrix policy.
-        linalg::gemm(backend_.ops, rateMatrices_[eigenIdx].view(), p.view(),
-                     dp.view());
-      } else {
-        eigenSystems_[eigenIdx].derivativeMatrix(tree_.branchLength(node),
-                                                 backend_.ops, expmWs_, dp);
-      }
+      eigenSystems_[eigenIdx].derivativeMatrix(tree_.branchLength(node),
+                                               backend_.ops, expmWs_, dp);
       linalg::transposeInto(dp, dT);
       ++counters_.propagatorBuilds;
     }

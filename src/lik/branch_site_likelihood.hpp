@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "backend/compute_backend.hpp"
-#include "backend/expm_pade.hpp"
 #include "bio/genetic_code.hpp"
 #include "expm/codon_eigen_system.hpp"
 #include "lik/options.hpp"
@@ -177,8 +176,6 @@ class BranchSiteLikelihood {
   /// (Reference when the flavor is Naive, like simd).
   backend::BackendKind backendKind() const noexcept { return backend_.kind; }
   const char* backendName() const noexcept { return backend_.name; }
-  /// The propagator builder in use (`expm =` ctl key, per-model).
-  backend::ExpmAlgorithm expmAlgorithm() const noexcept { return options_.expm; }
   /// Entries currently held by the persistent propagator cache.
   std::size_t cachedPropagators() const noexcept {
     return shard_ ? shard_->entries.size() : 0;
@@ -263,11 +260,6 @@ class BranchSiteLikelihood {
   // Ensure the propagator for (branch node, omega class) is built.
   const linalg::Matrix& propagator(int node, int omegaIdx);
 
-  // P(t) = e^{Q t} for omega group eigenIdx: the eigen reconstruction, or
-  // (options_.expm == Adaptive) the adaptive expm with the eigen path's
-  // roundoff-negative clamp.
-  void transition(int eigenIdx, double t, linalg::Matrix& out);
-
   // The strategy's stored propagator at branch length t: P for
   // per-site-gemv, P^T for bundled-gemm.
   void buildPropagator(int eigenIdx, double t, linalg::Matrix& out);
@@ -312,16 +304,10 @@ class BranchSiteLikelihood {
   std::vector<model::MixtureClass> activeClasses_;
   std::vector<double> activeOmegas_;
   std::vector<expm::CodonEigenSystem> eigenSystems_;  // per distinct omega
-  // Adaptive-expm mode stores the rate matrices instead (same distinct-omega
-  // grouping, indexed by omegaToEigen_; eigenSystems_ stays empty — no
-  // decomposition happens at all on that path).
-  std::vector<linalg::Matrix> rateMatrices_;
   std::vector<int> omegaToEigen_;
   std::vector<linalg::Matrix> propCache_;  // uncached-mode propagator storage
   std::vector<const linalg::Matrix*> propPtr_;  // (node x omega) -> built prop
   expm::ExpmWorkspace expmWs_;
-  backend::AdaptiveExpmWorkspace adaptWs_;  // adaptive-expm scratch
-  linalg::Matrix adaptQt_;                  // Q * t scratch (adaptive mode)
   linalg::Matrix transposeScratch_;  // BundledGemm builds P here, stores P^T
 
   // Gradient-sweep propagator tables, (node x omega)-indexed like propPtr_

@@ -7,7 +7,6 @@
 // them; the two named presets reproduce the paper's two systems.
 
 #include "backend/compute_backend.hpp"
-#include "backend/expm_pade.hpp"
 #include "expm/codon_eigen_system.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/simd.hpp"
@@ -78,12 +77,6 @@ struct LikelihoodOptions {
   /// without SLIM_WITH_BLAS) fails evaluator construction.  Ignored under
   /// Flavor::Naive, which reports `reference`.
   backend::BackendMode backend = backend::BackendMode::Auto;
-
-  /// Propagator builder (`expm =` ctl key).  Eigen is the paper's
-  /// symmetric-eigendecomposition pipeline (reversible Q only); Adaptive is
-  /// the Higham–Al-Mohy scaling-and-squaring expm, correct for general rate
-  /// matrices.  Both run their products on the evaluator's kernel table.
-  backend::ExpmAlgorithm expm = backend::ExpmAlgorithm::Eigen;
 };
 
 /// The CodeML v4.4c stand-in: hand-rolled loop kernels, Eq. 9 reconstruction,

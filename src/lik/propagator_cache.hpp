@@ -21,7 +21,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "backend/expm_pade.hpp"
 #include "linalg/matrix.hpp"
 #include "support/thread_safety.hpp"
 
@@ -62,17 +61,14 @@ struct PropagatorCacheShard {
   /// reuse the entries bit for bit.
   std::vector<double> specOmegas;
   std::vector<linalg::Matrix> specScaledS;
-  /// Identity of the code path that built the entries (mirroring how
-  /// checkpointConfigHash pins the resolved kernels): the kernel table's
-  /// name and the propagator algorithm.  Different tables are only
-  /// <= 1e-10 close, not bit-equal, and eigen vs adaptive propagators
-  /// differ at roundoff — so a shard warmed by one code path must never
-  /// serve another.  An evaluator presenting a different pair flushes the
-  /// entries (prepareEigenSystems), exactly as a spec change does.  Empty
-  /// until an evaluator stamps the pair; a virgin shard matches any
+  /// Name of the kernel table that built the entries (mirroring how
+  /// checkpointConfigHash pins the resolved kernels).  Different tables are
+  /// only <= 1e-10 close, not bit-equal, so a shard warmed by one table must
+  /// never serve another: an evaluator presenting a different name flushes
+  /// the entries (prepareEigenSystems), exactly as a spec change does.
+  /// Empty until an evaluator stamps it; a virgin shard matches any
   /// evaluator (there is nothing stale to serve).
   std::string_view builtKernels;
-  backend::ExpmAlgorithm builtExpm = backend::ExpmAlgorithm::Eigen;
 };
 
 /// Directory of cache shards held by an analysis context.  shard() is safe

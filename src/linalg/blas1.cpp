@@ -1,7 +1,5 @@
 #include "linalg/blas1.hpp"
 
-#include <cmath>
-
 #include "support/require.hpp"
 
 namespace slim::linalg {
@@ -13,57 +11,9 @@ double dot(std::span<const double> x, std::span<const double> y) {
   return s;
 }
 
-void axpy(double a, std::span<const double> x, std::span<double> y) {
-  SLIM_REQUIRE(x.size() == y.size(), "axpy: size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += a * x[i];
-}
-
-void scal(double a, std::span<double> x) noexcept {
-  for (double& v : x) v *= a;
-}
-
-double nrm2(std::span<const double> x) noexcept {
-  // Two-pass scaled norm: immune to overflow/underflow of squared terms.
-  double maxAbs = 0.0;
-  for (double v : x) maxAbs = std::max(maxAbs, std::fabs(v));
-  if (maxAbs == 0.0) return 0.0;
-  double s = 0.0;
-  for (double v : x) {
-    const double t = v / maxAbs;
-    s += t * t;
-  }
-  return maxAbs * std::sqrt(s);
-}
-
-double asum(std::span<const double> x) noexcept {
-  double s = 0.0;
-  for (double v : x) s += std::fabs(v);
-  return s;
-}
-
-std::size_t iamax(std::span<const double> x) noexcept {
-  std::size_t best = 0;
-  double bestAbs = -1.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double a = std::fabs(x[i]);
-    if (a > bestAbs) {
-      bestAbs = a;
-      best = i;
-    }
-  }
-  return best;
-}
-
 void copy(std::span<const double> x, std::span<double> y) {
   SLIM_REQUIRE(x.size() == y.size(), "copy: size mismatch");
   for (std::size_t i = 0; i < x.size(); ++i) y[i] = x[i];
-}
-
-void hadamard(std::span<const double> x, std::span<const double> y,
-              std::span<double> z) {
-  SLIM_REQUIRE(x.size() == y.size() && x.size() == z.size(),
-               "hadamard: size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) z[i] = x[i] * y[i];
 }
 
 void hadamardInPlace(std::span<const double> x, std::span<double> y) {

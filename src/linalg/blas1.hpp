@@ -11,30 +11,11 @@ namespace slim::linalg {
 /// Dot product sum_i x_i * y_i.  Sizes must match.
 double dot(std::span<const double> x, std::span<const double> y);
 
-/// y += a * x.  Sizes must match.
-void axpy(double a, std::span<const double> x, std::span<double> y);
-
-/// x *= a.
-void scal(double a, std::span<double> x) noexcept;
-
-/// Euclidean norm with overflow-safe scaling.
-double nrm2(std::span<const double> x) noexcept;
-
-/// Sum of absolute values.
-double asum(std::span<const double> x) noexcept;
-
-/// Index of the element with the largest absolute value (0 if empty).
-std::size_t iamax(std::span<const double> x) noexcept;
-
 /// Copy x into y.  Sizes must match.
 void copy(std::span<const double> x, std::span<double> y);
 
-/// Element-wise product: z_i = x_i * y_i.  Sizes must match.
-/// (Used by Felsenstein pruning to combine child conditional vectors.)
-void hadamard(std::span<const double> x, std::span<const double> y,
-              std::span<double> z);
-
 /// In-place element-wise product: y_i *= x_i.  Sizes must match.
+/// (Used by Felsenstein pruning to combine child conditional vectors.)
 void hadamardInPlace(std::span<const double> x, std::span<double> y);
 
 }  // namespace slim::linalg

@@ -6,10 +6,6 @@
 //     across thread counts and block sizes;
 //   * every backend available in the build agrees with reference to
 //     <= 1e-10 relative on the log-likelihood;
-//   * the adaptive (Higham scaling-and-squaring) expm matches the eigen
-//     propagator to <= 1e-12 on reversible Q and an independent
-//     Taylor-series reference on random non-reversible Q, including norms
-//     large enough to force multiple squarings;
 //   * an explicitly requested backend missing from the build fails loudly
 //     at evaluator construction (std::invalid_argument), like `simd =`.
 
@@ -21,12 +17,8 @@
 #include <vector>
 
 #include "backend/compute_backend.hpp"
-#include "backend/expm_pade.hpp"
-#include "expm/codon_eigen_system.hpp"
 #include "lik/branch_site_likelihood.hpp"
-#include "linalg/blas3.hpp"
 #include "linalg/simd.hpp"
-#include "model/codon_model.hpp"
 #include "seqio/alignment.hpp"
 #include "sim/datasets.hpp"
 #include "sim/rng.hpp"
@@ -162,153 +154,6 @@ TEST(BackendKernels, PanelsMatchReferenceOnEveryBackend) {
   }
 }
 
-// ---------- adaptive expm vs eigen path (reversible Q) ----------
-
-TEST(AdaptiveExpm, MatchesEigenPathOnReversibleQ) {
-  sim::Rng rng(211);
-  const auto pi = sim::randomCodonFrequencies(61, 5, rng);
-  Matrix s(61, 61);
-  model::buildExchangeability(bio::GeneticCode::universal(), 2.0, 0.4, s);
-  const expm::CodonEigenSystem es(s, pi);
-  Matrix q(61, 61);
-  model::buildRateMatrix(s, pi, q);
-
-  expm::ExpmWorkspace ews;
-  AdaptiveExpmWorkspace aws;
-  Matrix want(61, 61), qt(61, 61), got(61, 61);
-  const auto& kern = linalg::simdKernels(linalg::SimdLevel::Scalar);
-  for (double t : {1e-4, 0.05, 0.7, 4.0}) {
-    es.transitionMatrix(t, expm::ReconstructionPath::Syrk, kern, ews, want);
-    for (std::size_t k = 0; k < q.size(); ++k) qt.data()[k] = q.data()[k] * t;
-    expmAdaptive(qt, kern, aws, got);
-    for (std::size_t k = 0; k < got.size(); ++k) {
-      const double scale = std::max(1.0, std::fabs(want.data()[k]));
-      ASSERT_NEAR(got.data()[k], want.data()[k], 1e-12 * scale)
-          << "t = " << t << " element " << k;
-    }
-    // Rows of a propagator are probability distributions.
-    for (int i = 0; i < 61; ++i) {
-      double sum = 0.0;
-      for (int j = 0; j < 61; ++j) sum += got(i, j);
-      EXPECT_NEAR(sum, 1.0, 1e-10) << "t = " << t << " row " << i;
-    }
-  }
-}
-
-// ---------- adaptive expm vs Taylor reference (non-reversible Q) ----------
-
-/// Independent reference: scale A by 2^-s until ||A/2^s||_1 <= 0.25, sum the
-/// Taylor series to convergence (no cancellation at that norm), square back.
-/// Shares no Pade machinery with the implementation under test.
-Matrix expmTaylorReference(const Matrix& a) {
-  const std::size_t n = a.rows();
-  double norm1 = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    double col = 0.0;
-    for (std::size_t i = 0; i < n; ++i) col += std::fabs(a(i, j));
-    norm1 = std::max(norm1, col);
-  }
-  int s = 0;
-  while (norm1 > 0.25) {
-    norm1 *= 0.5;
-    ++s;
-  }
-  Matrix b = a;
-  const double scale = std::ldexp(1.0, -s);
-  for (std::size_t k = 0; k < b.size(); ++k) b.data()[k] *= scale;
-
-  const auto& scalar = linalg::simdKernels(linalg::SimdLevel::Scalar);
-  Matrix sum = Matrix::identity(n);
-  Matrix term = Matrix::identity(n);
-  Matrix next(n, n);
-  for (int k = 1; k <= 64; ++k) {
-    // term := term * b / k
-    linalg::gemm(scalar, term.view(), b.view(), next.view());
-    double maxTerm = 0.0;
-    for (std::size_t i = 0; i < next.size(); ++i) {
-      next.data()[i] /= k;
-      maxTerm = std::max(maxTerm, std::fabs(next.data()[i]));
-    }
-    std::swap(term, next);
-    for (std::size_t i = 0; i < sum.size(); ++i)
-      sum.data()[i] += term.data()[i];
-    if (maxTerm < 1e-20) break;
-  }
-  for (int r = 0; r < s; ++r) {
-    linalg::gemm(scalar, sum.view(), sum.view(), next.view());
-    std::swap(sum, next);
-  }
-  return sum;
-}
-
-/// Random generator matrix with no reversibility structure: independent
-/// off-diagonal rates, diagonal = -row sum.
-Matrix randomNonReversibleQ(std::size_t n, std::uint64_t seed) {
-  sim::Rng rng(seed);
-  Matrix q(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double row = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      q(i, j) = rng.uniform(0.0, 1.0);
-      row += q(i, j);
-    }
-    q(i, i) = -row;
-  }
-  return q;
-}
-
-TEST(AdaptiveExpm, MatchesTaylorReferenceOnNonReversibleQ) {
-  const auto& kern = linalg::simdKernels(linalg::SimdLevel::Scalar);
-  AdaptiveExpmWorkspace ws;
-  for (const std::uint64_t seed : {311u, 313u, 317u}) {
-    const Matrix q = randomNonReversibleQ(20, seed);
-    // Small, medium and large ||Qt||_1; the large one must force the
-    // degree-13 branch with multiple squarings.
-    for (const double t : {0.01, 0.5, 2.5}) {
-      Matrix qt = q;
-      for (std::size_t k = 0; k < qt.size(); ++k) qt.data()[k] *= t;
-      const Matrix want = expmTaylorReference(qt);
-      Matrix got(20, 20);
-      const int squarings = expmAdaptive(qt, kern, ws, got);
-      if (t == 2.5) EXPECT_GE(squarings, 2) << "seed " << seed;
-      for (std::size_t k = 0; k < got.size(); ++k) {
-        const double scale = std::max(1.0, std::fabs(want.data()[k]));
-        ASSERT_NEAR(got.data()[k], want.data()[k], 1e-12 * scale)
-            << "seed " << seed << " t " << t << " element " << k;
-      }
-    }
-  }
-}
-
-TEST(AdaptiveExpm, ConvenienceOverloadAndIdentityAtZero) {
-  const Matrix q = randomNonReversibleQ(7, 331);
-  Matrix zero(7, 7);
-  const Matrix atZero = expmAdaptive(zero);
-  for (std::size_t i = 0; i < 7; ++i)
-    for (std::size_t j = 0; j < 7; ++j)
-      EXPECT_EQ(atZero(i, j), i == j ? 1.0 : 0.0);
-  // Convenience form agrees with the explicit-kernel form bitwise (same
-  // arithmetic, same scalar table).
-  AdaptiveExpmWorkspace ws;
-  Matrix explicitOut(7, 7);
-  expmAdaptive(q, linalg::simdKernels(linalg::SimdLevel::Scalar), ws,
-               explicitOut);
-  EXPECT_EQ(expmAdaptive(q), explicitOut);
-}
-
-TEST(ExpmPlumbing, ParseAndNames) {
-  ExpmAlgorithm a = ExpmAlgorithm::Adaptive;
-  EXPECT_TRUE(parseExpmAlgorithm("eigen", a));
-  EXPECT_EQ(a, ExpmAlgorithm::Eigen);
-  EXPECT_TRUE(parseExpmAlgorithm("adaptive", a));
-  EXPECT_EQ(a, ExpmAlgorithm::Adaptive);
-  EXPECT_FALSE(parseExpmAlgorithm("pade6", a));
-  EXPECT_EQ(a, ExpmAlgorithm::Adaptive);
-  EXPECT_STREQ(expmAlgorithmName(ExpmAlgorithm::Eigen), "eigen");
-  EXPECT_STREQ(expmAlgorithmName(ExpmAlgorithm::Adaptive), "adaptive");
-}
-
 }  // namespace
 }  // namespace slim::backend
 
@@ -319,7 +164,6 @@ namespace {
 
 using backend::BackendKind;
 using backend::BackendMode;
-using backend::ExpmAlgorithm;
 using model::BranchSiteParams;
 using model::Hypothesis;
 
@@ -458,71 +302,6 @@ TEST(BackendLikelihood, ExplicitUnavailableBackendFailsConstruction) {
         std::invalid_argument);
   }
   SUCCEED();  // on fully-equipped builds the loop body never runs
-}
-
-// ---------- adaptive expm through the evaluator ----------
-
-LikelihoodOptions adaptiveOptions(PropagationStrategy strategy,
-                                  int threads = 1, int blockSize = 8) {
-  LikelihoodOptions o = slimOptions();
-  o.simd = linalg::SimdMode::Scalar;
-  o.propagation = strategy;
-  o.expm = ExpmAlgorithm::Adaptive;
-  o.numThreads = threads;
-  o.blockSize = blockSize;
-  return o;
-}
-
-TEST(AdaptiveLikelihood, MatchesEigenPathOnBothStrategies) {
-  const Fixture f = makeFixture();
-  const BranchSiteParams p = testParams();
-  for (const auto strategy :
-       {PropagationStrategy::PerSiteGemv, PropagationStrategy::BundledGemm}) {
-    LikelihoodOptions eigenOpts = adaptiveOptions(strategy);
-    eigenOpts.expm = ExpmAlgorithm::Eigen;
-    BranchSiteLikelihood eigenEval(f.alignment, f.patterns, f.pi, f.tree,
-                                   Hypothesis::H1, eigenOpts);
-    BranchSiteLikelihood adaptEval(f.alignment, f.patterns, f.pi, f.tree,
-                                   Hypothesis::H1, adaptiveOptions(strategy));
-    EXPECT_EQ(adaptEval.expmAlgorithm(), ExpmAlgorithm::Adaptive);
-    const double want = eigenEval.logLikelihood(p);
-    const double got = adaptEval.logLikelihood(p);
-    ASSERT_TRUE(std::isfinite(want));
-    EXPECT_LE(std::fabs(got - want), 1e-10 * std::fabs(want))
-        << propagationStrategyName(strategy);
-
-    // The analytic branch gradient (dP/dt = Q P on the adaptive path)
-    // agrees with the eigen path's derivative reconstruction.
-    std::vector<double> wantGrad(eigenEval.numBranches());
-    std::vector<double> gotGrad(adaptEval.numBranches());
-    eigenEval.logLikelihoodGradientBranches(p, std::span<double>(wantGrad));
-    adaptEval.logLikelihoodGradientBranches(p, std::span<double>(gotGrad));
-    for (std::size_t k = 0; k < wantGrad.size(); ++k) {
-      const double scale = std::max(1.0, std::fabs(wantGrad[k]));
-      EXPECT_NEAR(gotGrad[k], wantGrad[k], 1e-8 * scale)
-          << propagationStrategyName(strategy) << " branch " << k;
-    }
-  }
-}
-
-TEST(AdaptiveLikelihood, BitIdenticalAcrossThreadsAndBlocks) {
-  const Fixture f = makeFixture();
-  const BranchSiteParams p = testParams();
-  BranchSiteLikelihood reference(
-      f.alignment, f.patterns, f.pi, f.tree, Hypothesis::H1,
-      adaptiveOptions(PropagationStrategy::BundledGemm, 1, 8));
-  const double want = reference.logLikelihood(p);
-  ASSERT_TRUE(std::isfinite(want));
-  for (const int threads : {1, 2, 8}) {
-    for (const int blockSize : {0, 7, 64}) {
-      BranchSiteLikelihood eval(
-          f.alignment, f.patterns, f.pi, f.tree, Hypothesis::H1,
-          adaptiveOptions(PropagationStrategy::BundledGemm, threads,
-                          blockSize));
-      EXPECT_EQ(eval.logLikelihood(p), want)
-          << "threads = " << threads << " blockSize = " << blockSize;
-    }
-  }
 }
 
 }  // namespace

@@ -312,6 +312,13 @@ TEST(CheckpointFormat, RefusesCorruptedAndMismatchedInput) {
     bad.replace(bad.find("slowProgress"), 12, "slowProgrexx");
     expectParseError(bad, "slowProgrexx");
   }
+  // The eigen path is the only propagator builder: a completed fit stamped
+  // with another (the retired `adaptive` among them) is refused by name.
+  {
+    std::string bad = good;
+    bad.replace(bad.find("expm eigen"), 10, "expm adaptive");
+    expectParseError(bad, "unknown expm algorithm 'adaptive'");
+  }
   // Malformed config hash.
   expectParseError("slimcodeml-checkpoint v1\nconfigHash zzzz\n",
                    "configHash");
@@ -717,6 +724,22 @@ TEST(ConfigHash, KeysTrajectoryShapingSettingsOnly) {
   c = base;
   c.engine = EngineKind::CodemlBaseline;
   EXPECT_NE(checkpointConfigHash(c), h);
+}
+
+// The hash of an unchanged configuration must never move: a checkpoint
+// written before the move would be refused on --resume.  Host-independent
+// (`simd = scalar`, unreadable input files).
+TEST(ConfigHash, PinnedValuesDoNotMove) {
+  Config c;
+  c.seqfile = "/nonexistent/a.fasta";
+  c.seqfiles = {c.seqfile};
+  c.treefile = "/nonexistent/t.nwk";
+  c.fit.tuning.simd = linalg::SimdMode::Scalar;
+  EXPECT_EQ(checkpointConfigHash(c), 0x10cc1ee565f40d37ull);
+  c.fit.tuning.gradient = GradientMode::Analytic;
+  EXPECT_EQ(checkpointConfigHash(c), 0x17728befaee93ac6ull);
+  c.engine = EngineKind::CodemlBaseline;
+  EXPECT_EQ(checkpointConfigHash(c), 0xc4e02a69b6b1730dull);
 }
 
 TEST(ConfigHash, CodemlPinsTheNaiveKernelsItRuns) {

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/config.hpp"
 
@@ -76,10 +78,13 @@ TEST(ConfigParse, Errors) {
                std::invalid_argument);
   EXPECT_THROW(Config::parseString("seqfile = s.fa\n"),
                std::invalid_argument);
-  // Unknown key.
-  EXPECT_THROW(Config::parseString(
-                   "seqfile = s\ntreefile = t\nbogus = 1\n"),
-               std::invalid_argument);
+  // Unknown keys, `expm =` among them whatever its value: the eigen path
+  // is the only propagator builder.
+  for (const char* line : {"bogus = 1", "expm = eigen", "expm = adaptive"})
+    EXPECT_THROW(Config::parseString(
+                     std::string("seqfile = s\ntreefile = t\n") + line + "\n"),
+                 ConfigError)
+        << line;
   // Malformed lines and values.
   EXPECT_THROW(Config::parseString("seqfile\n"), std::invalid_argument);
   EXPECT_THROW(Config::parseString(
@@ -141,7 +146,8 @@ TEST(ConfigParse, SimdModes) {
 // or as undefined behaviour in a narrowing cast.
 TEST(ConfigParse, NumericFuzzRejectsHostileValues) {
   const auto expectKeyedError = [](const std::string& line,
-                                   const std::string& key) {
+                                   const std::string& key,
+                                   const std::string& detail = "") {
     const std::string text = "seqfile = s\ntreefile = t\n" + line + "\n";
     try {
       Config::parseString(text);
@@ -150,6 +156,7 @@ TEST(ConfigParse, NumericFuzzRejectsHostileValues) {
       const std::string what = e.what();
       EXPECT_NE(what.find("line 3"), std::string::npos) << what;
       EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find(detail), std::string::npos) << what;
     }
   };
   expectKeyedError("kappa = 1e999", "kappa");          // double overflow
@@ -166,10 +173,35 @@ TEST(ConfigParse, NumericFuzzRejectsHostileValues) {
   expectKeyedError("seed = -3", "seed");               // negative seed
   expectKeyedError("seed = 2e19", "seed");             // >= 2^64: UB cast
   expectKeyedError("seed = 2.5", "seed");              // fractional seed
+  expectKeyedError("seed = 18446744073709551616", "seed");  // 2^64
+  // Starting values outside the open domain their transform maps onto R
+  // would be clamped next to the boundary, where BFGS never moves them.
+  // The error names the value and the interval, which follows `model =`
+  // wherever that key sits.
+  expectKeyedError("omega2 = 1", "omega2",
+                   "(1, inf) under model = branch-site, got '1'");
+  expectKeyedError("omega2 = 0.5", "omega2", "(1, inf)");
+  expectKeyedError("p0 = 0.7\np1 = 0.5", "p0", "(0, 0.5) (p0 + p1 < 1)");
+  expectKeyedError("kappa = -1", "kappa", "(0, inf)");
+  expectKeyedError("omega0 = 1.5", "omega0", "(0, 1)");
+  expectKeyedError("p1 = 1\nmodel = site", "p1", "(0, 0.55)");
+  expectKeyedError("omega0 = 1\nmodel = clade-c", "omega0",
+                   "(0, 1) under model = clade-c");
+  expectKeyedError("kappa = 0\nmodel = branch", "kappa", "(0, inf)");
   // ConfigError still is-a std::invalid_argument for legacy catch sites.
   EXPECT_THROW(
       Config::parseString("seqfile = s\ntreefile = t\nkappa = 1e999\n"),
       std::invalid_argument);
+}
+
+// Seeds are exact: read through a double, both would round.
+TEST(ConfigParse, SeedsRoundTripExactly) {
+  for (const std::uint64_t seed :
+       {9007199254740993ull, 18446744073709551615ull})
+    EXPECT_EQ(Config::parseString("seqfile = s\ntreefile = t\nseed = " +
+                                  std::to_string(seed) + "\n")
+                  .fit.startJitterSeed,
+              seed);
 }
 
 TEST(ConfigParse, ErrorMentionsLineNumber) {
@@ -249,6 +281,15 @@ TEST(ConfigParse, ModelSelection) {
   const auto cc = Config::parseString(
       "seqfile = s\ntreefile = t\nmodel = clade-c\n");
   EXPECT_EQ(cc.analysis, AnalysisKind::CladeC);
+  // Start values are checked against the kind's domains: the branch
+  // model's omega0 seeds a positive class omega and it reads no
+  // proportions; clade C's omega2 seeds its class omegas.
+  for (const char* starts : {"omega0 = 1.5\n", "p0 = 0.7\np1 = 0.5\n"})
+    EXPECT_NO_THROW(Config::parseString(
+        std::string("seqfile = s\ntreefile = t\nmodel = branch\n") + starts))
+        << starts;
+  EXPECT_NO_THROW(Config::parseString(
+      "seqfile = s\ntreefile = t\nmodel = clade-c\nomega2 = 0.5\n"));
   EXPECT_THROW(
       Config::parseString("seqfile = s\ntreefile = t\nmodel = M8\n"),
       std::invalid_argument);

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -29,9 +30,11 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::vector<std::string> inputsFor(const std::string& target) {
+std::vector<std::string> inputsFor(
+    const std::string& target,
+    std::initializer_list<const char*> buckets = {"corpus", "crashes"}) {
   std::vector<std::string> paths;
-  for (const char* bucket : {"corpus", "crashes"}) {
+  for (const char* bucket : buckets) {
     const fs::path dir = fs::path(SLIM_FUZZ_DIR) / bucket / target;
     std::error_code ec;
     for (fs::directory_iterator it(dir, ec), end; !ec && it != end; ++it)
@@ -78,6 +81,21 @@ void parseTreeInput(const std::string& text) {
   (void)tree.toNewick();
   if (!selector.empty())
     (void)slim::tree::resolveBranchSelector(tree, selector);
+}
+
+// The seed corpus must also contain *valid* inputs (a corpus of rejects
+// exercises only the error paths): every seed of every target parses
+// cleanly unless its name starts with `reject_`, and each target has at
+// least one such seed.
+template <typename Fn>
+void expectSeedsAccepted(const std::string& target, Fn parse) {
+  int accepting = 0;
+  for (const auto& path : inputsFor(target, {"corpus"})) {
+    if (fs::path(path).filename().string().starts_with("reject_")) continue;
+    ++accepting;
+    EXPECT_NO_THROW(parse(readFile(path))) << path;
+  }
+  EXPECT_GT(accepting, 0) << target;
 }
 
 }  // namespace
@@ -128,46 +146,18 @@ TEST(FuzzRegression, TreeParserKeepsItsContract) {
   });
 }
 
-// The seed corpus must also contain *valid* inputs (a corpus of rejects
-// exercises only the error paths): at least one entry per target has to
-// parse cleanly.
 TEST(FuzzRegression, SeedCorpusContainsAcceptingInputs) {
-  int jsonOk = 0, configOk = 0, checkpointOk = 0, protocolOk = 0,
-      treeOk = 0;
-  for (const auto& p : inputsFor("json"))
-    try {
-      (void)slim::support::parseJson(readFile(p));
-      ++jsonOk;
-    } catch (const slim::support::JsonError&) {
-    }
-  for (const auto& p : inputsFor("config"))
-    try {
-      (void)slim::core::Config::parseString(readFile(p));
-      ++configOk;
-    } catch (const slim::core::ConfigError&) {
-    }
-  for (const auto& p : inputsFor("checkpoint"))
-    try {
-      (void)slim::core::Checkpoint::parse(readFile(p), "seed");
-      ++checkpointOk;
-    } catch (const slim::core::ConfigError&) {
-    }
-  for (const auto& p : inputsFor("protocol"))
-    try {
-      (void)slim::serve::parseRequest(readFile(p));
-      ++protocolOk;
-    } catch (const slim::serve::ProtocolError&) {
-    } catch (const slim::support::JsonError&) {
-    }
-  for (const auto& p : inputsFor("tree"))
-    try {
-      parseTreeInput(readFile(p));
-      ++treeOk;
-    } catch (const std::invalid_argument&) {
-    }
-  EXPECT_GT(jsonOk, 0);
-  EXPECT_GT(configOk, 0);
-  EXPECT_GT(checkpointOk, 0);
-  EXPECT_GT(protocolOk, 0);
-  EXPECT_GT(treeOk, 0);
+  expectSeedsAccepted("json", [](const std::string& text) {
+    (void)slim::support::parseJson(text);
+  });
+  expectSeedsAccepted("config", [](const std::string& text) {
+    (void)slim::core::Config::parseString(text);
+  });
+  expectSeedsAccepted("checkpoint", [](const std::string& text) {
+    (void)slim::core::Checkpoint::parse(text, "seed");
+  });
+  expectSeedsAccepted("protocol", [](const std::string& text) {
+    (void)slim::serve::parseRequest(text);
+  });
+  expectSeedsAccepted("tree", parseTreeInput);
 }
