@@ -1,5 +1,5 @@
 // Fuzz target: support::parseJson (RFC 8259 parser used by the serve
-// protocol, the daemon journal, and tuning/bench JSON).  Contract under
+// protocol, the daemon journal and the client's replies).  Contract under
 // hostile bytes: parse successfully or throw the keyed JsonError — never
 // crash, never throw anything else, never read out of bounds (ASan+UBSan
 // enforce the latter).

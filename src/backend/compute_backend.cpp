@@ -5,20 +5,6 @@
 
 namespace slim::backend {
 
-const char* backendModeName(BackendMode m) noexcept {
-  switch (m) {
-    case BackendMode::Auto:
-      return "auto";
-    case BackendMode::Reference:
-      return "reference";
-    case BackendMode::Simd:
-      return "simd";
-    case BackendMode::Blas:
-      return "blas";
-  }
-  return "?";
-}
-
 const char* backendKindName(BackendKind k) noexcept {
   switch (k) {
     case BackendKind::Reference:

@@ -61,7 +61,6 @@ enum class BackendKind {
   Blas,
 };
 
-const char* backendModeName(BackendMode m) noexcept;
 const char* backendKindName(BackendKind k) noexcept;
 
 /// Parse a ctl-file value ("auto", "reference", "simd", "blas").  Returns

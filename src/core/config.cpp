@@ -16,7 +16,6 @@
 #include "core/checkpoint.hpp"
 #include "core/objective.hpp"
 #include "core/scan.hpp"
-#include "core/tuning_profile.hpp"
 #include "core/report.hpp"
 #include "tree/branch_classes.hpp"
 #include "opt/cancel.hpp"
@@ -214,8 +213,6 @@ Config Config::parse(std::istream& in) {
       cfg.fit.initialParams.p1 = parseStart(key, value);
     } else if (key == "cleandata") {
       cfg.stopCodonsAsMissing = parseInt(key, value, lineNo) != 0;
-    } else if (key == "tuning") {
-      cfg.tuningPath = value;
     } else if (key == "checkpoint") {
       cfg.checkpointPath = value;
     } else if (key == "checkpointEverySec") {
@@ -374,20 +371,6 @@ model::ModelSpec modelSpecFor(AnalysisKind kind, int numBranchClasses) {
   return spec;
 }
 
-Config resolveTuningProfile(Config config) {
-  if (config.tuningPath.empty()) return config;
-  std::string path = config.tuningPath;
-  if (config.tuningPath == "auto") {
-    path = defaultTuningProfilePath();
-    // Auto is best-effort: an untuned host runs on the engine defaults.  An
-    // *existing* profile still goes through the strict load — a corrupt or
-    // foreign-host file is an error, never silently ignored.
-    if (!std::filesystem::exists(path)) return config;
-  }
-  TuningProfile::load(path).applyTo(config.fit.tuning);
-  return config;
-}
-
 std::vector<std::string> scanBatchDirectory(const std::string& dir) {
   namespace fs = std::filesystem;
   if (!fs::is_directory(dir))
@@ -443,7 +426,7 @@ PositiveSelectionTest runSingleGene(Config config) {
 }  // namespace
 
 PositiveSelectionTest runFromConfig(const Config& rawConfig) {
-  Config config = applyRunDeadline(resolveTuningProfile(rawConfig));
+  Config config = applyRunDeadline(rawConfig);
   SLIM_REQUIRE(config.analysis != AnalysisKind::Site,
                "runFromConfig: control file requests 'model = site'");
   SLIM_REQUIRE(config.foreground.empty(),
@@ -453,7 +436,7 @@ PositiveSelectionTest runFromConfig(const Config& rawConfig) {
 }
 
 BatchRunOutput runBatchFromConfig(const Config& rawConfig) {
-  Config config = applyRunDeadline(resolveTuningProfile(rawConfig));
+  Config config = applyRunDeadline(rawConfig);
   SLIM_REQUIRE(config.analysis != AnalysisKind::Site,
                "runBatchFromConfig: control file requests 'model = site'");
   SLIM_REQUIRE(!config.seqfiles.empty(), "runBatchFromConfig: no seqfiles");
@@ -508,7 +491,7 @@ BatchRunOutput runBatchFromConfig(const Config& rawConfig) {
 }
 
 PositiveSelectionTest runSiteModelFromConfig(const Config& rawConfig) {
-  Config config = applyRunDeadline(resolveTuningProfile(rawConfig));
+  Config config = applyRunDeadline(rawConfig);
   SLIM_REQUIRE(config.analysis == AnalysisKind::Site,
                "runSiteModelFromConfig: control file requests '" +
                    std::string(analysisKindName(config.analysis)) + "'");

@@ -32,16 +32,13 @@
 //     p0 = 0.45
 //     p1 = 0.45
 //     cleandata = 0                * 1: treat stop codons as missing
+//     seed = 0                     * nonzero: jitter the starting values
 //     checkpoint = run.ckpt        * snapshot long fits to this file
 //     checkpointEverySec = 30      * write throttle (0: every iteration)
 //     timeoutSec = 0               * wall-clock budget for the whole run
 //                                  * (0: none); expired fits stop cleanly at
 //                                  * the last accepted point, marked
 //                                  * cancelled in the report
-//     tuning = auto                * per-host autotuning profile: 'auto'
-//                                  * ($SLIMCODEML_TUNING or slimcodeml.tuning,
-//                                  * skipped when absent) or an explicit path
-//                                  * (strictly loaded; wrong host refused)
 //
 // Multi-gene batches: repeat the `seqfile` line once per alignment (all
 // genes share the one tree), and every gene's branch-site test runs through
@@ -120,11 +117,6 @@ struct Config {
   /// continue — completed fits are skipped, in-flight ones continue their
   /// recorded trajectory.  Version/config-hash mismatches refuse loudly.
   bool resume = false;
-  /// `tuning =` key: empty (off), "auto" (defaultTuningProfilePath(), used
-  /// only when the file exists) or an explicit profile path (must load).
-  /// The loaded profile fills only tuning fields the control file left at
-  /// their defaults — see resolveTuningProfile.
-  std::string tuningPath;
 
   /// Parse `key = value` text.  Unknown keys and malformed lines throw
   /// std::invalid_argument with a line number.
@@ -132,15 +124,6 @@ struct Config {
   static Config parseString(std::string_view text);
   static Config parseFile(const std::string& path);
 };
-
-/// Apply the config's `tuning =` request: load the named profile (or the
-/// default-path one under "auto", skipping silently only when that file
-/// does not exist) and merge it into config.fit.tuning — profile values
-/// fill only fields still at their defaults, so explicit ctl keys win.
-/// Every config runner calls this first; exposed for tests and tools.
-/// Throws ConfigError on a corrupt, version-mismatched or foreign-host
-/// profile (see core/tuning_profile.hpp).
-Config resolveTuningProfile(Config config);
 
 /// The ModelSpec a `model =` selection requests over a tree with
 /// `numBranchClasses` branch classes (branch-site always uses the fixed

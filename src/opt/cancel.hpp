@@ -24,13 +24,22 @@ namespace slim::opt {
 /// threads at once.  An empty predicate means "never cancel".
 using CancelPredicate = std::function<bool()>;
 
-/// Predicate that fires once `seconds` of wall time have elapsed from the
-/// moment this function is called (not from the first poll).
+/// Predicate that fires once `seconds` (finite, >= 0) of wall time have
+/// elapsed from the moment this function is called (not from the first
+/// poll).  Empty — never cancel — when that instant lies past the clock's
+/// range: a plain duration_cast overflows its int64 nanoseconds above ~292
+/// years, which is undefined behaviour and in practice a deadline in the
+/// past.
 inline CancelPredicate deadlineAfter(double seconds) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double>(seconds));
-  return [deadline] { return std::chrono::steady_clock::now() >= deadline; };
+  using Clock = std::chrono::steady_clock;
+  const auto now = Clock::now();
+  const double ticks = seconds * Clock::period::den / Clock::period::num;
+  // A double below the double nearest the headroom is at most the headroom
+  // itself, so the cast and the sum below stay in range.
+  const auto headroom = (Clock::time_point::max() - now).count();
+  if (!(ticks < static_cast<double>(headroom))) return {};
+  const auto deadline = now + Clock::duration(static_cast<Clock::rep>(ticks));
+  return [deadline] { return Clock::now() >= deadline; };
 }
 
 /// OR-composition; empty operands are dropped so the result stays empty

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -96,8 +95,7 @@ struct AnalysisServer::Job {
   core::Config config;  ///< Parsed & validated at submit.
   JobState state = JobState::Queued;
   std::atomic<bool> cancelRequested{false};
-  bool hasDeadline = false;
-  std::chrono::steady_clock::time_point deadline{};
+  opt::CancelPredicate deadline;  ///< Empty: no deadline.
   std::string result;  ///< Rendered JSON report (state Done).
   std::string error;   ///< Detail for Failed / Cancelled.
 };
@@ -596,13 +594,7 @@ void AnalysisServer::Impl::workerLoop() {
       if (job->config.timeoutSec > 0)
         limit = limit > 0 ? std::min(limit, job->config.timeoutSec)
                           : job->config.timeoutSec;
-      if (limit > 0) {
-        job->hasDeadline = true;
-        job->deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(limit));
-      }
+      if (limit > 0) job->deadline = opt::deadlineAfter(limit);
       if (!options.stateDir.empty() && !suppressPersist) persistJournalLocked();
     }
     cv.notifyAll();
@@ -642,7 +634,7 @@ void AnalysisServer::Impl::workerLoop() {
 AnalysisServer::Impl::RunOutcome AnalysisServer::Impl::runJob(Job& job) {
   RunOutcome out;
   try {
-    core::Config config = core::resolveTuningProfile(job.config);
+    core::Config config = job.config;
     // All cancellation sources compose onto the one predicate the optimizer
     // polls at iteration boundaries.  The ctl's own timeoutSec is already
     // folded into job.deadline — runFromConfig's deadline plumbing is not in
@@ -651,8 +643,7 @@ AnalysisServer::Impl::RunOutcome AnalysisServer::Impl::runJob(Job& job) {
     config.fit.bfgs.cancel = [this, jobPtr] {
       if (stopping.load(std::memory_order_relaxed)) return true;
       if (jobPtr->cancelRequested.load(std::memory_order_relaxed)) return true;
-      return jobPtr->hasDeadline &&
-             std::chrono::steady_clock::now() >= jobPtr->deadline;
+      return jobPtr->deadline && jobPtr->deadline();
     };
 
     // Resolve the model spec the job's `model =` / `foreground =` selection

@@ -1,9 +1,9 @@
 #pragma once
 // The stable BENCH_*.json schema: the per-PR performance/accuracy
-// trajectory format.  Every producer — the autotuner, the validation
-// harness, the CI bench-record job (via tools/bench_compare.py, which
-// converts Google Benchmark output to the same shape) — emits this one
-// schema so trajectories from different sources are directly comparable:
+// trajectory format.  Every producer — the validation harness, the CI
+// bench-record job (via tools/bench_compare.py, which converts Google
+// Benchmark output to the same shape) — emits this one schema so
+// trajectories from different sources are directly comparable:
 //
 //   {
 //     "schema": "slimcodeml-bench-v1",

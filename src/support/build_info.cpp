@@ -41,7 +41,6 @@ BuildInfo buildInfo() {
   info.schemas = {
       {"serve", "slimcodeml-serve-v1"},
       {"checkpoint", "slimcodeml-checkpoint v1"},
-      {"tuning", "slimcodeml-tuning-profile v1"},
       {"validate", "slimcodeml-validate-v1"},
       {"bench", "slimcodeml-bench-v1"},
   };

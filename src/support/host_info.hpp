@@ -1,8 +1,7 @@
 #pragma once
-// Host identification shared by the tuning profile and the BENCH_*.json
-// writers.  Benchmarks and per-host tuning profiles are only meaningful on
-// the machine that produced them, so both artifacts record — and the
-// consumers check — where they came from.
+// Host identification for the BENCH_*.json writers.  Benchmarks are only
+// meaningful on the machine that produced them, so every record names
+// where it came from.
 
 #include <string>
 

@@ -32,25 +32,23 @@ inline int resolveThreadCount(int requested) noexcept {
 class ThreadPool {
  public:
   /// Spawns numThreads - 1 workers; the thread calling parallelFor is the
-  /// pool's worker 0.  numThreads < 1 is treated as 1.
+  /// pool's worker 0.  numThreads < 1 is treated as 1.  Throws, with no
+  /// worker left running, when the host cannot start them all.
   explicit ThreadPool(int numThreads) {
     const int n = numThreads < 1 ? 1 : numThreads;
     workers_.reserve(n - 1);
-    for (int t = 1; t < n; ++t)
-      workers_.emplace_back([this, t] { workerLoop(t); });
+    try {
+      for (int t = 1; t < n; ++t)
+        workers_.emplace_back([this, t] { workerLoop(t); });
+    } catch (...) {
+      abandonStart(n);
+    }
   }
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  ~ThreadPool() {
-    {
-      MutexLock lock(mutex_);
-      stop_ = true;
-    }
-    wake_.notifyAll();
-    for (auto& w : workers_) w.join();
-  }
+  ~ThreadPool() { stopWorkers(); }
 
   int numThreads() const noexcept {
     return static_cast<int>(workers_.size()) + 1;
@@ -89,6 +87,18 @@ class ThreadPool {
   }
 
  private:
+  /// The constructor's failure path (support/parallel.cpp).
+  [[noreturn]] void abandonStart(int numThreads);
+
+  void stopWorkers() {
+    {
+      MutexLock lock(mutex_);
+      stop_ = true;
+    }
+    wake_.notifyAll();
+    for (auto& w : workers_) w.join();
+  }
+
   void workerLoop(int worker) {
     std::uint64_t seen = 0;
     for (;;) {

@@ -58,7 +58,6 @@ TEST(BackendPlumbing, ParseAndNames) {
   EXPECT_FALSE(parseBackendKind("auto", k));  // kinds are resolved, no auto
   EXPECT_EQ(k, BackendKind::Reference);
 
-  EXPECT_STREQ(backendModeName(BackendMode::Auto), "auto");
   EXPECT_STREQ(backendKindName(BackendKind::Reference), "reference");
   EXPECT_STREQ(backendKindName(BackendKind::Simd), "simd");
   EXPECT_STREQ(backendKindName(BackendKind::Blas), "blas");
@@ -69,10 +68,13 @@ TEST(BackendPlumbing, AutoReproducesPreBackendDispatch) {
   // level it is that level's table.  Auto never opts into vendor BLAS.
   EXPECT_EQ(resolveBackendKind(BackendMode::Auto, linalg::SimdLevel::Scalar),
             BackendKind::Reference);
-  for (const auto level : {linalg::SimdLevel::Avx2, linalg::SimdLevel::Avx512})
-    if (linalg::simdLevelAvailable(level))
+  for (const auto level :
+       {linalg::SimdLevel::Avx2, linalg::SimdLevel::Avx512}) {
+    if (linalg::simdLevelAvailable(level)) {
       EXPECT_EQ(resolveBackendKind(BackendMode::Auto, level),
                 BackendKind::Simd);
+    }
+  }
 }
 
 TEST(BackendPlumbing, ReferenceAndSimdAlwaysCompiled) {

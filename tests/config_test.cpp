@@ -78,9 +78,10 @@ TEST(ConfigParse, Errors) {
                std::invalid_argument);
   EXPECT_THROW(Config::parseString("seqfile = s.fa\n"),
                std::invalid_argument);
-  // Unknown keys, `expm =` among them whatever its value: the eigen path
-  // is the only propagator builder.
-  for (const char* line : {"bogus = 1", "expm = eigen", "expm = adaptive"})
+  // Unknown keys, whatever their value: `expm =` (the eigen path is the
+  // only propagator builder) and `tuning =` (no per-host profile).
+  for (const char* line : {"bogus = 1", "expm = eigen", "expm = adaptive",
+                           "tuning = auto", "tuning = host.profile"})
     EXPECT_THROW(Config::parseString(
                      std::string("seqfile = s\ntreefile = t\n") + line + "\n"),
                  ConfigError)

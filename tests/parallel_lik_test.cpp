@@ -9,11 +9,15 @@
 // branch-length bits.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
+#include <fstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "lik/branch_site_likelihood.hpp"
@@ -308,6 +312,32 @@ TEST(ThreadPool, SingleThreadRunsInline) {
     EXPECT_EQ(task, serial++);  // strictly in order: no workers involved
   });
   EXPECT_EQ(serial, 25);
+}
+
+// Death-test child: VmSize + 256 MB holds far fewer than 100000 thread
+// stacks.  Exits 0 when the pool throws; the alarm ends a hang.
+[[noreturn]] void startPoolPastAddressSpace() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line) && line.rfind("VmSize:", 0) != 0) {}
+  const rlim_t limit = (std::stoull(line.substr(7)) << 10) + (256ull << 20);
+  const rlimit cap{limit, limit};
+  setrlimit(RLIMIT_AS, &cap);
+  alarm(10);
+  try {
+    support::ThreadPool pool(100000);
+  } catch (const std::system_error&) {
+    _exit(0);
+  }
+  _exit(1);
+}
+
+TEST(ThreadPool, SpawnFailureThrowsInsteadOfHanging) {
+#ifdef SLIM_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes reserve their address space up front";
+#else
+  EXPECT_EXIT(startPoolPastAddressSpace(), ::testing::ExitedWithCode(0), "");
+#endif
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -343,6 +344,7 @@ TEST(BuildInfo, CarriesSchemaVersions) {
   EXPECT_NE(support::buildInfoLine().find("slimcodeml "), std::string::npos);
   const JsonValue parsed = parseJson(support::buildInfoJson());
   EXPECT_EQ(parsed.at("schemas").at("serve").asString(), kServeSchema);
+  EXPECT_EQ(parsed.at("schemas").find("tuning"), nullptr);
 }
 
 // ---------- cooperative cancellation in the optimizers ----------
@@ -428,6 +430,19 @@ TEST(CancelPredicate, TimeoutSecCtlKeyCancelsRun) {
 
   EXPECT_THROW(core::Config::parseString("timeoutSec = -1\n"),
                core::ConfigError);
+
+  // A budget past steady_clock's range (int64 nanoseconds, ~292 years) is
+  // no deadline: converting it must not overflow into the past.
+  for (const double s : {1e10, 1e300, std::numeric_limits<double>::max()}) {
+    const opt::CancelPredicate never = opt::deadlineAfter(s);
+    EXPECT_FALSE(never && never()) << s;
+  }
+  core::Config huge = core::Config::parseString(
+      makeCtl(dir, "gene", 200, 1, "timeoutSec = 1e10\n"));
+  huge.outfile = dir.file("huge.txt");
+  const auto converged = core::runFromConfig(huge);
+  EXPECT_TRUE(converged.h0.converged) << converged.h0.message;
+  EXPECT_TRUE(converged.h1.converged) << converged.h1.message;
 }
 
 // ---------- server end to end ----------
@@ -638,6 +653,11 @@ TEST(Server, DeadlineExceededFailsJob) {
   EXPECT_FALSE(isOk(result));
   EXPECT_EQ(result.at("state").asString(), "failed");
   EXPECT_EQ(errorOf(result), "deadline exceeded");
+
+  // A budget past steady_clock's range is no deadline, through the protocol
+  // field or the ctl key: submitAndWait fails unless the job finishes done.
+  submitAndWait(client, makeCtl(dir, "gene", 8), ",\"timeoutSec\":1e10");
+  submitAndWait(client, makeCtl(dir, "gene", 8, 1, "timeoutSec = 1e10\n"));
   server.drainAndStop();
 }
 

@@ -16,7 +16,7 @@ docs/static-analysis.md):
                        raw std::ofstream outside support/atomic_file.cpp can
                        leave a truncated checkpoint/report after SIGKILL.
   keyed-errors         The hostile-input parsers (ctl config, checkpoint,
-                       serve protocol, tuning profile) must throw keyed
+                       serve protocol, JSON) must throw keyed
                        ConfigError/ProtocolError/JsonError, never bare
                        std::runtime_error — callers (daemon submit,
                        --resume, the fuzz harnesses) key on the type.
@@ -47,6 +47,9 @@ docs/static-analysis.md):
                        `simd =` to one table) and lik/options.hpp (the
                        presets).  Every other function takes the resolved
                        table as a parameter.
+  stale-lists          Every path in the lists above (PATH_LISTS) exists
+                       under --root: they match by path, so an entry naming
+                       a deleted or moved file would silently check nothing.
 
 Waivers: a finding is suppressed when the offending line, or the line
 directly above it, carries
@@ -76,7 +79,6 @@ SERIALIZER_NAME = re.compile(
 KEYED_ERROR_FILES = {
     os.path.join("src", "core", "config.cpp"),
     os.path.join("src", "core", "checkpoint.cpp"),
-    os.path.join("src", "core", "tuning_profile.cpp"),
     os.path.join("src", "serve", "protocol.cpp"),
     os.path.join("src", "support", "json_parse.cpp"),
 }
@@ -92,6 +94,13 @@ KERNEL_CHOICE_DIRS = (
     os.path.join("src", "backend") + os.sep,
 )
 KERNEL_CHOICE_FILES = {os.path.join("src", "lik", "options.hpp")}
+
+PATH_LISTS = {
+    "KEYED_ERROR_FILES": KEYED_ERROR_FILES,
+    "ISA_ALLOWED_FILES": ISA_ALLOWED_FILES,
+    "KERNEL_CHOICE_DIRS": KERNEL_CHOICE_DIRS,
+    "KERNEL_CHOICE_FILES": KERNEL_CHOICE_FILES,
+}
 
 WAIVER = re.compile(r"//\s*slim-lint:\s*allow\(([a-z-]+)\)")
 
@@ -429,6 +438,16 @@ def check_cmake(relpath: str, text: str, findings: list[Finding]) -> None:
                 "via set_source_files_properties on kernels_avx*.cpp only"))
 
 
+def check_stale_lists(root: str, findings: list[Finding]) -> None:
+    for name, paths in PATH_LISTS.items():
+        for entry in sorted(paths):
+            if not os.path.exists(os.path.join(root, entry)):
+                findings.append(Finding(
+                    entry.rstrip(os.sep), 0, "stale-lists",
+                    f"listed in slim_lint's {name} but missing under the "
+                    "root — update or drop the entry"))
+
+
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=None,
@@ -458,6 +477,7 @@ def main(argv: list[str]) -> int:
             with open(path, encoding="utf-8", errors="replace") as f:
                 check_file(rel, f.read(), findings)
     check_include_cycles(root, findings)
+    check_stale_lists(root, findings)
     cmake = os.path.join(root, "CMakeLists.txt")
     if os.path.isfile(cmake):
         with open(cmake, encoding="utf-8", errors="replace") as f:

@@ -63,6 +63,7 @@ Control file template:
     parallel = auto            * auto | task | pattern (batch fan-out)
     gradient = fd              * fd | fd-parallel | analytic
     simd     = auto            * auto | scalar | avx2 | avx512 kernels
+    backend  = auto            * auto | reference | simd | blas
     blockSize = 64             * site patterns per work block
     cachePropagators = 1       * persistent (omega, branch-length) cache
     CodonFreq = 2              * 0 equal, 1 F1x4, 2 F3x4, 3 F61
@@ -76,6 +77,7 @@ Control file template:
     seed = 0                   * nonzero: jitter the starting values
     checkpoint = run.ckpt      * snapshot fits for --resume
     checkpointEverySec = 30    * checkpoint write throttle (0: every iter)
+    timeoutSec = 0             * wall-clock budget for the run (0: none)
 )";
 
 /// The JSON report lands next to the text report: '<outfile>.json' when the
