@@ -331,17 +331,11 @@ Checkpoint Checkpoint::parse(std::string_view text, const std::string& origin) {
       FitResult fit;
       fit.hypothesis = parseHypothesis(need("hypothesis"), ctx("hypothesis"));
       // Optional: absent for branch-site fits (the pre-model-spec format).
-      if (const auto it = fields.find("model"); it != fields.end()) {
-        if (it->second == "branch")
-          fit.modelKind = model::ModelKind::Branch;
-        else if (it->second == "clade-c")
-          fit.modelKind = model::ModelKind::CladeC;
-        else if (it->second == "branch-site")
-          fit.modelKind = model::ModelKind::BranchSite;
-        else
-          throw ConfigError(ctx("model") + ": unknown model kind '" +
-                            it->second + "'");
-      }
+      if (const auto it = fields.find("model");
+          it != fields.end() &&
+          !model::parseModelKind(it->second, fit.modelKind))
+        throw ConfigError(ctx("model") + ": unknown model kind '" +
+                          it->second + "'");
       if (const auto it = fields.find("classOmegas"); it != fields.end())
         fit.classOmegas = parseDoubles(it->second, ctx("classOmegas"));
       fit.lnL = parseHexDouble(need("lnL"), ctx("lnL"));
@@ -438,7 +432,8 @@ std::uint64_t checkpointConfigHash(const Config& config) {
   };
   const auto addD = [&](std::string_view k, double v) { add(k, hexDouble(v)); };
 
-  add("analysis", analysisKindName(config.analysis));
+  // The key predates ModelKind; renaming it would move every hash.
+  add("analysis", model::modelKindName(config.fit.modelSpec.kind));
   // Gated on non-empty so every pre-scan checkpoint hash is unchanged; the
   // selector shapes the task list (trees and task keys), so a resumed scan
   // must have been written under the same one.

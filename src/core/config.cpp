@@ -101,6 +101,7 @@ Config Config::parse(std::istream& in) {
   // Starting values by key: the line and text that last set each, for the
   // domain check once `model =` is known.
   std::map<std::string, std::pair<int, std::string>> startLines;
+  int foregroundLine = 0;
   const auto parseStart = [&](const std::string& key, const std::string& v) {
     startLines[key] = {lineNo, v};
     return parseDouble(key, v, lineNo);
@@ -122,7 +123,6 @@ Config Config::parse(std::istream& in) {
     if (key == "seqfile") {
       // Repeated entries accumulate into a multi-gene batch.
       cfg.seqfiles.push_back(value);
-      cfg.seqfile = cfg.seqfiles.front();
     } else if (key == "treefile") {
       cfg.treefile = value;
     } else if (key == "outfile") {
@@ -174,21 +174,14 @@ Config Config::parse(std::istream& in) {
       else
         badLine(lineNo, "gradient must be 'fd', 'fd-parallel' or 'analytic'");
     } else if (key == "model") {
-      if (value == "branch-site")
-        cfg.analysis = AnalysisKind::BranchSite;
-      else if (value == "site")
-        cfg.analysis = AnalysisKind::Site;
-      else if (value == "branch")
-        cfg.analysis = AnalysisKind::Branch;
-      else if (value == "clade-c")
-        cfg.analysis = AnalysisKind::CladeC;
-      else
+      if (!model::parseModelKind(value, cfg.fit.modelSpec.kind))
         badLine(lineNo,
                 "model must be 'branch-site', 'branch', 'clade-c' or 'site'");
     } else if (key == "foreground") {
       // Note '#' opens a comment, so branch sets are spelled with labels or
       // node indices, never '#k' marks (see tree/branch_classes.hpp).
       cfg.foreground = value;
+      foregroundLine = lineNo;
     } else if (key == "CodonFreq") {
       const int f = parseInt(key, value, lineNo);
       switch (f) {
@@ -230,21 +223,24 @@ Config Config::parse(std::istream& in) {
   }
   // Keyed like every other parse failure: hostile or truncated ctl text must
   // surface as ConfigError (the fuzz harness and the daemon's submit path
-  // both key on it), not a bare precondition failure.
-  if (cfg.seqfile.empty())
-    throw ConfigError("control file: seqfile is required");
+  // both key on it), not a bare precondition failure.  No seqfile is fine
+  // here: --batch may supply the genes, and runConfig refuses none at all.
   if (cfg.treefile.empty())
     throw ConfigError("control file: treefile is required");
+  const model::ModelKind kind = cfg.fit.modelSpec.kind;
+  // Scans mark each set as branch class 1; M1a/M2a has no branch classes.
+  if (!cfg.foreground.empty() && kind == model::ModelKind::Site)
+    badLine(foregroundLine,
+            "'foreground =' scans need a branch-heterogeneous model "
+            "('branch-site', 'branch' or 'clade-c'), not 'model = site'");
   // A start outside its parameter's domain would be clamped to the boundary
-  // and never move; refuse it before any fit starts.  Only the spec's kind
-  // matters here, so any valid branch-class count does.
-  const model::ModelKind kind = modelSpecFor(cfg.analysis, 2).kind;
+  // and never move; refuse it before any fit starts.
   for (const auto& [key, set] : startLines) {
     const auto& [setLine, text] = set;
     if (const auto domain = startValueOutsideDomain(kind, key,
                                                     cfg.fit.initialParams))
       badLine(setLine, "value for '" + key + "' must lie in " + *domain +
-                           " under model = " + analysisKindName(cfg.analysis) +
+                           " under model = " + model::modelKindName(kind) +
                            ", got '" + text + "'");
   }
   return cfg;
@@ -286,23 +282,6 @@ tree::Tree loadTreeFile(const std::string& path) {
 
 namespace {
 
-seqio::CodonAlignment loadAlignment(const std::string& path,
-                                    bool stopCodonsAsMissing) {
-  return loadAlignmentFile(path, stopCodonsAsMissing);
-}
-
-tree::Tree loadTree(const std::string& path) { return loadTreeFile(path); }
-
-struct LoadedInputs {
-  seqio::CodonAlignment codons;
-  tree::Tree tree;
-};
-
-LoadedInputs loadInputs(const Config& config) {
-  return {loadAlignment(config.seqfile, config.stopCodonsAsMissing),
-          loadTree(config.treefile)};
-}
-
 /// "dir/gene-007.fasta" -> "gene-007" (the per-gene report label).
 std::string fileStem(const std::string& path) {
   const auto slash = path.find_last_of("/\\");
@@ -311,59 +290,35 @@ std::string fileStem(const std::string& path) {
   return dot == std::string::npos || dot == 0 ? base : base.substr(0, dot);
 }
 
+/// Write a report to `path` (stdout when empty or "-"), rendered in memory
+/// and published with temp+fsync+rename: a process killed mid-report must
+/// never leave a truncated file where a pipeline globbing results reads it.
 template <class WriteReport>
-void emitReport(const Config& config, const WriteReport& write) {
-  if (config.outfile.empty() || config.outfile == "-") {
+void emitReport(const std::string& path, const WriteReport& write) {
+  if (path.empty() || path == "-") {
     write(std::cout);
   } else {
-    // Reports are rendered in memory and published with temp+fsync+rename:
-    // a process killed mid-report must never leave a truncated, unparseable
-    // file where a pipeline globbing for results would read it.
     std::ostringstream buffer;
     write(buffer);
-    support::writeFileAtomic(config.outfile, buffer.str());
+    support::writeFileAtomic(path, buffer.str());
   }
-}
-
-/// `timeoutSec =`: arm a wall-clock deadline (measured from here, i.e. the
-/// start of the run) on top of any cancel source the caller already
-/// installed — the CLI's SIGTERM flag, a daemon job's cancel token.
-Config applyRunDeadline(Config config) {
-  if (config.timeoutSec > 0)
-    config.fit.bfgs.cancel = opt::combineCancel(
-        std::move(config.fit.bfgs.cancel), opt::deadlineAfter(config.timeoutSec));
-  return config;
-}
-
-/// The checkpoint coordinator for this run, or null when the config does
-/// not ask for one.
-std::unique_ptr<CheckpointManager> openCheckpoint(const Config& config) {
-  if (config.checkpointPath.empty()) {
-    SLIM_REQUIRE(!config.resume,
-                 "--resume requires a 'checkpoint =' path in the control "
-                 "file");
-    return nullptr;
-  }
-  return CheckpointManager::open(config.checkpointPath,
-                                 config.checkpointEverySec,
-                                 checkpointConfigHash(config), config.resume);
 }
 
 }  // namespace
 
-model::ModelSpec modelSpecFor(AnalysisKind kind, int numBranchClasses) {
+model::ModelSpec modelSpecFor(model::ModelKind kind, int numBranchClasses) {
   model::ModelSpec spec;
   switch (kind) {
-    case AnalysisKind::BranchSite:
+    case model::ModelKind::BranchSite:
       spec = model::ModelSpec::branchSite();
       break;
-    case AnalysisKind::Branch:
+    case model::ModelKind::Branch:
       spec = model::ModelSpec::branch(numBranchClasses);
       break;
-    case AnalysisKind::CladeC:
+    case model::ModelKind::CladeC:
       spec = model::ModelSpec::cladeC(numBranchClasses);
       break;
-    case AnalysisKind::Site:
+    case model::ModelKind::Site:
       spec = model::ModelSpec::site();  // branch-homogeneous: marks ignored
       break;
   }
@@ -393,115 +348,97 @@ std::vector<std::string> scanBatchDirectory(const std::string& dir) {
   return files;
 }
 
-namespace {
-
-/// The single-gene test of any model kind: H0, H1, the LRT and the NEB
-/// scan through BranchSiteAnalysis (or a one-gene checkpointed batch), plus
-/// the text report.
-PositiveSelectionTest runSingleGene(Config config) {
-  const auto in = loadInputs(config);
-  config.fit.modelSpec =
-      modelSpecFor(config.analysis, tree::numBranchClasses(in.tree));
-  PositiveSelectionTest test;
-  if (const auto checkpoint = openCheckpoint(config)) {
-    // Checkpointed single-gene run: drive the same fit path through a
-    // one-gene batch, which carries the per-task checkpoint plumbing.
-    // Batch and sequential results are bit-identical (tests/batch_test).
-    BatchOptions options;
-    options.fit = config.fit;
-    options.checkpoint = checkpoint.get();
-    BatchAnalysis batch(config.engine, options);
-    batch.addGene(in.codons, std::make_shared<const tree::Tree>(in.tree),
-                  config.fit, fileStem(config.seqfile));
-    test = std::move(batch.runAll().front());
-  } else {
-    BranchSiteAnalysis analysis(in.codons, in.tree, config.engine, config.fit);
-    test = analysis.run();
-  }
-  emitReport(config,
-             [&](std::ostream& os) { writeTestReport(os, test, config.engine); });
-  return test;
-}
-
-}  // namespace
-
-PositiveSelectionTest runFromConfig(const Config& rawConfig) {
-  Config config = applyRunDeadline(rawConfig);
-  SLIM_REQUIRE(config.analysis != AnalysisKind::Site,
-               "runFromConfig: control file requests 'model = site'");
-  SLIM_REQUIRE(config.foreground.empty(),
-               "runFromConfig: 'foreground =' scans run through the batch "
-               "workflow (runBatchFromConfig)");
-  return runSingleGene(std::move(config));
-}
-
-BatchRunOutput runBatchFromConfig(const Config& rawConfig) {
-  Config config = applyRunDeadline(rawConfig);
-  SLIM_REQUIRE(config.analysis != AnalysisKind::Site,
-               "runBatchFromConfig: control file requests 'model = site'");
-  SLIM_REQUIRE(!config.seqfiles.empty(), "runBatchFromConfig: no seqfiles");
+RunOutput runConfig(const Config& rawConfig, const ContextSource& contexts) {
+  if (rawConfig.seqfiles.empty())
+    throw ConfigError(
+        "control file: seqfile is required (or pass --batch <dir>)");
+  Config config = rawConfig;
+  // `timeoutSec =`: a wall-clock deadline measured from here, on top of any
+  // cancel source the caller installed (the CLI's SIGTERM flag, a daemon
+  // job's cancel token).
+  if (config.timeoutSec > 0)
+    config.fit.bfgs.cancel =
+        opt::combineCancel(std::move(config.fit.bfgs.cancel),
+                           opt::deadlineAfter(config.timeoutSec));
 
   const auto tree =
-      std::make_shared<const tree::Tree>(loadTree(config.treefile));
+      std::make_shared<const tree::Tree>(loadTreeFile(config.treefile));
+  // Scans mark each set as class 1 on an otherwise unmarked copy of the
+  // tree, so their specs are always two-class; plain runs size theirs to the
+  // tree's own #k marks.
+  config.fit.modelSpec = modelSpecFor(
+      config.fit.modelSpec.kind,
+      config.foreground.empty() ? tree::numBranchClasses(*tree) : 2);
 
-  const auto checkpoint = openCheckpoint(config);
+  SLIM_REQUIRE(!config.resume || !config.checkpointPath.empty(),
+               "--resume requires a 'checkpoint =' path in the control file");
+  std::unique_ptr<CheckpointManager> checkpoint;
+  if (!config.checkpointPath.empty())
+    checkpoint = CheckpointManager::open(
+        config.checkpointPath, config.checkpointEverySec,
+        checkpointConfigHash(config), config.resume);
   BatchOptions options;
   options.fit = config.fit;
   options.checkpoint = checkpoint.get();
 
-  BatchRunOutput out;
+  RunOutput out;
+  out.singleTest = config.seqfiles.size() == 1 && config.foreground.empty();
   if (!config.foreground.empty()) {
-    // Scan: one task per (gene x branch set), each set foreground-marked on
-    // an otherwise unmarked copy of the tree — always two branch classes.
-    config.fit.modelSpec = modelSpecFor(config.analysis, 2);
-    options.fit.modelSpec = config.fit.modelSpec;
     ScanAnalysis scan(config.engine, *tree, config.foreground, options);
     for (const auto& path : config.seqfiles)
-      scan.addGene(loadAlignment(path, config.stopCodonsAsMissing), config.fit,
-                   fileStem(path));
-    out.geneNames = scan.taskNames();
+      scan.addGene(loadAlignmentFile(path, config.stopCodonsAsMissing),
+                   config.fit, fileStem(path));
+    out.names = scan.taskNames();
     out.tests = scan.runAll();
     out.totals = scan.totals();
     out.info = scan.lastRun();
-  } else {
-    config.fit.modelSpec =
-        modelSpecFor(config.analysis, tree::numBranchClasses(*tree));
-    options.fit.modelSpec = config.fit.modelSpec;
-    BatchAnalysis batch(config.engine, options);
-    for (const auto& path : config.seqfiles) {
-      out.geneNames.push_back(fileStem(path));
-      batch.addGene(loadAlignment(path, config.stopCodonsAsMissing), tree,
-                    config.fit, out.geneNames.back());
-    }
-    out.tests = batch.runAll();
-    out.totals = batch.totals();
-    out.info = batch.lastRun();
+    return out;
   }
-
-  emitReport(config, [&](std::ostream& os) {
-    for (std::size_t g = 0; g < out.tests.size(); ++g) {
-      os << "=== gene " << out.geneNames[g] << " ===\n";
-      writeTestReport(os, out.tests[g], config.engine);
-      os << '\n';
-    }
-    writeBatchSummary(os, out.tests, out.geneNames, config.engine, out.totals,
-                      out.info);
-  });
+  BatchAnalysis batch(config.engine, options);
+  for (const auto& path : config.seqfiles) {
+    out.names.push_back(fileStem(path));
+    if (contexts)
+      batch.addGene(contexts(path, config), out.names.back());
+    else
+      batch.addGene(loadAlignmentFile(path, config.stopCodonsAsMissing), tree,
+                    config.fit, out.names.back());
+  }
+  out.tests = batch.runAll();
+  out.totals = batch.totals();
+  out.info = batch.lastRun();
   return out;
 }
 
-PositiveSelectionTest runSiteModelFromConfig(const Config& rawConfig) {
-  Config config = applyRunDeadline(rawConfig);
-  SLIM_REQUIRE(config.analysis == AnalysisKind::Site,
-               "runSiteModelFromConfig: control file requests '" +
-                   std::string(analysisKindName(config.analysis)) + "'");
-  SLIM_REQUIRE(config.checkpointPath.empty() && !config.resume,
-               "checkpoint/resume supports 'model = branch-site', 'branch' "
-               "and 'clade-c', not 'model = site'");
-  SLIM_REQUIRE(config.foreground.empty(),
-               "'foreground =' scans support 'model = branch-site', 'branch' "
-               "and 'clade-c', not 'model = site'");
-  return runSingleGene(std::move(config));
+void writeJsonRunReport(std::ostream& os, const RunOutput& out,
+                        EngineKind engine) {
+  if (out.singleTest)
+    writeJsonTestReport(os, out.tests.front(), engine);
+  else
+    writeJsonBatchReport(os, out.tests, out.names, engine, out.totals,
+                         out.info);
+}
+
+void writeRunReports(const Config& config, const RunOutput& out, bool json) {
+  emitReport(config.outfile, [&](std::ostream& os) {
+    if (out.singleTest) {
+      writeTestReport(os, out.tests.front(), config.engine);
+      return;
+    }
+    for (std::size_t g = 0; g < out.tests.size(); ++g) {
+      os << "=== gene " << out.names[g] << " ===\n";
+      writeTestReport(os, out.tests[g], config.engine);
+      os << '\n';
+    }
+    writeBatchSummary(os, out.tests, out.names, config.engine, out.totals,
+                      out.info);
+  });
+  if (!json) return;
+  const bool toFile = !config.outfile.empty() && config.outfile != "-";
+  const std::string path = toFile ? config.outfile + ".json" : "-";
+  emitReport(path, [&](std::ostream& os) {
+    writeJsonRunReport(os, out, config.engine);
+  });
+  if (toFile) std::cerr << "wrote " << path << '\n';
 }
 
 }  // namespace slim::core

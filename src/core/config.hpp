@@ -41,10 +41,12 @@
 //                                  * cancelled in the report
 //
 // Multi-gene batches: repeat the `seqfile` line once per alignment (all
-// genes share the one tree), and every gene's branch-site test runs through
-// core::BatchAnalysis with the H0/H1 fits fanned across the worker pool.
+// genes share the one tree), or leave it out and pass `--batch <dir>` to the
+// CLI.  core::runConfig runs every control file, for the CLI and the daemon.
 
+#include <functional>
 #include <iosfwd>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -64,50 +66,31 @@ class ConfigError : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
-/// Which test the control file requests.
-enum class AnalysisKind {
-  BranchSite,  ///< model A, H0 vs H1 on the #1 branch (`model = branch-site`)
-  Site,        ///< M1a vs M2a across all branches (`model = site`)
-  Branch,      ///< one omega per branch class vs one shared (`model = branch`)
-  CladeC,      ///< clade model C vs M2a_rel (`model = clade-c`)
-};
-
-inline const char* analysisKindName(AnalysisKind k) noexcept {
-  switch (k) {
-    case AnalysisKind::BranchSite: return "branch-site";
-    case AnalysisKind::Site: return "site";
-    case AnalysisKind::Branch: return "branch";
-    case AnalysisKind::CladeC: return "clade-c";
-  }
-  return "?";
-}
-
 /// Parsed control file.
 struct Config {
-  /// First sequence file (always seqfiles.front(); kept for single-gene
-  /// callers).
-  std::string seqfile;
-  /// Every `seqfile` entry in control-file order; more than one selects the
-  /// batch workflow.
+  /// Every `seqfile` entry in control-file order, plus what the CLI's
+  /// --batch appends; more than one selects the batch workflow.  Parsing
+  /// accepts an empty list; runConfig refuses one.
   std::vector<std::string> seqfiles;
   std::string treefile;
   std::string outfile;  ///< Empty or "-" writes to stdout.
   EngineKind engine = EngineKind::Slim;
-  AnalysisKind analysis = AnalysisKind::BranchSite;
   /// `foreground =` scan selector: empty for a plain run, "every-branch" or
   /// a semicolon-separated list of branch sets (comma-separated labels /
   /// node indices) to fan one fit per set through the batch workflow
   /// (tree/branch_classes.hpp grammar).
   std::string foreground;
+  /// `model =` sets fit.modelSpec.kind; runConfig sizes the spec to the
+  /// tree's branch classes (modelSpecFor).
   FitOptions fit;
   bool stopCodonsAsMissing = false;
-  /// Non-empty: branch-site fits snapshot their optimizer state to this
-  /// file (atomically) as they run, making the run resumable.
+  /// Non-empty: every fit snapshots its optimizer state to this file
+  /// (atomically) as it runs, making the run resumable.
   std::string checkpointPath;
   /// Seconds between checkpoint writes (0: write on every iteration).
   double checkpointEverySec = 30.0;
-  /// Wall-clock budget for the whole run, in seconds (0: unlimited).  The
-  /// runners compose a deadline onto fit.bfgs.cancel: fits past the budget
+  /// Wall-clock budget for the whole run, in seconds (0: unlimited).
+  /// runConfig composes a deadline onto fit.bfgs.cancel: fits past the budget
   /// stop cleanly at the last accepted point and are reported cancelled.
   /// Like the cancel predicate itself, deliberately excluded from
   /// checkpointConfigHash — a timeout truncates a trajectory, never alters
@@ -131,47 +114,51 @@ struct Config {
 /// mark each set as class 1, so they pass 2).  Validated here, so an
 /// unmarked tree under `model = branch` / `clade-c` fails with the spec's
 /// keyed "mark at least one branch" error before any fitting starts.
-model::ModelSpec modelSpecFor(AnalysisKind analysis, int numBranchClasses);
+model::ModelSpec modelSpecFor(model::ModelKind kind, int numBranchClasses);
 
 /// Load one alignment file: FASTA when the first non-blank character is
 /// '>', else sequential PHYLIP; codon-encoded with the universal code.
-/// Shared by the config runners and the serve-mode context cache.
+/// Shared by the config runner and the serve-mode context cache.
 seqio::CodonAlignment loadAlignmentFile(const std::string& path,
                                         bool stopCodonsAsMissing);
 
 /// Load and parse a Newick tree file.
 tree::Tree loadTreeFile(const std::string& path);
 
-/// Load the alignment (FASTA when the first non-blank char is '>', else
-/// sequential PHYLIP) and tree named by the config, run the full H0/H1
-/// test of the requested branch-classification model (branch-site A, the
-/// branch model or clade model C), and return the result; writes the text
-/// report to config.outfile.  Requires analysis != Site and an empty
-/// `foreground =` (scans run through runBatchFromConfig).
-PositiveSelectionTest runFromConfig(const Config& config);
-
-/// Same, for `model = site`: the M1a-vs-M2a test (no #1 mark needed; h0 is
-/// the M1a fit, h1 the M2a fit, LRT df = 2).  Refuses checkpoints and
-/// `foreground =` scans.
-PositiveSelectionTest runSiteModelFromConfig(const Config& config);
-
-/// Result of the multi-gene workflow, in seqfile order.
-struct BatchRunOutput {
-  std::vector<std::string> geneNames;  ///< Sequence-file stem per gene.
+/// What one control file produced, in task order.
+struct RunOutput {
+  /// Sequence-file stem per gene, or "<gene>@<set>" per scan task.
+  std::vector<std::string> names;
   std::vector<PositiveSelectionTest> tests;
-  lik::EvalCounters totals;  ///< Deterministic gene-order merge of all work.
+  lik::EvalCounters totals;  ///< Deterministic task-order merge of all work.
   BatchRunInfo info;
+  bool singleTest = false;  ///< One seqfile, no scan: single-test reports.
 };
 
-/// Load every alignment named by config.seqfiles plus the shared tree, run
-/// all tests through core::BatchAnalysis (H0/H1 fits fanned across
-/// `threads` workers under the `parallel` policy), and write per-gene text
-/// reports plus a batch summary to config.outfile.  A non-empty
-/// `foreground =` expands every gene into one task per branch set
-/// (core::ScanAnalysis, names "<gene>@<set>"), riding the same checkpoint /
-/// cancellation / report plumbing.  Requires analysis != Site; also accepts
-/// a single seqfile.
-BatchRunOutput runBatchFromConfig(const Config& config);
+/// The context of one seqfile, built for `config` (fit.modelSpec already
+/// sized to the tree); it must stay valid until runConfig returns.  The
+/// daemon leases warm ones from its ContextCache.
+using ContextSource = std::function<std::shared_ptr<const AnalysisContext>(
+    const std::string& seqfile, const Config& config)>;
+
+/// Run every test a control file asks for, whatever its model kind: one
+/// H0/H1 task pair per seqfile through core::BatchAnalysis (fanned across
+/// `threads` workers under the `parallel` policy), or per (gene x branch
+/// set) through core::ScanAnalysis under `foreground =`.  Arms `timeoutSec`
+/// on top of fit.bfgs.cancel and opens `checkpoint =` (resuming when
+/// config.resume is set).  Loads the alignments itself for scans and when
+/// `contexts` is empty.  Throws a keyed ConfigError without any seqfile.
+RunOutput runConfig(const Config& config, const ContextSource& contexts = {});
+
+/// The JSON report of one run (the single-test or the batch object): the
+/// CLI's --json and the daemon's results.
+void writeJsonRunReport(std::ostream& os, const RunOutput& out,
+                        EngineKind engine);
+
+/// The CLI's reports, written atomically: the text report to
+/// config.outfile (stdout when empty or "-"), then with `json` the JSON
+/// report to '<outfile>.json' (stdout after the text).
+void writeRunReports(const Config& config, const RunOutput& out, bool json);
 
 /// Alignments under `dir` with a recognized extension (*.fasta, *.fa,
 /// *.fas, *.phy, *.phylip), sorted lexicographically by path.  Never

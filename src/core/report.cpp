@@ -85,15 +85,15 @@ void writeFitReport(std::ostream& os, const FitResult& fit) {
     os << "    iterations = " << fit.iterations << stopReason(fit)
        << ", simd = " << linalg::simdLevelName(fit.simd)
        << ", backend = " << backend::backendKindName(fit.backend) << '\n';
-    return;
+  } else {
+    os << "    iterations = " << fit.iterations
+       << ", function evaluations = " << fit.functionEvaluations << " + "
+       << fit.gradientEvaluations << " gradient ("
+       << gradientModeName(fit.gradientMode) << ')' << stopReason(fit) << '\n'
+       << "    wall time = " << std::setprecision(3) << fit.seconds
+       << " s, simd = " << linalg::simdLevelName(fit.simd)
+       << ", backend = " << backend::backendKindName(fit.backend) << '\n';
   }
-  os << "    iterations = " << fit.iterations
-     << ", function evaluations = " << fit.functionEvaluations << " + "
-     << fit.gradientEvaluations << " gradient ("
-     << gradientModeName(fit.gradientMode) << ')' << stopReason(fit) << '\n'
-     << "    wall time = " << std::setprecision(3) << fit.seconds
-     << " s, simd = " << linalg::simdLevelName(fit.simd)
-     << ", backend = " << backend::backendKindName(fit.backend) << '\n';
   if (!fit.resumedFrom.empty())
     os << "    resumed from " << fit.resumedFrom << " ("
        << fit.iterationsReplayed << " iterations replayed)\n";

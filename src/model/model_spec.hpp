@@ -22,6 +22,7 @@
 // likelihood engine consumes.
 
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "model/site_mixture.hpp"
@@ -38,6 +39,18 @@ inline const char* modelKindName(ModelKind k) noexcept {
     case ModelKind::Site: return "site";
   }
   return "?";
+}
+
+/// Inverse of modelKindName (the `model =` key, checkpoint `model` fields);
+/// false for any other text.
+inline bool parseModelKind(std::string_view name, ModelKind& out) noexcept {
+  for (const auto k : {ModelKind::BranchSite, ModelKind::Branch,
+                       ModelKind::CladeC, ModelKind::Site})
+    if (name == modelKindName(k)) {
+      out = k;
+      return true;
+    }
+  return false;
 }
 
 /// Structural description of one scenario: which model family, over how

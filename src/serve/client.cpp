@@ -57,4 +57,38 @@ support::JsonValue Client::call(const std::string& requestLine) {
   }
 }
 
+std::string resolveCtlPaths(std::string_view ctl,
+                            const std::filesystem::path& base) {
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
+  const auto trim = [&](std::string_view s) {
+    const auto b = s.find_first_not_of(kSpace);
+    if (b == std::string_view::npos) return s.substr(s.size());
+    return s.substr(b, s.find_last_not_of(kSpace) + 1 - b);
+  };
+  std::string out;
+  while (!ctl.empty()) {
+    const auto nl = ctl.find('\n');
+    const std::string_view line =
+        ctl.substr(0, nl == std::string_view::npos ? nl : nl + 1);
+    ctl.remove_prefix(line.size());
+    // Config::parse's reading of a line: a comment ('*' or '#') ends it, and
+    // the key and value sit either side of the first '='.
+    const std::string_view code = line.substr(0, line.find_first_of("*#\n"));
+    if (const auto eq = code.find('='); eq != std::string_view::npos) {
+      const std::string_view key = trim(code.substr(0, eq));
+      const std::string_view value = trim(code.substr(eq + 1));
+      if ((key == "seqfile" || key == "treefile") && !value.empty() &&
+          std::filesystem::path(value).is_relative()) {
+        const auto at = static_cast<std::size_t>(value.data() - line.data());
+        out.append(line.substr(0, at));
+        out.append((base / value).string());
+        out.append(line.substr(at + value.size()));
+        continue;
+      }
+    }
+    out.append(line);
+  }
+  return out;
+}
+
 }  // namespace slim::serve

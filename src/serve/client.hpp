@@ -4,7 +4,9 @@
 // `slimcodeml_client` tool and by serve_test; kept in the library so tests
 // exercise exactly the code the tool ships.
 
+#include <filesystem>
 #include <string>
+#include <string_view>
 
 #include "support/json_parse.hpp"
 
@@ -33,5 +35,13 @@ class Client {
   int fd_ = -1;
   std::string buffer_;  ///< Bytes past the last consumed newline.
 };
+
+/// `ctl` with every relative `seqfile`/`treefile` value made absolute under
+/// `base` (by default the working directory: how the CLI reads the same
+/// ctl), so a daemon in another directory opens the files the submitter
+/// meant.  Every other byte (keys, comments, spacing, line ends) is kept.
+std::string resolveCtlPaths(
+    std::string_view ctl,
+    const std::filesystem::path& base = std::filesystem::current_path());
 
 }  // namespace slim::serve

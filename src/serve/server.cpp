@@ -13,11 +13,7 @@
 #include <map>
 #include <sstream>
 
-#include "core/batch.hpp"
-#include "core/checkpoint.hpp"
-#include "core/report.hpp"
-#include "core/scan.hpp"
-#include "tree/branch_classes.hpp"
+#include "core/config.hpp"
 #include "opt/cancel.hpp"
 #include "support/atomic_file.hpp"
 #include "support/build_info.hpp"
@@ -52,15 +48,6 @@ bool terminal(JobState s) noexcept {
          s == JobState::Cancelled;
 }
 
-/// "dir/gene-007.fasta" -> "gene-007" (same rule as the CLI batch runner, so
-/// per-gene labels in daemon reports match CLI reports byte for byte).
-std::string fileStem(const std::string& path) {
-  const auto slash = path.find_last_of("/\\");
-  const auto base = slash == std::string::npos ? path : path.substr(slash + 1);
-  const auto dot = base.find_last_of('.');
-  return dot == std::string::npos || dot == 0 ? base : base.substr(0, dot);
-}
-
 std::string errorResponse(const std::string& message) {
   std::ostringstream os;
   os << "{\"schema\":\"" << kServeSchema << "\",\"ok\":false,\"error\":";
@@ -89,13 +76,12 @@ struct AnalysisServer::Job {
   std::string id;
   std::uint64_t seq = 0;
   int priority = 0;
-  double timeoutSec = 0;  ///< Protocol-level budget (folded with ctl's).
+  double timeoutSec = 0;  ///< Protocol-level budget (0: none).
   bool checkpointed = false;
   std::string ctl;
   core::Config config;  ///< Parsed & validated at submit.
   JobState state = JobState::Queued;
   std::atomic<bool> cancelRequested{false};
-  opt::CancelPredicate deadline;  ///< Empty: no deadline.
   std::string result;  ///< Rendered JSON report (state Done).
   std::string error;   ///< Detail for Failed / Cancelled.
 };
@@ -402,9 +388,8 @@ std::string AnalysisServer::Impl::handleLine(const std::string& line) {
 
 std::string AnalysisServer::Impl::validateJobConfig(
     const core::Config& config) const {
-  if (config.analysis == core::AnalysisKind::Site)
-    return "daemon jobs support 'model = branch-site', 'branch' and "
-           "'clade-c'; 'model = site' runs through the CLI only";
+  if (config.seqfiles.empty())
+    return "ctl: seqfile is required";
   if (!config.checkpointPath.empty() || config.resume)
     return "ctl must not set 'checkpoint' — request it with the protocol's "
            "\"checkpoint\" flag (the daemon owns checkpoint paths)";
@@ -588,13 +573,6 @@ void AnalysisServer::Impl::workerLoop() {
       if (stopping.load()) return;
       job = nextQueuedLocked();
       job->state = JobState::Running;
-      // Arm the wall-clock deadline now (queue wait does not count): the
-      // tighter of the protocol budget and the ctl's timeoutSec.
-      double limit = job->timeoutSec;
-      if (job->config.timeoutSec > 0)
-        limit = limit > 0 ? std::min(limit, job->config.timeoutSec)
-                          : job->config.timeoutSec;
-      if (limit > 0) job->deadline = opt::deadlineAfter(limit);
       if (!options.stateDir.empty() && !suppressPersist) persistJournalLocked();
     }
     cv.notifyAll();
@@ -635,96 +613,48 @@ AnalysisServer::Impl::RunOutcome AnalysisServer::Impl::runJob(Job& job) {
   RunOutcome out;
   try {
     core::Config config = job.config;
-    // All cancellation sources compose onto the one predicate the optimizer
-    // polls at iteration boundaries.  The ctl's own timeoutSec is already
-    // folded into job.deadline — runFromConfig's deadline plumbing is not in
-    // this code path, so nothing is applied twice.
-    Job* const jobPtr = &job;
-    config.fit.bfgs.cancel = [this, jobPtr] {
-      if (stopping.load(std::memory_order_relaxed)) return true;
-      if (jobPtr->cancelRequested.load(std::memory_order_relaxed)) return true;
-      return jobPtr->deadline && jobPtr->deadline();
+    // Drain/shutdown, client cancel and the protocol budget (armed now: queue
+    // wait does not count) compose onto the one predicate the optimizer
+    // polls at iteration boundaries; runConfig adds the ctl's timeoutSec.
+    const opt::CancelPredicate deadline =
+        job.timeoutSec > 0 ? opt::deadlineAfter(job.timeoutSec) : nullptr;
+    config.fit.bfgs.cancel = [this, &job, deadline] {
+      return stopping.load(std::memory_order_relaxed) ||
+             job.cancelRequested.load(std::memory_order_relaxed) ||
+             (deadline && deadline());
     };
-
-    // Resolve the model spec the job's `model =` / `foreground =` selection
-    // requests.  Scan sets are always marked as branch class 1, so scan
-    // specs are two-class; plain non-branch-site jobs size theirs to the
-    // tree's own #k marks.
-    if (!config.foreground.empty())
-      config.fit.modelSpec = core::modelSpecFor(config.analysis, 2);
-    else if (config.analysis != core::AnalysisKind::BranchSite)
-      config.fit.modelSpec = core::modelSpecFor(
-          config.analysis,
-          tree::numBranchClasses(core::loadTreeFile(config.treefile)));
-
-    std::unique_ptr<core::CheckpointManager> ckpt;
     if (job.checkpointed) {
-      // resume=true always: a fresh file falls back to a fresh run, an
-      // existing one (daemon restart) continues bit-identically.
+      // Resume always: a fresh file falls back to a fresh run, an existing
+      // one (daemon restart) continues bit-identically.
       config.checkpointPath = checkpointPath(job.id);
-      ckpt = core::CheckpointManager::open(
-          config.checkpointPath, config.checkpointEverySec,
-          core::checkpointConfigHash(config), /*resume=*/true);
+      config.resume = true;
     }
 
-    core::BatchOptions batchOptions;
-    batchOptions.fit = config.fit;
-    batchOptions.checkpoint = ckpt.get();
-
-    std::vector<core::PositiveSelectionTest> tests;
-    std::vector<std::string> names;
-    lik::EvalCounters totals;
-    core::BatchRunInfo info;
-    if (!config.foreground.empty()) {
-      // Scan job: every branch set fits on its own foreground-marked copy
-      // of the tree, so the warm context cache (keyed by seqfile + the
-      // shared tree file) cannot serve it — build fresh per-set contexts.
-      const auto tree = core::loadTreeFile(config.treefile);
-      core::ScanAnalysis scan(config.engine, tree, config.foreground,
-                              batchOptions);
-      for (const auto& path : config.seqfiles)
-        scan.addGene(
-            core::loadAlignmentFile(path, config.stopCodonsAsMissing),
-            config.fit, fileStem(path));
-      names = scan.taskNames();
-      tests = scan.runAll();
-      totals = scan.totals();
-      info = scan.lastRun();
-    } else {
-      core::BatchAnalysis batch(config.engine, batchOptions);
-      std::vector<ContextCache::Lease> leases;
-      leases.reserve(config.seqfiles.size());
-      for (const auto& path : config.seqfiles) {
-        leases.push_back(cache.acquire(path, config, config.fit));
-        names.push_back(fileStem(path));
-        batch.addGene(leases.back().context(), names.back());
-      }
-      tests = batch.runAll();
-      totals = batch.totals();
-      info = batch.lastRun();
-    }
-    for (const auto& test : tests)
+    // Every non-scan gene runs on a context leased from the warm cache; the
+    // leases return their entries once the run is over.
+    std::vector<ContextCache::Lease> leases;
+    const core::RunOutput run = core::runConfig(
+        config, [&](const std::string& seqfile, const core::Config& resolved) {
+          leases.push_back(cache.acquire(seqfile, resolved, resolved.fit));
+          return leases.back().context();
+        });
+    leases.clear();
+    for (const auto& test : run.tests)
       out.cancelled |= test.h0.cancelled || test.h1.cancelled;
     if (out.cancelled) return out;
 
     std::ostringstream os;
-    if (tests.size() == 1 && config.seqfiles.size() == 1 &&
-        config.foreground.empty())
-      core::writeJsonTestReport(os, tests.front(), config.engine);
-    else
-      core::writeJsonBatchReport(os, tests, names, config.engine, totals,
-                                 info);
+    core::writeJsonRunReport(os, run, config.engine);
     out.report = os.str();
     while (!out.report.empty() && out.report.back() == '\n')
       out.report.pop_back();
 
-    if (ckpt != nullptr) {
+    if (job.checkpointed) {
       // The job is complete; its checkpoint has served its purpose.  Drop it
       // so the state directory only holds live state (and the restart path
       // serves the recorded result instead of re-running).
-      ckpt.reset();
       std::error_code ec;
-      fs::remove(checkpointPath(job.id), ec);
+      fs::remove(config.checkpointPath, ec);
     }
   } catch (const std::exception& e) {
     out.error = e.what();

@@ -1,7 +1,7 @@
 #pragma once
 // The analysis daemon behind `slimcodemld`: a persistent server accepting
-// branch-site analysis jobs over a local (UNIX-domain) stream socket using
-// the slimcodeml-serve-v1 protocol (serve/protocol.hpp, docs/protocol.md).
+// control-file jobs of any kind over a local (UNIX-domain) stream socket,
+// speaking slimcodeml-serve-v1 (serve/protocol.hpp, docs/protocol.md).
 //
 // Architecture:
 //  * one accept thread (poll on the listening socket + a wake pipe), one
@@ -18,7 +18,7 @@
 //    every mutation) and jobs submitted with "checkpoint":true snapshot
 //    their optimizer state — SIGKILL + restart recovers them and resumes
 //    bit-identically (PR 5 machinery);
-//  * results are rendered with the same writers as `slimcodeml --json`, so
+//  * jobs run through the CLI's core::runConfig and writeJsonRunReport, so
 //    a daemon job's report is bit-identical to the CLI run of the same ctl.
 //
 // The class is a library object (the `slimcodemld` binary and serve_test

@@ -689,7 +689,6 @@ TEST(BatchCheckpoint, ConcurrentTasksShareOneManagerSafely) {
 
 TEST(ConfigHash, KeysTrajectoryShapingSettingsOnly) {
   Config base;
-  base.seqfile = "a.fasta";
   base.seqfiles = {"a.fasta"};
   base.treefile = "t.nwk";
   base.fit.tuning.simd = linalg::SimdMode::Scalar;
@@ -731,8 +730,7 @@ TEST(ConfigHash, KeysTrajectoryShapingSettingsOnly) {
 // (`simd = scalar`, unreadable input files).
 TEST(ConfigHash, PinnedValuesDoNotMove) {
   Config c;
-  c.seqfile = "/nonexistent/a.fasta";
-  c.seqfiles = {c.seqfile};
+  c.seqfiles = {"/nonexistent/a.fasta"};
   c.treefile = "/nonexistent/t.nwk";
   c.fit.tuning.simd = linalg::SimdMode::Scalar;
   EXPECT_EQ(checkpointConfigHash(c), 0x10cc1ee565f40d37ull);
@@ -747,7 +745,6 @@ TEST(ConfigHash, CodemlPinsTheNaiveKernelsItRuns) {
   // so those keys must not split its checkpoints; under slim they pick the
   // arithmetic and must.
   Config reference;
-  reference.seqfile = "a.fasta";
   reference.seqfiles = {"a.fasta"};
   reference.treefile = "t.nwk";
   reference.fit.tuning.backend = backend::BackendMode::Reference;
@@ -767,16 +764,15 @@ TEST(ConfigHash, CoversInputFileContent) {
   // invalidate the checkpoint even though its path is unchanged.
   const TempDir dir("hashcontent");
   Config base;
-  base.seqfile = dir.file("g.fasta");
-  base.seqfiles = {base.seqfile};
+  base.seqfiles = {dir.file("g.fasta")};
   base.treefile = dir.file("t.nwk");
   base.fit.tuning.simd = linalg::SimdMode::Scalar;
-  std::ofstream(base.seqfile) << ">a\nATG\n";
+  std::ofstream(base.seqfiles.front()) << ">a\nATG\n";
   std::ofstream(base.treefile) << "(a:1,b:1);\n";
 
   const auto h = checkpointConfigHash(base);
   EXPECT_EQ(checkpointConfigHash(base), h);  // stable while files unchanged
-  std::ofstream(base.seqfile) << ">a\nATT\n";
+  std::ofstream(base.seqfiles.front()) << ">a\nATT\n";
   EXPECT_NE(checkpointConfigHash(base), h);
 }
 
@@ -805,16 +801,17 @@ TEST(ConfigRun, CheckpointThenResumeSkipsCompletedFits) {
   Config config = Config::parseString(ctl);
   EXPECT_EQ(config.checkpointPath, dir.file("run.ckpt"));
   EXPECT_EQ(config.checkpointEverySec, 0.0);
-  const auto first = runFromConfig(config);
+  const auto first = runConfig(config).tests.front();
   ASSERT_TRUE(fs::exists(dir.file("run.ckpt")));
-  ASSERT_TRUE(fs::exists(dir.file("report.txt")));
   EXPECT_TRUE(first.h0.resumedFrom.empty());
 
   // Resume: everything is already done — identical results, zero engine
   // work, provenance in the result and both reports.
   Config again = config;
   again.resume = true;
-  const auto second = runFromConfig(again);
+  const auto resumed = runConfig(again);
+  writeRunReports(again, resumed, /*json=*/false);
+  const auto& second = resumed.tests.front();
   expectSameFit(second.h0, first.h0, "resumed h0");
   expectSameFit(second.h1, first.h1, "resumed h1");
   EXPECT_EQ(second.h0.counters.evaluations, 0);
@@ -832,13 +829,13 @@ TEST(ConfigRun, CheckpointThenResumeSkipsCompletedFits) {
   // A changed configuration refuses the old checkpoint, keyed.
   Config changed = again;
   changed.fit.bfgs.maxIterations = 9;
-  EXPECT_THROW(runFromConfig(changed), ConfigError);
+  EXPECT_THROW(runConfig(changed), ConfigError);
 
   // --resume without a checkpoint path is a usage error.
   Config noPath = config;
   noPath.checkpointPath.clear();
   noPath.resume = true;
-  EXPECT_THROW(runFromConfig(noPath), std::invalid_argument);
+  EXPECT_THROW(runConfig(noPath), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the CodeML-style control-file parser and the file-driven
-// analysis entry point.
+// runner (core::runConfig and its report writers).
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/config.hpp"
 
@@ -32,7 +33,7 @@ TEST(ConfigParse, FullFile) {
       cleandata = 1
       seed = 99
   )");
-  EXPECT_EQ(cfg.seqfile, "gene.fasta");
+  EXPECT_EQ(cfg.seqfiles, std::vector<std::string>{"gene.fasta"});
   EXPECT_EQ(cfg.treefile, "gene.nwk");
   EXPECT_EQ(cfg.outfile, "out.txt");
   EXPECT_EQ(cfg.engine, EngineKind::CodemlBaseline);
@@ -73,9 +74,8 @@ TEST(ConfigParse, GradientModes) {
 }
 
 TEST(ConfigParse, Errors) {
-  // Missing required keys.
-  EXPECT_THROW(Config::parseString("treefile = t.nwk\n"),
-               std::invalid_argument);
+  // A missing treefile.  (A missing seqfile parses: --batch supplies the
+  // genes, and runConfig refuses a run without any.)
   EXPECT_THROW(Config::parseString("seqfile = s.fa\n"),
                std::invalid_argument);
   // Unknown keys, whatever their value: `expm =` (the eigen path is the
@@ -238,9 +238,11 @@ TEST_F(ConfigRun, EndToEnd) {
                  "\noutfile = " + out + "\nmaxIterations = 4\n");
 
   const auto cfg = Config::parseFile(ctl);
-  const auto test = runFromConfig(cfg);
-  EXPECT_TRUE(std::isfinite(test.h0.lnL));
-  EXPECT_TRUE(std::isfinite(test.h1.lnL));
+  const auto run = runConfig(cfg);
+  writeRunReports(cfg, run, /*json=*/false);
+  ASSERT_TRUE(run.singleTest);
+  EXPECT_TRUE(std::isfinite(run.tests.front().h0.lnL));
+  EXPECT_TRUE(std::isfinite(run.tests.front().h1.lnL));
 
   std::ifstream report(out);
   ASSERT_TRUE(report.good());
@@ -262,8 +264,8 @@ TEST_F(ConfigRun, PhylipInputDetected) {
   write(nwk, "(a:0.05,b:0.05,c:0.08 #1);");
   write(ctl, "seqfile = " + phy + "\ntreefile = " + nwk +
                  "\noutfile = -\nmaxIterations = 2\n");
-  const auto test = runFromConfig(Config::parseFile(ctl));
-  EXPECT_TRUE(std::isfinite(test.h1.lnL));
+  const auto out = runConfig(Config::parseFile(ctl));
+  EXPECT_TRUE(std::isfinite(out.tests.front().h1.lnL));
   std::remove(phy.c_str());
   std::remove(nwk.c_str());
   std::remove(ctl.c_str());
@@ -272,16 +274,16 @@ TEST_F(ConfigRun, PhylipInputDetected) {
 TEST(ConfigParse, ModelSelection) {
   const auto site = Config::parseString(
       "seqfile = s\ntreefile = t\nmodel = site\n");
-  EXPECT_EQ(site.analysis, AnalysisKind::Site);
+  EXPECT_EQ(site.fit.modelSpec.kind, model::ModelKind::Site);
   const auto bs = Config::parseString(
       "seqfile = s\ntreefile = t\nmodel = branch-site\n");
-  EXPECT_EQ(bs.analysis, AnalysisKind::BranchSite);
+  EXPECT_EQ(bs.fit.modelSpec.kind, model::ModelKind::BranchSite);
   const auto br = Config::parseString(
       "seqfile = s\ntreefile = t\nmodel = branch\n");
-  EXPECT_EQ(br.analysis, AnalysisKind::Branch);
+  EXPECT_EQ(br.fit.modelSpec.kind, model::ModelKind::Branch);
   const auto cc = Config::parseString(
       "seqfile = s\ntreefile = t\nmodel = clade-c\n");
-  EXPECT_EQ(cc.analysis, AnalysisKind::CladeC);
+  EXPECT_EQ(cc.fit.modelSpec.kind, model::ModelKind::CladeC);
   // Start values are checked against the kind's domains: the branch
   // model's omega0 seeds a positive class omega and it reads no
   // proportions; clade C's omega2 seeds its class omegas.
@@ -328,13 +330,10 @@ TEST_F(ConfigRun, SiteModelEndToEnd) {
   write(nwk, "((a:0.05,b:0.05):0.03,(c:0.08,d:0.12):0.02);");
   write(ctl, "seqfile = " + fasta + "\ntreefile = " + nwk +
                  "\nmodel = site\noutfile = -\nmaxIterations = 3\n");
-  const auto cfg = Config::parseFile(ctl);
-  const auto test = runSiteModelFromConfig(cfg);
+  const auto test = runConfig(Config::parseFile(ctl)).tests.front();
   EXPECT_TRUE(std::isfinite(test.h0.lnL));  // M1a
   EXPECT_TRUE(std::isfinite(test.h1.lnL));  // M2a
   EXPECT_DOUBLE_EQ(test.lrt.df, 2.0);
-  // Kind mismatch is rejected on both entry points.
-  EXPECT_THROW(runFromConfig(cfg), std::invalid_argument);
   std::remove(fasta.c_str());
   std::remove(nwk.c_str());
   std::remove(ctl.c_str());
@@ -364,8 +363,9 @@ class SiteRun : public ConfigRun {
                      PositiveSelectionTest* test = nullptr) {
     Config cfg = Config::parseString(ctlText);
     cfg.outfile = path(name);
-    const auto result = runSiteModelFromConfig(cfg);
-    if (test != nullptr) *test = result;
+    const auto out = runConfig(cfg);
+    writeRunReports(cfg, out, /*json=*/false);
+    if (test != nullptr) *test = out.tests.front();
     std::ifstream in(cfg.outfile);
     std::ostringstream text;
     text << in.rdbuf();
@@ -405,9 +405,41 @@ TEST_F(ConfigRun, MissingFilesRaise) {
   EXPECT_THROW(Config::parseFile(path("nonexistent.ctl")),
                std::invalid_argument);
   Config cfg;
-  cfg.seqfile = path("missing.fa");
+  cfg.seqfiles = {path("missing.fa")};
   cfg.treefile = path("missing.nwk");
-  EXPECT_THROW(runFromConfig(cfg), std::invalid_argument);
+  EXPECT_THROW(runConfig(cfg), std::invalid_argument);
+}
+
+// `--batch <dir>` appends the genes to a ctl that names none: the ctl
+// parses, runs once genes are appended, and without any the runner raises
+// the keyed error.
+TEST_F(ConfigRun, BatchWithoutSeqfileLine) {
+  const std::string fasta = path("bgene.fasta");
+  const std::string nwk = path("bgene.nwk");
+  write(fasta,
+        ">a\nATGGCTAAATTTCCC\n>b\nATGGCTAAATTCCCC\n"
+        ">c\nATGGCAAAATTTCCG\n>d\nATGGTTAAGTTTCCA\n");
+  write(nwk, "((a:0.05,b:0.05) #1:0.03,(c:0.08,d:0.12):0.02);");
+  Config cfg = Config::parseString("treefile = " + nwk +
+                                   "\nmaxIterations = 3\n");
+  EXPECT_TRUE(cfg.seqfiles.empty());
+  try {
+    runConfig(cfg);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("seqfile is required"),
+              std::string::npos)
+        << e.what();
+  }
+  cfg.seqfiles = {fasta, fasta};
+  const auto out = runConfig(cfg);
+  EXPECT_FALSE(out.singleTest);
+  ASSERT_EQ(out.tests.size(), 2u);
+  EXPECT_EQ(out.names, (std::vector<std::string>{"slimcfg_bgene",
+                                                  "slimcfg_bgene"}));
+  EXPECT_EQ(out.tests[0].h1.lnL, out.tests[1].h1.lnL);
+  std::remove(fasta.c_str());
+  std::remove(nwk.c_str());
 }
 
 }  // namespace

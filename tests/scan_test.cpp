@@ -12,7 +12,7 @@
 //   3. The refactor guardrail: branch-site A driven through the generic
 //      (site class x branch class) assignment table is byte-identical to
 //      the default path (same lnL, same gradients, same report bytes), and
-//      the branch / clade-C scenarios fit end-to-end through runFromConfig.
+//      the branch / clade-C scenarios fit end-to-end through runConfig.
 
 #include <gtest/gtest.h>
 
@@ -322,7 +322,7 @@ TEST_F(ScanConfigRun, BranchAndCladeCFitThroughCtl) {
         "seqfile = " + path("gene.fasta") + "\ntreefile = " +
         path("gene.nwk") + "\nmodel = " + kind +
         "\noutfile = -\nmaxIterations = 3\n");
-    const auto test = runFromConfig(cfg);
+    const auto test = runConfig(cfg).tests.front();
     SCOPED_TRACE(kind);
     EXPECT_TRUE(std::isfinite(test.h0.lnL));
     EXPECT_TRUE(std::isfinite(test.h1.lnL));
@@ -344,7 +344,7 @@ TEST_F(ScanConfigRun, BranchAndCladeCFitThroughCtl) {
   const auto cfg = Config::parseString(
       "seqfile = " + path("gene.fasta") + "\ntreefile = " + path("plain.nwk") +
       "\nmodel = branch\noutfile = -\nmaxIterations = 2\n");
-  EXPECT_THROW(runFromConfig(cfg), std::invalid_argument);
+  EXPECT_THROW(runConfig(cfg), std::invalid_argument);
 }
 
 // ---------- scan checkpoint/resume ----------
@@ -357,9 +357,9 @@ TEST_F(ScanConfigRun, ScanResumeSkipsCompletedTasksBitIdentically) {
       path("scan.ckpt") + "\ncheckpointEverySec = 0\nmaxIterations = 3\n";
 
   auto cfg = Config::parseString(base);
-  const auto first = runBatchFromConfig(cfg);
-  ASSERT_EQ(first.geneNames.size(), 6u);  // 4 taxa -> 6 non-root branches.
-  for (const auto& name : first.geneNames)
+  const auto first = runConfig(cfg);
+  ASSERT_EQ(first.names.size(), 6u);  // 4 taxa -> 6 non-root branches.
+  for (const auto& name : first.names)
     EXPECT_NE(name.find("gene@"), std::string::npos) << name;
 
   // "SIGKILL after completion, rerun with --resume": every <gene>@<set>
@@ -367,16 +367,14 @@ TEST_F(ScanConfigRun, ScanResumeSkipsCompletedTasksBitIdentically) {
   // results must be bit-identical to the uninterrupted run.
   auto resumedCfg = Config::parseString(base);
   resumedCfg.resume = true;
-  const auto resumed = runBatchFromConfig(resumedCfg);
+  const auto resumed = runConfig(resumedCfg);
   ASSERT_EQ(resumed.tests.size(), first.tests.size());
-  EXPECT_EQ(resumed.geneNames, first.geneNames);
+  EXPECT_EQ(resumed.names, first.names);
   for (std::size_t t = 0; t < first.tests.size(); ++t) {
     expectSameTest(resumed.tests[t], first.tests[t],
-                   "resume " + first.geneNames[t]);
-    EXPECT_FALSE(resumed.tests[t].h0.resumedFrom.empty())
-        << first.geneNames[t];
-    EXPECT_FALSE(resumed.tests[t].h1.resumedFrom.empty())
-        << first.geneNames[t];
+                   "resume " + first.names[t]);
+    EXPECT_FALSE(resumed.tests[t].h0.resumedFrom.empty()) << first.names[t];
+    EXPECT_FALSE(resumed.tests[t].h1.resumedFrom.empty()) << first.names[t];
   }
 
   // A different selector changes the config hash: resume refuses loudly
@@ -385,7 +383,7 @@ TEST_F(ScanConfigRun, ScanResumeSkipsCompletedTasksBitIdentically) {
   mismatched.foreground =
       tree::everyBranchSets(loadTreeFile(path("plain.nwk"))).front().name;
   mismatched.resume = true;
-  EXPECT_THROW(runBatchFromConfig(mismatched), std::exception);
+  EXPECT_THROW(runConfig(mismatched), std::exception);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // (EXPECT_EQ) to CLI runs of the same control file, warm context reuse
 // across jobs, admission control and malformed-request handling (keyed
 // errors, never UB), cancellation of queued and running jobs, deadline
-// enforcement, and kill -9 + restart recovery of checkpointed jobs.
+// enforcement, kill -9 + restart recovery of checkpointed jobs, and the one
+// config runner every model kind takes on every path.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +35,7 @@
 #include "support/build_info.hpp"
 #include "support/json.hpp"
 #include "support/json_parse.hpp"
+#include "tree/branch_classes.hpp"
 
 namespace slim::serve {
 namespace {
@@ -89,19 +91,11 @@ std::string makeCtl(const TempDir& dir, const std::string& stem,
 }
 
 /// What `slimcodeml --json` would emit for this control file, as parsed
-/// JSON.  Runs the same core entry points the CLI binary calls.
-JsonValue cliReport(const std::string& ctl, const TempDir& dir) {
-  core::Config config = core::Config::parseString(ctl);
-  config.outfile = dir.file("cli_baseline.txt");
+/// JSON.  Runs the same runner and writer the CLI binary calls.
+JsonValue cliReport(const std::string& ctl) {
+  const core::Config config = core::Config::parseString(ctl);
   std::ostringstream os;
-  if (config.seqfiles.size() == 1) {
-    const auto test = core::runFromConfig(config);
-    core::writeJsonTestReport(os, test, config.engine);
-  } else {
-    const auto out = core::runBatchFromConfig(config);
-    core::writeJsonBatchReport(os, out.tests, out.geneNames, config.engine,
-                               out.totals, out.info);
-  }
+  core::writeJsonRunReport(os, core::runConfig(config), config.engine);
   return parseJson(os.str());
 }
 
@@ -409,7 +403,9 @@ TEST(CancelPredicate, TimeoutSecCtlKeyCancelsRun) {
   core::Config config = core::Config::parseString(ctl);
   EXPECT_EQ(config.timeoutSec, 0.000001);
   config.outfile = dir.file("report.txt");
-  const auto test = core::runFromConfig(config);
+  const auto out = core::runConfig(config);
+  core::writeRunReports(config, out, /*json=*/false);
+  const auto& test = out.tests.front();
   EXPECT_TRUE(test.h0.cancelled);
   EXPECT_TRUE(test.h1.cancelled);
   EXPECT_EQ(test.h0.message, "cancelled");
@@ -439,8 +435,7 @@ TEST(CancelPredicate, TimeoutSecCtlKeyCancelsRun) {
   }
   core::Config huge = core::Config::parseString(
       makeCtl(dir, "gene", 200, 1, "timeoutSec = 1e10\n"));
-  huge.outfile = dir.file("huge.txt");
-  const auto converged = core::runFromConfig(huge);
+  const auto converged = core::runConfig(huge).tests.front();
   EXPECT_TRUE(converged.h0.converged) << converged.h0.message;
   EXPECT_TRUE(converged.h1.converged) << converged.h1.message;
 }
@@ -494,7 +489,7 @@ TEST(Server, DaemonReportMatchesCliByteForByte) {
   const TempDir dir("identity");
   writeGene(dir, "gene");
   const std::string ctl = makeCtl(dir, "gene", 8);
-  const JsonValue baseline = cliReport(ctl, dir);
+  const JsonValue baseline = cliReport(ctl);
 
   ServerOptions options;
   options.socketPath = dir.file("d.sock");
@@ -509,9 +504,9 @@ TEST(Server, DaemonReportMatchesCliByteForByte) {
   EXPECT_EQ(strip(report, kClockOnly), strip(baseline, kClockOnly))
       << dump(report);
 
-  // Multi-gene: batch report against the CLI batch runner.
+  // Multi-gene: batch report against the CLI's batch report.
   const std::string batchCtl = makeCtl(dir, "gene", 5, 3);
-  const JsonValue batchBaseline = cliReport(batchCtl, dir);
+  const JsonValue batchBaseline = cliReport(batchCtl);
   const JsonValue batchReport = submitAndWait(client, batchCtl);
   EXPECT_EQ(strip(batchReport, kClockAndCounters),
             strip(batchBaseline, kClockAndCounters));
@@ -526,7 +521,7 @@ TEST(Server, ConcurrentClientsMatchSequentialCli) {
       makeCtl(dir, "alpha", 6), makeCtl(dir, "beta", 6),
       makeCtl(dir, "alpha", 9), makeCtl(dir, "beta", 9)};
   JsonValue baselines[4];
-  for (int j = 0; j < 4; ++j) baselines[j] = cliReport(ctls[j], dir);
+  for (int j = 0; j < 4; ++j) baselines[j] = cliReport(ctls[j]);
 
   ServerOptions options;
   options.socketPath = dir.file("d.sock");
@@ -690,8 +685,8 @@ TEST(Server, AdmissionControlAndMalformedRequests) {
                 .find("checkpoint"),
             std::string::npos);
   EXPECT_NE(errorOf(client.call(submitRequest(
-                        makeCtl(dir, "gene", 5, 1, "model = site\n"))))
-                .find("branch-site"),
+                        "treefile = " + dir.file("gene.nwk") + "\n")))
+                .find("seqfile is required"),
             std::string::npos);
   EXPECT_NE(errorOf(client.call(submitRequest(
                         makeCtl(dir, "gene", 5, 1,
@@ -733,7 +728,7 @@ TEST(Server, Kill9ThenRestartRecoversCheckpointedJob) {
   writeGene(dir, "gene");
   const std::string ctl =
       makeCtl(dir, "gene", 25, 6, "checkpointEverySec = 0\n");
-  const JsonValue baseline = cliReport(ctl, dir);
+  const JsonValue baseline = cliReport(ctl);
 
   ServerOptions options;
   options.socketPath = dir.file("d.sock");
@@ -797,8 +792,8 @@ TEST(Server, DrainPersistsQueueAcrossRestart) {
   const std::string longCtl =
       makeCtl(dir, "gene", 25, 4, "checkpointEverySec = 0\n");
   const std::string shortCtl = makeCtl(dir, "gene", 6);
-  const JsonValue longBaseline = cliReport(longCtl, dir);
-  const JsonValue shortBaseline = cliReport(shortCtl, dir);
+  const JsonValue longBaseline = cliReport(longCtl);
+  const JsonValue shortBaseline = cliReport(shortCtl);
 
   ServerOptions options;
   options.socketPath = dir.file("d.sock");
@@ -843,6 +838,209 @@ TEST(Server, DrainPersistsQueueAcrossRestart) {
   EXPECT_EQ(strip(shortResult.at("report"), kClockCountersResume),
             strip(shortBaseline, kClockCountersResume));
   server.drainAndStop();
+}
+
+// ---------- submitter-relative paths ----------
+
+TEST(Client, ResolveCtlPathsMakesInputPathsAbsolute) {
+  const fs::path base = "/data/run";
+  EXPECT_EQ(resolveCtlPaths("seqfile = gene.fasta\ntreefile = t/gene.nwk\n",
+                            base),
+            "seqfile = /data/run/gene.fasta\n"
+            "treefile = /data/run/t/gene.nwk\n");
+  // Repeated seqfile lines, inline comments, CRLF line ends and a missing
+  // final newline: only the values move.
+  const std::string resolved = resolveCtlPaths(
+      "seqfile  =  a.fa   * first gene\r\nseqfile=b.fa#second\r\n"
+      "treefile = t.nwk",
+      base);
+  EXPECT_EQ(resolved,
+            "seqfile  =  /data/run/a.fa   * first gene\r\n"
+            "seqfile=/data/run/b.fa#second\r\ntreefile = /data/run/t.nwk");
+  const core::Config config = core::Config::parseString(resolved);
+  EXPECT_EQ(config.seqfiles,
+            (std::vector<std::string>{"/data/run/a.fa", "/data/run/b.fa"}));
+  EXPECT_EQ(config.treefile, "/data/run/t.nwk");
+  // Absolute inputs, other keys (relative or not), comments and blank lines
+  // pass through byte for byte.
+  const std::string untouched =
+      "seqfile = /abs/a.fasta\noutfile = out.txt  * not an input\n"
+      "checkpoint = run.ckpt\n* seqfile = commented.fasta\n  \nmodel = site\n";
+  EXPECT_EQ(resolveCtlPaths(untouched, base), untouched);
+  EXPECT_EQ(resolveCtlPaths("", base), "");
+}
+
+TEST(Server, SubmitterRelativePathsRunInAnotherDirectory) {
+  const TempDir dir("relative");
+  writeGene(dir, "gene");
+  ASSERT_NE(fs::current_path(), dir.path);
+  // Relative to the gene's directory, which is not the daemon's.
+  const std::string ctl = resolveCtlPaths(
+      "seqfile = gene.fasta\ntreefile = gene.nwk\nthreads = 1\n"
+      "maxIterations = 8\n",
+      dir.path);
+  EXPECT_EQ(core::Config::parseString(ctl).seqfiles,
+            std::vector<std::string>{dir.file("gene.fasta")});
+
+  ServerOptions options;
+  options.socketPath = dir.file("d.sock");
+  options.workers = 1;
+  AnalysisServer server(std::move(options));
+  server.start();
+  Client client(dir.file("d.sock"));
+  EXPECT_EQ(strip(submitAndWait(client, ctl), kClockOnly),
+            strip(cliReport(ctl), kClockOnly));
+  server.drainAndStop();
+}
+
+// ---------- one runner for every model kind ----------
+
+/// lnL and every estimate, bit for bit.
+void expectSameFit(const core::FitResult& a, const core::FitResult& b,
+                   const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(a.lnL, b.lnL);
+  EXPECT_EQ(a.params.kappa, b.params.kappa);
+  EXPECT_EQ(a.params.omega0, b.params.omega0);
+  EXPECT_EQ(a.params.omega2, b.params.omega2);
+  EXPECT_EQ(a.params.p0, b.params.p0);
+  EXPECT_EQ(a.params.p1, b.params.p1);
+  EXPECT_EQ(a.classOmegas, b.classOmegas);
+  EXPECT_EQ(a.branchLengths, b.branchLengths);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// Every model kind runs as a single gene, a 2-gene batch, a checkpointed
+// run resumed with --resume and a daemon job; the branch-heterogeneous
+// kinds also run an every-branch scan, and `model = site` refuses one.
+TEST(RunConfig, EveryModelKindTakesEveryPath) {
+  const TempDir dir("everypath");
+  writeGene(dir, "gene");
+  // The gene's tree without its #1 mark: a scan marks each set itself.
+  std::ofstream(dir.file("plain.nwk"))
+      << "(((human:0.02,chimp:0.02):0.015,gorilla:0.04):0.02,"
+         "(orangutan:0.08,macaque:0.10):0.03);\n";
+  using model::ModelKind;
+  const struct {
+    ModelKind kind;
+    double df;
+  } kinds[] = {{ModelKind::BranchSite, 1},
+               {ModelKind::Branch, 1},
+               {ModelKind::CladeC, 1},
+               {ModelKind::Site, 2}};
+  for (const auto& [kind, df] : kinds) {
+    const std::string name = model::modelKindName(kind);
+    SCOPED_TRACE(name);
+    const std::string modelLine = "model = " + name + "\n";
+    const std::string ctl = makeCtl(dir, "gene", 2, 1, modelLine);
+
+    const core::RunOutput single =
+        core::runConfig(core::Config::parseString(ctl));
+    ASSERT_TRUE(single.singleTest);
+    ASSERT_EQ(single.tests.size(), 1u);
+    const core::PositiveSelectionTest& test = single.tests.front();
+    EXPECT_EQ(test.h1.modelKind, kind);
+    EXPECT_EQ(test.lrt.df, df);
+    EXPECT_TRUE(std::isfinite(test.h0.lnL));
+    EXPECT_TRUE(std::isfinite(test.h1.lnL));
+
+    // A 2-gene batch: each gene's test is the single-gene test, and both
+    // reports render (the summary header carries the kind's df).
+    core::Config batchConfig =
+        core::Config::parseString(makeCtl(dir, "gene", 2, 2, modelLine));
+    batchConfig.outfile = dir.file(name + "-batch.txt");
+    const core::RunOutput batch = core::runConfig(batchConfig);
+    EXPECT_FALSE(batch.singleTest);
+    ASSERT_EQ(batch.tests.size(), 2u);
+    for (const auto& t : batch.tests) {
+      expectSameFit(t.h0, test.h0, "batch H0");
+      expectSameFit(t.h1, test.h1, "batch H1");
+    }
+    core::writeRunReports(batchConfig, batch, /*json=*/true);
+    EXPECT_NE(slurp(batchConfig.outfile)
+                  .find("p(chi2_" + std::to_string(static_cast<int>(df)) +
+                        ")  verdict"),
+              std::string::npos);
+    EXPECT_EQ(parseJson(slurp(batchConfig.outfile + ".json"))
+                  .at("genes")
+                  .asArray()
+                  .size(),
+              2u);
+
+    // Checkpoint, then --resume: both fits are restored without a single
+    // evaluation, to the same bits, and the report says so.
+    core::Config checkpointed = core::Config::parseString(
+        ctl + "checkpoint = " + dir.file(name + ".ckpt") +
+        "\ncheckpointEverySec = 0\n");
+    const core::RunOutput first = core::runConfig(checkpointed);
+    checkpointed.resume = true;
+    const core::RunOutput resumed = core::runConfig(checkpointed);
+    for (const auto hypothesis : {&core::PositiveSelectionTest::h0,
+                                  &core::PositiveSelectionTest::h1}) {
+      const core::FitResult& fit = resumed.tests.front().*hypothesis;
+      EXPECT_EQ(fit.counters.evaluations, 0);
+      EXPECT_EQ(fit.resumedFrom, dir.file(name + ".ckpt"));
+      expectSameFit(fit, first.tests.front().*hypothesis, "resumed");
+      expectSameFit(fit, test.*hypothesis, "resumed vs plain");
+    }
+    EXPECT_NE(core::testReportString(resumed.tests.front(),
+                                     checkpointed.engine)
+                  .find("iterations replayed"),
+              std::string::npos);
+
+    // A checkpointed job on a cold daemon reports exactly what the runner
+    // does, and its checkpoint is gone once it completes.
+    {
+      ServerOptions options;
+      options.socketPath = dir.file("d.sock");
+      options.stateDir = dir.file("state-" + name);
+      options.workers = 1;
+      AnalysisServer server(std::move(options));
+      server.start();
+      Client client(dir.file("d.sock"));
+      std::ostringstream expected;
+      core::writeJsonRunReport(expected, single, core::EngineKind::Slim);
+      EXPECT_EQ(strip(submitAndWait(client, ctl, ",\"checkpoint\":true"),
+                      kClockOnly),
+                strip(parseJson(expected.str()), kClockOnly));
+      EXPECT_FALSE(fs::exists(dir.file("state-" + name) + "/job-1.ckpt"));
+      server.drainAndStop();
+    }
+
+    const std::string scanCtl =
+        "seqfile = " + dir.file("gene.fasta") + "\ntreefile = " +
+        dir.file("plain.nwk") + "\nthreads = 1\nmaxIterations = 1\n" +
+        modelLine + "foreground = every-branch\n";
+    if (kind == ModelKind::Site) {
+      try {
+        core::Config::parseString(scanCtl);
+        ADD_FAILURE() << "expected ConfigError";
+      } catch (const core::ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find("line 6: 'foreground ='"),
+                  std::string::npos)
+            << e.what();
+      }
+      continue;
+    }
+    const core::RunOutput scan =
+        core::runConfig(core::Config::parseString(scanCtl));
+    EXPECT_FALSE(scan.singleTest);
+    EXPECT_EQ(scan.tests.size(),
+              tree::everyBranchSets(core::loadTreeFile(dir.file("plain.nwk")))
+                  .size());
+    ASSERT_EQ(scan.names.size(), scan.tests.size());
+    for (std::size_t t = 0; t < scan.tests.size(); ++t) {
+      EXPECT_EQ(scan.names[t].rfind("gene@", 0), 0u) << scan.names[t];
+      EXPECT_EQ(scan.tests[t].h1.modelKind, kind);
+      EXPECT_EQ(scan.tests[t].lrt.df, 1.0);
+    }
+  }
 }
 
 }  // namespace

@@ -50,6 +50,9 @@ docs/static-analysis.md):
   stale-lists          Every path in the lists above (PATH_LISTS) exists
                        under --root: they match by path, so an entry naming
                        a deleted or moved file would silently check nothing.
+  unbuilt-sources      Every src/**/*.cpp is listed in CMakeLists.txt's
+                       add_library(slimcodeml ...) and every tests/*_test.cpp
+                       in SLIM_TESTS: a file no target builds rots unseen.
 
 Waivers: a finding is suppressed when the offending line, or the line
 directly above it, carries
@@ -69,6 +72,7 @@ import argparse
 import os
 import re
 import sys
+from pathlib import Path
 
 SERIALIZER_NAME = re.compile(
     r"serialize\w*|persist\w*|snapshot\w*|writeDoubles|writeJson\w*|"
@@ -448,6 +452,28 @@ def check_stale_lists(root: str, findings: list[Finding]) -> None:
                     "root — update or drop the entry"))
 
 
+def check_unbuilt_sources(root: str, cmake_text: str,
+                          findings: list[Finding]) -> None:
+    stripped = "\n".join(l.split("#", 1)[0] for l in cmake_text.splitlines())
+
+    def listed(command: str, first: str) -> set[str]:
+        m = re.search(rf"\b{command}\s*\(\s*{first}\s([^()]*)\)", stripped)
+        return set(m.group(1).split()) if m else set()
+
+    tests = {f"tests/{t}.cpp" for t in listed("set", "SLIM_TESTS")}
+    for top, pattern, built, where in (
+            ("src", "**/*.cpp", listed("add_library", "slimcodeml"),
+             "add_library(slimcodeml ...)"),
+            ("tests", "*_test.cpp", tests, "set(SLIM_TESTS ...)")):
+        for path in sorted(Path(root, top).glob(pattern)):
+            rel = path.relative_to(root).as_posix()
+            if rel not in built:
+                findings.append(Finding(
+                    rel, 0, "unbuilt-sources",
+                    f"not listed in CMakeLists.txt's {where} — no target "
+                    "builds it; list it or delete it"))
+
+
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=None,
@@ -481,7 +507,9 @@ def main(argv: list[str]) -> int:
     cmake = os.path.join(root, "CMakeLists.txt")
     if os.path.isfile(cmake):
         with open(cmake, encoding="utf-8", errors="replace") as f:
-            check_cmake("CMakeLists.txt", f.read(), findings)
+            cmake_text = f.read()
+        check_cmake("CMakeLists.txt", cmake_text, findings)
+        check_unbuilt_sources(root, cmake_text, findings)
 
     for f in sorted(findings, key=lambda f: (f.path, f.line)):
         print(f)

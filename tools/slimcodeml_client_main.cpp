@@ -33,6 +33,8 @@ submit options:
   --timeout <sec>  wall-clock budget once the job starts running
   --checkpoint     snapshot optimizer state (daemon needs --state)
   --wait           block until the job finishes and print its report
+  Relative seqfile/treefile paths in the control file resolve against the
+  current directory, as they do for slimcodeml.
 
   --socket defaults to $SLIMCODEMLD_SOCKET.
   --version prints build information and exits.
@@ -188,7 +190,7 @@ int main(int argc, char** argv) {
       ctl << in.rdbuf();
 
       os << "\"submit\",\"ctl\":";
-      slim::support::jsonString(os, ctl.str());
+      slim::support::jsonString(os, slim::serve::resolveCtlPaths(ctl.str()));
       if (priority != 0) os << ",\"priority\":" << priority;
       if (timeoutSec > 0) {
         os << ",\"timeoutSec\":";

@@ -8,16 +8,10 @@
 
 #include <atomic>
 #include <csignal>
-#include <fstream>
-#include <functional>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "core/config.hpp"
-#include "core/report.hpp"
-#include "support/atomic_file.hpp"
 #include "support/build_info.hpp"
 
 namespace {
@@ -26,11 +20,13 @@ constexpr const char* kUsage = R"(usage: slimcodeml [--json] [--batch <dir>] [--
 
 Fits the selected model (branch-site A, the branch model, clade model C,
 or M1a vs M2a with `model = site`) under H0 and H1, runs the
-likelihood-ratio test, and writes a report.  Repeating the seqfile line (or --batch) selects the
-multi-gene workflow: every gene's H0/H1 fits are fanned as independent
-tasks across the worker pool, sharing the tree and the propagator cache
-machinery.  `foreground = every-branch` (or a list of branch sets) scans
-each candidate foreground as its own task, named <gene>@<branch-set>.
+likelihood-ratio test, and writes a report.  Repeating the seqfile line
+(or --batch) selects the multi-gene workflow: every gene's H0/H1 fits are
+fanned as independent tasks across the worker pool, sharing the tree and
+the propagator cache machinery.  With --batch the control file may leave
+out seqfile altogether.  `foreground = every-branch` (or a list of branch
+sets) scans each candidate foreground as its own task, named
+<gene>@<branch-set>.
 
   --json         also emit a structured JSON report: to '<outfile>.json'
                  when outfile names a file, else to stdout after the text
@@ -52,6 +48,7 @@ the same way.
 Control file template:
 
     seqfile  = gene.fasta      * FASTA or sequential PHYLIP; repeat per gene
+                               * (omit it when --batch names the genes)
     treefile = gene.nwk        * Newick; #k marks label branch classes
     outfile  = results.txt     * '-' or omitted: stdout
     engine   = slim            * slim | slim-parallel | codeml (baseline)
@@ -79,22 +76,6 @@ Control file template:
     checkpointEverySec = 30    * checkpoint write throttle (0: every iter)
     timeoutSec = 0             * wall-clock budget for the run (0: none)
 )";
-
-/// The JSON report lands next to the text report: '<outfile>.json' when the
-/// text goes to a file, stdout otherwise.  File emission is atomic
-/// (temp+fsync+rename), like every other report and checkpoint write.
-void emitJson(const slim::core::Config& config,
-              const std::function<void(std::ostream&)>& write) {
-  if (config.outfile.empty() || config.outfile == "-") {
-    write(std::cout);
-    return;
-  }
-  const std::string path = config.outfile + ".json";
-  std::ostringstream buffer;
-  write(buffer);
-  slim::support::writeFileAtomic(path, buffer.str());
-  std::cerr << "wrote " << path << '\n';
-}
 
 std::atomic<bool> gInterrupted{false};
 
@@ -148,44 +129,25 @@ int main(int argc, char** argv) {
     auto config = slim::core::Config::parseFile(ctlPath);
     config.resume = resume;
     config.fit.bfgs.cancel = [] { return gInterrupted.load(); };
-    if (!batchDir.empty()) {
+    if (!batchDir.empty())
       for (auto& path : slim::core::scanBatchDirectory(batchDir))
         config.seqfiles.push_back(std::move(path));
-      config.seqfile = config.seqfiles.front();
-    }
 
-    if (config.analysis == slim::core::AnalysisKind::Site) {
-      if (config.seqfiles.size() > 1 || json) {
-        std::cerr << "slimcodeml: error: batch mode and --json support "
-                     "'model = branch-site', 'branch' and 'clade-c', not "
-                     "'model = site'\n";
-        return 1;
-      }
-      const auto test = slim::core::runSiteModelFromConfig(config);
-      std::cerr << "done: M1a lnL = " << test.h0.lnL
-                << ", M2a lnL = " << test.h1.lnL
+    const auto out = slim::core::runConfig(config);
+    slim::core::writeRunReports(config, out, json);
+    if (out.singleTest) {
+      // The site models keep their own names for H0/H1.
+      const auto& test = out.tests.front();
+      const bool site = test.h1.modelKind == slim::model::ModelKind::Site;
+      std::cerr << "done: " << (site ? "M1a lnL = " : "lnL0 = ") << test.h0.lnL
+                << (site ? ", M2a lnL = " : ", lnL1 = ") << test.h1.lnL
                 << ", p = " << test.lrt.pChi2 << '\n';
-    } else if (config.seqfiles.size() > 1 || !config.foreground.empty()) {
-      const auto out = slim::core::runBatchFromConfig(config);
-      if (json)
-        emitJson(config, [&](std::ostream& os) {
-          writeJsonBatchReport(os, out.tests, out.geneNames, config.engine,
-                               out.totals, out.info);
-        });
+    } else {
       int detected = 0;
       for (const auto& t : out.tests) detected += t.lrt.significantAt(0.05);
       std::cerr << "done: " << out.tests.size() << " genes, " << detected
                 << " with positive selection detected, " << out.info.seconds
                 << " s (" << out.info.workers << " workers)\n";
-    } else {
-      const auto test = slim::core::runFromConfig(config);
-      if (json)
-        emitJson(config, [&](std::ostream& os) {
-          writeJsonTestReport(os, test, config.engine);
-        });
-      std::cerr << "done: lnL0 = " << test.h0.lnL
-                << ", lnL1 = " << test.h1.lnL << ", p = " << test.lrt.pChi2
-                << '\n';
     }
     if (gInterrupted.load()) {
       std::cerr << "slimcodeml: interrupted — partial report written; "
