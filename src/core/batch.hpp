@@ -75,7 +75,7 @@ class BatchAnalysis {
                      std::shared_ptr<const tree::Tree> tree,
                      FitOptions geneOptions, std::string name = {});
   /// Register an already-built context (serve mode: the daemon's context
-  /// cache hands the batch a clone with warm propagator shards).  The
+  /// cache hands the batch a clone of its parsed inputs).  The
   /// context's options are taken as-is — jitterSeedBase is *not* applied —
   /// and its engine must match the batch engine.
   GeneHandle addGene(std::shared_ptr<const AnalysisContext> context,

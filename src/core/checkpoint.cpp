@@ -99,8 +99,7 @@ model::Hypothesis parseHypothesis(std::string_view rest,
 
 GradientMode parseGradientMode(std::string_view rest,
                                const std::string& context) {
-  for (const auto g : {GradientMode::FiniteDiff, GradientMode::ParallelFiniteDiff,
-                       GradientMode::Analytic})
+  for (const auto g : {GradientMode::FiniteDiff, GradientMode::Analytic})
     if (rest == gradientModeName(g)) return g;
   throw ConfigError(context + ": unknown gradient mode '" + std::string(rest) +
                     "'");

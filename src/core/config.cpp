@@ -167,12 +167,10 @@ Config Config::parse(std::istream& in) {
     } else if (key == "gradient") {
       if (value == "fd")
         cfg.fit.tuning.gradient = GradientMode::FiniteDiff;
-      else if (value == "fd-parallel")
-        cfg.fit.tuning.gradient = GradientMode::ParallelFiniteDiff;
       else if (value == "analytic")
         cfg.fit.tuning.gradient = GradientMode::Analytic;
       else
-        badLine(lineNo, "gradient must be 'fd', 'fd-parallel' or 'analytic'");
+        badLine(lineNo, "gradient must be 'fd' or 'analytic'");
     } else if (key == "model") {
       if (!model::parseModelKind(value, cfg.fit.modelSpec.kind))
         badLine(lineNo,

@@ -18,7 +18,7 @@
 //     engine   = slim              * slim | slim-parallel | codeml
 //     threads  = 0                 * worker threads (0: all cores)
 //     parallel = auto              * auto | task | pattern (batch fan-out)
-//     gradient = fd                * fd | fd-parallel | analytic
+//     gradient = fd                * fd | analytic
 //     simd     = auto              * auto | scalar | avx2 | avx512
 //     backend  = auto              * auto | reference | simd | blas
 //     blockSize = 64               * site patterns per work block
@@ -136,8 +136,8 @@ struct RunOutput {
 };
 
 /// The context of one seqfile, built for `config` (fit.modelSpec already
-/// sized to the tree); it must stay valid until runConfig returns.  The
-/// daemon leases warm ones from its ContextCache.
+/// sized to the tree).  The daemon hands out clones of the parsed contexts
+/// in its ContextCache.
 using ContextSource = std::function<std::shared_ptr<const AnalysisContext>(
     const std::string& seqfile, const Config& config)>;
 

@@ -39,7 +39,7 @@ std::shared_ptr<const AnalysisContext> AnalysisContext::create(
 }
 
 std::shared_ptr<const AnalysisContext> AnalysisContext::withOptions(
-    FitOptions options, bool sharePropagatorCache) const {
+    FitOptions options) const {
   SLIM_REQUIRE(options.frequencyModel == options_.frequencyModel,
                "AnalysisContext::withOptions: frequency model must match the "
                "original (pi would be stale)");
@@ -47,8 +47,7 @@ std::shared_ptr<const AnalysisContext> AnalysisContext::withOptions(
   // estimation the public constructor performs — that reuse is the point.
   auto clone = std::make_shared<AnalysisContext>(*this);
   clone->options_ = std::move(options);
-  if (!sharePropagatorCache)
-    clone->cache_ = std::make_shared<lik::SharedPropagatorCache>();
+  clone->cache_ = std::make_shared<lik::SharedPropagatorCache>();
   return clone;
 }
 
@@ -74,18 +73,15 @@ FitResult fitHypothesis(const AnalysisContext& context, Hypothesis hypothesis,
       fitOptions.startJitterSeed);
 
   // The derivative-aware objective: value() on the fit's evaluator; FD probe
-  // points fanned across single-threaded pool evaluators when the gradient
-  // mode and policy allow; analytic branch derivatives under
-  // GradientMode::Analytic.  The likelihood's thread budget doubles as the
-  // coordinate fan-out width (a task-level scheduler above this fit passes
-  // numThreads = 1, which also keeps the probe pool sequential — no nested
-  // oversubscription).
-  const GradientMode mode = fitOptions.tuning.gradient;
-  const int fanWorkers = mode == GradientMode::FiniteDiff
-                             ? 1
-                             : support::resolveThreadCount(likOptions.numThreads);
-  LikelihoodObjective objective(eval, context, layout, likOptions, mode,
-                                fitOptions.tuning.policy, fanWorkers);
+  // points fanned across single-threaded pool evaluators when the policy
+  // allows; analytic branch derivatives under GradientMode::Analytic.  The
+  // likelihood's thread budget doubles as the coordinate fan-out width (a
+  // task-level scheduler above this fit passes numThreads = 1, which also
+  // keeps the probe pool sequential — no nested oversubscription).
+  LikelihoodObjective objective(
+      eval, context, layout, likOptions, fitOptions.tuning.gradient,
+      fitOptions.tuning.policy,
+      support::resolveThreadCount(likOptions.numThreads));
 
   // Checkpoint plumbing: the starting point is still packed above even on a
   // resume — its length fixes the optimization dimension (which the restored
@@ -112,7 +108,7 @@ FitResult fitHypothesis(const AnalysisContext& context, Hypothesis hypothesis,
   r.iterations = bfgsResult.iterations;
   r.functionEvaluations = bfgsResult.functionEvaluations;
   r.gradientEvaluations = bfgsResult.gradientEvaluations;
-  r.gradientMode = mode;
+  r.gradientMode = fitOptions.tuning.gradient;
   r.simd = eval.simdLevel();
   r.backend = eval.backendKind();
   r.converged = bfgsResult.converged;

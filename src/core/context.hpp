@@ -167,17 +167,13 @@ class AnalysisContext {
   /// Total propagators currently cached across all shards (diagnostics).
   std::size_t cachedPropagators() const { return cache_->totalEntries(); }
 
-  /// Cheap clone carrying different fit options: shares the parsed tree and
-  /// — when `sharePropagatorCache` — the warm propagator-cache directory,
-  /// while alignment/patterns/pi are copied as-is (no re-parsing, no
-  /// recompression).  This is how the serve-mode context cache reuses one
-  /// gene's hot state across jobs whose optimizer settings differ.  The new
-  /// options must keep the frequency model (pi would be stale otherwise).
-  /// Callers sharing the cache must not run two fits on the same shard slot
-  /// concurrently — lease a private clone (sharePropagatorCache = false)
-  /// for overlapping jobs.
-  std::shared_ptr<const AnalysisContext> withOptions(
-      FitOptions options, bool sharePropagatorCache = true) const;
+  /// Cheap clone carrying different fit options: shares the parsed tree,
+  /// copies alignment/patterns/pi as-is (no re-parsing, no recompression)
+  /// and starts an empty propagator cache of its own.  This is how the
+  /// serve-mode context cache reuses one gene's parsed inputs across jobs
+  /// whose optimizer settings differ.  The new options must keep the
+  /// frequency model (pi would be stale otherwise).
+  std::shared_ptr<const AnalysisContext> withOptions(FitOptions options) const;
 
   AnalysisContext(seqio::CodonAlignment alignment,
                   std::shared_ptr<const tree::Tree> tree, EngineKind engine,

@@ -54,13 +54,12 @@ constexpr const char* parallelPolicyName(ParallelPolicy p) noexcept {
 /// How the optimizer obtains gradients of the likelihood objective
 /// (`gradient =` in the control file).
 enum class GradientMode {
-  /// Forward/central finite differences, one evaluation per coordinate,
-  /// probed serially on the fit's own evaluator (the default).
+  /// Forward/central finite differences, one evaluation per coordinate
+  /// (the default).  A fit with more than one thread fans the probe points
+  /// across a pool of single-threaded evaluators on core::TaskScheduler
+  /// when the `parallel =` policy allows; values are bit-identical for
+  /// every worker count.
   FiniteDiff,
-  /// The same finite differences, with the probe points fanned across a
-  /// pool of single-threaded evaluators on core::TaskScheduler.  Values are
-  /// bit-identical to FiniteDiff for every worker count.
-  ParallelFiniteDiff,
   /// Hybrid analytic gradient: branch-length derivatives from one extra
   /// pruning-style sweep (dP/dt via the eigendecomposition), finite
   /// differences only for the few substitution/mixture parameters.
@@ -72,7 +71,6 @@ enum class GradientMode {
 constexpr const char* gradientModeName(GradientMode g) noexcept {
   switch (g) {
     case GradientMode::FiniteDiff: return "fd";
-    case GradientMode::ParallelFiniteDiff: return "fd-parallel";
     case GradientMode::Analytic: return "analytic";
   }
   return "?";
@@ -87,7 +85,7 @@ struct LikelihoodTuning {
   int cachePropagators = -1;  ///< tri-state: -1 preset, 0 off, 1 on
   /// Nested-parallelism policy for schedulers running independent fit tasks
   /// (core::TaskScheduler / core::BatchAnalysis); single evaluations ignore
-  /// it, but it also gates whether ParallelFiniteDiff may fan probe points.
+  /// it, but it also gates whether a fit may fan its FD probe points.
   ParallelPolicy policy = ParallelPolicy::Auto;
   /// Gradient computation for the BFGS fits.
   GradientMode gradient = GradientMode::FiniteDiff;

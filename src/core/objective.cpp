@@ -227,7 +227,7 @@ LikelihoodObjective::LikelihoodObjective(lik::BranchSiteLikelihood& evaluator,
   poolOptions_.numThreads = 1;
   // The scheduler exists whenever fanning is possible at all (its worker
   // pool is still created lazily), so wouldFan can consult the policy.
-  if (mode_ != GradientMode::FiniteDiff && fanWorkers_ > 1)
+  if (fanWorkers_ > 1)
     scheduler_ = std::make_unique<TaskScheduler>(fanWorkers_);
 }
 
@@ -286,9 +286,9 @@ std::vector<double> LikelihoodObjective::evaluateMany(
   const int numPoints = static_cast<int>(points.size());
   std::vector<double> values(points.size());
 
-  // Fan only when the mode asks for it and the policy would also fan this
-  // many independent tasks; otherwise run the sequential loop on the main
-  // evaluator (which may itself be pattern-parallel).
+  // Fan only when the fit has workers to spare and the policy would also fan
+  // this many independent tasks; otherwise run the sequential loop on the
+  // main evaluator (which may itself be pattern-parallel).
   if (!wouldFan(numPoints)) {
     for (int i = 0; i < numPoints; ++i) values[i] = evalOn(main_, points[i]);
     lastValid_ = false;  // main_'s state is now at the last probe point

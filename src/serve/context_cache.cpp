@@ -8,17 +8,6 @@
 
 namespace slim::serve {
 
-struct ContextCache::Entry {
-  std::uint64_t alignmentHash = 0;
-  std::uint64_t treeHash = 0;
-  core::EngineKind engine = core::EngineKind::Slim;
-  model::CodonFrequencyModel frequencyModel = model::CodonFrequencyModel::F3x4;
-  bool stopCodonsAsMissing = false;
-  std::shared_ptr<const core::AnalysisContext> prototype;
-  bool inUse = false;
-  std::uint64_t lastUse = 0;
-};
-
 namespace {
 
 std::string readFileBytes(const std::string& path, const char* what) {
@@ -44,33 +33,9 @@ std::uint64_t fnv1a(std::string_view bytes) noexcept {
 ContextCache::ContextCache(std::size_t maxEntries)
     : maxEntries_(std::max<std::size_t>(1, maxEntries)) {}
 
-ContextCache::Lease::Lease(Lease&& other) noexcept
-    : context_(std::move(other.context_)),
-      cache_(other.cache_),
-      entry_(std::move(other.entry_)) {
-  other.cache_ = nullptr;
-  other.entry_.reset();
-}
-
-ContextCache::Lease& ContextCache::Lease::operator=(Lease&& other) noexcept {
-  if (this != &other) {
-    if (cache_ != nullptr && entry_ != nullptr) cache_->release(entry_);
-    context_ = std::move(other.context_);
-    cache_ = other.cache_;
-    entry_ = std::move(other.entry_);
-    other.cache_ = nullptr;
-    other.entry_.reset();
-  }
-  return *this;
-}
-
-ContextCache::Lease::~Lease() {
-  if (cache_ != nullptr && entry_ != nullptr) cache_->release(entry_);
-}
-
-ContextCache::Lease ContextCache::acquire(const std::string& seqfile,
-                                          const core::Config& config,
-                                          const core::FitOptions& fit) {
+std::shared_ptr<const core::AnalysisContext> ContextCache::acquire(
+    const std::string& seqfile, const core::Config& config,
+    const core::FitOptions& fit) {
   // Hash the *bytes* of both inputs before touching the cache: an on-disk
   // edit must always be a different key.
   const std::uint64_t alignmentHash =
@@ -79,74 +44,34 @@ ContextCache::Lease ContextCache::acquire(const std::string& seqfile,
       fnv1a(readFileBytes(config.treefile, "tree file"));
 
   support::MutexLock lock(mutex_);
-  std::shared_ptr<Entry> found;
-  for (const auto& entry : entries_) {
-    if (entry->alignmentHash == alignmentHash && entry->treeHash == treeHash &&
-        entry->engine == config.engine &&
-        entry->frequencyModel == fit.frequencyModel &&
-        entry->stopCodonsAsMissing == config.stopCodonsAsMissing) {
-      found = entry;
-      break;
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    if (it->alignmentHash == alignmentHash && it->treeHash == treeHash &&
+        it->engine == config.engine &&
+        it->frequencyModel == fit.frequencyModel &&
+        it->stopCodonsAsMissing == config.stopCodonsAsMissing) {
+      ++stats_.hits;
+      std::rotate(it, it + 1, entries_.end());
+      return entries_.back().prototype->withOptions(fit);
     }
-  }
-
-  Lease lease;
-  lease.cache_ = this;
-  if (found != nullptr && !found->inUse) {
-    ++stats_.hits;
-    found->inUse = true;
-    found->lastUse = ++useCounter_;
-    lease.context_ = found->prototype->withOptions(fit);
-    lease.entry_ = found;
-    return lease;
-  }
-  if (found != nullptr) {
-    // Same gene, but its propagator directory is leased to a running job.
-    // Reuse the parsed data (cheap copy), take a cold private cache.
-    ++stats_.busy;
-    lease.context_ =
-        found->prototype->withOptions(fit, /*sharePropagatorCache=*/false);
-    return lease;
   }
 
   ++stats_.misses;
   // Cold build.  Parsing under the lock serializes concurrent cold starts;
   // acceptable at job-submission rates, and it guarantees two jobs racing on
   // a new gene share one entry instead of building two.
-  auto entry = std::make_shared<Entry>();
-  entry->alignmentHash = alignmentHash;
-  entry->treeHash = treeHash;
-  entry->engine = config.engine;
-  entry->frequencyModel = fit.frequencyModel;
-  entry->stopCodonsAsMissing = config.stopCodonsAsMissing;
-  entry->prototype = core::AnalysisContext::create(
+  Entry entry;
+  entry.alignmentHash = alignmentHash;
+  entry.treeHash = treeHash;
+  entry.engine = config.engine;
+  entry.frequencyModel = fit.frequencyModel;
+  entry.stopCodonsAsMissing = config.stopCodonsAsMissing;
+  entry.prototype = core::AnalysisContext::create(
       core::loadAlignmentFile(seqfile, config.stopCodonsAsMissing),
       std::make_shared<const tree::Tree>(core::loadTreeFile(config.treefile)),
       config.engine, fit);
-  entry->inUse = true;
-  entry->lastUse = ++useCounter_;
-
-  // Evict idle least-recently-used entries beyond the bound.
-  while (entries_.size() + 1 > maxEntries_) {
-    auto lru = entries_.end();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it)
-      if (!(*it)->inUse && (lru == entries_.end() || (*it)->lastUse < (*lru)->lastUse))
-        lru = it;
-    if (lru == entries_.end()) break;  // everything leased; allow overflow
-    entries_.erase(lru);
-  }
-  entries_.push_back(entry);
-
-  lease.context_ = entry->prototype->withOptions(fit);
-  lease.entry_ = entry;
-  return lease;
-}
-
-void ContextCache::release(const std::shared_ptr<void>& entryHandle) {
-  support::MutexLock lock(mutex_);
-  auto* entry = static_cast<Entry*>(entryHandle.get());
-  entry->inUse = false;
-  entry->lastUse = ++useCounter_;
+  if (entries_.size() >= maxEntries_) entries_.erase(entries_.begin());
+  entries_.push_back(std::move(entry));
+  return entries_.back().prototype->withOptions(fit);
 }
 
 ContextCacheStats ContextCache::stats() const {

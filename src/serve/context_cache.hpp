@@ -1,21 +1,15 @@
 #pragma once
-// Warm-state directory of the analysis daemon: shared AnalysisContexts keyed
-// by (alignment content hash, tree content hash, engine, frequency model,
+// Parsed-input directory of the analysis daemon: AnalysisContexts keyed by
+// (alignment content hash, tree content hash, engine, frequency model,
 // cleandata).  A second job on the same gene/tree skips parsing, pattern
-// compression and frequency estimation, and — when no other job holds the
-// entry — reuses the entry's SharedPropagatorCache, so its first evaluations
-// hit propagators the previous job already built (visible as
-// propagatorCacheHits in the job's counters).
+// compression and frequency estimation.
 //
 // Correctness over cleverness:
 //  * keys hash file *content*, not paths — a client regenerating gene.fasta
 //    in place never gets a stale context;
 //  * each job receives a withOptions() clone carrying the job's exact
-//    FitOptions, so cached state can never leak another job's optimizer
-//    settings into a result (daemon == CLI bit-identity);
-//  * an entry's propagator cache is leased to at most one job at a time:
-//    concurrent jobs on the same gene get a cold private clone instead
-//    (shard slots are not re-entrant; see lik/propagator_cache.hpp).
+//    FitOptions and its own empty propagator cache, so no state crosses
+//    jobs (daemon == CLI bit-identity, counters included).
 
 #include <cstdint>
 #include <memory>
@@ -29,65 +23,42 @@
 namespace slim::serve {
 
 struct ContextCacheStats {
-  std::uint64_t hits = 0;    ///< Jobs served a warm cached context.
+  std::uint64_t hits = 0;    ///< Jobs served an already-parsed context.
   std::uint64_t misses = 0;  ///< Cold builds (first sight of the inputs).
-  std::uint64_t busy = 0;    ///< Entry existed but was leased; private clone.
   std::size_t entries = 0;
 };
 
 class ContextCache {
  public:
-  /// `maxEntries` bounds resident gene state; least-recently-used idle
-  /// entries are evicted beyond it.
+  /// `maxEntries` bounds resident gene state; the least-recently-used entry
+  /// is evicted beyond it.
   explicit ContextCache(std::size_t maxEntries = 16);
 
-  /// RAII lease of one per-gene context.  `context` carries the job's fit
-  /// options; destroying the lease returns the warm entry to the cache.
-  class Lease {
-   public:
-    Lease() = default;
-    Lease(Lease&& other) noexcept;
-    Lease& operator=(Lease&& other) noexcept;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease();
-
-    const std::shared_ptr<const core::AnalysisContext>& context() const {
-      return context_;
-    }
-    /// True when this lease shares a cached (possibly warm) propagator
-    /// directory; false for cold private clones handed out under contention.
-    bool sharedEntry() const { return entry_ != nullptr; }
-
-   private:
-    friend class ContextCache;
-    std::shared_ptr<const core::AnalysisContext> context_;
-    ContextCache* cache_ = nullptr;
-    std::shared_ptr<void> entry_;  // opaque Entry handle; null = private clone
-  };
-
-  /// Build or reuse the context for `seqfile`/`config.treefile` and hand it
-  /// out with `fit` as its options.  File I/O and parsing errors propagate
-  /// (std::runtime_error) — submit-time validation surfaces them as job
-  /// failures.
-  Lease acquire(const std::string& seqfile, const core::Config& config,
-                const core::FitOptions& fit);
+  /// Build or reuse the context for `seqfile`/`config.treefile` and hand out
+  /// a clone with `fit` as its options.  File I/O and parsing errors
+  /// propagate (std::runtime_error) — submit-time validation surfaces them
+  /// as job failures.
+  std::shared_ptr<const core::AnalysisContext> acquire(
+      const std::string& seqfile, const core::Config& config,
+      const core::FitOptions& fit);
 
   ContextCacheStats stats() const;
 
  private:
-  struct Entry;
-
-  void release(const std::shared_ptr<void>& entryHandle);
+  struct Entry {
+    std::uint64_t alignmentHash = 0;
+    std::uint64_t treeHash = 0;
+    core::EngineKind engine = core::EngineKind::Slim;
+    model::CodonFrequencyModel frequencyModel =
+        model::CodonFrequencyModel::F3x4;
+    bool stopCodonsAsMissing = false;
+    std::shared_ptr<const core::AnalysisContext> prototype;
+  };
 
   const std::size_t maxEntries_;
   mutable support::Mutex mutex_;
-  // Entry objects (including their inUse/lastUse fields) are only read or
-  // written under mutex_; the analysis cannot see that through the separate
-  // struct, so the discipline for Entry internals is by convention (and the
-  // TSan job), while the directory itself is annotated.
-  std::vector<std::shared_ptr<Entry>> entries_ SLIM_GUARDED_BY(mutex_);
-  std::uint64_t useCounter_ SLIM_GUARDED_BY(mutex_) = 0;
+  /// Least recently used first.
+  std::vector<Entry> entries_ SLIM_GUARDED_BY(mutex_);
   ContextCacheStats stats_ SLIM_GUARDED_BY(mutex_);
 };
 

@@ -43,6 +43,11 @@ namespace {
 
 constexpr const char* kJournalSchema = "slimcodemld-journal-v1";
 
+/// Whether `v` is an integer in [lo, hi] (false for NaN).
+bool integerIn(double v, double lo, double hi) noexcept {
+  return v >= lo && v <= hi && std::floor(v) == v;
+}
+
 bool terminal(JobState s) noexcept {
   return s == JobState::Done || s == JobState::Failed ||
          s == JobState::Cancelled;
@@ -431,7 +436,9 @@ std::string AnalysisServer::Impl::handleSubmit(const Request& req) {
   job->checkpointed = req.checkpoint;
   job->ctl = req.ctl;
   job->config = std::move(config);
-  jobs.emplace(job->id, job);
+  // recoverJournal keeps every recovered seq below nextSeq.
+  const bool inserted = jobs.emplace(job->id, job).second;
+  SLIM_REQUIRE(inserted, "serve: job id " + job->id + " is already taken");
   if (!options.stateDir.empty() && !suppressPersist) persistJournalLocked();
   lock.unlock();
   cv.notifyAll();
@@ -485,7 +492,7 @@ std::string AnalysisServer::Impl::handleStatus(const Request& req) {
      << byState[static_cast<int>(JobState::Cancelled)]
      << "},\"contextCache\":{\"entries\":" << cacheStats.entries
      << ",\"hits\":" << cacheStats.hits << ",\"misses\":" << cacheStats.misses
-     << ",\"busy\":" << cacheStats.busy << "}}}";
+     << "}}}";
   return os.str();
 }
 
@@ -630,15 +637,11 @@ AnalysisServer::Impl::RunOutcome AnalysisServer::Impl::runJob(Job& job) {
       config.resume = true;
     }
 
-    // Every non-scan gene runs on a context leased from the warm cache; the
-    // leases return their entries once the run is over.
-    std::vector<ContextCache::Lease> leases;
+    // Every non-scan gene runs on a clone of its cached parsed context.
     const core::RunOutput run = core::runConfig(
         config, [&](const std::string& seqfile, const core::Config& resolved) {
-          leases.push_back(cache.acquire(seqfile, resolved, resolved.fit));
-          return leases.back().context();
+          return cache.acquire(seqfile, resolved, resolved.fit);
         });
-    leases.clear();
     for (const auto& test : run.tests)
       out.cancelled |= test.h0.cancelled || test.h1.cancelled;
     if (out.cancelled) return out;
@@ -721,18 +724,37 @@ void AnalysisServer::Impl::recoverJournal() {
           schema->asString() != kJournalSchema)
         fail(lineNo, std::string("expected journal schema \"") +
                          kJournalSchema + "\"");
+      // 2^53: every integer up to it round-trips through a JSON number.
       const double seq = doc.at("nextSeq").asNumber();
-      if (seq < 1 || std::floor(seq) != seq)
+      if (!integerIn(seq, 1, 9007199254740992.0))
         fail(lineNo, "invalid nextSeq");
       nextSeq = static_cast<std::uint64_t>(seq);
       continue;
     }
     auto job = std::make_shared<Job>();
     try {
+      // Fields are checked before any cast: the daemon writes only ids
+      // "job-<seq>" with seq below nextSeq, so a journal breaking that would
+      // make the next submission collide with a recovered job.
+      const double seq = doc.at("seq").asNumber();
+      if (!integerIn(seq, 1, static_cast<double>(nextSeq) - 1))
+        fail(lineNo, "job seq must be a positive integer below nextSeq " +
+                         std::to_string(nextSeq));
+      job->seq = static_cast<std::uint64_t>(seq);
       job->id = doc.at("id").asString();
-      job->seq = static_cast<std::uint64_t>(doc.at("seq").asNumber());
-      job->priority = static_cast<int>(doc.at("priority").asNumber());
+      if (job->id != "job-" + std::to_string(job->seq))
+        fail(lineNo, "job id \"" + job->id + "\" does not match seq " +
+                         std::to_string(job->seq));
+      if (jobs.count(job->id) != 0)
+        fail(lineNo, "duplicate job seq " + std::to_string(job->seq));
+      const double priority = doc.at("priority").asNumber();
+      if (!integerIn(priority, kMinPriority, kMaxPriority))
+        fail(lineNo, "job priority must be an integer in [" +
+                         std::to_string(kMinPriority) + ", " +
+                         std::to_string(kMaxPriority) + "]");
+      job->priority = static_cast<int>(priority);
       job->timeoutSec = doc.at("timeoutSec").asNumber();
+      if (!(job->timeoutSec >= 0)) fail(lineNo, "job timeoutSec must be >= 0");
       job->checkpointed = doc.at("checkpoint").asBool();
       job->ctl = doc.at("ctl").asString();
       const std::string& state = doc.at("state").asString();

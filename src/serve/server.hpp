@@ -12,8 +12,8 @@
 //  * per-job cooperative cancellation and deadlines ride the optimizer's
 //    CancelPredicate — a cancelled fit stops at an iteration boundary, which
 //    is also a checkpoint snapshot boundary;
-//  * hot state stays resident across jobs in a ContextCache (warm propagator
-//    shards for repeat genes);
+//  * parsed inputs stay resident across jobs in a ContextCache (a repeat
+//    gene skips parsing; every job starts with its own propagator cache);
 //  * with a state directory, the queue is journalled (atomic rewrite on
 //    every mutation) and jobs submitted with "checkpoint":true snapshot
 //    their optimizer state — SIGKILL + restart recovers them and resumes

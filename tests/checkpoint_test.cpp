@@ -319,6 +319,14 @@ TEST(CheckpointFormat, RefusesCorruptedAndMismatchedInput) {
     bad.replace(bad.find("expm eigen"), 10, "expm adaptive");
     expectParseError(bad, "unknown expm algorithm 'adaptive'");
   }
+  // `fd` fans its own probes, so a completed fit stamped with the retired
+  // `fd-parallel` mode is refused by name.
+  {
+    std::string bad = good;
+    bad.replace(bad.find("gradientMode analytic"), 21,
+                "gradientMode fd-parallel");
+    expectParseError(bad, "unknown gradient mode 'fd-parallel'");
+  }
   // Malformed config hash.
   expectParseError("slimcodeml-checkpoint v1\nconfigHash zzzz\n",
                    "configHash");

@@ -63,14 +63,21 @@ TEST(ConfigParse, GradientModes) {
   EXPECT_EQ(Config::parseString(std::string(base) + "fd\n")
                 .fit.tuning.gradient,
             GradientMode::FiniteDiff);
-  EXPECT_EQ(Config::parseString(std::string(base) + "fd-parallel\n")
-                .fit.tuning.gradient,
-            GradientMode::ParallelFiniteDiff);
   EXPECT_EQ(Config::parseString(std::string(base) + "analytic\n")
                 .fit.tuning.gradient,
             GradientMode::Analytic);
-  EXPECT_THROW(Config::parseString(std::string(base) + "newton\n"),
-               std::invalid_argument);
+  // `fd` fans its own probes; the retired `fd-parallel` is an error.
+  for (const char* bad : {"newton", "fd-parallel"}) {
+    try {
+      Config::parseString(std::string(base) + bad + "\n");
+      ADD_FAILURE() << "expected ConfigError for " << bad;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "line 3: gradient must be 'fd' or 'analytic'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ConfigParse, Errors) {

@@ -4,9 +4,9 @@
 //  * correctness: analytic d lnL / d t matches central finite differences at
 //    random feasible points, under both hypothesis parameterizations and
 //    across engine presets / thread counts;
-//  * determinism: fd-parallel probe fan-out returns bit-identical gradients
-//    to the serial fd path for every worker count;
-//  * end-to-end: full H0/H1 fits reach the same maximum under all three
+//  * determinism: fd's probe fan-out returns bit-identical gradients to the
+//    serial fd path for every worker count;
+//  * end-to-end: full H0/H1 fits reach the same maximum under both
 //    GradientModes, with `analytic` cutting likelihood evaluations per
 //    converged fit by >= 3x versus `fd` (the whole point of the API).
 
@@ -143,9 +143,9 @@ TEST(AnalyticGradient, BitIdenticalAcrossThreadCountsAndEngines) {
   }
 }
 
-// ---------- fd-parallel bit-identity ----------
+// ---------- fd probe fan-out bit-identity ----------
 
-TEST(ParallelFiniteDiff, BitIdenticalToSerialForEveryWorkerCount) {
+TEST(FdProbeFanOut, BitIdenticalToSerialForEveryWorkerCount) {
   const auto d = makeData(7, 40, 17);
   const BranchSiteParams p;
   auto likOptions = lik::slimParallelOptions();
@@ -180,7 +180,7 @@ TEST(ParallelFiniteDiff, BitIdenticalToSerialForEveryWorkerCount) {
                                      ctx->pi(), ctx->tree(), Hypothesis::H1,
                                      likOptions);
       core::LikelihoodObjective fanned(eval, *ctx, layout, likOptions,
-                                       GradientMode::ParallelFiniteDiff,
+                                       GradientMode::FiniteDiff,
                                        core::ParallelPolicy::TaskLevel,
                                        workers);
       EXPECT_EQ(fanned.value(x0), f0) << workers;
@@ -190,26 +190,25 @@ TEST(ParallelFiniteDiff, BitIdenticalToSerialForEveryWorkerCount) {
                                << " central=" << central;
       if (workers > 1) {
         EXPECT_GT(fanned.poolSize(), 0) << workers;
+      } else {
+        EXPECT_EQ(fanned.poolSize(), 0);
       }
     }
   }
 }
 
-TEST(ParallelFiniteDiff, FullFitsBitIdenticalToSerialFd) {
+TEST(FdProbeFanOut, FullFitsBitIdenticalToSerialFd) {
   const auto d = makeData(6, 30, 19);
-  core::FitOptions base;
-  base.bfgs.maxIterations = 8;
-  base.tuning.cachePropagators = 1;
-
-  core::FitOptions fd = base;
+  core::FitOptions fd;
+  fd.bfgs.maxIterations = 8;
+  fd.tuning.cachePropagators = 1;
   fd.tuning.gradient = GradientMode::FiniteDiff;
   fd.tuning.numThreads = 1;
   core::BranchSiteAnalysis serial(d.codons, d.tree, core::EngineKind::Slim, fd);
   const auto ref = serial.fit(Hypothesis::H1);
 
   for (int threads : {1, 2, 8}) {
-    core::FitOptions par = base;
-    par.tuning.gradient = GradientMode::ParallelFiniteDiff;
+    core::FitOptions par = fd;
     par.tuning.numThreads = threads;
     par.tuning.policy = core::ParallelPolicy::TaskLevel;
     core::BranchSiteAnalysis fanned(d.codons, d.tree, core::EngineKind::Slim,
@@ -224,15 +223,15 @@ TEST(ParallelFiniteDiff, FullFitsBitIdenticalToSerialFd) {
   }
 }
 
-// ---------- end-to-end: the three modes agree, analytic is cheaper ----------
+// ---------- end-to-end: the modes agree, analytic is cheaper ----------
 
 TEST(GradientModes, FitsAgreeAndAnalyticCutsEvaluations) {
 #ifdef SLIM_SANITIZED
-  // Six full fits run to tight convergence: ~30 s natively but ~30 min
-  // under ASan/TSan, and entirely single-threaded (numThreads = 1, no probe
+  // Four full fits run to tight convergence: tens of seconds natively but
+  // tens of minutes under ASan/TSan, and entirely single-threaded (numThreads = 1, no probe
   // fan-out), so sanitized runs gain no coverage from it.  The threaded
-  // gradient paths are covered by the AnalyticGradient and
-  // ParallelFiniteDiff suites above.
+  // gradient paths are covered by the AnalyticGradient and FdProbeFanOut
+  // suites above.
   GTEST_SKIP() << "single-threaded convergence marathon skipped under "
                   "sanitizers";
 #endif
@@ -252,7 +251,7 @@ TEST(GradientModes, FitsAgreeAndAnalyticCutsEvaluations) {
 
   core::FitOptions base;
   // Tight enough that every mode runs to the numerical optimum (not to an
-  // early f-tolerance stop), so the three final lnL values are comparable
+  // early f-tolerance stop), so the final lnL values are comparable
   // at 1e-8; central differences keep the FD modes accurate near it.
   base.bfgs.maxIterations = 400;
   base.bfgs.gradTolerance = 1e-9;
@@ -265,11 +264,10 @@ TEST(GradientModes, FitsAgreeAndAnalyticCutsEvaluations) {
   base.tuning.numThreads = 1;
 
   for (Hypothesis h : {Hypothesis::H0, Hypothesis::H1}) {
-    core::FitResult results[3];
-    const GradientMode modes[3] = {GradientMode::FiniteDiff,
-                                   GradientMode::ParallelFiniteDiff,
+    core::FitResult results[2];
+    const GradientMode modes[2] = {GradientMode::FiniteDiff,
                                    GradientMode::Analytic};
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < 2; ++i) {
       core::FitOptions opts = base;
       opts.tuning.gradient = modes[i];
       core::BranchSiteAnalysis analysis(d.codons, d.tree,
@@ -278,20 +276,18 @@ TEST(GradientModes, FitsAgreeAndAnalyticCutsEvaluations) {
       EXPECT_TRUE(results[i].converged)
           << model::hypothesisName(h) << " " << core::gradientModeName(modes[i]);
     }
-    // fd and fd-parallel follow the same trajectory exactly; analytic lands
-    // on the same maximum.
-    EXPECT_EQ(results[0].lnL, results[1].lnL) << model::hypothesisName(h);
-    EXPECT_NEAR(results[0].lnL, results[2].lnL, 1e-8)
+    // analytic lands on fd's maximum.
+    EXPECT_NEAR(results[0].lnL, results[1].lnL, 1e-8)
         << model::hypothesisName(h);
 
     if (h == Hypothesis::H1) {
       // The acceptance bar: analytic cuts likelihood evaluations per
       // converged H1 fit by >= 3x (branch derivatives come from sweeps).
       EXPECT_GE(results[0].counters.evaluations,
-                3 * results[2].counters.evaluations)
+                3 * results[1].counters.evaluations)
           << "fd=" << results[0].counters.evaluations
-          << " analytic=" << results[2].counters.evaluations;
-      EXPECT_GT(results[2].counters.gradientSweeps, 0);
+          << " analytic=" << results[1].counters.evaluations;
+      EXPECT_GT(results[1].counters.gradientSweeps, 0);
       EXPECT_EQ(results[0].counters.gradientSweeps, 0);
     }
   }

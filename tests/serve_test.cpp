@@ -1,11 +1,12 @@
 // Tests for the analysis daemon stack: the strict JSON parser, the
 // slimcodeml-serve-v1 protocol, cooperative cancellation in both optimizers,
 // and the AnalysisServer end to end — daemon results bit-identical
-// (EXPECT_EQ) to CLI runs of the same control file, warm context reuse
-// across jobs, admission control and malformed-request handling (keyed
-// errors, never UB), cancellation of queued and running jobs, deadline
-// enforcement, kill -9 + restart recovery of checkpointed jobs, and the one
-// config runner every model kind takes on every path.
+// (EXPECT_EQ) to CLI runs of the same control file, counters included,
+// parsed-context reuse across jobs (and the ContextCache itself),
+// admission control and malformed-request handling (keyed errors, never
+// UB), cancellation of queued and running jobs, deadline enforcement,
+// kill -9 + restart recovery of checkpointed jobs, journal validation, and
+// the one config runner every model kind takes on every path.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +31,7 @@
 #include "opt/bfgs.hpp"
 #include "opt/cancel.hpp"
 #include "serve/client.hpp"
+#include "serve/context_cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "support/build_info.hpp"
@@ -62,9 +64,12 @@ struct TempDir {
 
 /// The 5-species primate gene + #1-marked tree used across integration-level
 /// tests; small enough that a full H0/H1 fit runs in milliseconds.
-void writeGene(const TempDir& dir, const std::string& stem) {
+/// `lastHumanCodon` varies the alignment's bytes (GAT, GAC, GAA, GAG are all
+/// sense codons).
+void writeGene(const TempDir& dir, const std::string& stem,
+               const std::string& lastHumanCodon = "GAT") {
   std::ofstream fasta(dir.file(stem + ".fasta"));
-  fasta << ">human\nATGGCTAAATTTCCCGGGACTTGCGGAGAT\n"
+  fasta << ">human\nATGGCTAAATTTCCCGGGACTTGCGGA" << lastHumanCodon << "\n"
            ">chimp\nATGGCTAAATTCCCCGGGACTTGCGGAGAT\n"
            ">gorilla\nATGGCAAAATTTCCCGGAACTTGTGGAGAC\n"
            ">orangutan\nATGGCTAAGTTTCCAGGGACATGCGGTGAT\n"
@@ -101,7 +106,7 @@ JsonValue cliReport(const std::string& ctl) {
 
 /// Deep copy with the named object keys removed at every level — used to
 /// compare reports modulo fields that legitimately differ (wall-clock, and
-/// where stated, counters / resume provenance).
+/// where stated, batch run info / counters / resume provenance).
 JsonValue strip(const JsonValue& v, const std::set<std::string>& skip) {
   if (v.isObject()) {
     JsonValue::Object out;
@@ -125,12 +130,11 @@ std::string dump(const JsonValue& v) {
 
 /// Wall-clock fields differ between any two runs; everything else must not.
 const std::set<std::string> kClockOnly = {"seconds", "totalSeconds"};
-/// Plus engine counters: a warm cache changes *which* work is done (hits vs
-/// builds), never any result bit.
-const std::set<std::string> kClockAndCounters = {"seconds", "totalSeconds",
-                                                 "counters", "totals",
-                                                 "batch"};
-/// Plus resume provenance, for runs recovered from a checkpoint.
+/// Plus a batch report's run info (its worker count and wall clock).
+const std::set<std::string> kClockAndBatch = {"seconds", "totalSeconds",
+                                              "batch"};
+/// Plus engine counters and resume provenance, for runs recovered from a
+/// checkpoint (restored iterations cost no evaluations).
 const std::set<std::string> kClockCountersResume = {
     "seconds",     "totalSeconds",      "counters", "totals",
     "batch",       "resumedFrom",       "iterationsReplayed"};
@@ -440,6 +444,102 @@ TEST(CancelPredicate, TimeoutSecCtlKeyCancelsRun) {
   EXPECT_TRUE(converged.h1.converged) << converged.h1.message;
 }
 
+// ---------- the parsed-context cache ----------
+
+/// A ctl's parsed config for gene `stem`, as the daemon hands it to the
+/// cache (cachePropagators on, so clones have shards to compare).
+core::Config geneConfig(const TempDir& dir, const std::string& stem,
+                        const std::string& extra = {}) {
+  return core::Config::parseString(
+      makeCtl(dir, stem, 0, 1, "cachePropagators = 1\n" + extra));
+}
+
+std::shared_ptr<const core::AnalysisContext> acquireGene(
+    ContextCache& cache, const core::Config& config) {
+  return cache.acquire(config.seqfiles.front(), config, config.fit);
+}
+
+TEST(ContextCache, KeysOnContentEngineFrequenciesAndCleandata) {
+  const TempDir dir("cachekey");
+  writeGene(dir, "gene");
+  fs::copy_file(dir.file("gene.fasta"), dir.file("copy.fasta"));
+  ContextCache cache;
+  const core::Config config = geneConfig(dir, "gene");
+  acquireGene(cache, config);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  // The same bytes under another path are the same gene.
+  cache.acquire(dir.file("copy.fasta"), config, config.fit);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  // Each of engine, CodonFreq and cleandata is part of the key.
+  for (const char* extra :
+       {"engine = slim-parallel\n", "CodonFreq = 3\n", "cleandata = 1\n"}) {
+    SCOPED_TRACE(extra);
+    const std::uint64_t misses = cache.stats().misses;
+    acquireGene(cache, geneConfig(dir, "gene", extra));
+    EXPECT_EQ(cache.stats().misses, misses + 1);
+  }
+
+  // A file rewritten in place is a new gene.
+  writeGene(dir, "gene", "GAC");
+  const std::uint64_t misses = cache.stats().misses;
+  acquireGene(cache, config);
+  EXPECT_EQ(cache.stats().misses, misses + 1);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().entries, 5u);
+}
+
+TEST(ContextCache, EvictsTheLeastRecentlyUsedGene) {
+  const TempDir dir("cachelru");
+  writeGene(dir, "a", "GAT");
+  writeGene(dir, "b", "GAC");
+  writeGene(dir, "c", "GAA");
+  ContextCache cache(2);
+  acquireGene(cache, geneConfig(dir, "a"));
+  acquireGene(cache, geneConfig(dir, "b"));
+  acquireGene(cache, geneConfig(dir, "a"));  // hit: b is now the LRU gene
+  acquireGene(cache, geneConfig(dir, "c"));  // evicts b
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 3u);
+
+  acquireGene(cache, geneConfig(dir, "a"));
+  EXPECT_EQ(cache.stats().hits, 2u);
+  acquireGene(cache, geneConfig(dir, "b"));
+  EXPECT_EQ(cache.stats().misses, 4u);
+  EXPECT_EQ(cache.stats().entries, 2u);
+}
+
+TEST(ContextCache, ClonesCarryTheJobOptionsAndTheirOwnPropagatorCache) {
+  const TempDir dir("cacheclone");
+  writeGene(dir, "gene");
+  ContextCache cache;
+  const core::Config config = geneConfig(dir, "gene");
+  core::FitOptions fitA = config.fit;
+  fitA.bfgs.maxIterations = 3;
+  core::FitOptions fitB = config.fit;
+  fitB.bfgs.maxIterations = 7;
+  const auto a = cache.acquire(config.seqfiles.front(), config, fitA);
+  const auto b = cache.acquire(config.seqfiles.front(), config, fitB);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(a->options().bfgs.maxIterations, 3);
+  EXPECT_EQ(b->options().bfgs.maxIterations, 7);
+  // The parsed tree is shared; the propagator caches are not.
+  EXPECT_EQ(a->treePtr(), b->treePtr());
+  const int slot = core::AnalysisContext::shardSlot(model::Hypothesis::H0);
+  ASSERT_NE(a->cacheShard(slot), nullptr);
+  EXPECT_NE(a->cacheShard(slot), b->cacheShard(slot));
+
+  // A fit on one clone leaves every later clone cold.
+  core::fitHypothesis(*a, model::Hypothesis::H0, a->options(),
+                      a->likelihoodOptions(), a->cacheShard(slot));
+  EXPECT_GT(a->cachedPropagators(), 0u);
+  EXPECT_EQ(b->cachedPropagators(), 0u);
+  EXPECT_EQ(acquireGene(cache, config)->cachedPropagators(), 0u);
+}
+
 // ---------- server end to end ----------
 
 TEST(Server, PingStatusAndVersion) {
@@ -508,8 +608,8 @@ TEST(Server, DaemonReportMatchesCliByteForByte) {
   const std::string batchCtl = makeCtl(dir, "gene", 5, 3);
   const JsonValue batchBaseline = cliReport(batchCtl);
   const JsonValue batchReport = submitAndWait(client, batchCtl);
-  EXPECT_EQ(strip(batchReport, kClockAndCounters),
-            strip(batchBaseline, kClockAndCounters));
+  EXPECT_EQ(strip(batchReport, kClockAndBatch),
+            strip(batchBaseline, kClockAndBatch));
   server.drainAndStop();
 }
 
@@ -538,28 +638,25 @@ TEST(Server, ConcurrentClientsMatchSequentialCli) {
     });
   for (auto& t : clients) t.join();
 
-  // Two workers race over shared warm state (including the busy-entry
-  // private-clone path for same-gene jobs); every result must still equal
-  // its sequential CLI baseline bit for bit.
+  // Two workers run clones of the same cached contexts concurrently; every
+  // result, counters included, must still equal its sequential CLI
+  // baseline bit for bit.
   for (int j = 0; j < 4; ++j)
-    EXPECT_EQ(strip(reports[j], kClockAndCounters),
-              strip(baselines[j], kClockAndCounters))
+    EXPECT_EQ(strip(reports[j], kClockOnly), strip(baselines[j], kClockOnly))
         << "job " << j;
   server.drainAndStop();
 }
 
-TEST(Server, SecondJobWarmStartsFromContextCache) {
-  const TempDir dir("warm");
+TEST(Server, RepeatJobReusesParsedInputsOnly) {
+  const TempDir dir("repeat");
   writeGene(dir, "gene");
-  // maxIterations = 0: each fit evaluates the likelihood (and its FD
-  // gradient) only around the initial point, so two identical jobs trace
-  // identical specs and the second one's first evaluations hit the
-  // propagators the first job left in the shared shards.  (The first job's
-  // site scan runs last, at the initial-point spec, which is exactly where
-  // the second job's H1 fit starts.)  cachePropagators = 1 opts in — the
-  // default `slim` engine preset keeps the shard cache off.
+  // maxIterations = 0: each fit evaluates only around the initial point, so
+  // propagators left over from the first job would serve the second job's
+  // first evaluations and raise its cacheHits.  cachePropagators = 1 opts
+  // in — the default `slim` engine preset keeps the cache off.
   const std::string ctl =
       makeCtl(dir, "gene", 0, 1, "cachePropagators = 1\n");
+  const JsonValue baseline = cliReport(ctl);
 
   ServerOptions options;
   options.socketPath = dir.file("d.sock");
@@ -571,20 +668,17 @@ TEST(Server, SecondJobWarmStartsFromContextCache) {
   const JsonValue first = submitAndWait(client, ctl);
   const JsonValue second = submitAndWait(client, ctl);
 
-  // Same analysis, bit for bit...
-  EXPECT_EQ(strip(first, kClockAndCounters), strip(second, kClockAndCounters));
-  // ...but the context cache served the second job warm...
+  // The second job reused the first one's parsed inputs...
   const ContextCacheStats stats = server.cacheStats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_GE(stats.hits, 1u);
   EXPECT_EQ(stats.entries, 1u);
-  // ...and its warm start shows up in the engine counters.
-  const auto cacheHits = [](const JsonValue& report) {
-    return report.at("test").at("counters").at("cacheHits").asNumber();
-  };
-  EXPECT_GT(cacheHits(second), cacheHits(first))
-      << "first: " << dump(first.at("test").at("counters"))
-      << " second: " << dump(second.at("test").at("counters"));
+  // ...and nothing else: both reports, counters included, are the CLI's.
+  const std::string counters = dump(baseline.at("test").at("counters"));
+  EXPECT_EQ(dump(first.at("test").at("counters")), counters);
+  EXPECT_EQ(dump(second.at("test").at("counters")), counters);
+  EXPECT_EQ(strip(second, kClockOnly), strip(baseline, kClockOnly))
+      << dump(second);
   server.drainAndStop();
 }
 
@@ -837,6 +931,82 @@ TEST(Server, DrainPersistsQueueAcrossRestart) {
   ASSERT_TRUE(isOk(shortResult)) << errorOf(shortResult);
   EXPECT_EQ(strip(shortResult.at("report"), kClockCountersResume),
             strip(shortBaseline, kClockCountersResume));
+  server.drainAndStop();
+}
+
+// A journal the daemon could not have written is refused at start-up with
+// the offending line named; otherwise a recovered job could take the id of
+// the next submission, which then never runs.
+TEST(Server, RefusesJournalWhoseJobsCollideWithNextSeq) {
+  const TempDir dir("journal");
+  writeGene(dir, "gene");
+  const std::string ctl = makeCtl(dir, "gene", 0);
+  const auto jobLine = [&](const std::string& id, const std::string& seq,
+                           const std::string& priority = "0",
+                           const std::string& timeoutSec = "0") {
+    return "{\"id\":\"" + id + "\",\"seq\":" + seq +
+           ",\"state\":\"failed\",\"priority\":" + priority +
+           ",\"timeoutSec\":" + timeoutSec +
+           ",\"checkpoint\":false,\"ctl\":" + jsonEscaped(ctl) +
+           ",\"error\":\"old failure from the journal\"}\n";
+  };
+  const auto header = [](int nextSeq) {
+    return "{\"schema\":\"slimcodemld-journal-v1\",\"nextSeq\":" +
+           std::to_string(nextSeq) + "}\n";
+  };
+  ServerOptions options;
+  options.socketPath = dir.file("d.sock");
+  options.stateDir = dir.file("state");
+  options.workers = 1;
+  fs::create_directories(options.stateDir);
+  const std::string journal = options.stateDir + "/jobs.journal";
+
+  const struct {
+    std::string text;
+    std::string error;
+  } cases[] = {
+      {header(1) + jobLine("job-1", "1"),
+       "line 2: job seq must be a positive integer below nextSeq 1"},
+      {header(3) + jobLine("job-0", "0"), "line 2: job seq must be"},
+      {header(3) + jobLine("job-1", "1.5"), "line 2: job seq must be"},
+      {header(3) + jobLine("job-1", "-1"), "line 2: job seq must be"},
+      {header(3) + jobLine("job-1", "1") + jobLine("job-1", "1"),
+       "line 3: duplicate job seq 1"},
+      {header(3) + jobLine("job-2", "1"),
+       "line 2: job id \"job-2\" does not match seq 1"},
+      {header(3) + jobLine("job-1", "1", "101"),
+       "line 2: job priority must be an integer in [-100, 100]"},
+      {header(3) + jobLine("job-1", "1", "0.5"), "line 2: job priority"},
+      {header(3) + jobLine("job-1", "1", "-1e300"), "line 2: job priority"},
+      {header(3) + jobLine("job-1", "1", "0", "-1"),
+       "line 2: job timeoutSec must be >= 0"},
+  };
+  for (const auto& [text, error] : cases) {
+    SCOPED_TRACE(text);
+    std::ofstream(journal) << text;
+    try {
+      AnalysisServer server{ServerOptions(options)};
+      ADD_FAILURE() << "journal accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("jobs.journal " + error),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
+  // With nextSeq above the recorded job the journal is valid: the old job
+  // keeps its failure and a new submission gets the next id.
+  std::ofstream(journal) << header(2) + jobLine("job-1", "1");
+  AnalysisServer server{ServerOptions(options)};
+  server.start();
+  Client client(dir.file("d.sock"));
+  const JsonValue submitted = client.call(submitRequest(ctl));
+  ASSERT_TRUE(isOk(submitted)) << errorOf(submitted);
+  EXPECT_EQ(submitted.at("id").asString(), "job-2");
+  EXPECT_EQ(jobState(client, "job-1"), "failed");
+  const JsonValue result =
+      client.call(idRequest("result", "job-2", ",\"wait\":true"));
+  EXPECT_TRUE(isOk(result)) << errorOf(result);
   server.drainAndStop();
 }
 

@@ -58,7 +58,7 @@ Control file template:
                                * plain run on the tree's own #k marks
     threads  = 0               * worker threads (0: all cores)
     parallel = auto            * auto | task | pattern (batch fan-out)
-    gradient = fd              * fd | fd-parallel | analytic
+    gradient = fd              * fd | analytic
     simd     = auto            * auto | scalar | avx2 | avx512 kernels
     backend  = auto            * auto | reference | simd | blas
     blockSize = 64             * site patterns per work block

@@ -1,8 +1,8 @@
-// slimcodemld: the persistent analysis daemon.  Accepts branch-site jobs
+// slimcodemld: the persistent analysis daemon.  Accepts control-file jobs
 // over a UNIX-domain socket (slimcodeml-serve-v1, see docs/protocol.md),
-// keeps parsed alignments and warm propagator caches resident across jobs,
-// and — with --state — journals the queue and checkpoints jobs so a killed
-// daemon recovers them on restart.
+// keeps parsed alignments and trees resident across jobs, and — with
+// --state — journals the queue and checkpoints jobs so a killed daemon
+// recovers them on restart.
 //
 //   slimcodemld --socket /tmp/slim.sock [--state dir] [--workers 2]
 
@@ -10,7 +10,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -31,7 +33,7 @@ are bit-identical to `slimcodeml --json` runs of the same control file.
                       a restarted daemon recovers interrupted jobs from it
   --workers <n>       concurrently running jobs (default 2)
   --max-queued <n>    admission bound on waiting jobs (default 64)
-  --cache-entries <n> resident warm gene contexts (default 16)
+  --cache-entries <n> resident parsed gene contexts (default 16)
   --version           print build information and exit
 
 SIGTERM/SIGINT drain gracefully: admission stops, running fits cancel at
@@ -43,10 +45,14 @@ std::atomic<int> gSignal{0};
 
 void handleSignal(int sig) { gSignal.store(sig); }
 
-bool parseCount(const char* text, long& out) {
+/// A count flag's value: a decimal integer in [1, INT_MAX] (strtoll
+/// saturates out-of-range text, which the range check then refuses).
+bool parseCount(const char* text, int& out) {
   char* end = nullptr;
-  out = std::strtol(text, &end, 10);
-  return end != nullptr && *end == '\0' && out > 0;
+  const long long n = std::strtoll(text, &end, 10);
+  if (*end != '\0' || n < 1 || n > INT_MAX) return false;
+  out = static_cast<int>(n);
+  return true;
 }
 
 }  // namespace
@@ -56,7 +62,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     const bool hasValue = i + 1 < argc;
-    long n = 0;
+    int n = 0;
     if (arg == "--help" || arg == "-h") {
       std::cerr << kUsage;
       return 0;
@@ -68,7 +74,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--state" && hasValue) {
       options.stateDir = argv[++i];
     } else if (arg == "--workers" && hasValue && parseCount(argv[++i], n)) {
-      options.workers = static_cast<int>(n);
+      options.workers = n;
     } else if (arg == "--max-queued" && hasValue && parseCount(argv[++i], n)) {
       options.maxQueued = static_cast<std::size_t>(n);
     } else if (arg == "--cache-entries" && hasValue &&
