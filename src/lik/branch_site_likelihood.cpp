@@ -54,30 +54,36 @@ BranchSiteLikelihood::BranchSiteLikelihood(
   for (int k = 0; k < static_cast<int>(branchNodes_.size()); ++k)
     nodeToBranch_[branchNodes_[k]] = k;
 
-  // Map leaves onto alignment rows by name and build their static CPVs.
-  leafCpv_.resize(tree_.numNodes());
+  // Map leaves one-to-one onto alignment rows by name and keep their codon
+  // states.  An unused row would still have entered pi and the patterns.
+  leafState_.resize(tree_.numNodes());
+  leafHasMissing_.assign(tree_.numNodes(), 0);
+  std::vector<char> rowUsed(alignment.names.size(), 0);
   for (int id : tree_.postOrder()) {
     const auto& node = tree_.node(id);
     if (!node.isLeaf()) continue;
-    int row = -1;
-    for (std::size_t s = 0; s < alignment.names.size(); ++s)
-      if (alignment.names[s] == node.label) {
-        row = static_cast<int>(s);
-        break;
-      }
-    SLIM_REQUIRE(row >= 0, "leaf '" + node.label + "' not found in alignment");
-    Matrix& cpv = leafCpv_[id];
-    cpv.resize(npat_, n_);
+    const auto it = std::find(alignment.names.begin(), alignment.names.end(),
+                              node.label);
+    SLIM_REQUIRE(it != alignment.names.end(),
+                 "leaf '" + node.label + "' not found in alignment");
+    const auto row = static_cast<std::size_t>(it - alignment.names.begin());
+    SLIM_REQUIRE(!rowUsed[row], "leaf '" + node.label +
+                                    "' appears more than once in the tree");
+    rowUsed[row] = 1;
+    std::vector<int>& states = leafState_[id];
+    states.resize(npat_);
     for (int h = 0; h < npat_; ++h) {
       const int state = patterns_.patterns[h][row];
-      if (state == seqio::kMissingState) {
-        for (int i = 0; i < n_; ++i) cpv(h, i) = 1.0;  // missing: any codon
-      } else {
-        SLIM_REQUIRE(state >= 0 && state < n_, "codon state out of range");
-        cpv(h, state) = 1.0;
-      }
+      SLIM_REQUIRE(state == seqio::kMissingState || (state >= 0 && state < n_),
+                   "codon state out of range");
+      states[h] = state;
+      if (state == seqio::kMissingState) leafHasMissing_[id] = 1;
     }
   }
+  for (std::size_t s = 0; s < rowUsed.size(); ++s)
+    SLIM_REQUIRE(rowUsed[s], "sequence '" + alignment.names[s] +
+                                 "' is not a leaf of the tree");
+  onesRow_ = Matrix(1, n_, 1.0);
 
   // The block partition is a function of blockSize and npat only — never of
   // the thread count — so the per-pattern arithmetic (and hence lnL) is
@@ -154,10 +160,19 @@ const Matrix& BranchSiteLikelihood::propagator(int node, int omegaIdx) {
 }
 
 void BranchSiteLikelihood::prebuildPropagators() {
+  const std::size_t propSlots =
+      static_cast<std::size_t>(tree_.numNodes()) * numOmegas_;
+  if (missingRows_.rows() != propSlots) missingRows_.resize(propSlots, n_);
   for (int node : branchNodes_) {
     const int branchClass = tree_.node(node).mark;
-    for (int m = 0; m < numClasses_; ++m)
-      propagator(node, activeClasses_[m].omegaFor(branchClass));
+    for (int m = 0; m < numClasses_; ++m) {
+      const int omegaIdx = activeClasses_[m].omegaFor(branchClass);
+      const std::size_t slot = propIndex(node, omegaIdx);
+      if (propPtr_[slot]) continue;  // an earlier class uses the same omega
+      const Matrix& prop = propagator(node, omegaIdx);
+      if (leafHasMissing_[node])
+        propagateBranch(prop, onesRow_.view(), missingRows_.rowBlock(slot, 1));
+    }
   }
 }
 
@@ -186,6 +201,7 @@ void BranchSiteLikelihood::pruneClassBlock(int m, int h0, int len,
 
   const int root = tree_.root();
   const auto& cls = activeClasses_[m];
+  const bool perSite = options_.propagation == PropagationStrategy::PerSiteGemv;
   for (int id : tree_.postOrder()) {
     const auto& node = tree_.node(id);
     if (node.isLeaf()) continue;
@@ -201,20 +217,32 @@ void BranchSiteLikelihood::pruneClassBlock(int m, int h0, int len,
     scaleLog.assign(len, 0.0);
 
     for (int child : node.children) {
-      const bool childIsLeaf = tree_.node(child).isLeaf();
-      const ConstMatrixView childCpv =
-          childIsLeaf ? leafCpv_[child].rowBlock(h0, len)
-                      : ConstMatrixView(ws.nodeCpv[child].rowBlock(0, len));
-      const int omegaIdx = cls.omegaFor(tree_.node(child).mark);
+      const std::size_t slot =
+          propIndex(child, cls.omegaFor(tree_.node(child).mark));
       // Prebuilt before the parallel region; read-only here.
-      const Matrix& prop = *propPtr_[propIndex(child, omegaIdx)];
-      const MatrixView out = ws.tmp.rowBlock(0, len);
-      propagateBranch(prop, childCpv, out);
+      const Matrix& prop = *propPtr_[slot];
       ws.patternPropagations += len;
+      if (tree_.node(child).isLeaf()) {
+        // Leaf: the panel product's row h is row `state` of the stored P^T
+        // (column `state` of P under PerSiteGemv), multiplied straight into
+        // the parent CPV; x * y == y * x, so these are the bits of
+        // product-then-Hadamard.
+        const int* states = leafState_[child].data() + h0;
+        for (int h = 0; h < len; ++h) {
+          double* row = cpv.row(h);
+          if (perSite && states[h] != seqio::kMissingState) {
+            for (int i = 0; i < n_; ++i) row[i] *= prop(i, states[h]);
+          } else {
+            const double* src = gatherRow(prop, missingRows_, slot, states[h]);
+            for (int i = 0; i < n_; ++i) row[i] *= src[i];
+          }
+        }
+        continue;
+      }
+      const MatrixView out = ws.tmp.rowBlock(0, len);
+      propagateBranch(prop, ws.nodeCpv[child].rowBlock(0, len), out);
       linalg::hadamardInPlace(ConstMatrixView(out).span(), cpv.span());
-      if (!childIsLeaf)
-        for (int h = 0; h < len; ++h)
-          scaleLog[h] += ws.nodeScaleLog[child][h];
+      for (int h = 0; h < len; ++h) scaleLog[h] += ws.nodeScaleLog[child][h];
     }
 
     // Underflow rescue: renormalize any pattern row whose maximum dropped
@@ -334,8 +362,9 @@ void BranchSiteLikelihood::computeClassLikelihoods(const MixtureSpec& spec) {
   prebuildPropagators();
 
   // Pattern-blocked sweep: every (site class, pattern block) pair is an
-  // independent task reading shared immutable state (tree, leaf CPVs,
-  // prebuilt propagators) and writing its own slice of the class results.
+  // independent task reading shared immutable state (tree, leaf states,
+  // prebuilt propagators and missing-codon rows) and writing its own slice
+  // of the class results.
   const int numBlocks = (npat_ + blockMax_ - 1) / blockMax_;
   const int numTasks = numClasses_ * numBlocks;
   const auto runTask = [&](int task, int worker) {
@@ -475,6 +504,10 @@ void BranchSiteLikelihood::buildGradientPropagators() {
   gradProp_.resize(propSlots);
   gradPropT_.resize(propSlots);
   gradDerivT_.resize(propSlots);
+  if (gradMissingRows_.rows() != propSlots) {
+    gradMissingRows_.resize(propSlots, n_);
+    gradMissingDerivRows_.resize(propSlots, n_);
+  }
   std::vector<char> built(propSlots, 0);
   Matrix dp(n_, n_);
   for (int node : branchNodes_) {
@@ -509,6 +542,12 @@ void BranchSiteLikelihood::buildGradientPropagators() {
                                                backend_.ops, expmWs_, dp);
       linalg::transposeInto(dp, dT);
       ++counters_.propagatorBuilds;
+      if (leafHasMissing_[node]) {
+        linalg::gemm(backend_.ops, onesRow_.view(), pT.view(),
+                     gradMissingRows_.rowBlock(slot, 1));
+        linalg::gemm(backend_.ops, onesRow_.view(), dT.view(),
+                     gradMissingDerivRows_.rowBlock(slot, 1));
+      }
     }
   }
 }
@@ -531,16 +570,12 @@ void BranchSiteLikelihood::gradientClassBlock(
   }
 
   // The gradient sweep's panel products run on the evaluator's kernel
-  // table, like the likelihood sweep's.
+  // table, like the likelihood sweep's; a leaf child's rows are gathered
+  // from the P^T-layout tables, as in the likelihood sweep.
   const int root = tree_.root();
   const auto& cls = activeClasses_[m];
-  const auto omegaOf = [&](int node) {
-    return cls.omegaFor(tree_.node(node).mark);
-  };
-  const auto childPanel = [&](int c) -> ConstMatrixView {
-    return tree_.node(c).isLeaf()
-               ? leafCpv_[c].rowBlock(h0, len)
-               : ConstMatrixView(ws.down[c].rowBlock(0, len));
+  const auto slotOf = [&](int node) {
+    return propIndex(node, cls.omegaFor(tree_.node(node).mark));
   };
 
   // Down (post-order) pass — the likelihood sweep again, but *retaining* per
@@ -569,8 +604,18 @@ void BranchSiteLikelihood::gradientClassBlock(
       if (prodStore.rows() != static_cast<std::size_t>(blockMax_))
         prodStore.resize(blockMax_, n_);
       const MatrixView prod = prodStore.rowBlock(0, len);
-      linalg::gemm(backend_.ops, childPanel(c),
-                   gradPropT_[propIndex(c, omegaOf(c))].view(), prod);
+      const std::size_t slot = slotOf(c);
+      if (tree_.node(c).isLeaf()) {
+        const int* states = leafState_[c].data() + h0;
+        for (int h = 0; h < len; ++h) {
+          const double* src =
+              gatherRow(gradPropT_[slot], gradMissingRows_, slot, states[h]);
+          std::copy(src, src + n_, prod.row(h));
+        }
+      } else {
+        linalg::gemm(backend_.ops, ws.down[c].rowBlock(0, len),
+                     gradPropT_[slot].view(), prod);
+      }
       linalg::hadamardInPlace(ConstMatrixView(prod).span(), d.span());
       for (int h = 0; h < len; ++h) scale[h] += ws.sDown[c][h];
       ws.patternPropagations += len;
@@ -626,15 +671,22 @@ void BranchSiteLikelihood::gradientClassBlock(
         for (int h = 0; h < len; ++h) ws.oScale[h] += ws.sDown[s][h];
       }
 
-      const std::size_t slot = propIndex(c, omegaOf(c));
+      const std::size_t slot = slotOf(c);
+      const bool leaf = tree_.node(c).isLeaf();
       const MatrixView deriv = ws.deriv.rowBlock(0, len);
-      linalg::gemm(backend_.ops, childPanel(c), gradDerivT_[slot].view(),
-                   deriv);
+      if (!leaf)
+        linalg::gemm(backend_.ops, ws.down[c].rowBlock(0, len),
+                     gradDerivT_[slot].view(), deriv);
       ws.patternPropagations += len;
 
       const int k = nodeToBranch_[c];
       for (int h = 0; h < len; ++h) {
-        const double dval = linalg::dot(o.rowSpan(h), deriv.rowSpan(h));
+        const double* dRow =
+            leaf ? gatherRow(gradDerivT_[slot], gradMissingDerivRows_, slot,
+                             leafState_[c][h0 + h])
+                 : deriv.row(h);
+        const double dval =
+            linalg::dot(o.rowSpan(h), std::span<const double>(dRow, n_));
         if (dval == 0.0) continue;
         // exp() applied in two halves: a rescale deep in the tree can push
         // the scale restoration near the overflow edge before the (tiny)
@@ -646,7 +698,7 @@ void BranchSiteLikelihood::gradientClassBlock(
             ((dval * eHalf) * eHalf) / mixture[h0 + h];
       }
 
-      if (!tree_.node(c).isLeaf()) {
+      if (!leaf) {
         Matrix& upC = ws.up[c];
         if (upC.rows() != static_cast<std::size_t>(blockMax_))
           upC.resize(blockMax_, n_);

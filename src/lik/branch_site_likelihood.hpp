@@ -22,6 +22,15 @@
 // flavor and the `simd`/`backend` modes resolve once, at construction, to
 // one kernel table (backend::resolveComputeBackend) that every propagator
 // build, panel product and gradient product calls.
+//
+// A leaf's conditional panel would be one-hot (all ones for a gap or
+// ambiguous codon), so its product with a propagator adds only exact zeros.
+// Leaves are therefore kept as one codon state per pattern, and both sweeps
+// gather row `state` of the stored propagator instead of multiplying; a
+// missing codon reads the all-ones row's product, which the table computes
+// once per propagator.  CodeML indexes P for its clean tips the same way, so
+// every engine gathers and `codeml` vs `slim` still isolates the paper's
+// optimizations.
 
 #include <cstdint>
 #include <memory>
@@ -46,7 +55,9 @@ struct EvalCounters {
   std::int64_t evaluations = 0;           ///< logLikelihood calls
   std::int64_t eigenDecompositions = 0;   ///< symmetric eigenproblems solved
   std::int64_t propagatorBuilds = 0;      ///< P(t) / dP(t) constructions
-  std::int64_t patternPropagations = 0;   ///< branch x class x pattern ops
+  /// Branch x class x pattern ops; a leaf branch's row gather counts as one
+  /// propagation per pattern, like an internal branch's panel product row.
+  std::int64_t patternPropagations = 0;
   /// Analytic branch-gradient sweeps (logLikelihoodGradientBranches calls);
   /// each replaces numBranches finite-difference evaluations.
   std::int64_t gradientSweeps = 0;
@@ -92,7 +103,10 @@ struct SiteClassPosteriors {
 class BranchSiteLikelihood {
  public:
   /// The tree is copied; its branch lengths are this object's optimization
-  /// state (use setBranchLength / branchNodes to address them).  The tree's
+  /// state (use setBranchLength / branchNodes to address them).  Leaves map
+  /// one-to-one onto alignment sequences by name: a leaf without a sequence,
+  /// two leaves with one label, or a sequence no leaf names is refused
+  /// (std::invalid_argument naming the label or sequence).  The tree's
   /// integer #k marks are read as branch classes (0 = background); a
   /// branch-heterogeneous mixture requires at least one marked non-root
   /// branch (checked per evaluation), while branch-homogeneous mixtures
@@ -194,7 +208,7 @@ class BranchSiteLikelihood {
   struct PruneWorkspace {
     std::vector<linalg::Matrix> nodeCpv;  // per node: blockMax x n
     std::vector<std::vector<double>> nodeScaleLog;  // per node: blockMax
-    linalg::Matrix tmp;                   // propagation scratch (blockMax x n)
+    linalg::Matrix tmp;  // internal-child propagation scratch (blockMax x n)
     std::int64_t patternPropagations = 0;
   };
 
@@ -206,12 +220,13 @@ class BranchSiteLikelihood {
   struct GradientWorkspace {
     std::vector<linalg::Matrix> down;   // per internal node: blockMax x n CPV
     std::vector<linalg::Matrix> prod;   // per non-root node: P * child CPV
+                                        // (gathered rows for a leaf)
     std::vector<linalg::Matrix> up;     // per internal node: outside panel
     std::vector<std::vector<double>> sDown;   // per node: subtree scale log
     std::vector<std::vector<double>> uScale;  // per internal node
     linalg::Matrix outside;             // one child's outside panel (scratch)
     std::vector<double> oScale;         // its scale log (scratch)
-    linalg::Matrix deriv;               // dP * child CPV (scratch)
+    linalg::Matrix deriv;               // dP * internal child CPV (scratch)
     std::int64_t patternPropagations = 0;
   };
 
@@ -250,9 +265,19 @@ class BranchSiteLikelihood {
   // evaluation and caching is enabled.
   void prepareEigenSystems(const model::MixtureSpec& spec);
 
-  // Build every propagator the sweep will read (serial, so the parallel
-  // region only ever reads propPtr_).
+  // Build every propagator the sweep will read, and the missing-codon rows
+  // of the leaves that need them (serial, so the parallel region only ever
+  // reads propPtr_ and missingRows_).
   void prebuildPropagators();
+
+  // Row `state` of a P^T-layout table — a leaf's one-hot panel row times
+  // the table — or, for a missing codon, row `slot` of missingRows.
+  static const double* gatherRow(const linalg::Matrix& tableT,
+                                 const linalg::Matrix& missingRows,
+                                 std::size_t slot, int state) noexcept {
+    return state == seqio::kMissingState ? missingRows.row(slot)
+                                         : tableT.row(state);
+  }
 
   // One pruning sweep for site class m over patterns [h0, h0 + len).
   void pruneClassBlock(int m, int h0, int len, PruneWorkspace& ws);
@@ -264,7 +289,8 @@ class BranchSiteLikelihood {
   // per-site-gemv, P^T for bundled-gemm.
   void buildPropagator(int eigenIdx, double t, linalg::Matrix& out);
 
-  // Propagate a panel of child CPVs through one branch (strategy dispatch).
+  // Propagate a panel of internal-node CPVs (or onesRow_) through one
+  // branch (strategy dispatch).
   void propagateBranch(const linalg::Matrix& prop,
                        linalg::ConstMatrixView childCpv,
                        linalg::MatrixView out);
@@ -290,8 +316,11 @@ class BranchSiteLikelihood {
   double totalWeight_ = 0;
   std::vector<int> branchNodes_;
 
-  // Leaf CPVs (pattern-major: row h is the length-n CPV of pattern h).
-  std::vector<linalg::Matrix> leafCpv_;   // indexed by node id (leaves only)
+  // Leaf data, indexed by node id (empty for internal nodes): the codon
+  // state of each pattern, seqio::kMissingState for a gap or ambiguity.
+  std::vector<std::vector<int>> leafState_;
+  std::vector<char> leafHasMissing_;  // any kMissingState in leafState_[id]
+  linalg::Matrix onesRow_;            // 1 x n, the missing codon's panel row
 
   // Parallel sweep machinery.
   std::unique_ptr<support::ThreadPool> pool_;   // null: single-threaded
@@ -307,6 +336,11 @@ class BranchSiteLikelihood {
   std::vector<int> omegaToEigen_;
   std::vector<linalg::Matrix> propCache_;  // uncached-mode propagator storage
   std::vector<const linalg::Matrix*> propPtr_;  // (node x omega) -> built prop
+  // Row propIndex(node, omega): onesRow_ through that propagator, for the
+  // leaves with missing codons (other rows unused).  A 1-row call of the
+  // table gives the panel row's bits, since output row i of a product
+  // depends only on input row i.
+  linalg::Matrix missingRows_;
   expm::ExpmWorkspace expmWs_;
   linalg::Matrix transposeScratch_;  // BundledGemm builds P here, stores P^T
 
@@ -316,6 +350,9 @@ class BranchSiteLikelihood {
   std::vector<linalg::Matrix> gradProp_;    // P
   std::vector<linalg::Matrix> gradPropT_;   // P^T
   std::vector<linalg::Matrix> gradDerivT_;  // (dP/dt)^T
+  // onesRow_ times P^T and (dP/dt)^T, indexed like missingRows_.
+  linalg::Matrix gradMissingRows_;
+  linalg::Matrix gradMissingDerivRows_;
   std::vector<int> nodeToBranch_;  // node id -> branch index k (or -1)
   // Per-(class, branch, pattern) contribution slabs, persistent so the
   // per-sweep hot path only zero-fills (capacity is kept across calls).

@@ -2,8 +2,8 @@
 // parallel multi-point (finite-difference) evaluation.
 //
 //  * correctness: analytic d lnL / d t matches central finite differences at
-//    random feasible points, under both hypothesis parameterizations and
-//    across engine presets / thread counts;
+//    random feasible points, under both hypothesis parameterizations, with
+//    and without missing codons, and across engine presets / thread counts;
 //  * determinism: fd's probe fan-out returns bit-identical gradients to the
 //    serial fd path for every worker count;
 //  * end-to-end: full H0/H1 fits reach the same maximum under both
@@ -22,6 +22,7 @@
 #include "sim/evolver.hpp"
 #include "sim/random_tree.hpp"
 #include "sim/rng.hpp"
+#include "test_util.hpp"
 
 namespace slim {
 namespace {
@@ -37,8 +38,11 @@ struct SimData {
   tree::Tree tree;
 };
 
+// `gapped` adds missing codons (testutil::withMissingCodons), so the
+// gradient sweep reads leaf rows of missing codons too.
 SimData makeData(int numSpecies, int numCodons, std::uint64_t seed,
-                 const BranchSiteParams& truth = sim::defaultSimulationParams()) {
+                 const BranchSiteParams& truth = sim::defaultSimulationParams(),
+                 bool gapped = false) {
   sim::Rng rng(seed);
   auto tree = sim::yuleTree(numSpecies, rng);
   sim::pickForegroundBranch(tree, rng);
@@ -46,7 +50,11 @@ SimData makeData(int numSpecies, int numCodons, std::uint64_t seed,
   const auto simPi = sim::randomCodonFrequencies(gc.numSense(), 5, rng);
   const auto simOut = sim::evolveBranchSite(gc, tree, truth, Hypothesis::H1,
                                             numCodons, simPi, rng);
-  SimData d{seqio::encodeCodons(simOut.alignment, gc), {}, {}, tree};
+  SimData d{seqio::encodeCodons(gapped ? testutil::withMissingCodons(
+                                             simOut.alignment, 3)
+                                       : simOut.alignment,
+                                gc),
+            {}, {}, tree};
   d.patterns = seqio::compressPatterns(d.codons);
   d.pi = model::estimateCodonFrequencies(d.codons,
                                          model::CodonFrequencyModel::F3x4);
@@ -66,35 +74,37 @@ BranchSiteParams randomFeasibleParams(sim::Rng& rng) {
 // ---------- analytic vs central finite differences ----------
 
 TEST(AnalyticGradient, MatchesCentralFiniteDifferences) {
-  const auto d = makeData(7, 40, 7);
-  sim::Rng rng(99);
-  for (Hypothesis h : {Hypothesis::H0, Hypothesis::H1}) {
-    lik::BranchSiteLikelihood eval(d.codons, d.patterns, d.pi, d.tree, h,
-                                   lik::slimOptions());
-    const int numBranches = eval.numBranches();
-    for (int trial = 0; trial < 3; ++trial) {
-      const BranchSiteParams p = randomFeasibleParams(rng);
-      for (int k = 0; k < numBranches; ++k)
-        eval.setBranchLength(k, rng.uniform(0.01, 0.6));
+  for (bool gapped : {false, true}) {
+    const auto d = makeData(7, 40, 7, sim::defaultSimulationParams(), gapped);
+    sim::Rng rng(99);
+    for (Hypothesis h : {Hypothesis::H0, Hypothesis::H1}) {
+      lik::BranchSiteLikelihood eval(d.codons, d.patterns, d.pi, d.tree, h,
+                                     lik::slimOptions());
+      const int numBranches = eval.numBranches();
+      for (int trial = 0; trial < 3; ++trial) {
+        const BranchSiteParams p = randomFeasibleParams(rng);
+        for (int k = 0; k < numBranches; ++k)
+          eval.setBranchLength(k, rng.uniform(0.01, 0.6));
 
-      std::vector<double> grad(numBranches);
-      const double lnL = eval.logLikelihoodGradientBranches(p, grad);
-      ASSERT_TRUE(std::isfinite(lnL));
-      // The gradient call also returns the exact likelihood.
-      EXPECT_EQ(lnL, eval.logLikelihood(p));
+        std::vector<double> grad(numBranches);
+        const double lnL = eval.logLikelihoodGradientBranches(p, grad);
+        ASSERT_TRUE(std::isfinite(lnL));
+        // The gradient call also returns the exact likelihood.
+        EXPECT_EQ(lnL, eval.logLikelihood(p));
 
-      for (int k = 0; k < numBranches; ++k) {
-        const double t = eval.branchLength(k);
-        const double step = 1e-6 * std::max(t, 1.0);
-        eval.setBranchLength(k, t + step);
-        const double fPlus = eval.logLikelihood(p);
-        eval.setBranchLength(k, t - step);
-        const double fMinus = eval.logLikelihood(p);
-        eval.setBranchLength(k, t);
-        const double fd = (fPlus - fMinus) / (2.0 * step);
-        EXPECT_NEAR(grad[k], fd, 1e-6 * std::max(1.0, std::fabs(fd)))
-            << model::hypothesisName(h) << " trial " << trial << " branch "
-            << k;
+        for (int k = 0; k < numBranches; ++k) {
+          const double t = eval.branchLength(k);
+          const double step = 1e-6 * std::max(t, 1.0);
+          eval.setBranchLength(k, t + step);
+          const double fPlus = eval.logLikelihood(p);
+          eval.setBranchLength(k, t - step);
+          const double fMinus = eval.logLikelihood(p);
+          eval.setBranchLength(k, t);
+          const double fd = (fPlus - fMinus) / (2.0 * step);
+          EXPECT_NEAR(grad[k], fd, 1e-6 * std::max(1.0, std::fabs(fd)))
+              << model::hypothesisName(h) << " gapped = " << gapped
+              << " trial " << trial << " branch " << k;
+        }
       }
     }
   }

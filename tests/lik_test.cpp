@@ -313,13 +313,32 @@ TEST(BranchSiteLikelihoodTest, RequiresMarkForBranchHeterogeneousMixture) {
   EXPECT_THROW(eval.logLikelihood(testParams()), std::invalid_argument);
 }
 
+// Leaves map one-to-one onto sequences: a leaf without a sequence, a label on
+// two leaves (one sequence at two tips) and a sequence no leaf names (its
+// codons would enter pi and the patterns) are each refused by name.
 TEST(BranchSiteLikelihoodTest, RejectsLeafMissingFromAlignment) {
   const Fixture f = makeFixture();
-  auto t = tree::Tree::parseNewick(
-      "((a:0.1,zz:0.2) #1:0.1,(c:0.3,d:0.1):0.05);");
-  EXPECT_THROW(BranchSiteLikelihood(f.alignment, f.patterns, f.pi, t,
-                                    Hypothesis::H1, slimOptions()),
-               std::invalid_argument);
+  const auto expectRefused = [&](const seqio::CodonAlignment& alignment,
+                                 const char* newick, const std::string& why) {
+    try {
+      BranchSiteLikelihood(alignment, seqio::compressPatterns(alignment), f.pi,
+                           tree::Tree::parseNewick(newick), Hypothesis::H1,
+                           slimOptions());
+      ADD_FAILURE() << "accepted " << newick;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  };
+  expectRefused(f.alignment, "((a:0.1,zz:0.2) #1:0.1,(c:0.3,d:0.1):0.05);",
+                "leaf 'zz' not found in alignment");
+  expectRefused(f.alignment, "((a:0.1,a:0.2) #1:0.1,(c:0.3,d:0.1):0.05);",
+                "leaf 'a' appears more than once in the tree");
+  seqio::CodonAlignment extra = f.alignment;
+  extra.names.push_back("zz");
+  extra.states.push_back(extra.states.front());
+  expectRefused(extra, "((a:0.11,b:0.23) #1:0.17,(c:0.31,d:0.13):0.07);",
+                "sequence 'zz' is not a leaf of the tree");
 }
 
 // ---------- posteriors ----------

@@ -42,11 +42,15 @@ struct Fixture {
 };
 
 // A simulated 8-taxon x 40-codon dataset: enough patterns for several
-// blocks at small block sizes, with a marked foreground branch.
-Fixture makeFixture() {
+// blocks at small block sizes, with a marked foreground branch.  `gapped`
+// adds missing codons (testutil::withMissingCodons), so the leaf sweeps
+// read their all-ones rows as well as one-hot gathers.
+Fixture makeFixture(bool gapped = false) {
   const sim::Dataset ds = sim::makeSweepDataset(8, /*seed=*/20260731, 40);
   Fixture f;
-  f.alignment = seqio::encodeCodons(ds.alignment, gc());
+  f.alignment = seqio::encodeCodons(
+      gapped ? testutil::withMissingCodons(ds.alignment, 5) : ds.alignment,
+      gc());
   f.patterns = seqio::compressPatterns(f.alignment);
   f.pi = testutil::randomFrequencies(gc().numSense(), 11);
   f.tree = ds.tree;
@@ -112,32 +116,44 @@ std::string label(const LikelihoodOptions& o) {
 }
 
 TEST(ParallelEngine, ThreadCountInvarianceAllStrategies) {
-  const Fixture f = makeFixture();
   const BranchSiteParams p = testParams();
-  for (const LikelihoodOptions& base : presetsByStrategy()) {
-    BranchSiteLikelihood serial(f.alignment, f.patterns, f.pi, f.tree,
-                                Hypothesis::H1, withThreads(base, 1));
-    BranchSiteLikelihood threaded(f.alignment, f.patterns, f.pi, f.tree,
-                                  Hypothesis::H1, withThreads(base, 4));
-    EXPECT_EQ(threaded.logLikelihood(p), serial.logLikelihood(p))
-        << label(base);
+  for (bool gapped : {false, true}) {
+    const Fixture f = makeFixture(gapped);
+    for (const LikelihoodOptions& base : presetsByStrategy()) {
+      BranchSiteLikelihood serial(f.alignment, f.patterns, f.pi, f.tree,
+                                  Hypothesis::H1, withThreads(base, 1));
+      BranchSiteLikelihood threaded(f.alignment, f.patterns, f.pi, f.tree,
+                                    Hypothesis::H1, withThreads(base, 4));
+      EXPECT_EQ(threaded.logLikelihood(p), serial.logLikelihood(p))
+          << label(base) << " gapped = " << gapped;
+      EXPECT_EQ(testutil::lnLAndGradient(threaded, p),
+                testutil::lnLAndGradient(serial, p))
+          << label(base) << " gapped = " << gapped;
+    }
   }
 }
 
 TEST(ParallelEngine, BlockSizeInvariance) {
-  const Fixture f = makeFixture();
   const BranchSiteParams p = testParams();
-  for (const LikelihoodOptions& base : presetsByStrategy()) {
-    BranchSiteLikelihood whole(f.alignment, f.patterns, f.pi, f.tree,
-                               Hypothesis::H1,
-                               withThreads(base, 1, /*blockSize=*/0));
-    const double want = whole.logLikelihood(p);
-    for (int blockSize : {1, 3, 8, 64}) {
-      BranchSiteLikelihood eval(f.alignment, f.patterns, f.pi, f.tree,
-                                Hypothesis::H1,
-                                withThreads(base, 2, blockSize));
-      EXPECT_EQ(eval.logLikelihood(p), want)
-          << label(base) << " blockSize = " << blockSize;
+  for (bool gapped : {false, true}) {
+    const Fixture f = makeFixture(gapped);
+    for (const LikelihoodOptions& base : presetsByStrategy()) {
+      BranchSiteLikelihood whole(f.alignment, f.patterns, f.pi, f.tree,
+                                 Hypothesis::H1,
+                                 withThreads(base, 1, /*blockSize=*/0));
+      const double want = whole.logLikelihood(p);
+      const auto wantGrad = testutil::lnLAndGradient(whole, p);
+      for (int blockSize : {1, 3, 8, 64}) {
+        BranchSiteLikelihood eval(f.alignment, f.patterns, f.pi, f.tree,
+                                  Hypothesis::H1,
+                                  withThreads(base, 2, blockSize));
+        EXPECT_EQ(eval.logLikelihood(p), want)
+            << label(base) << " blockSize = " << blockSize
+            << " gapped = " << gapped;
+        EXPECT_EQ(testutil::lnLAndGradient(eval, p), wantGrad)
+            << label(base) << " blockSize = " << blockSize
+            << " gapped = " << gapped;
+      }
     }
   }
 }

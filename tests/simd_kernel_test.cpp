@@ -9,7 +9,10 @@
 //     SIMD level agrees to <= 1e-10 *relative* on the log-likelihood;
 //   * each level is bit-identical to itself across thread counts and block
 //     sizes (EXPECT_EQ on doubles), because kernel results are invariant
-//     under any row partition of a panel.
+//     under any row partition of a panel;
+//   * every table's product of a one-hot row is exactly the selected row of
+//     the other operand, and a 1-row call equals that row inside a panel —
+//     what the likelihood sweeps' leaf row gathers rest on.
 
 #include <gtest/gtest.h>
 
@@ -249,6 +252,58 @@ TEST(SimdKernels, SimdTransitionMatrixCloseToScalar) {
   }
 }
 
+// ---------- one-hot panel rows are row gathers ----------
+
+// The likelihood sweeps never multiply a leaf's panel: a one-hot row times
+// a propagator adds only exact zeros, so it is row `state` of P^T (column
+// `state` of P for the per-site gemmNT form), and a missing codon's all-ones
+// row is computed by a 1-row call, which gives the panel row's bits because
+// output row i depends only on input row i.  Pinned per table on a real P(t)
+// and a signed dP/dt.
+TEST(SimdKernels, OneHotPanelRowsAreRowGathers) {
+  sim::Rng rng(79);
+  const auto pi = sim::randomCodonFrequencies(61, 5, rng);
+  Matrix s(61, 61);
+  model::buildExchangeability(bio::GeneticCode::universal(), 2.2, 0.3, s);
+  const expm::CodonEigenSystem es(s, pi);
+
+  // A 64-row panel (the default block size): one-hot rows over scattered
+  // states, with all-ones rows at 5 and 40.
+  constexpr std::size_t kRows = 64;
+  const auto isOnes = [](std::size_t r) { return r == 5 || r == 40; };
+  const auto stateOf = [](std::size_t r) { return (7 * r + 3) % 61; };
+  Matrix w(kRows, 61);
+  for (std::size_t r = 0; r < kRows; ++r)
+    for (std::size_t j = 0; j < 61; ++j)
+      w(r, j) = isOnes(r) || j == stateOf(r) ? 1.0 : 0.0;
+  const Matrix ones(1, 61, 1.0);
+
+  for (const SimdKernels* kern : availableTables()) {
+    expm::ExpmWorkspace ws;
+    Matrix p(61, 61), dp(61, 61);
+    es.transitionMatrix(0.3, expm::ReconstructionPath::Syrk, *kern, ws, p);
+    es.derivativeMatrix(0.3, *kern, ws, dp);
+    for (const Matrix* m : {&p, &dp}) {
+      const Matrix mT = transposed(*m);
+      Matrix panel(kRows, 61), panelNT(kRows, 61), row(1, 61), rowNT(1, 61);
+      gemm(*kern, w.view(), mT.view(), panel.view());
+      gemmNT(*kern, w.view(), m->view(), panelNT.view());
+      gemm(*kern, ones.view(), mT.view(), row.view());
+      gemmNT(*kern, ones.view(), m->view(), rowNT.view());
+
+      Matrix gathered(kRows, 61), gatheredNT(kRows, 61);
+      for (std::size_t r = 0; r < kRows; ++r)
+        for (std::size_t j = 0; j < 61; ++j) {
+          gathered(r, j) = isOnes(r) ? row(0, j) : mT(stateOf(r), j);
+          gatheredNT(r, j) = isOnes(r) ? rowNT(0, j) : (*m)(j, stateOf(r));
+        }
+      const char* what = m == &p ? "P" : "dP/dt";
+      EXPECT_EQ(panel, gathered) << kern->name << " gemm " << what;
+      EXPECT_EQ(panelNT, gatheredNT) << kern->name << " gemmNT " << what;
+    }
+  }
+}
+
 // ---------- dispatch plumbing ----------
 
 TEST(SimdDispatch, ParseAndNames) {
@@ -307,10 +362,14 @@ struct Fixture {
   tree::Tree tree;
 };
 
-Fixture makeFixture() {
+// `gapped` adds missing codons (testutil::withMissingCodons), so the leaf
+// sweeps read their all-ones rows as well as one-hot gathers.
+Fixture makeFixture(bool gapped = false) {
   const sim::Dataset ds = sim::makeSweepDataset(8, /*seed=*/20260731, 40);
   Fixture f;
-  f.alignment = seqio::encodeCodons(ds.alignment, bio::GeneticCode::universal());
+  f.alignment = seqio::encodeCodons(
+      gapped ? testutil::withMissingCodons(ds.alignment, 5) : ds.alignment,
+      bio::GeneticCode::universal());
   f.patterns = seqio::compressPatterns(f.alignment);
   f.pi = testutil::randomFrequencies(bio::GeneticCode::universal().numSense(),
                                      11);
@@ -373,27 +432,39 @@ TEST(SimdLikelihood, LnlAgreesWithScalarWithin1e10Relative) {
 }
 
 // Each SIMD level is bit-identical to itself for every thread count and
-// block size — the same invariance the scalar engine has always asserted.
+// block size — the same invariance the scalar engine has always asserted —
+// in lnL and the analytic gradient, under both strategies, with and without
+// missing codons.
 TEST(SimdLikelihood, EachLevelBitIdenticalAcrossThreadsAndBlocks) {
-  const Fixture f = makeFixture();
   const BranchSiteParams p = testParams();
-  for (SimdLevel level :
-       {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512}) {
-    if (!linalg::simdLevelAvailable(level)) continue;
-    BranchSiteLikelihood reference(
-        f.alignment, f.patterns, f.pi, f.tree, Hypothesis::H1,
-        optionsFor(level, PropagationStrategy::BundledGemm, 1, 8));
-    const double want = reference.logLikelihood(p);
-    ASSERT_TRUE(std::isfinite(want));
-    for (int threads : {1, 2, 8}) {
-      for (int blockSize : {0, 7, 64}) {
-        BranchSiteLikelihood eval(
-            f.alignment, f.patterns, f.pi, f.tree, Hypothesis::H1,
-            optionsFor(level, PropagationStrategy::BundledGemm, threads,
-                       blockSize));
-        EXPECT_EQ(eval.logLikelihood(p), want)
-            << linalg::simdLevelName(level) << " threads = " << threads
-            << " blockSize = " << blockSize;
+  for (bool gapped : {false, true}) {
+    const Fixture f = makeFixture(gapped);
+    for (SimdLevel level :
+         {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512}) {
+      if (!linalg::simdLevelAvailable(level)) continue;
+      for (auto strategy : {PropagationStrategy::BundledGemm,
+                            PropagationStrategy::PerSiteGemv}) {
+        BranchSiteLikelihood reference(f.alignment, f.patterns, f.pi, f.tree,
+                                       Hypothesis::H1,
+                                       optionsFor(level, strategy, 1, 8));
+        const double want = reference.logLikelihood(p);
+        ASSERT_TRUE(std::isfinite(want));
+        const auto wantGrad = testutil::lnLAndGradient(reference, p);
+        for (int threads : {1, 2, 8}) {
+          for (int blockSize : {0, 7, 64}) {
+            BranchSiteLikelihood eval(
+                f.alignment, f.patterns, f.pi, f.tree, Hypothesis::H1,
+                optionsFor(level, strategy, threads, blockSize));
+            EXPECT_EQ(eval.logLikelihood(p), want)
+                << linalg::simdLevelName(level) << " "
+                << propagationStrategyName(strategy) << " gapped = " << gapped
+                << " threads = " << threads << " blockSize = " << blockSize;
+            EXPECT_EQ(testutil::lnLAndGradient(eval, p), wantGrad)
+                << linalg::simdLevelName(level) << " "
+                << propagationStrategyName(strategy) << " gapped = " << gapped
+                << " threads = " << threads << " blockSize = " << blockSize;
+          }
+        }
       }
     }
   }
@@ -402,38 +473,38 @@ TEST(SimdLikelihood, EachLevelBitIdenticalAcrossThreadsAndBlocks) {
 // The analytic branch-gradient sweep shares the kernels; it must keep the
 // same two properties (partition invariance per level, closeness to scalar).
 TEST(SimdLikelihood, GradientSweepInvariantPerLevelAndCloseToScalar) {
-  const Fixture f = makeFixture();
   const BranchSiteParams p = testParams();
+  for (bool gapped : {false, true}) {
+    const Fixture f = makeFixture(gapped);
+    BranchSiteLikelihood scalarEval(
+        f.alignment, f.patterns, f.pi, f.tree, Hypothesis::H1,
+        optionsFor(SimdLevel::Scalar, PropagationStrategy::BundledGemm));
+    const auto [scalarLnl, scalarGrad] =
+        testutil::lnLAndGradient(scalarEval, p);
+    ASSERT_TRUE(std::isfinite(scalarLnl));
 
-  BranchSiteLikelihood scalarEval(
-      f.alignment, f.patterns, f.pi, f.tree, Hypothesis::H1,
-      optionsFor(SimdLevel::Scalar, PropagationStrategy::BundledGemm));
-  std::vector<double> scalarGrad(scalarEval.numBranches());
-  const double scalarLnl = scalarEval.logLikelihoodGradientBranches(
-      p, std::span<double>(scalarGrad));
-  ASSERT_TRUE(std::isfinite(scalarLnl));
-
-  for (SimdLevel level : {SimdLevel::Avx2, SimdLevel::Avx512}) {
-    if (!linalg::simdLevelAvailable(level)) continue;
-    std::vector<double> want;
-    for (int threads : {1, 2, 8}) {
-      BranchSiteLikelihood eval(
-          f.alignment, f.patterns, f.pi, f.tree, Hypothesis::H1,
-          optionsFor(level, PropagationStrategy::BundledGemm, threads, 8));
-      std::vector<double> grad(eval.numBranches());
-      const double lnL =
-          eval.logLikelihoodGradientBranches(p, std::span<double>(grad));
-      EXPECT_LE(std::fabs(lnL - scalarLnl), 1e-10 * std::fabs(scalarLnl));
-      if (want.empty()) {
-        want = grad;
-        for (std::size_t k = 0; k < grad.size(); ++k) {
-          const double scale = std::max(1.0, std::fabs(scalarGrad[k]));
-          EXPECT_NEAR(grad[k], scalarGrad[k], 1e-8 * scale)
-              << linalg::simdLevelName(level) << " branch " << k;
+    for (SimdLevel level : {SimdLevel::Avx2, SimdLevel::Avx512}) {
+      if (!linalg::simdLevelAvailable(level)) continue;
+      std::vector<double> want;
+      for (int threads : {1, 2, 8}) {
+        BranchSiteLikelihood eval(
+            f.alignment, f.patterns, f.pi, f.tree, Hypothesis::H1,
+            optionsFor(level, PropagationStrategy::BundledGemm, threads, 8));
+        const auto [lnL, grad] = testutil::lnLAndGradient(eval, p);
+        EXPECT_LE(std::fabs(lnL - scalarLnl), 1e-10 * std::fabs(scalarLnl));
+        if (want.empty()) {
+          want = grad;
+          for (std::size_t k = 0; k < grad.size(); ++k) {
+            const double scale = std::max(1.0, std::fabs(scalarGrad[k]));
+            EXPECT_NEAR(grad[k], scalarGrad[k], 1e-8 * scale)
+                << linalg::simdLevelName(level) << " gapped = " << gapped
+                << " branch " << k;
+          }
+        } else {
+          EXPECT_EQ(grad, want) << linalg::simdLevelName(level)
+                                << " gapped = " << gapped
+                                << " threads = " << threads;
         }
-      } else {
-        EXPECT_EQ(grad, want) << linalg::simdLevelName(level)
-                              << " threads = " << threads;
       }
     }
   }

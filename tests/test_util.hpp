@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "lik/branch_site_likelihood.hpp"
 #include "linalg/matrix.hpp"
+#include "seqio/alignment.hpp"
 
 namespace slim::testutil {
 
@@ -48,6 +53,37 @@ inline std::vector<double> randomFrequencies(std::size_t n, unsigned seed) {
   }
   for (auto& f : pi) f /= total;
   return pi;
+}
+
+/// A copy of a codon-aligned nucleotide MSA with missing codons, all of
+/// which encode as seqio::kMissingState: each sequence gets four at seeded
+/// sites, cycling through a gap ("---"), an unknown ("NNN") and two partly
+/// ambiguous codons ("ANT", "A-G"), and the middle codon column is a gap in
+/// every sequence.
+inline seqio::Alignment withMissingCodons(const seqio::Alignment& aln,
+                                          unsigned seed) {
+  static constexpr const char* kMissing[] = {"---", "NNN", "ANT", "A-G"};
+  const std::size_t numCodons = aln.length() / 3;
+  std::mt19937 gen(seed);
+  std::uniform_int_distribution<std::size_t> site(0, numCodons - 1);
+  seqio::Alignment out;
+  for (std::size_t s = 0; s < aln.numSequences(); ++s) {
+    std::string data = aln.sequence(s).data;
+    for (std::size_t j = 0; j < 4; ++j)
+      data.replace(3 * site(gen), 3, kMissing[(s + j) % 4]);
+    data.replace(3 * (numCodons / 2), 3, "---");
+    out.addSequence(aln.sequence(s).name, std::move(data));
+  }
+  return out;
+}
+
+/// lnL and the analytic branch gradient of an evaluator at p (EXPECT_EQ on
+/// the pair checks both bit for bit).
+inline std::pair<double, std::vector<double>> lnLAndGradient(
+    lik::BranchSiteLikelihood& eval, const model::BranchSiteParams& p) {
+  std::vector<double> grad(eval.numBranches());
+  const double lnL = eval.logLikelihoodGradientBranches(p, grad);
+  return {lnL, grad};
 }
 
 }  // namespace slim::testutil
