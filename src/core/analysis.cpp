@@ -27,8 +27,8 @@ FitResult BranchSiteAnalysis::fit(Hypothesis hypothesis) {
 PositiveSelectionTest BranchSiteAnalysis::run() {
   FitResult h0 = fit(Hypothesis::H0);
   FitResult h1 = fit(Hypothesis::H1);
-  // The scan reuses the H1 shard: at the maximum just fitted, every
-  // propagator it needs is already cached (when caching is on).  The
+  // The scan asks for the H1 shard slot; the fit has released its shard,
+  // so the scan builds its propagators in a fresh one.  The
   // branch model has no site mixture, so there is nothing to scan; nor is
   // there for a cancelled H1 fit, whose truncated point has no meaningful
   // posteriors (as in BatchAnalysis).

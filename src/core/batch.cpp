@@ -111,8 +111,9 @@ std::vector<PositiveSelectionTest> BatchAnalysis::runAll() {
       ckpt->recordCompleted(key, fits[t]);
   });
 
-  // Phase 2: the N site scans at the H1 maxima, each warm-starting from its
-  // gene's H1 shard.
+  // Phase 2: the N site scans at the H1 maxima, each on its gene's H1 shard
+  // slot.  The fit released its shard, so the scan starts a fresh one: one
+  // cold evaluation, and no gene's propagators stay pinned between phases.
   const int scanThreads = scheduler.taskThreads(n, policy);
   std::vector<lik::SiteClassPosteriors> posteriors(n);
   std::vector<lik::EvalCounters> scanCounters(n);

@@ -102,7 +102,8 @@ class BatchAnalysis {
   const BatchOptions& options() const noexcept { return options_; }
 
   /// Run the full H0-vs-H1 test for every registered gene; results are
-  /// indexed by GeneHandle.  Repeatable (shards stay warm across calls).
+  /// indexed by GeneHandle.  Repeatable; each call starts cold, since a
+  /// finished task's propagator shard is freed with it.
   std::vector<PositiveSelectionTest> runAll();
 
   /// Aggregate engine counters of the last runAll(), merged in gene order

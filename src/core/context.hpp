@@ -149,8 +149,8 @@ class AnalysisContext {
   }
 
   /// Canonical shard slot of a hypothesis' fit task; the site scan at the
-  /// H1 maximum reuses slot(H1), which is exactly where its propagators are
-  /// already warm.
+  /// H1 maximum asks for slot(H1), so it finds the fit's propagators warm
+  /// when its caller still holds that shard.
   static constexpr int shardSlot(model::Hypothesis h) noexcept {
     return h == model::Hypothesis::H1 ? 1 : 0;
   }
@@ -159,12 +159,16 @@ class AnalysisContext {
   /// created; mutex-guarded directory).  Null when the resolved engine
   /// options have propagator caching off — the evaluator then runs uncached
   /// exactly as before.  A slot must not be used by two tasks concurrently.
+  /// The context holds its shards weakly: the same shard comes back while
+  /// a caller holds it, and a finished task's propagators are freed with
+  /// its last holder, so a context that outlives its tasks pins nothing.
   std::shared_ptr<lik::PropagatorCacheShard> cacheShard(int slot) const {
     if (!likelihoodOptions().cachePropagators) return nullptr;
     return cache_->shard(slot);
   }
 
-  /// Total propagators currently cached across all shards (diagnostics).
+  /// Total propagators cached in the shards a caller still holds
+  /// (diagnostics); 0 once every task on this context has finished.
   std::size_t cachedPropagators() const { return cache_->totalEntries(); }
 
   /// Cheap clone carrying different fit options: shares the parsed tree,

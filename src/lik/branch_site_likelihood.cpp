@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "linalg/blas1.hpp"
@@ -189,23 +190,39 @@ void BranchSiteLikelihood::propagateBranch(const Matrix& prop,
   }
 }
 
-void BranchSiteLikelihood::pruneClassBlock(int m, int h0, int len,
-                                           PruneWorkspace& ws) {
+void BranchSiteLikelihood::downPass(int m, int h0, int len, bool keepAll,
+                                    SweepWorkspace& ws) {
   const int numNodes = tree_.numNodes();
-  if (static_cast<int>(ws.nodeCpv.size()) != numNodes) {
-    ws.nodeCpv.resize(numNodes);
-    ws.nodeScaleLog.resize(numNodes);
-  }
-  if (ws.tmp.rows() != static_cast<std::size_t>(blockMax_))
-    ws.tmp.resize(blockMax_, n_);
-
-  const int root = tree_.root();
   const auto& cls = activeClasses_[m];
+  const int* nodeRep = nodeRep_.data() + static_cast<std::size_t>(m) * numNodes;
+  const int* edgeRep = edgeRep_.data() + static_cast<std::size_t>(m) * numNodes;
+  const char* keep = keepProd_.data() + static_cast<std::size_t>(m) * numNodes;
   const bool perSite = options_.propagation == PropagationStrategy::PerSiteGemv;
+  // A leaf child's product row h is row `state` of the stored P^T (column
+  // `state` of P under PerSiteGemv), multiplied into dst: straight into the
+  // parent CPV (x * y == y * x, so these are the bits of product-then-
+  // Hadamard), or into a panel of ones to keep it (1 * x == x).
+  const auto gatherLeaf = [&](int leaf, const Matrix& prop, std::size_t slot,
+                              MatrixView dst) {
+    const int* states = leafState_[leaf].data() + h0;
+    for (int h = 0; h < len; ++h) {
+      double* row = dst.row(h);
+      if (perSite && states[h] != seqio::kMissingState) {
+        for (int i = 0; i < n_; ++i) row[i] *= prop(i, states[h]);
+      } else {
+        const double* src = gatherRow(prop, missingRows_, slot, states[h]);
+        for (int i = 0; i < n_; ++i) row[i] *= src[i];
+      }
+    }
+  };
+
+  // A node is computed only when its panel does not hold class m's
+  // representative's values.  Each pass leaves every panel current for its
+  // class, so a held product was made from the panel still below it, and
+  // the pass computes exactly what class m does not share.
   for (int id : tree_.postOrder()) {
-    const auto& node = tree_.node(id);
-    if (node.isLeaf()) continue;
-    Matrix& cpvStore = ws.nodeCpv[id];
+    if (tree_.node(id).isLeaf() || ws.downTag[id] == nodeRep[id]) continue;
+    Matrix& cpvStore = ws.down[id];
     if (cpvStore.rows() != static_cast<std::size_t>(blockMax_))
       cpvStore.resize(blockMax_, n_);
     const MatrixView cpv = cpvStore.rowBlock(0, len);
@@ -213,36 +230,46 @@ void BranchSiteLikelihood::pruneClassBlock(int m, int h0, int len,
       double* row = cpv.row(h);
       std::fill(row, row + n_, 1.0);
     }
-    auto& scaleLog = ws.nodeScaleLog[id];
+    auto& scaleLog = ws.sDown[id];
     scaleLog.assign(len, 0.0);
 
-    for (int child : node.children) {
+    for (int child : tree_.node(id).children) {
+      const bool leaf = tree_.node(child).isLeaf();
       const std::size_t slot =
           propIndex(child, cls.omegaFor(tree_.node(child).mark));
       // Prebuilt before the parallel region; read-only here.
       const Matrix& prop = *propPtr_[slot];
-      ws.patternPropagations += len;
-      if (tree_.node(child).isLeaf()) {
-        // Leaf: the panel product's row h is row `state` of the stored P^T
-        // (column `state` of P under PerSiteGemv), multiplied straight into
-        // the parent CPV; x * y == y * x, so these are the bits of
-        // product-then-Hadamard.
-        const int* states = leafState_[child].data() + h0;
-        for (int h = 0; h < len; ++h) {
-          double* row = cpv.row(h);
-          if (perSite && states[h] != seqio::kMissingState) {
-            for (int i = 0; i < n_; ++i) row[i] *= prop(i, states[h]);
-          } else {
-            const double* src = gatherRow(prop, missingRows_, slot, states[h]);
-            for (int i = 0; i < n_; ++i) row[i] *= src[i];
-          }
-        }
+      const bool held = ws.prodTag[child] == edgeRep[child];
+      if (!held) ws.patternPropagations += len;
+      if (leaf && !keepAll) {
+        // The table row is always at hand, so a held gather only skips the
+        // count.
+        gatherLeaf(child, prop, slot, cpv);
+        ws.prodTag[child] = edgeRep[child];
         continue;
       }
-      const MatrixView out = ws.tmp.rowBlock(0, len);
-      propagateBranch(prop, ws.nodeCpv[child].rowBlock(0, len), out);
-      linalg::hadamardInPlace(ConstMatrixView(out).span(), cpv.span());
-      for (int h = 0; h < len; ++h) scaleLog[h] += ws.nodeScaleLog[child][h];
+      if (!held) {
+        const bool kept = keepAll || keep[child];
+        Matrix& store = kept ? ws.prod[child] : ws.tmp;
+        if (store.rows() != static_cast<std::size_t>(blockMax_))
+          store.resize(blockMax_, n_);
+        const MatrixView out = store.rowBlock(0, len);
+        if (leaf) {
+          std::ranges::fill(out.span(), 1.0);
+          gatherLeaf(child, prop, slot, out);
+        } else {
+          propagateBranch(prop, ws.down[child].rowBlock(0, len), out);
+        }
+        ws.prodTag[child] = kept ? edgeRep[child] : -1;
+        linalg::hadamardInPlace(ConstMatrixView(out).span(), cpv.span());
+      } else {
+        linalg::hadamardInPlace(
+            ConstMatrixView(ws.prod[child].rowBlock(0, len)).span(),
+            cpv.span());
+      }
+      // A leaf's scale log is zero; adding it would change no bit.
+      if (!leaf)
+        for (int h = 0; h < len; ++h) scaleLog[h] += ws.sDown[child][h];
     }
 
     // Underflow rescue: renormalize any pattern row whose maximum dropped
@@ -257,18 +284,109 @@ void BranchSiteLikelihood::pruneClassBlock(int m, int h0, int len,
         scaleLog[h] += std::log(mx);
       }
     }
+    ws.downTag[id] = nodeRep[id];
+  }
+}
+
+void BranchSiteLikelihood::planSharing() {
+  const int numNodes = tree_.numNodes();
+  const int root = tree_.root();
+  const auto at = [numNodes](int m, int node) {
+    return static_cast<std::size_t>(m) * numNodes + node;
+  };
+  const auto eigenOf = [&](int m, int node) {
+    return omegaToEigen_[activeClasses_[m].omegaFor(tree_.node(node).mark)];
+  };
+  nodeRep_.assign(static_cast<std::size_t>(numClasses_) * numNodes, 0);
+  edgeRep_.assign(nodeRep_.size(), 0);
+  // Equality below a node is equality on every child's edge and subtree;
+  // the lowest equal class is found by scanning the lower indices.  A leaf
+  // has no edge below it, so every class equals class 0 there.
+  for (int id : tree_.postOrder()) {
+    const auto& node = tree_.node(id);
+    for (int m = 0; m < numClasses_ && !node.isLeaf(); ++m) {
+      int rep = m;
+      for (int q = 0; q < m && rep == m; ++q)
+        if (std::all_of(node.children.begin(), node.children.end(),
+                        [&](int c) {
+                          return edgeRep_[at(q, c)] == edgeRep_[at(m, c)];
+                        }))
+          rep = q;
+      nodeRep_[at(m, id)] = rep;
+    }
+    if (id == root) continue;
+    for (int m = 0; m < numClasses_; ++m) {
+      int rep = m;
+      for (int q = 0; q < m && rep == m; ++q)
+        if (nodeRep_[at(q, id)] == nodeRep_[at(m, id)] &&
+            eigenOf(q, id) == eigenOf(m, id))
+          rep = q;
+      edgeRep_[at(m, id)] = rep;
+    }
   }
 
-  // Root: mix over states with the equilibrium frequencies.  Each block owns
-  // its [h0, h0 + len) slice of the class result rows, so concurrent blocks
-  // never write the same element.
-  const ConstMatrixView rootCpv = ws.nodeCpv[root].rowBlock(0, len);
-  for (int h = 0; h < len; ++h) {
-    double f = 0.0;
-    const double* row = rootCpv.row(h);
-    for (int i = 0; i < n_; ++i) f += pi_[i] * row[i];
-    classLik_[m][h0 + h] = f;
-    classScaleLog_[m][h0 + h] = ws.nodeScaleLog[root][h];
+  // A class joins the group of the lowest class it reads anywhere, after
+  // it; a class that reads none starts a group.
+  classGroups_.clear();
+  std::vector<int> groupOf(numClasses_);
+  for (int m = 0; m < numClasses_; ++m) {
+    int reads = m;
+    for (int id : tree_.postOrder()) {
+      if (!tree_.node(id).isLeaf())
+        reads = std::min(reads, nodeRep_[at(m, id)]);
+      if (id != root) reads = std::min(reads, edgeRep_[at(m, id)]);
+    }
+    groupOf[m] = reads == m ? static_cast<int>(classGroups_.size())
+                            : groupOf[reads];
+    if (reads == m) classGroups_.emplace_back();
+    classGroups_[groupOf[m]].push_back(m);
+  }
+
+  // The likelihood sweep keeps class m's product at node c when a later
+  // class of the group has the same product there but a different panel
+  // above it, so it recomputes the parent from that product.
+  keepProd_.assign(nodeRep_.size(), 0);
+  for (const auto& order : classGroups_)
+    for (std::size_t i = 0; i < order.size(); ++i)
+      for (std::size_t j = i + 1; j < order.size(); ++j)
+        for (int c : branchNodes_) {
+          const int up = tree_.node(c).parent;
+          if (edgeRep_[at(order[j], c)] == edgeRep_[at(order[i], c)] &&
+              nodeRep_[at(order[j], up)] != nodeRep_[at(order[i], up)])
+            keepProd_[at(order[i], c)] = 1;
+        }
+}
+
+void BranchSiteLikelihood::forEachGroupBlock(
+    const std::function<void(int, int, int, SweepWorkspace&)>& perClass) {
+  const int numNodes = tree_.numNodes();
+  const int numBlocks = (npat_ + blockMax_ - 1) / blockMax_;
+  const int numTasks = static_cast<int>(classGroups_.size()) * numBlocks;
+  const auto runTask = [&](int task, int worker) {
+    SweepWorkspace& ws = workspaces_[worker];
+    if (static_cast<int>(ws.down.size()) != numNodes) {
+      ws.down.resize(numNodes);
+      ws.prod.resize(numNodes);
+      ws.sDown.resize(numNodes);
+      for (int id = 0; id < numNodes; ++id)
+        if (tree_.node(id).isLeaf()) ws.sDown[id].assign(blockMax_, 0.0);
+    }
+    // A new block: no panel holds anything yet.
+    ws.downTag.assign(numNodes, -1);
+    ws.prodTag.assign(numNodes, -1);
+    const int h0 = (task % numBlocks) * blockMax_;
+    for (int m : classGroups_[task / numBlocks])
+      perClass(m, h0, std::min(blockMax_, npat_ - h0), ws);
+  };
+  if (pool_) {
+    pool_->parallelFor(numTasks, runTask);
+  } else {
+    for (int task = 0; task < numTasks; ++task) runTask(task, 0);
+  }
+  // Deterministic merge of the per-worker counters.
+  for (auto& ws : workspaces_) {
+    counters_.patternPropagations += ws.patternPropagations;
+    ws.patternPropagations = 0;
   }
 }
 
@@ -300,14 +418,23 @@ void BranchSiteLikelihood::prepareEigenSystems(const MixtureSpec& spec) {
     if (!specMatches) shard_->entries.clear();
   }
 
-  // One eigendecomposition per *distinct* omega value (e.g. under the
-  // model A null, omega2 == omega1 == 1 shares one).
+  // One eigendecomposition per *distinct* omega (e.g. under the model A
+  // null, omega2 == omega1 == 1 shares one).  Two slots share only when
+  // their scaled exchangeabilities are bit-equal too: the index also
+  // aliases whole subtrees (planSharing), so it must mean equal inputs,
+  // not equal labels.
+  const auto sameInput = [&](int j, int k) {
+    const Matrix& a = spec.scaledS[j];  // validate() checked the shapes
+    return spec.omegas[j] == spec.omegas[k] &&
+           std::memcmp(a.data(), spec.scaledS[k].data(),
+                       a.size() * sizeof(double)) == 0;
+  };
   eigenSystems_.clear();
   omegaToEigen_.assign(numOmegas_, -1);
   for (int k = 0; k < numOmegas_; ++k) {
     int found = -1;
     for (int j = 0; j < k; ++j)
-      if (spec.omegas[j] == spec.omegas[k]) {
+      if (sameInput(j, k)) {
         found = omegaToEigen_[j];
         break;
       }
@@ -353,6 +480,7 @@ void BranchSiteLikelihood::computeClassLikelihoods(const MixtureSpec& spec) {
   }
 
   prepareEigenSystems(spec);
+  planSharing();
 
   // Propagators depend on branch lengths and omega: rebuild lazily.
   const std::size_t propSlots =
@@ -361,29 +489,24 @@ void BranchSiteLikelihood::computeClassLikelihoods(const MixtureSpec& spec) {
   propPtr_.assign(propSlots, nullptr);
   prebuildPropagators();
 
-  // Pattern-blocked sweep: every (site class, pattern block) pair is an
+  // Pattern-blocked sweep: every (sharing group, pattern block) pair is an
   // independent task reading shared immutable state (tree, leaf states,
   // prebuilt propagators and missing-codon rows) and writing its own slice
-  // of the class results.
-  const int numBlocks = (npat_ + blockMax_ - 1) / blockMax_;
-  const int numTasks = numClasses_ * numBlocks;
-  const auto runTask = [&](int task, int worker) {
-    const int m = task / numBlocks;
-    const int b = task % numBlocks;
-    const int h0 = b * blockMax_;
-    pruneClassBlock(m, h0, std::min(blockMax_, npat_ - h0),
-                    workspaces_[worker]);
-  };
-  if (pool_) {
-    pool_->parallelFor(numTasks, runTask);
-  } else {
-    for (int task = 0; task < numTasks; ++task) runTask(task, 0);
-  }
-  // Deterministic merge of the per-worker counters.
-  for (auto& ws : workspaces_) {
-    counters_.patternPropagations += ws.patternPropagations;
-    ws.patternPropagations = 0;
-  }
+  // of the class results.  Root: mix over states with the equilibrium
+  // frequencies, from the root panel the down pass left current (a class
+  // whose root is aliased reads its representative's).
+  const int root = tree_.root();
+  forEachGroupBlock([&](int m, int h0, int len, SweepWorkspace& ws) {
+    downPass(m, h0, len, /*keepAll=*/false, ws);
+    const ConstMatrixView rootCpv = ws.down[root].rowBlock(0, len);
+    for (int h = 0; h < len; ++h) {
+      double f = 0.0;
+      const double* row = rootCpv.row(h);
+      for (int i = 0; i < n_; ++i) f += pi_[i] * row[i];
+      classLik_[m][h0 + h] = f;
+      classScaleLog_[m][h0 + h] = ws.sDown[root][h];
+    }
+  });
   ++counters_.evaluations;
 }
 
@@ -451,34 +574,21 @@ double BranchSiteLikelihood::gradientBranchesFromState(std::span<double> gradT) 
   ++counters_.gradientSweeps;
 
   buildGradientPropagators();
-  if (gradWorkspaces_.size() != workspaces_.size())
-    gradWorkspaces_.resize(workspaces_.size());
 
-  // Same task shape as the likelihood sweep: every (site class, pattern
-  // block) pair is independent.  Each task writes per-(branch, pattern)
-  // contributions into its class's slab — per-pattern values are independent
-  // of the block partition, and the reduction below runs in fixed
-  // (branch, pattern, class) order — so the gradient, like the likelihood,
-  // is bit-identical for every thread count and block size.
-  const int numBlocks = (npat_ + blockMax_ - 1) / blockMax_;
-  const int numTasks = numClasses_ * numBlocks;
+  // Same task shape as the likelihood sweep: every (sharing group, pattern
+  // block) pair is independent.  Each class's up pass writes per-(branch,
+  // pattern) contributions into its class's slab — per-pattern values are
+  // independent of the block partition, and the reduction below runs in
+  // fixed (branch, class, pattern) order — so the gradient, like the
+  // likelihood, is bit-identical for every thread count and block size.
   const std::size_t slabSize = static_cast<std::size_t>(numB) * npat_;
   gradContrib_.assign(static_cast<std::size_t>(numClasses_) * slabSize, 0.0);
   std::vector<double>& contrib = gradContrib_;
-  const auto runTask = [&](int task, int worker) {
-    const int m = task / numBlocks;
-    const int b = task % numBlocks;
-    const int h0 = b * blockMax_;
-    gradientClassBlock(m, h0, std::min(blockMax_, npat_ - h0), mixMaxScaleLog_,
-                       mixMixture_, gradWorkspaces_[worker],
-                       std::span<double>(contrib.data() + m * slabSize,
-                                         slabSize));
-  };
-  if (pool_) {
-    pool_->parallelFor(numTasks, runTask);
-  } else {
-    for (int task = 0; task < numTasks; ++task) runTask(task, 0);
-  }
+  forEachGroupBlock([&](int m, int h0, int len, SweepWorkspace& ws) {
+    downPass(m, h0, len, /*keepAll=*/true, ws);
+    gradientUpPass(m, h0, len, mixMaxScaleLog_, mixMixture_, ws,
+                   std::span<double>(contrib.data() + m * slabSize, slabSize));
+  });
   // Fixed (branch, class, pattern) reduction order: deterministic and
   // partition-independent like the task writes, with the innermost loop
   // running linearly through each slab's contiguous pattern row.
@@ -491,23 +601,17 @@ double BranchSiteLikelihood::gradientBranchesFromState(std::span<double> gradT) 
     }
     gradT[k] = g;
   }
-  for (auto& ws : gradWorkspaces_) {
-    counters_.patternPropagations += ws.patternPropagations;
-    ws.patternPropagations = 0;
-  }
   return lnL;
 }
 
 void BranchSiteLikelihood::buildGradientPropagators() {
   const std::size_t propSlots =
       static_cast<std::size_t>(tree_.numNodes()) * numOmegas_;
-  gradProp_.resize(propSlots);
-  gradPropT_.resize(propSlots);
+  const bool bundled = options_.propagation == PropagationStrategy::BundledGemm;
+  if (bundled) gradProp_.resize(propSlots);
   gradDerivT_.resize(propSlots);
-  if (gradMissingRows_.rows() != propSlots) {
-    gradMissingRows_.resize(propSlots, n_);
+  if (gradMissingDerivRows_.rows() != propSlots)
     gradMissingDerivRows_.resize(propSlots, n_);
-  }
   std::vector<char> built(propSlots, 0);
   Matrix dp(n_, n_);
   for (int node : branchNodes_) {
@@ -519,22 +623,16 @@ void BranchSiteLikelihood::buildGradientPropagators() {
       if (built[slot]) continue;
       built[slot] = 1;
       const int eigenIdx = omegaToEigen_[omegaIdx];
-      Matrix& p = gradProp_[slot];
-      Matrix& pT = gradPropT_[slot];
-      if (p.rows() != static_cast<std::size_t>(n_)) p.resize(n_, n_);
-      if (pT.rows() != static_cast<std::size_t>(n_)) pT.resize(n_, n_);
       // The evaluation's propagator table (still addressable — the gradient
       // runs on the retained state of the last evaluation) holds P^T under
       // BundledGemm and P under PerSiteGemv for every slot visited here.
       const Matrix* stored = propPtr_[slot];
       SLIM_REQUIRE(stored != nullptr,
                    "gradient: propagator missing from the last evaluation");
-      if (options_.propagation == PropagationStrategy::BundledGemm) {
-        pT = *stored;
-        linalg::transposeInto(pT, p);
-      } else {
-        p = *stored;
-        linalg::transposeInto(p, pT);
+      if (bundled) {
+        Matrix& p = gradProp_[slot];
+        if (p.rows() != static_cast<std::size_t>(n_)) p.resize(n_, n_);
+        linalg::transposeInto(*stored, p);
       }
       Matrix& dT = gradDerivT_[slot];
       if (dT.rows() != static_cast<std::size_t>(n_)) dT.resize(n_, n_);
@@ -542,26 +640,21 @@ void BranchSiteLikelihood::buildGradientPropagators() {
                                                backend_.ops, expmWs_, dp);
       linalg::transposeInto(dp, dT);
       ++counters_.propagatorBuilds;
-      if (leafHasMissing_[node]) {
-        linalg::gemm(backend_.ops, onesRow_.view(), pT.view(),
-                     gradMissingRows_.rowBlock(slot, 1));
+      if (leafHasMissing_[node])
         linalg::gemm(backend_.ops, onesRow_.view(), dT.view(),
                      gradMissingDerivRows_.rowBlock(slot, 1));
-      }
     }
   }
 }
 
-void BranchSiteLikelihood::gradientClassBlock(
-    int m, int h0, int len, std::span<const double> maxScaleLog,
-    std::span<const double> mixture, GradientWorkspace& ws,
-    std::span<double> gradOut) {
+void BranchSiteLikelihood::gradientUpPass(int m, int h0, int len,
+                                          std::span<const double> maxScaleLog,
+                                          std::span<const double> mixture,
+                                          SweepWorkspace& ws,
+                                          std::span<double> gradOut) {
   const int numNodes = tree_.numNodes();
-  if (static_cast<int>(ws.down.size()) != numNodes) {
-    ws.down.resize(numNodes);
-    ws.prod.resize(numNodes);
+  if (static_cast<int>(ws.up.size()) != numNodes) {
     ws.up.resize(numNodes);
-    ws.sDown.resize(numNodes);
     ws.uScale.resize(numNodes);
   }
   if (ws.outside.rows() != static_cast<std::size_t>(blockMax_)) {
@@ -569,70 +662,17 @@ void BranchSiteLikelihood::gradientClassBlock(
     ws.deriv.resize(blockMax_, n_);
   }
 
-  // The gradient sweep's panel products run on the evaluator's kernel
-  // table, like the likelihood sweep's; a leaf child's rows are gathered
-  // from the P^T-layout tables, as in the likelihood sweep.
+  // The up pass reads class m's down pass: per node the subtree panel D and
+  // its scale log, per child the propagated panel prod = P * D_child (the
+  // outside recursion multiplies sibling prods together).  Its panel
+  // products run on the evaluator's kernel table, like the down pass's; a
+  // leaf child's dP rows are gathered from the dP^T-layout table.
   const int root = tree_.root();
   const auto& cls = activeClasses_[m];
+  const bool perSite = options_.propagation == PropagationStrategy::PerSiteGemv;
   const auto slotOf = [&](int node) {
     return propIndex(node, cls.omegaFor(tree_.node(node).mark));
   };
-
-  // Down (post-order) pass — the likelihood sweep again, but *retaining* per
-  // node the subtree conditional panel D, its scale log, and per child the
-  // propagated panel prod = P * D_child (the outside recursion multiplies
-  // sibling prods together).
-  for (int id : tree_.postOrder()) {
-    const auto& node = tree_.node(id);
-    if (node.isLeaf()) {
-      ws.sDown[id].assign(len, 0.0);
-      continue;
-    }
-    Matrix& dStore = ws.down[id];
-    if (dStore.rows() != static_cast<std::size_t>(blockMax_))
-      dStore.resize(blockMax_, n_);
-    const MatrixView d = dStore.rowBlock(0, len);
-    for (int h = 0; h < len; ++h) {
-      double* row = d.row(h);
-      std::fill(row, row + n_, 1.0);
-    }
-    auto& scale = ws.sDown[id];
-    scale.assign(len, 0.0);
-
-    for (int c : node.children) {
-      Matrix& prodStore = ws.prod[c];
-      if (prodStore.rows() != static_cast<std::size_t>(blockMax_))
-        prodStore.resize(blockMax_, n_);
-      const MatrixView prod = prodStore.rowBlock(0, len);
-      const std::size_t slot = slotOf(c);
-      if (tree_.node(c).isLeaf()) {
-        const int* states = leafState_[c].data() + h0;
-        for (int h = 0; h < len; ++h) {
-          const double* src =
-              gatherRow(gradPropT_[slot], gradMissingRows_, slot, states[h]);
-          std::copy(src, src + n_, prod.row(h));
-        }
-      } else {
-        linalg::gemm(backend_.ops, ws.down[c].rowBlock(0, len),
-                     gradPropT_[slot].view(), prod);
-      }
-      linalg::hadamardInPlace(ConstMatrixView(prod).span(), d.span());
-      for (int h = 0; h < len; ++h) scale[h] += ws.sDown[c][h];
-      ws.patternPropagations += len;
-    }
-
-    // Underflow rescue, exactly as in the likelihood sweep.
-    for (int h = 0; h < len; ++h) {
-      double mx = 0.0;
-      double* row = d.row(h);
-      for (int i = 0; i < n_; ++i) mx = std::max(mx, row[i]);
-      if (mx > 0.0 && mx < options_.scalingThreshold) {
-        const double inv = 1.0 / mx;
-        for (int i = 0; i < n_; ++i) row[i] *= inv;
-        scale[h] += std::log(mx);
-      }
-    }
-  }
 
   // Up (pre-order) pass.  The outside panel O_c of the edge above node c
   // satisfies   L_true(h) = sum_ij O_c(h,i) P_c(i,j) D_c(h,j) * e^{s_c + o_c},
@@ -703,8 +743,8 @@ void BranchSiteLikelihood::gradientClassBlock(
         if (upC.rows() != static_cast<std::size_t>(blockMax_))
           upC.resize(blockMax_, n_);
         const MatrixView uc = upC.rowBlock(0, len);
-        linalg::gemm(backend_.ops, ConstMatrixView(o), gradProp_[slot].view(),
-                     uc);
+        const Matrix& p = perSite ? *propPtr_[slot] : gradProp_[slot];
+        linalg::gemm(backend_.ops, ConstMatrixView(o), p.view(), uc);
         ws.patternPropagations += len;
         auto& us = ws.uScale[c];
         us.assign(len, 0.0);

@@ -31,8 +31,20 @@
 // once per propagator.  CodeML indexes P for its clean tips the same way, so
 // every engine gathers and `codeml` vs `slim` still isolates the paper's
 // optimizations.
+//
+// Site classes share subtrees (FastCodeML's trick).  Two classes have the
+// same conditional panel at node v when they read the same eigensystem on
+// every edge below v, so each node and edge has a representative: the
+// lowest-index class equal to it there.  Classes that share anything run as
+// one task per pattern block, representative first, and one down pass
+// computes a class only where the workspace does not already hold its
+// representative's panel; everywhere else it reads that panel.  Under the
+// model A null, class 2b equals class 1 everywhere and 2a equals class 0
+// off the foreground path.  The per-pattern arithmetic is the unshared
+// pass's, so sharing moves no result bit, only the work counters.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -55,8 +67,10 @@ struct EvalCounters {
   std::int64_t evaluations = 0;           ///< logLikelihood calls
   std::int64_t eigenDecompositions = 0;   ///< symmetric eigenproblems solved
   std::int64_t propagatorBuilds = 0;      ///< P(t) / dP(t) constructions
-  /// Branch x class x pattern ops; a leaf branch's row gather counts as one
-  /// propagation per pattern, like an internal branch's panel product row.
+  /// Branch x class x pattern ops the down and up passes compute; a leaf
+  /// branch's row gather counts as one propagation per pattern, like an
+  /// internal branch's panel product row.  A product or gather read from a
+  /// representative class's panel (site-class sharing) is not counted.
   std::int64_t patternPropagations = 0;
   /// Analytic branch-gradient sweeps (logLikelihoodGradientBranches calls);
   /// each replaces numBranches finite-difference evaluations.
@@ -200,33 +214,27 @@ class BranchSiteLikelihood {
   }
 
  private:
-  // Per-worker scratch for one pattern-block pruning sweep.  Everything a
-  // sweep mutates lives here, so concurrent blocks share no mutable state;
-  // block results land in classLik_/classScaleLog_ slots addressed by
-  // pattern index, which keeps the final reduction order — and therefore
-  // the log-likelihood — independent of the thread count.
-  struct PruneWorkspace {
-    std::vector<linalg::Matrix> nodeCpv;  // per node: blockMax x n
-    std::vector<std::vector<double>> nodeScaleLog;  // per node: blockMax
-    linalg::Matrix tmp;  // internal-child propagation scratch (blockMax x n)
-    std::int64_t patternPropagations = 0;
-  };
-
-  // Per-worker scratch for one gradient pattern block: the post-order pass
-  // retains per-node conditional panels (the likelihood sweep overwrites
-  // them), the pre-order pass adds the complementary outside panels.  Same
-  // isolation discipline as PruneWorkspace: concurrent blocks share nothing
-  // mutable, results land in slots addressed by task index.
-  struct GradientWorkspace {
-    std::vector<linalg::Matrix> down;   // per internal node: blockMax x n CPV
-    std::vector<linalg::Matrix> prod;   // per non-root node: P * child CPV
-                                        // (gathered rows for a leaf)
-    std::vector<linalg::Matrix> up;     // per internal node: outside panel
+  // Per-worker scratch for one (sharing group, pattern block) task of
+  // either sweep.  The down pass holds one class's panel set at a time;
+  // downTag/prodTag name the representative class whose values a panel
+  // holds (-1: none), so a later class of the same task reads a panel
+  // instead of recomputing it.  Concurrent tasks share nothing mutable, and
+  // results land in slots addressed by pattern index, which keeps every
+  // reduction order — and so lnL and the gradient — independent of the
+  // thread count and the block size.
+  struct SweepWorkspace {
+    std::vector<linalg::Matrix> down;         // per internal node: CPV panel
     std::vector<std::vector<double>> sDown;   // per node: subtree scale log
+    std::vector<linalg::Matrix> prod;         // per non-root node: P * CPV
+                                              // (gathered rows for a leaf)
+    linalg::Matrix tmp;                       // a product no one reads again
+    std::vector<int> downTag, prodTag;        // per node, reset per task
+    // Up pass (gradient sweep only).
+    std::vector<linalg::Matrix> up;           // per internal node: outside
     std::vector<std::vector<double>> uScale;  // per internal node
-    linalg::Matrix outside;             // one child's outside panel (scratch)
-    std::vector<double> oScale;         // its scale log (scratch)
-    linalg::Matrix deriv;               // dP * internal child CPV (scratch)
+    linalg::Matrix outside;                   // one child's outside panel
+    std::vector<double> oScale;               // its scale log
+    linalg::Matrix deriv;                     // dP * internal child CPV
     std::int64_t patternPropagations = 0;
   };
 
@@ -248,22 +256,33 @@ class BranchSiteLikelihood {
   // logLikelihoodGradientBranches / gradientBranchesAtLastEvaluation).
   double gradientBranchesFromState(std::span<double> gradT);
 
-  // Build the (P, P^T, dP^T) triple for every (branch node, omega) the
-  // active classes reference, from the propagators the evaluation stored.
+  // Build P (BundledGemm's other layout) and dP^T for every (branch node,
+  // omega) the active classes reference; the down pass reads the stored
+  // propagators and missingRows_ themselves.
   void buildGradientPropagators();
 
-  // Down + up sweep for site class m over patterns [h0, h0 + len), writing
-  // each branch's per-pattern gradient contribution into the class slab
-  // gradOut (numBranches x numPatterns, branch-major) at [k * npat + h].
-  void gradientClassBlock(int m, int h0, int len,
-                          std::span<const double> maxScaleLog,
-                          std::span<const double> mixture,
-                          GradientWorkspace& ws, std::span<double> gradOut);
+  // Up (pre-order) pass of the gradient for site class m over patterns
+  // [h0, h0 + len), on the panels class m's down pass left in ws, writing
+  // each branch's per-pattern contribution into the class slab gradOut
+  // (numBranches x numPatterns, branch-major) at [k * npat + h].
+  void gradientUpPass(int m, int h0, int len,
+                      std::span<const double> maxScaleLog,
+                      std::span<const double> mixture, SweepWorkspace& ws,
+                      std::span<double> gradOut);
 
   // (Re)build eigenSystems_ / omegaToEigen_ for the spec, reusing them — and
   // keeping the propagator cache — when the spec is unchanged since the last
   // evaluation and caching is enabled.
   void prepareEigenSystems(const model::MixtureSpec& spec);
+
+  // Site-class sharing for the active spec, from omegaToEigen_: the
+  // representatives nodeRep_/edgeRep_, the task groups and keepProd_.
+  void planSharing();
+
+  // Run perClass(m, h0, len, ws) for every (sharing group, pattern block)
+  // task, the group's classes in order on one worker's workspace.
+  void forEachGroupBlock(
+      const std::function<void(int, int, int, SweepWorkspace&)>& perClass);
 
   // Build every propagator the sweep will read, and the missing-codon rows
   // of the leaves that need them (serial, so the parallel region only ever
@@ -279,8 +298,15 @@ class BranchSiteLikelihood {
                                          : tableT.row(state);
   }
 
-  // One pruning sweep for site class m over patterns [h0, h0 + len).
-  void pruneClassBlock(int m, int h0, int len, PruneWorkspace& ws);
+  // The down (post-order) pass of site class m over patterns [h0, h0 +
+  // len): leaf gathers and internal products, the children's Hadamard
+  // product in child order, the scale sum and the underflow rescue, run
+  // only at the nodes and edges where ws does not hold class m's
+  // representative's panel, leaving every panel current for class m.
+  // keepAll (the gradient sweep) keeps every child product, leaves too;
+  // otherwise a product is kept only where a later class of the task reads
+  // it (keepProd_).
+  void downPass(int m, int h0, int len, bool keepAll, SweepWorkspace& ws);
 
   // Ensure the propagator for (branch node, omega class) is built.
   const linalg::Matrix& propagator(int node, int omegaIdx);
@@ -323,9 +349,8 @@ class BranchSiteLikelihood {
   linalg::Matrix onesRow_;            // 1 x n, the missing codon's panel row
 
   // Parallel sweep machinery.
-  std::unique_ptr<support::ThreadPool> pool_;   // null: single-threaded
-  std::vector<PruneWorkspace> workspaces_;      // one per worker
-  std::vector<GradientWorkspace> gradWorkspaces_;  // lazily sized on first use
+  std::unique_ptr<support::ThreadPool> pool_;  // null: single-threaded
+  std::vector<SweepWorkspace> workspaces_;     // one per worker, both sweeps
 
   // Per-evaluation state, set from the active MixtureSpec.
   int numClasses_ = 0;
@@ -344,14 +369,24 @@ class BranchSiteLikelihood {
   expm::ExpmWorkspace expmWs_;
   linalg::Matrix transposeScratch_;  // BundledGemm builds P here, stores P^T
 
+  // Site-class sharing, [m * numNodes + node]: nodeRep_ is the lowest class
+  // reading the same eigensystem as class m on every edge below the node,
+  // edgeRep_ the same including the edge above it.  Classes linked by a
+  // representative form a task group, run in classGroups_ order; keepProd_
+  // marks the products the likelihood sweep keeps because a later class of
+  // the group reads them.
+  std::vector<int> nodeRep_;
+  std::vector<int> edgeRep_;
+  std::vector<std::vector<int>> classGroups_;
+  std::vector<char> keepProd_;
+
   // Gradient-sweep propagator tables, (node x omega)-indexed like propPtr_
   // and rebuilt per gradient call (branch lengths move every iteration):
-  // P for the outside recursion, P^T and dP^T for the row-major panel gemms.
-  std::vector<linalg::Matrix> gradProp_;    // P
-  std::vector<linalg::Matrix> gradPropT_;   // P^T
+  // P for the outside recursion (BundledGemm stores P^T; PerSiteGemv reads
+  // its stored P) and dP^T for the row-major panel gemms.
+  std::vector<linalg::Matrix> gradProp_;    // P (BundledGemm only)
   std::vector<linalg::Matrix> gradDerivT_;  // (dP/dt)^T
-  // onesRow_ times P^T and (dP/dt)^T, indexed like missingRows_.
-  linalg::Matrix gradMissingRows_;
+  // onesRow_ times (dP/dt)^T, indexed like missingRows_.
   linalg::Matrix gradMissingDerivRows_;
   std::vector<int> nodeToBranch_;  // node id -> branch index k (or -1)
   // Per-(class, branch, pattern) contribution slabs, persistent so the

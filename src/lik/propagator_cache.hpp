@@ -4,8 +4,9 @@
 // PR 1's propagator cache lived inside one BranchSiteLikelihood, so its
 // lifetime was one evaluator: the NEB posterior pass after an H1 fit, or a
 // refit at the same parameters, rebuilt every propagator from scratch.  This
-// module lifts the cache out into a shard object a core::AnalysisContext can
-// lease to tasks, so the warm state survives evaluator teardown.
+// module lifts the cache out into a shard object a core::AnalysisContext
+// hands to tasks, so warm state outlives an evaluator for as long as a
+// caller holds the shard.
 //
 // Concurrency model (per-task sharding): a shard is exclusive to one running
 // task at a time — the H0 fit, the H1 fit and the subsequent site scan of a
@@ -14,6 +15,11 @@
 // need no locking, and because propagators are keyed on exact eigensystem
 // identity and branch-length bits, a warm shard changes *which* work is done
 // but never the bits of any result.
+//
+// Lifetime: the directory holds its shards weakly.  A shard lives while a
+// task (or any other caller) holds it and is freed when the last holder lets
+// go, so a finished task's propagators do not stay pinned by a context that
+// outlives it — a many-gene batch keeps memory flat in the gene count.
 
 #include <cstdint>
 #include <memory>
@@ -73,36 +79,39 @@ struct PropagatorCacheShard {
 
 /// Directory of cache shards held by an analysis context.  shard() is safe
 /// to call from concurrent tasks (mutex-guarded, lazily creating); each
-/// returned shard must be used by at most one task at a time.
+/// returned shard must be used by at most one task at a time.  The same
+/// shard comes back for a slot while someone holds it; once every holder
+/// has released it, the next call starts a new, empty one.
 class SharedPropagatorCache {
  public:
   std::shared_ptr<PropagatorCacheShard> shard(int slot) {
     support::MutexLock lock(mutex_);
-    auto& s = shards_[slot];
-    if (!s) s = std::make_shared<PropagatorCacheShard>();
+    auto& weak = shards_[slot];
+    auto s = weak.lock();
+    if (!s) {
+      s = std::make_shared<PropagatorCacheShard>();
+      weak = s;
+    }
     return s;
   }
 
-  std::size_t numShards() const {
-    support::MutexLock lock(mutex_);
-    return shards_.size();
-  }
-
-  /// Total cached propagators across shards (diagnostics only; racy against
-  /// a concurrently-filling task in the benign sense of a stale count).
+  /// Total propagators cached in the shards still held (diagnostics only;
+  /// racy against a concurrently-filling task in the benign sense of a
+  /// stale count).
   std::size_t totalEntries() const {
     support::MutexLock lock(mutex_);
     std::size_t n = 0;
     // Unordered iteration is fine here: addition is commutative, and the
     // count never feeds a reduction or report.
     // slim-lint: allow(determinism)
-    for (const auto& [slot, s] : shards_) n += s->entries.size();
+    for (const auto& [slot, weak] : shards_)
+      if (const auto s = weak.lock()) n += s->entries.size();
     return n;
   }
 
  private:
   mutable support::Mutex mutex_;
-  std::unordered_map<int, std::shared_ptr<PropagatorCacheShard>> shards_
+  std::unordered_map<int, std::weak_ptr<PropagatorCacheShard>> shards_
       SLIM_GUARDED_BY(mutex_);
 };
 

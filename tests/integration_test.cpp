@@ -129,7 +129,7 @@ TEST(Workload, CountersScaleWithTreeAndPatterns) {
   // propagatorBuilds per evaluation = 2*(B-1) + 3 under H1.
   sim::Rng rng(17);
   auto tree = sim::yuleTree(9, rng);
-  sim::pickForegroundBranch(tree, rng);
+  const int foreground = sim::pickForegroundBranch(tree, rng);
   const auto& gc = bio::GeneticCode::universal();
   const auto pi = sim::randomCodonFrequencies(gc.numSense(), 5, rng);
   const auto simOut = sim::evolveBranchSite(
@@ -145,9 +145,25 @@ TEST(Workload, CountersScaleWithTreeAndPatterns) {
   const int numBranches = tree.numNodes() - 1;  // 16
   EXPECT_EQ(eval.counters().propagatorBuilds, 2 * (numBranches - 1) + 3);
   EXPECT_EQ(eval.counters().evaluations, 1);
-  // 4 site classes x branches x patterns propagations.
+  // Site-class sharing: classes 0 and 1 propagate over every branch, while
+  // 2a and 2b differ from them only on the foreground path — the marked
+  // edge and every edge above it — and read their panels everywhere else.
+  // Under H0 (omega2 = 1) class 2b equals class 1 on every edge, so it
+  // computes nothing.  The picked foreground is internal, so no class reads
+  // another's leaf gather on the path.
+  ASSERT_FALSE(tree.node(foreground).isLeaf());
+  long pathEdges = 0;
+  for (int v = foreground; v != tree.root(); v = tree.node(v).parent)
+    ++pathEdges;
+  const long npat = static_cast<long>(sp.numPatterns());
   EXPECT_EQ(eval.counters().patternPropagations,
-            4LL * numBranches * static_cast<long>(sp.numPatterns()));
+            (2LL * numBranches + 2 * pathEdges) * npat);
+
+  lik::BranchSiteLikelihood null(ca, sp, freqs, tree, Hypothesis::H0,
+                                 lik::slimOptions());
+  null.logLikelihood(sim::defaultSimulationParams());
+  EXPECT_EQ(null.counters().patternPropagations,
+            (2LL * numBranches + pathEdges) * npat);
 }
 
 }  // namespace

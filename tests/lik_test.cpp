@@ -10,13 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <functional>
+#include <utility>
 
 #include "expm/pade.hpp"
 #include "lik/branch_site_likelihood.hpp"
 #include "model/codon_model.hpp"
+#include "model/site_mixture.hpp"
 #include "test_util.hpp"
 
 namespace slim::lik {
@@ -49,6 +52,56 @@ Fixture makeFixture() {
   f.pi = testutil::randomFrequencies(gc().numSense(), 77);
   f.tree = tree::Tree::parseNewick(
       "((a:0.11,b:0.23) #1:0.17,(c:0.31,d:0.13):0.07);");
+  return f;
+}
+
+// Site-class sharing fixtures: six taxa on the rooted tree
+// (((a,b),c),(d,(e,f))) with gaps, an unknown and partly ambiguous codons,
+// and #1 on a root branch (the foreground path is that edge alone), on the
+// deepest leaf (the longest path) or on two edges in different clades (two
+// paths meeting at the root).
+enum class Placement { RootBranch, DeepLeaf, TwoClades };
+constexpr Placement kPlacements[] = {Placement::RootBranch, Placement::DeepLeaf,
+                                     Placement::TwoClades};
+
+const char* placementName(Placement where) {
+  switch (where) {
+    case Placement::RootBranch: return "root branch";
+    case Placement::DeepLeaf: return "deep leaf";
+    case Placement::TwoClades: return "two clades";
+  }
+  return "?";
+}
+
+Fixture makeSharingFixture(Placement where) {
+  Fixture f;
+  seqio::Alignment aln;
+  aln.addSequence("a", "ATGAAATTTATGCCC---GGTACAGCTCAA");
+  aln.addSequence("b", "ATGAAGTTCATGCCCGGAGGCACAGCCCAA");
+  aln.addSequence("c", "ATGAAATTAATGCCAGGNGGTACGGCTCAG");
+  aln.addSequence("d", "ATGAAATTTATGCCTGGANNNACAGCACAA");
+  aln.addSequence("e", "ATGCAATTTATGCCTGGAGGTACTGCACAA");
+  aln.addSequence("f", "ATGCAATTTGTGCCA-GAGGTACTGCA---");
+  f.alignment = seqio::encodeCodons(aln, gc());
+  f.patterns = seqio::compressPatterns(f.alignment);
+  f.pi = testutil::randomFrequencies(gc().numSense(), 78);
+  switch (where) {
+    case Placement::RootBranch:
+      f.tree = tree::Tree::parseNewick(
+          "(((a:0.11,b:0.23):0.05,c:0.2) #1:0.17,"
+          "(d:0.31,(e:0.13,f:0.09):0.04):0.07);");
+      break;
+    case Placement::DeepLeaf:
+      f.tree = tree::Tree::parseNewick(
+          "(((a#1:0.11,b:0.23):0.05,c:0.2):0.17,"
+          "(d:0.31,(e:0.13,f:0.09):0.04):0.07);");
+      break;
+    case Placement::TwoClades:
+      f.tree = tree::Tree::parseNewick(
+          "(((a:0.11,b:0.23) #1:0.05,c:0.2):0.17,"
+          "(d:0.31,(e#1:0.13,f:0.09):0.04):0.07);");
+      break;
+  }
   return f;
 }
 
@@ -188,6 +241,23 @@ INSTANTIATE_TEST_SUITE_P(
                                          expm::ReconstructionPath::Syrk)),
     ConfigName{});
 
+// Sharing computes classes 2a/2b only on the foreground paths and reads
+// classes 0/1 everywhere else, so a wrongly aliased node or edge shows up
+// against the unshared brute force.
+TEST_P(EngineConfig, MatchesBruteForceOnEveryForegroundPlacement) {
+  for (Placement where : kPlacements) {
+    const Fixture f = makeSharingFixture(where);
+    for (Hypothesis h : {Hypothesis::H0, Hypothesis::H1}) {
+      BranchSiteLikelihood eval(f.alignment, f.patterns, f.pi, f.tree, h,
+                                options());
+      const double got = eval.logLikelihood(testParams());
+      const double want = bruteForceLnL(f, testParams(), h);
+      EXPECT_NEAR(got, want, 1e-8 * std::fabs(want))
+          << placementName(where) << " " << model::hypothesisName(h);
+    }
+  }
+}
+
 // ---------- the paper's accuracy metric between the two presets ----------
 
 TEST(Accuracy, BaselineAndSlimAgreeToPaperPrecision) {
@@ -241,6 +311,84 @@ TEST(Scaling, DeepChainTreeDoesNotUnderflow) {
   EXPECT_LT(lnL, 0.0);
 }
 
+// ---------- site-class sharing ----------
+
+// The two-class mixture {class 0, class 2a} in either order: a sum of two
+// terms commutes exactly, so the lnL is bit-equal unless a node or edge is
+// aliased to the wrong class.  In the swapped order the background class
+// reads the foreground class's panels instead of the other way round.
+TEST(SiteClassSharing, SwappedClassOrderGivesTheSameLnL) {
+  for (Placement where : kPlacements) {
+    const Fixture f = makeSharingFixture(where);
+    const auto spec = [&](bool swapped) {
+      std::vector<model::MixtureClass> classes{{0.6, 0, 0}, {0.4, 0, 1}};
+      if (swapped) std::swap(classes[0], classes[1]);
+      return model::buildMixtureSpec(gc(), f.pi, 2.3, {0.15, 2.1}, classes);
+    };
+    for (const LikelihoodOptions& options :
+         {slimOptions(), codemlBaselineOptions(), slimParallelOptions()}) {
+      BranchSiteLikelihood eval(f.alignment, f.patterns, f.pi, f.tree,
+                                Hypothesis::H1, options);
+      const double inOrder = eval.logLikelihood(spec(false));
+      ASSERT_TRUE(std::isfinite(inOrder));
+      EXPECT_EQ(eval.logLikelihood(spec(true)), inOrder)
+          << placementName(where);
+    }
+  }
+}
+
+TEST(SiteClassSharing, LnLAndGradientBitIdenticalAcrossThreadsAndBlocks) {
+  for (Placement where : kPlacements) {
+    const Fixture f = makeSharingFixture(where);
+    for (Hypothesis h : {Hypothesis::H0, Hypothesis::H1}) {
+      std::pair<double, std::vector<double>> reference;
+      for (int threads : {1, 2, 8}) {
+        for (int blockSize : {0, 7, 64}) {
+          LikelihoodOptions options = slimParallelOptions();
+          options.numThreads = threads;
+          options.blockSize = blockSize;
+          BranchSiteLikelihood eval(f.alignment, f.patterns, f.pi, f.tree, h,
+                                    options);
+          const auto got = testutil::lnLAndGradient(eval, testParams());
+          ASSERT_TRUE(std::isfinite(got.first));
+          if (reference.second.empty())
+            reference = got;
+          else
+            EXPECT_EQ(got, reference)
+                << placementName(where) << " " << model::hypothesisName(h)
+                << " " << threads << "x" << blockSize;
+        }
+      }
+    }
+  }
+}
+
+TEST(SiteClassSharing, AnalyticGradientMatchesCentralFiniteDifferences) {
+  for (Placement where : kPlacements) {
+    const Fixture f = makeSharingFixture(where);
+    for (Hypothesis h : {Hypothesis::H0, Hypothesis::H1}) {
+      BranchSiteLikelihood eval(f.alignment, f.patterns, f.pi, f.tree, h,
+                                slimOptions());
+      std::vector<double> grad(eval.numBranches());
+      const double lnL = eval.logLikelihoodGradientBranches(testParams(), grad);
+      EXPECT_EQ(lnL, eval.logLikelihood(testParams()));
+      for (int k = 0; k < eval.numBranches(); ++k) {
+        const double t = eval.branchLength(k);
+        const double step = 1e-6 * std::max(t, 1.0);
+        eval.setBranchLength(k, t + step);
+        const double fPlus = eval.logLikelihood(testParams());
+        eval.setBranchLength(k, t - step);
+        const double fMinus = eval.logLikelihood(testParams());
+        eval.setBranchLength(k, t);
+        const double fd = (fPlus - fMinus) / (2.0 * step);
+        EXPECT_NEAR(grad[k], fd, 1e-6 * std::max(1.0, std::fabs(fd)))
+            << placementName(where) << " " << model::hypothesisName(h)
+            << " branch " << k;
+      }
+    }
+  }
+}
+
 // ---------- structural behaviour ----------
 
 TEST(BranchSiteLikelihoodTest, AllMissingColumnContributesZero) {
@@ -289,6 +437,23 @@ TEST(BranchSiteLikelihoodTest, EigenCacheCountsDistinctOmegas) {
                           Hypothesis::H0, slimOptions());
   h0.logLikelihood(testParams());
   EXPECT_EQ(h0.counters().eigenDecompositions, 2);  // omega2 == omega1 == 1
+}
+
+// Omega slots share an eigensystem only when their scaled exchangeabilities
+// are bit-equal, not merely their omega labels: a spec whose second slot
+// repeats the first label over a different matrix evaluates exactly like
+// the same spec with a distinct label.
+TEST(BranchSiteLikelihoodTest, EigenSystemsSharedOnlyForEqualInput) {
+  const Fixture f = makeFixture();
+  const model::MixtureSpec distinct = model::buildMixtureSpec(
+      gc(), f.pi, 2.3, {0.15, 0.7}, {{0.6, 0, 0}, {0.4, 0, 1}});
+  model::MixtureSpec sameLabel = distinct;
+  sameLabel.omegas[1] = sameLabel.omegas[0];
+  BranchSiteLikelihood eval(f.alignment, f.patterns, f.pi, f.tree,
+                            Hypothesis::H1, slimOptions());
+  const double want = eval.logLikelihood(distinct);
+  EXPECT_EQ(eval.logLikelihood(sameLabel), want);
+  EXPECT_EQ(eval.counters().eigenDecompositions, 4);  // two per evaluation
 }
 
 TEST(BranchSiteLikelihoodTest, PropagatorBuildCountsPerEvaluation) {

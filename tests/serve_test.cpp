@@ -532,9 +532,11 @@ TEST(ContextCache, ClonesCarryTheJobOptionsAndTheirOwnPropagatorCache) {
   ASSERT_NE(a->cacheShard(slot), nullptr);
   EXPECT_NE(a->cacheShard(slot), b->cacheShard(slot));
 
-  // A fit on one clone leaves every later clone cold.
+  // A fit on one clone leaves every later clone cold.  The test holds the
+  // shard it fitted into, so the clone still reports its propagators.
+  const auto shard = a->cacheShard(slot);
   core::fitHypothesis(*a, model::Hypothesis::H0, a->options(),
-                      a->likelihoodOptions(), a->cacheShard(slot));
+                      a->likelihoodOptions(), shard);
   EXPECT_GT(a->cachedPropagators(), 0u);
   EXPECT_EQ(b->cachedPropagators(), 0u);
   EXPECT_EQ(acquireGene(cache, config)->cachedPropagators(), 0u);
