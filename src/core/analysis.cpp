@@ -20,25 +20,22 @@ BranchSiteAnalysis::BranchSiteAnalysis(
 
 FitResult BranchSiteAnalysis::fit(Hypothesis hypothesis) {
   return fitHypothesis(*context_, hypothesis, context_->options(),
-                       context_->likelihoodOptions(),
-                       context_->cacheShard(AnalysisContext::shardSlot(hypothesis)));
+                       context_->likelihoodOptions());
 }
 
 PositiveSelectionTest BranchSiteAnalysis::run() {
   FitResult h0 = fit(Hypothesis::H0);
   FitResult h1 = fit(Hypothesis::H1);
-  // The scan asks for the H1 shard slot; the fit has released its shard,
-  // so the scan builds its propagators in a fresh one.  The
-  // branch model has no site mixture, so there is nothing to scan; nor is
-  // there for a cancelled H1 fit, whose truncated point has no meaningful
-  // posteriors (as in BatchAnalysis).
+  // Each evaluator keeps a private propagator shard, so the scan builds
+  // its propagators afresh (one evaluation).  The branch model has no site
+  // mixture, so there is nothing to scan; nor is there for a cancelled H1
+  // fit, whose truncated point has no meaningful posteriors (as in
+  // BatchAnalysis).
   lik::EvalCounters scanCounters;
   lik::SiteClassPosteriors posteriors;
   if (!h1.cancelled && h1.modelKind != model::ModelKind::Branch)
-    posteriors = siteScanAtFit(
-        *context_, h1, context_->likelihoodOptions(),
-        context_->cacheShard(AnalysisContext::shardSlot(Hypothesis::H1)),
-        scanCounters);
+    posteriors = siteScanAtFit(*context_, h1, context_->likelihoodOptions(),
+                               nullptr, scanCounters);
   return makePositiveSelectionTest(
       std::move(h0), std::move(h1), std::move(posteriors), scanCounters,
       context_->options().modelSpec.lrtDegreesOfFreedom());

@@ -84,8 +84,7 @@ std::vector<PositiveSelectionTest> BatchAnalysis::runAll() {
     lik::LikelihoodOptions lk = ctx.likelihoodOptions();
     lk.numThreads = fitThreads;
     if (ckpt == nullptr) {
-      fits[t] = fitHypothesis(ctx, h, ctx.options(), lk,
-                              ctx.cacheShard(AnalysisContext::shardSlot(h)));
+      fits[t] = fitHypothesis(ctx, h, ctx.options(), lk);
       return;
     }
     const std::string key = fitTaskKey(g, names_[g], h);
@@ -99,9 +98,7 @@ std::vector<PositiveSelectionTest> BatchAnalysis::runAll() {
     hooks.sink = ckpt->fitSink(key);
     hooks.resumeFrom = ckpt->inFlightState(key);
     if (hooks.resumeFrom) hooks.resumedFromPath = ckpt->path();
-    fits[t] = fitHypothesis(ctx, h, ctx.options(), lk,
-                            ctx.cacheShard(AnalysisContext::shardSlot(h)),
-                            &hooks);
+    fits[t] = fitHypothesis(ctx, h, ctx.options(), lk, nullptr, &hooks);
     // A cancelled fit is an *interrupted* trajectory, not a finished one —
     // recording it complete would make a later resume skip the rest of the
     // optimization.  Flush instead so the last in-flight snapshot is on disk.
@@ -111,9 +108,9 @@ std::vector<PositiveSelectionTest> BatchAnalysis::runAll() {
       ckpt->recordCompleted(key, fits[t]);
   });
 
-  // Phase 2: the N site scans at the H1 maxima, each on its gene's H1 shard
-  // slot.  The fit released its shard, so the scan starts a fresh one: one
-  // cold evaluation, and no gene's propagators stay pinned between phases.
+  // Phase 2: the N site scans at the H1 maxima.  Every evaluator keeps a
+  // private propagator shard, so a scan starts cold (one evaluation) and no
+  // gene's propagators stay pinned between phases.
   const int scanThreads = scheduler.taskThreads(n, policy);
   std::vector<lik::SiteClassPosteriors> posteriors(n);
   std::vector<lik::EvalCounters> scanCounters(n);
@@ -126,10 +123,8 @@ std::vector<PositiveSelectionTest> BatchAnalysis::runAll() {
     const auto& ctx = *contexts_[g];
     lik::LikelihoodOptions lk = ctx.likelihoodOptions();
     lk.numThreads = scanThreads;
-    posteriors[g] = siteScanAtFit(
-        ctx, fits[2 * g + 1], lk,
-        ctx.cacheShard(AnalysisContext::shardSlot(Hypothesis::H1)),
-        scanCounters[g]);
+    posteriors[g] =
+        siteScanAtFit(ctx, fits[2 * g + 1], lk, nullptr, scanCounters[g]);
   });
 
   // Assembly + deterministic counter merge, strictly in gene order.

@@ -103,7 +103,7 @@ class BatchAnalysis {
 
   /// Run the full H0-vs-H1 test for every registered gene; results are
   /// indexed by GeneHandle.  Repeatable; each call starts cold, since a
-  /// finished task's propagator shard is freed with it.
+  /// task's propagator shard is freed with its evaluator.
   std::vector<PositiveSelectionTest> runAll();
 
   /// Aggregate engine counters of the last runAll(), merged in gene order

@@ -18,8 +18,7 @@ AnalysisContext::AnalysisContext(seqio::CodonAlignment alignment,
       pi_(model::estimateCodonFrequencies(alignment_, options.frequencyModel)),
       tree_(std::move(tree)),
       engine_(engine),
-      options_(std::move(options)),
-      cache_(std::make_shared<lik::SharedPropagatorCache>()) {
+      options_(std::move(options)) {
   SLIM_REQUIRE(tree_ != nullptr, "AnalysisContext: null tree");
 }
 
@@ -47,7 +46,6 @@ std::shared_ptr<const AnalysisContext> AnalysisContext::withOptions(
   // estimation the public constructor performs — that reuse is the point.
   auto clone = std::make_shared<AnalysisContext>(*this);
   clone->options_ = std::move(options);
-  clone->cache_ = std::make_shared<lik::SharedPropagatorCache>();
   return clone;
 }
 

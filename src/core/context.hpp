@@ -3,11 +3,11 @@
 //
 // Everything reusable across independent likelihood fits of one gene — the
 // codon alignment, its compressed site patterns, the equilibrium
-// frequencies, the (foreground-marked) tree and the persistent propagator
-// cache — lives in an immutable AnalysisContext that the H0 fit, the H1 fit
-// and the NEB site scan all share.  Contexts are handed around as
-// shared_ptr<const ...>, so N tasks referencing one gene never rebuild its
-// tables, and a batch of genes on one tree shares the tree object itself.
+// frequencies and the (foreground-marked) tree — lives in an immutable
+// AnalysisContext that the H0 fit, the H1 fit and the NEB site scan all
+// share.  Contexts are handed around as shared_ptr<const ...>, so N tasks
+// referencing one gene never rebuild its tables, and a batch of genes on one
+// tree shares the tree object itself.
 //
 // The fit routine itself (fitHypothesis below) is a free function over a
 // context: core::BranchSiteAnalysis (single gene) and core::BatchAnalysis
@@ -115,9 +115,7 @@ struct PositiveSelectionTest {
 
 /// Immutable per-gene analysis state, shareable across fit tasks.  Create
 /// once, then fan any number of fitHypothesis / siteScanAtFit calls over it;
-/// const methods are safe to call concurrently (the propagator-cache
-/// directory is internally mutex-guarded, and each leased shard is exclusive
-/// to one task — see propagator_cache.hpp).
+/// const methods are safe to call concurrently.
 class AnalysisContext {
  public:
   /// The tree's #k marks are its branch classes; branch-heterogeneous
@@ -148,35 +146,25 @@ class AnalysisContext {
     return resolvedEngineOptions(engine_, options_.tuning);
   }
 
-  /// Canonical shard slot of a hypothesis' fit task; the site scan at the
-  /// H1 maximum asks for slot(H1), so it finds the fit's propagators warm
-  /// when its caller still holds that shard.
+  /// Shard slot of a hypothesis' fit task (the site scan asks for slot(H1)).
   static constexpr int shardSlot(model::Hypothesis h) noexcept {
     return h == model::Hypothesis::H1 ? 1 : 0;
   }
 
-  /// Lease the persistent propagator shard for one task slot (lazily
-  /// created; mutex-guarded directory).  Null when the resolved engine
-  /// options have propagator caching off — the evaluator then runs uncached
-  /// exactly as before.  A slot must not be used by two tasks concurrently.
-  /// The context holds its shards weakly: the same shard comes back while
-  /// a caller holds it, and a finished task's propagators are freed with
-  /// its last holder, so a context that outlives its tasks pins nothing.
-  std::shared_ptr<lik::PropagatorCacheShard> cacheShard(int slot) const {
-    if (!likelihoodOptions().cachePropagators) return nullptr;
-    return cache_->shard(slot);
+  /// The propagator shard to hand a slot's task: always null, so the task's
+  /// evaluator makes a private shard (when caching is on) that is freed
+  /// with it, and a context that outlives its tasks pins no propagators.
+  /// Kept, with shardSlot, for e2ebench's fit driver until the persistent
+  /// cache itself goes (ROADMAP item 3).
+  std::shared_ptr<lik::PropagatorCacheShard> cacheShard(int /*slot*/) const {
+    return nullptr;
   }
 
-  /// Total propagators cached in the shards a caller still holds
-  /// (diagnostics); 0 once every task on this context has finished.
-  std::size_t cachedPropagators() const { return cache_->totalEntries(); }
-
-  /// Cheap clone carrying different fit options: shares the parsed tree,
-  /// copies alignment/patterns/pi as-is (no re-parsing, no recompression)
-  /// and starts an empty propagator cache of its own.  This is how the
-  /// serve-mode context cache reuses one gene's parsed inputs across jobs
-  /// whose optimizer settings differ.  The new options must keep the
-  /// frequency model (pi would be stale otherwise).
+  /// Cheap clone carrying different fit options: shares the parsed tree and
+  /// copies alignment/patterns/pi as-is (no re-parsing, no recompression).
+  /// This is how the serve-mode context cache reuses one gene's parsed
+  /// inputs across jobs whose optimizer settings differ.  The new options
+  /// must keep the frequency model (pi would be stale otherwise).
   std::shared_ptr<const AnalysisContext> withOptions(FitOptions options) const;
 
   AnalysisContext(seqio::CodonAlignment alignment,
@@ -190,7 +178,6 @@ class AnalysisContext {
   std::shared_ptr<const tree::Tree> tree_;
   EngineKind engine_;
   FitOptions options_;
-  std::shared_ptr<lik::SharedPropagatorCache> cache_;
 };
 
 /// Checkpoint hooks of one fit task, handed to fitHypothesis by the layer

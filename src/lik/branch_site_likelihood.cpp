@@ -190,13 +190,12 @@ void BranchSiteLikelihood::propagateBranch(const Matrix& prop,
   }
 }
 
-void BranchSiteLikelihood::downPass(int m, int h0, int len, bool keepAll,
+void BranchSiteLikelihood::downPass(int m, int h0, int len, bool keepLeaves,
                                     SweepWorkspace& ws) {
   const int numNodes = tree_.numNodes();
   const auto& cls = activeClasses_[m];
   const int* nodeRep = nodeRep_.data() + static_cast<std::size_t>(m) * numNodes;
   const int* edgeRep = edgeRep_.data() + static_cast<std::size_t>(m) * numNodes;
-  const char* keep = keepProd_.data() + static_cast<std::size_t>(m) * numNodes;
   const bool perSite = options_.propagation == PropagationStrategy::PerSiteGemv;
   // A leaf child's product row h is row `state` of the stored P^T (column
   // `state` of P under PerSiteGemv), multiplied into dst: straight into the
@@ -241,16 +240,15 @@ void BranchSiteLikelihood::downPass(int m, int h0, int len, bool keepAll,
       const Matrix& prop = *propPtr_[slot];
       const bool held = ws.prodTag[child] == edgeRep[child];
       if (!held) ws.patternPropagations += len;
-      if (leaf && !keepAll) {
+      ws.prodTag[child] = edgeRep[child];
+      if (leaf && !keepLeaves) {
         // The table row is always at hand, so a held gather only skips the
         // count.
         gatherLeaf(child, prop, slot, cpv);
-        ws.prodTag[child] = edgeRep[child];
         continue;
       }
+      Matrix& store = ws.prod[child];
       if (!held) {
-        const bool kept = keepAll || keep[child];
-        Matrix& store = kept ? ws.prod[child] : ws.tmp;
         if (store.rows() != static_cast<std::size_t>(blockMax_))
           store.resize(blockMax_, n_);
         const MatrixView out = store.rowBlock(0, len);
@@ -260,13 +258,9 @@ void BranchSiteLikelihood::downPass(int m, int h0, int len, bool keepAll,
         } else {
           propagateBranch(prop, ws.down[child].rowBlock(0, len), out);
         }
-        ws.prodTag[child] = kept ? edgeRep[child] : -1;
-        linalg::hadamardInPlace(ConstMatrixView(out).span(), cpv.span());
-      } else {
-        linalg::hadamardInPlace(
-            ConstMatrixView(ws.prod[child].rowBlock(0, len)).span(),
-            cpv.span());
       }
+      linalg::hadamardInPlace(ConstMatrixView(store.rowBlock(0, len)).span(),
+                              cpv.span());
       // A leaf's scale log is zero; adding it would change no bit.
       if (!leaf)
         for (int h = 0; h < len; ++h) scaleLog[h] += ws.sDown[child][h];
@@ -341,20 +335,6 @@ void BranchSiteLikelihood::planSharing() {
     if (reads == m) classGroups_.emplace_back();
     classGroups_[groupOf[m]].push_back(m);
   }
-
-  // The likelihood sweep keeps class m's product at node c when a later
-  // class of the group has the same product there but a different panel
-  // above it, so it recomputes the parent from that product.
-  keepProd_.assign(nodeRep_.size(), 0);
-  for (const auto& order : classGroups_)
-    for (std::size_t i = 0; i < order.size(); ++i)
-      for (std::size_t j = i + 1; j < order.size(); ++j)
-        for (int c : branchNodes_) {
-          const int up = tree_.node(c).parent;
-          if (edgeRep_[at(order[j], c)] == edgeRep_[at(order[i], c)] &&
-              nodeRep_[at(order[j], up)] != nodeRep_[at(order[i], up)])
-            keepProd_[at(order[i], c)] = 1;
-        }
 }
 
 void BranchSiteLikelihood::forEachGroupBlock(
@@ -497,7 +477,7 @@ void BranchSiteLikelihood::computeClassLikelihoods(const MixtureSpec& spec) {
   // whose root is aliased reads its representative's).
   const int root = tree_.root();
   forEachGroupBlock([&](int m, int h0, int len, SweepWorkspace& ws) {
-    downPass(m, h0, len, /*keepAll=*/false, ws);
+    downPass(m, h0, len, /*keepLeaves=*/false, ws);
     const ConstMatrixView rootCpv = ws.down[root].rowBlock(0, len);
     for (int h = 0; h < len; ++h) {
       double f = 0.0;
@@ -585,7 +565,7 @@ double BranchSiteLikelihood::gradientBranchesFromState(std::span<double> gradT) 
   gradContrib_.assign(static_cast<std::size_t>(numClasses_) * slabSize, 0.0);
   std::vector<double>& contrib = gradContrib_;
   forEachGroupBlock([&](int m, int h0, int len, SweepWorkspace& ws) {
-    downPass(m, h0, len, /*keepAll=*/true, ws);
+    downPass(m, h0, len, /*keepLeaves=*/true, ws);
     gradientUpPass(m, h0, len, mixMaxScaleLog_, mixMixture_, ws,
                    std::span<double>(contrib.data() + m * slabSize, slabSize));
   });

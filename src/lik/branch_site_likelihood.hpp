@@ -128,10 +128,9 @@ class BranchSiteLikelihood {
   ///
   /// With options.cachePropagators on, `shard` (when non-null) supplies the
   /// persistent propagator store, letting warm state survive this evaluator
-  /// — e.g. the site scan after an H1 fit, or a refit at the same
-  /// parameters.  The shard must not be used by another evaluator
-  /// concurrently (see propagator_cache.hpp).  Null: a private shard is
-  /// created (the PR-1 behaviour).
+  /// — e.g. a refit at the same parameters.  The shard must not be used by
+  /// another evaluator concurrently (see propagator_cache.hpp).  Null: a
+  /// private shard is created and freed with the evaluator.
   BranchSiteLikelihood(const seqio::CodonAlignment& alignment,
                        const seqio::SitePatterns& patterns,
                        std::vector<double> pi, const tree::Tree& tree,
@@ -227,7 +226,6 @@ class BranchSiteLikelihood {
     std::vector<std::vector<double>> sDown;   // per node: subtree scale log
     std::vector<linalg::Matrix> prod;         // per non-root node: P * CPV
                                               // (gathered rows for a leaf)
-    linalg::Matrix tmp;                       // a product no one reads again
     std::vector<int> downTag, prodTag;        // per node, reset per task
     // Up pass (gradient sweep only).
     std::vector<linalg::Matrix> up;           // per internal node: outside
@@ -276,7 +274,7 @@ class BranchSiteLikelihood {
   void prepareEigenSystems(const model::MixtureSpec& spec);
 
   // Site-class sharing for the active spec, from omegaToEigen_: the
-  // representatives nodeRep_/edgeRep_, the task groups and keepProd_.
+  // representatives nodeRep_/edgeRep_ and the task groups.
   void planSharing();
 
   // Run perClass(m, h0, len, ws) for every (sharing group, pattern block)
@@ -303,10 +301,11 @@ class BranchSiteLikelihood {
   // product in child order, the scale sum and the underflow rescue, run
   // only at the nodes and edges where ws does not hold class m's
   // representative's panel, leaving every panel current for class m.
-  // keepAll (the gradient sweep) keeps every child product, leaves too;
-  // otherwise a product is kept only where a later class of the task reads
-  // it (keepProd_).
-  void downPass(int m, int h0, int len, bool keepAll, SweepWorkspace& ws);
+  // Every internal child's product is kept in ws.prod; a leaf's gathered
+  // rows are kept only with keepLeaves (the gradient sweep, whose up pass
+  // multiplies them into the siblings' outside panels), and otherwise go
+  // straight into the parent's panel.
+  void downPass(int m, int h0, int len, bool keepLeaves, SweepWorkspace& ws);
 
   // Ensure the propagator for (branch node, omega class) is built.
   const linalg::Matrix& propagator(int node, int omegaIdx);
@@ -372,13 +371,10 @@ class BranchSiteLikelihood {
   // Site-class sharing, [m * numNodes + node]: nodeRep_ is the lowest class
   // reading the same eigensystem as class m on every edge below the node,
   // edgeRep_ the same including the edge above it.  Classes linked by a
-  // representative form a task group, run in classGroups_ order; keepProd_
-  // marks the products the likelihood sweep keeps because a later class of
-  // the group reads them.
+  // representative form a task group, run in classGroups_ order.
   std::vector<int> nodeRep_;
   std::vector<int> edgeRep_;
   std::vector<std::vector<int>> classGroups_;
-  std::vector<char> keepProd_;
 
   // Gradient-sweep propagator tables, (node x omega)-indexed like propPtr_
   // and rebuilt per gradient call (branch lengths move every iteration):

@@ -1,39 +1,29 @@
 #pragma once
-// Persistent propagator storage shared *across* likelihood evaluators.
+// Persistent propagator storage that can outlive one likelihood evaluator.
 //
-// PR 1's propagator cache lived inside one BranchSiteLikelihood, so its
-// lifetime was one evaluator: the NEB posterior pass after an H1 fit, or a
-// refit at the same parameters, rebuilt every propagator from scratch.  This
-// module lifts the cache out into a shard object a core::AnalysisContext
-// hands to tasks, so warm state outlives an evaluator for as long as a
-// caller holds the shard.
+// A shard holds built propagators keyed on (eigensystem, branch length).  A
+// caller that runs evaluators one after another on the same spec (a refit
+// at the same parameters, the NEB pass after a fit) may hand each the same
+// shard and find its propagators warm.  The fit drivers do not: every
+// task's evaluator makes a private shard that is freed with it, so nothing
+// stays pinned once a task ends.
 //
-// Concurrency model (per-task sharding): a shard is exclusive to one running
-// task at a time — the H0 fit, the H1 fit and the subsequent site scan of a
-// gene each address their own slot in the SharedPropagatorCache directory,
-// and only the directory itself is mutex-guarded.  Shard internals therefore
-// need no locking, and because propagators are keyed on exact eigensystem
-// identity and branch-length bits, a warm shard changes *which* work is done
-// but never the bits of any result.
-//
-// Lifetime: the directory holds its shards weakly.  A shard lives while a
-// task (or any other caller) holds it and is freed when the last holder lets
-// go, so a finished task's propagators do not stay pinned by a context that
-// outlives it — a many-gene batch keeps memory flat in the gene count.
+// Concurrency: a shard must be used by one evaluator at a time, so its
+// internals need no locking.  Propagators are keyed on exact eigensystem
+// identity and branch-length bits, so a warm shard changes *which* work is
+// done but never the bits of any result.
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "linalg/matrix.hpp"
-#include "support/thread_safety.hpp"
 
 namespace slim::lik {
 
-/// One task's persistent propagator store plus the spec fingerprint the
-/// stored entries correspond to.  Owned via shared_ptr so it can outlive the
+/// A persistent propagator store plus the spec fingerprint the stored
+/// entries correspond to.  Owned via shared_ptr so it can outlive the
 /// evaluator that filled it (the whole point of sharing).
 struct PropagatorCacheShard {
   /// Key: eigensystem identity (index into the evaluator's per-spec
@@ -75,44 +65,6 @@ struct PropagatorCacheShard {
   /// Empty until an evaluator stamps it; a virgin shard matches any
   /// evaluator (there is nothing stale to serve).
   std::string_view builtKernels;
-};
-
-/// Directory of cache shards held by an analysis context.  shard() is safe
-/// to call from concurrent tasks (mutex-guarded, lazily creating); each
-/// returned shard must be used by at most one task at a time.  The same
-/// shard comes back for a slot while someone holds it; once every holder
-/// has released it, the next call starts a new, empty one.
-class SharedPropagatorCache {
- public:
-  std::shared_ptr<PropagatorCacheShard> shard(int slot) {
-    support::MutexLock lock(mutex_);
-    auto& weak = shards_[slot];
-    auto s = weak.lock();
-    if (!s) {
-      s = std::make_shared<PropagatorCacheShard>();
-      weak = s;
-    }
-    return s;
-  }
-
-  /// Total propagators cached in the shards still held (diagnostics only;
-  /// racy against a concurrently-filling task in the benign sense of a
-  /// stale count).
-  std::size_t totalEntries() const {
-    support::MutexLock lock(mutex_);
-    std::size_t n = 0;
-    // Unordered iteration is fine here: addition is commutative, and the
-    // count never feeds a reduction or report.
-    // slim-lint: allow(determinism)
-    for (const auto& [slot, weak] : shards_)
-      if (const auto s = weak.lock()) n += s->entries.size();
-    return n;
-  }
-
- private:
-  mutable support::Mutex mutex_;
-  std::unordered_map<int, std::weak_ptr<PropagatorCacheShard>> shards_
-      SLIM_GUARDED_BY(mutex_);
 };
 
 }  // namespace slim::lik

@@ -160,55 +160,6 @@ TEST(AnalysisContext, SharesTreeAndFeedsWrapper) {
             fromInputs.fit(Hypothesis::H0).lnL);
 }
 
-TEST(AnalysisContext, CacheShardsFollowEngineOptions) {
-  const auto genes = makeGenes(1);
-  // Slim preset: caching off -> no shards handed out.
-  const auto plain = AnalysisContext::create(genes[0].codons, genes[0].tree,
-                                             EngineKind::Slim, quickOptions());
-  EXPECT_EQ(plain->cacheShard(0), nullptr);
-
-  FitOptions cached = quickOptions();
-  cached.tuning.cachePropagators = 1;
-  const auto ctx = AnalysisContext::create(genes[0].codons, genes[0].tree,
-                                           EngineKind::Slim, cached);
-  const auto shard = ctx->cacheShard(0);
-  ASSERT_NE(shard, nullptr);
-  // Slots are stable (same shard back) and per-task (distinct per slot).
-  EXPECT_EQ(ctx->cacheShard(0), shard);
-  EXPECT_NE(ctx->cacheShard(1), shard);
-
-  // The H0 fit fills the slot-0 shard this test holds, so it stays warm;
-  // the H1 shard is freed with the fit and the scan that used it.
-  BranchSiteAnalysis analysis(ctx);
-  analysis.run();
-  EXPECT_GT(ctx->cachedPropagators(), 0u);
-  EXPECT_EQ(ctx->cachedPropagators(), shard->entries.size());
-}
-
-// A context pins no finished task's propagators: after a cached batch every
-// gene's context reports an empty cache, so a many-gene batch does not grow
-// in memory with the gene count.
-TEST(BatchAnalysis, FinishedBatchKeepsNoPropagators) {
-  const auto genes = makeGenes(3);
-  BatchOptions options;
-  options.fit = quickOptions();
-  options.fit.tuning.numThreads = 2;
-  BatchAnalysis batch(EngineKind::SlimParallel, options);
-  std::vector<std::shared_ptr<const AnalysisContext>> contexts;
-  for (const auto& g : genes) {
-    contexts.push_back(AnalysisContext::create(
-        g.codons, g.tree, EngineKind::SlimParallel, options.fit));
-    batch.addGene(contexts.back());
-  }
-  const auto tests = batch.runAll();
-  ASSERT_EQ(tests.size(), genes.size());
-  for (std::size_t g = 0; g < contexts.size(); ++g) {
-    ASSERT_TRUE(contexts[g]->likelihoodOptions().cachePropagators);
-    EXPECT_GT(tests[g].counters.propagatorCacheMisses, 0) << g;
-    EXPECT_EQ(contexts[g]->cachedPropagators(), 0u) << g;
-  }
-}
-
 // ---------- BatchAnalysis: the bit-identity contract ----------
 
 TEST(BatchAnalysis, BitIdenticalToSequentialAcrossThreadsAndPolicies) {

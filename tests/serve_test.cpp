@@ -512,7 +512,7 @@ TEST(ContextCache, EvictsTheLeastRecentlyUsedGene) {
   EXPECT_EQ(cache.stats().entries, 2u);
 }
 
-TEST(ContextCache, ClonesCarryTheJobOptionsAndTheirOwnPropagatorCache) {
+TEST(ContextCache, ClonesCarryTheJobOptionsAndShareTheTree) {
   const TempDir dir("cacheclone");
   writeGene(dir, "gene");
   ContextCache cache;
@@ -526,20 +526,7 @@ TEST(ContextCache, ClonesCarryTheJobOptionsAndTheirOwnPropagatorCache) {
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(a->options().bfgs.maxIterations, 3);
   EXPECT_EQ(b->options().bfgs.maxIterations, 7);
-  // The parsed tree is shared; the propagator caches are not.
   EXPECT_EQ(a->treePtr(), b->treePtr());
-  const int slot = core::AnalysisContext::shardSlot(model::Hypothesis::H0);
-  ASSERT_NE(a->cacheShard(slot), nullptr);
-  EXPECT_NE(a->cacheShard(slot), b->cacheShard(slot));
-
-  // A fit on one clone leaves every later clone cold.  The test holds the
-  // shard it fitted into, so the clone still reports its propagators.
-  const auto shard = a->cacheShard(slot);
-  core::fitHypothesis(*a, model::Hypothesis::H0, a->options(),
-                      a->likelihoodOptions(), shard);
-  EXPECT_GT(a->cachedPropagators(), 0u);
-  EXPECT_EQ(b->cachedPropagators(), 0u);
-  EXPECT_EQ(acquireGene(cache, config)->cachedPropagators(), 0u);
 }
 
 // ---------- server end to end ----------
