@@ -8,6 +8,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "backend/compute_backend.hpp"
 #include "gbench_main.hpp"
 #include "linalg/blas3.hpp"
@@ -74,6 +76,41 @@ void sizesAndTables(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_Gemm)->Apply(sizesAndTables);
 BENCHMARK(BM_GemmNT)->Apply(sizesAndTables);
 BENCHMARK(BM_Syrk)->Apply(sizesAndTables);
+
+// --- The sweeps' panel product, per SIMD level ---------------------------
+//
+// One pattern block through one branch: a 64 x 61 panel (the default
+// blockSize) times a 61 x 61 propagator, the shape of every internal-branch
+// product of the down pass and of the gradient's dP and outside products.
+// One row per level (BM_PanelGemm/scalar, /avx2, /avx512), so an AVX-512
+// host times the AVX2 kernel too; a level the host cannot run skips.
+void BM_PanelGemm(benchmark::State& state, linalg::SimdLevel level) {
+  if (!linalg::simdLevelAvailable(level)) {
+    state.SkipWithError("SIMD level unavailable on this host");
+    return;
+  }
+  const auto& kern = linalg::simdKernels(level);
+  constexpr std::size_t kRows = 64, kN = 61;
+  const Matrix w = bench::randomMatrix(kRows, kN, 6);
+  const Matrix pT = bench::randomMatrix(kN, kN, 7);
+  Matrix out(kRows, kN);
+  for (auto _ : state) {
+    linalg::gemm(kern, w.view(), pT.view(), out.view());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kRows * kN * kN);
+  state.SetLabel(kern.name);
+}
+
+[[maybe_unused]] const bool kPanelGemmRegistered = [] {
+  for (auto level : {linalg::SimdLevel::Scalar, linalg::SimdLevel::Avx2,
+                     linalg::SimdLevel::Avx512})
+    benchmark::RegisterBenchmark(
+        (std::string("BM_PanelGemm/") + linalg::simdLevelName(level)).c_str(),
+        BM_PanelGemm, level);
+  return true;
+}();
 
 // --- Compute-backend dimension (src/backend/) ---------------------------
 //

@@ -169,7 +169,7 @@ void BranchSiteLikelihood::prebuildPropagators() {
     for (int m = 0; m < numClasses_; ++m) {
       const int omegaIdx = activeClasses_[m].omegaFor(branchClass);
       const std::size_t slot = propIndex(node, omegaIdx);
-      if (propPtr_[slot]) continue;  // an earlier class uses the same omega
+      if (propPtr_[slot]) continue;  // an earlier class reads the same slot
       const Matrix& prop = propagator(node, omegaIdx);
       if (leafHasMissing_[node])
         propagateBranch(prop, onesRow_.view(), missingRows_.rowBlock(slot, 1));

@@ -255,8 +255,8 @@ class BranchSiteLikelihood {
   double gradientBranchesFromState(std::span<double> gradT);
 
   // Build P (BundledGemm's other layout) and dP^T for every (branch node,
-  // omega) the active classes reference; the down pass reads the stored
-  // propagators and missingRows_ themselves.
+  // eigensystem) the active classes reference; the down pass reads the
+  // stored propagators and missingRows_ themselves.
   void buildGradientPropagators();
 
   // Up (pre-order) pass of the gradient for site class m over patterns
@@ -320,8 +320,13 @@ class BranchSiteLikelihood {
                        linalg::ConstMatrixView childCpv,
                        linalg::MatrixView out);
 
+  // The propagator slot of (branch node, omega slot): omega slots that share
+  // an eigensystem (omega2 = omega1 = 1 under the model A null) share one
+  // slot, so each (branch, eigensystem) pair gets one P, one dP and one
+  // missing-codon row.
   std::size_t propIndex(int node, int omegaIdx) const noexcept {
-    return static_cast<std::size_t>(node) * numOmegas_ + omegaIdx;
+    return static_cast<std::size_t>(node) * numOmegas_ +
+           omegaToEigen_[omegaIdx];
   }
 
   const bio::GeneticCode& gc_;
@@ -359,7 +364,7 @@ class BranchSiteLikelihood {
   std::vector<expm::CodonEigenSystem> eigenSystems_;  // per distinct omega
   std::vector<int> omegaToEigen_;
   std::vector<linalg::Matrix> propCache_;  // uncached-mode propagator storage
-  std::vector<const linalg::Matrix*> propPtr_;  // (node x omega) -> built prop
+  std::vector<const linalg::Matrix*> propPtr_;  // propIndex -> built prop
   // Row propIndex(node, omega): onesRow_ through that propagator, for the
   // leaves with missing codons (other rows unused).  A 1-row call of the
   // table gives the panel row's bits, since output row i of a product
@@ -376,7 +381,7 @@ class BranchSiteLikelihood {
   std::vector<int> edgeRep_;
   std::vector<std::vector<int>> classGroups_;
 
-  // Gradient-sweep propagator tables, (node x omega)-indexed like propPtr_
+  // Gradient-sweep propagator tables, propIndex-indexed like propPtr_
   // and rebuilt per gradient call (branch lengths move every iteration):
   // P for the outside recursion (BundledGemm stores P^T; PerSiteGemv reads
   // its stored P) and dP^T for the row-major panel gemms.

@@ -8,10 +8,11 @@
 // copy of a shared inline function can leak into generic code via the
 // linker.
 //
-// Determinism: gemm computes each output row from a fixed-order k-loop over
-// fixed-width column chunks, and the dot kernels accumulate in four fixed
-// vector partials reduced in a fixed tree — results depend only on operand
-// values, never on how callers partition rows across threads or blocks.
+// Determinism: gemm gives every element of C the k-ordered FMA chain from
+// +0.0, the tail columns included, whatever block of registers holds it, and
+// the dot kernels accumulate in four fixed vector partials reduced in a
+// fixed tree — results depend only on operand values, never on how callers
+// partition rows across threads or blocks.
 
 #include "linalg/simd.hpp"
 
@@ -53,50 +54,83 @@ inline double dotAvx2(const double* SLIM_RESTRICT x,
   return t;
 }
 
+// Register-blocked gemm.  A block of C, up to four rows by up to three
+// vectors of four columns, lives in ymm accumulators for the whole k loop;
+// each k step loads the block's B vectors once and broadcasts one A value
+// per row.  The last n mod 4 columns run as their own one-vector block
+// through maskload/maskstore, which keeps the widest block's twelve
+// accumulators, three B vectors and one broadcast within the sixteen ymm
+// registers.
+template <int Rows, int Vecs, bool Tail>
+void gemmBlock(const double* SLIM_RESTRICT a, const double* SLIM_RESTRICT b,
+               double* SLIM_RESTRICT c, std::size_t kk, std::size_t n,
+               __m256i tm) noexcept {
+  __m256d acc[Rows][Vecs];
+#pragma GCC unroll 4
+  for (int r = 0; r < Rows; ++r)
+#pragma GCC unroll 4
+    for (int v = 0; v < Vecs; ++v) acc[r][v] = _mm256_setzero_pd();
+  for (std::size_t k = 0; k < kk; ++k) {
+    const double* SLIM_RESTRICT bk = b + k * n;
+    __m256d bv[Vecs];
+#pragma GCC unroll 4
+    for (int v = 0; v < Vecs; ++v)
+      bv[v] = Tail ? _mm256_maskload_pd(bk + 4 * v, tm)
+                   : _mm256_loadu_pd(bk + 4 * v);
+#pragma GCC unroll 4
+    for (int r = 0; r < Rows; ++r) {
+      const __m256d ar = _mm256_broadcast_sd(a + r * kk + k);
+#pragma GCC unroll 4
+      for (int v = 0; v < Vecs; ++v)
+        acc[r][v] = _mm256_fmadd_pd(ar, bv[v], acc[r][v]);
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < Rows; ++r)
+#pragma GCC unroll 4
+    for (int v = 0; v < Vecs; ++v) {
+      double* SLIM_RESTRICT cv = c + r * n + 4 * v;
+      if (Tail)
+        _mm256_maskstore_pd(cv, tm, acc[r][v]);
+      else
+        _mm256_storeu_pd(cv, acc[r][v]);
+    }
+}
+
+// One block of rows across every column: full 12-column panels, then the
+// remaining full vectors, then the masked tail.
+template <int Rows>
+void gemmRows(const double* SLIM_RESTRICT a, const double* SLIM_RESTRICT b,
+              double* SLIM_RESTRICT c, std::size_t kk, std::size_t n) noexcept {
+  const __m256i none = _mm256_setzero_si256();
+  std::size_t j = 0;
+  for (; j + 12 <= n; j += 12)
+    gemmBlock<Rows, 3, false>(a, b + j, c + j, kk, n, none);
+  if (j + 8 <= n) {
+    gemmBlock<Rows, 2, false>(a, b + j, c + j, kk, n, none);
+    j += 8;
+  } else if (j + 4 <= n) {
+    gemmBlock<Rows, 1, false>(a, b + j, c + j, kk, n, none);
+    j += 4;
+  }
+  if (j < n) {
+    const __m256i tm =
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(n - j)),
+                           _mm256_setr_epi64x(0, 1, 2, 3));
+    gemmBlock<Rows, 1, true>(a, b + j, c + j, kk, n, tm);
+  }
+}
+
 void gemmAvx2(const double* SLIM_RESTRICT a, const double* SLIM_RESTRICT b,
               double* SLIM_RESTRICT c, std::size_t m, std::size_t kk,
               std::size_t n) {
-  const std::size_t nv = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < m; ++i) {
-    double* SLIM_RESTRICT crow = c + i * n;
-    std::size_t j = 0;
-    const __m256d zero = _mm256_setzero_pd();
-    for (; j < nv; j += 4) _mm256_storeu_pd(crow + j, zero);
-    for (; j < n; ++j) crow[j] = 0.0;
-
-    const double* SLIM_RESTRICT arow = a + i * kk;
-    std::size_t k = 0;
-    for (; k + 4 <= kk; k += 4) {
-      const __m256d a0 = _mm256_set1_pd(arow[k]);
-      const __m256d a1 = _mm256_set1_pd(arow[k + 1]);
-      const __m256d a2 = _mm256_set1_pd(arow[k + 2]);
-      const __m256d a3 = _mm256_set1_pd(arow[k + 3]);
-      const double* SLIM_RESTRICT b0 = b + k * n;
-      const double* SLIM_RESTRICT b1 = b + (k + 1) * n;
-      const double* SLIM_RESTRICT b2 = b + (k + 2) * n;
-      const double* SLIM_RESTRICT b3 = b + (k + 3) * n;
-      for (j = 0; j < nv; j += 4) {
-        __m256d cj = _mm256_loadu_pd(crow + j);
-        cj = _mm256_fmadd_pd(a0, _mm256_loadu_pd(b0 + j), cj);
-        cj = _mm256_fmadd_pd(a1, _mm256_loadu_pd(b1 + j), cj);
-        cj = _mm256_fmadd_pd(a2, _mm256_loadu_pd(b2 + j), cj);
-        cj = _mm256_fmadd_pd(a3, _mm256_loadu_pd(b3 + j), cj);
-        _mm256_storeu_pd(crow + j, cj);
-      }
-      for (; j < n; ++j)
-        crow[j] += arow[k] * b0[j] + arow[k + 1] * b1[j] + arow[k + 2] * b2[j] +
-                   arow[k + 3] * b3[j];
-    }
-    for (; k < kk; ++k) {
-      const __m256d ak = _mm256_set1_pd(arow[k]);
-      const double* SLIM_RESTRICT brow = b + k * n;
-      for (j = 0; j < nv; j += 4) {
-        __m256d cj = _mm256_loadu_pd(crow + j);
-        cj = _mm256_fmadd_pd(ak, _mm256_loadu_pd(brow + j), cj);
-        _mm256_storeu_pd(crow + j, cj);
-      }
-      for (; j < n; ++j) crow[j] += arow[k] * brow[j];
-    }
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) gemmRows<4>(a + i * kk, b, c + i * n, kk, n);
+  switch (m - i) {
+    case 3: gemmRows<3>(a + i * kk, b, c + i * n, kk, n); break;
+    case 2: gemmRows<2>(a + i * kk, b, c + i * n, kk, n); break;
+    case 1: gemmRows<1>(a + i * kk, b, c + i * n, kk, n); break;
+    default: break;
   }
 }
 

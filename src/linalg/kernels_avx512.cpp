@@ -4,9 +4,12 @@
 // includes no project header with inline bodies besides simd.hpp — see
 // kernels_avx2.cpp for the rationale.
 //
-// n = 61 (sense codons) is 7 full zmm lanes of 8 plus a 5-lane masked tail;
-// the masked tail is processed with the same instruction sequence every
-// call, so results stay bit-identical across any row partition.
+// Determinism: gemm gives every element of C the k-ordered FMA chain from
+// +0.0, whatever block of registers holds it, so its bits equal the AVX2
+// table's and do not depend on how callers partition rows across threads or
+// blocks.  n = 61 (sense codons) is 7 full zmm vectors plus a 5-lane masked
+// tail.  The dot kernels accumulate in four fixed vector partials reduced in
+// a fixed tree.
 
 #include "linalg/simd.hpp"
 
@@ -49,59 +52,86 @@ inline double dotAvx512(const double* SLIM_RESTRICT x,
       _mm512_add_pd(_mm512_add_pd(s0, s1), _mm512_add_pd(s2, s3)));
 }
 
+// Register-blocked gemm.  A block of C, up to four rows by up to four
+// vectors of eight columns, lives in zmm accumulators for the whole k loop;
+// each k step loads the block's B vectors once and broadcasts one A value
+// per row.  Only the row's last vector, when n is not a multiple of 8,
+// loads and stores through a mask.
+template <int Rows, int Vecs, bool Tail>
+void gemmBlock(const double* SLIM_RESTRICT a, const double* SLIM_RESTRICT b,
+               double* SLIM_RESTRICT c, std::size_t kk, std::size_t n,
+               __mmask8 tm) noexcept {
+  __m512d acc[Rows][Vecs];
+#pragma GCC unroll 4
+  for (int r = 0; r < Rows; ++r)
+#pragma GCC unroll 4
+    for (int v = 0; v < Vecs; ++v) acc[r][v] = _mm512_setzero_pd();
+  for (std::size_t k = 0; k < kk; ++k) {
+    const double* SLIM_RESTRICT bk = b + k * n;
+    __m512d bv[Vecs];
+#pragma GCC unroll 4
+    for (int v = 0; v < Vecs; ++v)
+      bv[v] = Tail && v == Vecs - 1 ? _mm512_maskz_loadu_pd(tm, bk + 8 * v)
+                                    : _mm512_loadu_pd(bk + 8 * v);
+#pragma GCC unroll 4
+    for (int r = 0; r < Rows; ++r) {
+      const __m512d ar = _mm512_set1_pd(a[r * kk + k]);
+#pragma GCC unroll 4
+      for (int v = 0; v < Vecs; ++v)
+        acc[r][v] = _mm512_fmadd_pd(ar, bv[v], acc[r][v]);
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < Rows; ++r)
+#pragma GCC unroll 4
+    for (int v = 0; v < Vecs; ++v) {
+      double* SLIM_RESTRICT cv = c + r * n + 8 * v;
+      if (Tail && v == Vecs - 1)
+        _mm512_mask_storeu_pd(cv, tm, acc[r][v]);
+      else
+        _mm512_storeu_pd(cv, acc[r][v]);
+    }
+}
+
+// The columns after the last full 32-column panel: Vecs vectors, the last
+// one masked when n is not a multiple of 8 (tm != 0).
+template <int Rows, int Vecs>
+void gemmRest(const double* SLIM_RESTRICT a, const double* SLIM_RESTRICT b,
+              double* SLIM_RESTRICT c, std::size_t kk, std::size_t n,
+              __mmask8 tm) noexcept {
+  if (tm != 0)
+    gemmBlock<Rows, Vecs, true>(a, b, c, kk, n, tm);
+  else
+    gemmBlock<Rows, Vecs, false>(a, b, c, kk, n, tm);
+}
+
+// One block of rows across every column.
+template <int Rows>
+void gemmRows(const double* SLIM_RESTRICT a, const double* SLIM_RESTRICT b,
+              double* SLIM_RESTRICT c, std::size_t kk, std::size_t n) noexcept {
+  std::size_t j = 0;
+  for (; j + 32 <= n; j += 32)
+    gemmBlock<Rows, 4, false>(a, b + j, c + j, kk, n, 0);
+  const __mmask8 tm = tailMask(n);
+  switch ((n - j + 7) / 8) {
+    case 4: gemmRest<Rows, 4>(a, b + j, c + j, kk, n, tm); break;
+    case 3: gemmRest<Rows, 3>(a, b + j, c + j, kk, n, tm); break;
+    case 2: gemmRest<Rows, 2>(a, b + j, c + j, kk, n, tm); break;
+    case 1: gemmRest<Rows, 1>(a, b + j, c + j, kk, n, tm); break;
+    default: break;
+  }
+}
+
 void gemmAvx512(const double* SLIM_RESTRICT a, const double* SLIM_RESTRICT b,
                 double* SLIM_RESTRICT c, std::size_t m, std::size_t kk,
                 std::size_t n) {
-  const std::size_t nv = n & ~std::size_t{7};
-  const __mmask8 tm = tailMask(n);
-  for (std::size_t i = 0; i < m; ++i) {
-    double* SLIM_RESTRICT crow = c + i * n;
-    const __m512d zero = _mm512_setzero_pd();
-    for (std::size_t j = 0; j < nv; j += 8) _mm512_storeu_pd(crow + j, zero);
-    if (nv < n) _mm512_mask_storeu_pd(crow + nv, tm, zero);
-
-    const double* SLIM_RESTRICT arow = a + i * kk;
-    std::size_t k = 0;
-    for (; k + 4 <= kk; k += 4) {
-      const __m512d a0 = _mm512_set1_pd(arow[k]);
-      const __m512d a1 = _mm512_set1_pd(arow[k + 1]);
-      const __m512d a2 = _mm512_set1_pd(arow[k + 2]);
-      const __m512d a3 = _mm512_set1_pd(arow[k + 3]);
-      const double* SLIM_RESTRICT b0 = b + k * n;
-      const double* SLIM_RESTRICT b1 = b + (k + 1) * n;
-      const double* SLIM_RESTRICT b2 = b + (k + 2) * n;
-      const double* SLIM_RESTRICT b3 = b + (k + 3) * n;
-      for (std::size_t j = 0; j < nv; j += 8) {
-        __m512d cj = _mm512_loadu_pd(crow + j);
-        cj = _mm512_fmadd_pd(a0, _mm512_loadu_pd(b0 + j), cj);
-        cj = _mm512_fmadd_pd(a1, _mm512_loadu_pd(b1 + j), cj);
-        cj = _mm512_fmadd_pd(a2, _mm512_loadu_pd(b2 + j), cj);
-        cj = _mm512_fmadd_pd(a3, _mm512_loadu_pd(b3 + j), cj);
-        _mm512_storeu_pd(crow + j, cj);
-      }
-      if (nv < n) {
-        __m512d cj = _mm512_maskz_loadu_pd(tm, crow + nv);
-        cj = _mm512_fmadd_pd(a0, _mm512_maskz_loadu_pd(tm, b0 + nv), cj);
-        cj = _mm512_fmadd_pd(a1, _mm512_maskz_loadu_pd(tm, b1 + nv), cj);
-        cj = _mm512_fmadd_pd(a2, _mm512_maskz_loadu_pd(tm, b2 + nv), cj);
-        cj = _mm512_fmadd_pd(a3, _mm512_maskz_loadu_pd(tm, b3 + nv), cj);
-        _mm512_mask_storeu_pd(crow + nv, tm, cj);
-      }
-    }
-    for (; k < kk; ++k) {
-      const __m512d ak = _mm512_set1_pd(arow[k]);
-      const double* SLIM_RESTRICT brow = b + k * n;
-      for (std::size_t j = 0; j < nv; j += 8) {
-        __m512d cj = _mm512_loadu_pd(crow + j);
-        cj = _mm512_fmadd_pd(ak, _mm512_loadu_pd(brow + j), cj);
-        _mm512_storeu_pd(crow + j, cj);
-      }
-      if (nv < n) {
-        __m512d cj = _mm512_maskz_loadu_pd(tm, crow + nv);
-        cj = _mm512_fmadd_pd(ak, _mm512_maskz_loadu_pd(tm, brow + nv), cj);
-        _mm512_mask_storeu_pd(crow + nv, tm, cj);
-      }
-    }
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) gemmRows<4>(a + i * kk, b, c + i * n, kk, n);
+  switch (m - i) {
+    case 3: gemmRows<3>(a + i * kk, b, c + i * n, kk, n); break;
+    case 2: gemmRows<2>(a + i * kk, b, c + i * n, kk, n); break;
+    case 1: gemmRows<1>(a + i * kk, b, c + i * n, kk, n); break;
+    default: break;
   }
 }
 

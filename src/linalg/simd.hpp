@@ -14,7 +14,9 @@
 //                  syrk, and the Pi^{-1/2}/Pi^{1/2} sandwich fused into the
 //                  rank-update loop.
 //   avx2, avx512   Hand-vectorized variants of the scalar table, selected
-//                  once per evaluator through simdKernels(level).
+//                  once per evaluator through simdKernels(level); their gemm
+//                  is a register-blocked micro-kernel (4 rows x 12 columns
+//                  in ymm, 4 rows x 32 columns in zmm).
 //   blas           Vendor CBLAS (backend/backend_blas.cpp).
 //
 // backend::resolveComputeBackend picks the one table an evaluator uses.
@@ -23,6 +25,10 @@
 //   * The fused sandwich entries of the naive and scalar tables reproduce
 //     their table's product followed by scaleSandwich and the clamp, bit
 //     for bit.
+//   * The vector tables' gemm computes every element as the k-ordered FMA
+//     chain from +0.0, c(i,j) = fma(a(i,k-1), b(k-1,j), ... fma(a(i,0),
+//     b(0,j), +0.0)).  So avx2 and avx512 gemm agree bit for bit, and their
+//     register blocking cannot be seen in the results.
 //   * Every SIMD level is deterministic per row of output — results are
 //     bit-identical across thread counts and pattern-block sizes — and
 //     agrees with scalar to <= 1e-10 relative on the log-likelihood.

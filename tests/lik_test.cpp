@@ -457,13 +457,23 @@ TEST(BranchSiteLikelihoodTest, EigenSystemsSharedOnlyForEqualInput) {
 }
 
 TEST(BranchSiteLikelihoodTest, PropagatorBuildCountsPerEvaluation) {
-  const Fixture f = makeFixture();
-  BranchSiteLikelihood eval(f.alignment, f.patterns, f.pi, f.tree,
-                            Hypothesis::H1, slimOptions());
-  eval.logLikelihood(testParams());
   // 6 branches; 5 background need {omega0, omega1}, the foreground needs
-  // {omega0, omega1, omega2}: 13 total.
-  EXPECT_EQ(eval.counters().propagatorBuilds, 13);
+  // {omega0, omega1, omega2}: 13 under H1.  Under H0 omega2 = omega1 = 1
+  // shares omega1's eigensystem, so the foreground needs 2: 12.  Each
+  // gradient sweep builds one dP per (branch, eigensystem) pair too.
+  const Fixture f = makeFixture();
+  for (const auto& [hyp, builds] :
+       {std::pair{Hypothesis::H1, 13}, std::pair{Hypothesis::H0, 12}}) {
+    BranchSiteLikelihood eval(f.alignment, f.patterns, f.pi, f.tree, hyp,
+                              slimOptions());
+    eval.logLikelihood(testParams());
+    EXPECT_EQ(eval.counters().propagatorBuilds, builds)
+        << model::hypothesisName(hyp);
+    std::vector<double> grad(eval.numBranches());
+    eval.gradientBranchesAtLastEvaluation(grad);
+    EXPECT_EQ(eval.counters().propagatorBuilds, 2 * builds)
+        << model::hypothesisName(hyp);
+  }
 }
 
 TEST(BranchSiteLikelihoodTest, RequiresMarkForBranchHeterogeneousMixture) {

@@ -10,13 +10,17 @@
 //   * each level is bit-identical to itself across thread counts and block
 //     sizes (EXPECT_EQ on doubles), because kernel results are invariant
 //     under any row partition of a panel;
+//   * the vector tables' gemm gives every element the bits of the k-ordered
+//     FMA chain from +0.0, so avx2 and avx512 agree bit for bit;
 //   * every table's product of a one-hot row is exactly the selected row of
 //     the other operand, and a 1-row call equals that row inside a panel —
 //     what the likelihood sweeps' leaf row gathers rest on.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <tuple>
@@ -95,6 +99,60 @@ TEST(SimdKernels, GemmMatchesScalarOnEveryLevel) {
       expectClose(got, want, kern->name);
     }
   }
+}
+
+// The vector tables' gemm computes every element as the k-ordered FMA
+// chain from +0.0, c(i,j) = fma(a(i,k-1), b(k-1,j), ... fma(a(i,0), b(0,j),
+// +0.0)), whatever the register blocking: every row remainder mod 4, every
+// tail width, and no write past the last element.  Operands mix exact
+// zeros, signs and magnitudes near 1e-300, so a reordered or unfused sum
+// shows in the bits.
+TEST(SimdKernels, VectorGemmIsTheKOrderedFmaChain) {
+  std::vector<const SimdKernels*> tables;
+  for (SimdLevel level : {SimdLevel::Avx2, SimdLevel::Avx512})
+    if (simdLevelAvailable(level)) tables.push_back(&simdKernels(level));
+  if (tables.empty()) GTEST_SKIP() << "no vector level on this host";
+
+  const auto operand = [](std::size_t count, std::uint64_t seed) {
+    sim::Rng rng(seed);
+    std::vector<double> v(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      v[i] = rng.uniform(-1.0, 1.0);
+      if (i % 5 == 1) v[i] = 0.0;
+      if (i % 7 == 3) v[i] *= 1e-300;
+    }
+    return v;
+  };
+  constexpr std::size_t kGuard = 9;
+  const double sentinel = -1234.5;
+  for (std::size_t m : {1, 2, 3, 4, 5, 7, 64, 65})
+    for (std::size_t k : {1, 3, 61})
+      for (std::size_t n :
+           {1, 3, 4, 5, 7, 8, 9, 12, 13, 31, 32, 33, 61, 64, 65, 122}) {
+        const auto a = operand(m * k, 100 + m * k);
+        const auto b = operand(k * n, 200 + k * n);
+        std::vector<std::uint64_t> want(m * n);
+        for (std::size_t i = 0; i < m; ++i)
+          for (std::size_t j = 0; j < n; ++j) {
+            double acc = 0.0;
+            for (std::size_t q = 0; q < k; ++q)
+              acc = std::fma(a[i * k + q], b[q * n + j], acc);
+            want[i * n + j] = std::bit_cast<std::uint64_t>(acc);
+          }
+        for (const SimdKernels* kern : tables) {
+          std::vector<double> c(m * n + kGuard, sentinel);
+          kern->gemm(a.data(), b.data(), c.data(), m, k, n);
+          std::size_t mismatches = 0;
+          for (std::size_t e = 0; e < m * n; ++e)
+            mismatches += std::bit_cast<std::uint64_t>(c[e]) != want[e];
+          EXPECT_EQ(mismatches, 0u)
+              << kern->name << " m=" << m << " k=" << k << " n=" << n;
+          for (std::size_t e = m * n; e < c.size(); ++e)
+            EXPECT_EQ(c[e], sentinel)
+                << kern->name << " wrote past the end, m=" << m << " k=" << k
+                << " n=" << n;
+        }
+      }
 }
 
 TEST(SimdKernels, GemmNTAndSyrkMatchScalarOnEveryLevel) {

@@ -12,10 +12,16 @@ Two subcommands, stdlib only (CI runs this on a bare python3):
 
   compare BASELINE.json NEW.json [--tolerance 0.15]
       Fail (exit 1) when any benchmark present in both files regressed by
-      more than --tolerance in real_time.  When the two records were
-      measured on different hosts the comparison is advisory: every delta
-      is printed but the exit code is 0 — absolute times from different
-      machines are not comparable, only same-host trajectories are.
+      more than --tolerance.  On one host the gate reads each row as a ratio
+      to a reference measured in the same record: the geometric mean real
+      time of the naive-table rows (BM_Gemm/*/0, BM_GemmNT/*/0,
+      BM_Syrk/*/0), CodeML's loop nests, which no engine change alters.
+      That cancels the host-wide speed drift between two runs; records
+      without the reference rows gate on real_time itself.  When the two
+      records were measured on different hosts the comparison is advisory:
+      every delta is printed but the exit code is 0 — absolute times from
+      different machines are not comparable, only same-host trajectories
+      are.
 
 Schema (produced by src/support/bench_record.cpp and by convert):
   {"schema": "slimcodeml-bench-v1",
@@ -25,10 +31,12 @@ Schema (produced by src/support/bench_record.cpp and by convert):
 
 import argparse
 import json
+import math
 import platform
 import sys
 
 SCHEMA = "slimcodeml-bench-v1"
+REFERENCE_PREFIXES = ("BM_Gemm/", "BM_GemmNT/", "BM_Syrk/")
 
 
 def load(path):
@@ -89,6 +97,17 @@ def cmd_convert(args):
     return 0
 
 
+def reference_ns(doc):
+    """Geometric mean real time of the record's naive-table rows, or None."""
+    times = [float(entry["real_time_ns"])
+             for name, entry in doc["benchmarks"].items()
+             if name.startswith(REFERENCE_PREFIXES) and name.endswith("/0")
+             and float(entry["real_time_ns"]) > 0]
+    if not times:
+        return None
+    return math.exp(sum(math.log(t) for t in times) / len(times))
+
+
 def cmd_compare(args):
     base = load(args.baseline)
     new = load(args.new)
@@ -109,6 +128,12 @@ def cmd_compare(args):
         print("error: no shared benchmark names to compare", file=sys.stderr)
         return 2
 
+    base_ref, new_ref = reference_ns(base), reference_ns(new)
+    by_ratio = same_host and base_ref is not None and new_ref is not None
+    if by_ratio:
+        print(f"gate: ratio to the naive-table reference, {base_ref:.1f} ns "
+              f"-> {new_ref:.1f} ns ({new_ref / base_ref - 1.0:+.1%})")
+
     regressions = []
     width = max(len(n) for n in shared)
     for name in shared:
@@ -117,12 +142,15 @@ def cmd_compare(args):
         if b <= 0:
             continue
         delta = n / b - 1.0
+        line = f"{name:<{width}}  {b:14.1f} ns -> {n:14.1f} ns {delta:+7.1%}"
+        if by_ratio:
+            delta = (n / new_ref) / (b / base_ref) - 1.0
+            line += f"  ratio {delta:+7.1%}"
         flag = ""
         if delta > args.tolerance:
             flag = " REGRESSION" if same_host else " (regressed)"
             regressions.append((name, delta))
-        print(f"{name:<{width}}  {b:14.1f} ns -> {n:14.1f} ns "
-              f"{delta:+7.1%}{flag}")
+        print(line + flag)
 
     only_base = sorted(set(base["benchmarks"]) - set(new["benchmarks"]))
     for name in only_base:
