@@ -1,13 +1,15 @@
-// Gradient-mode comparison on a full H1 fit: fd on 1, 2 and 4 workers vs
-// analytic, end-to-end through core::fitHypothesis (the production path).
+// Gradient-mode comparison on a full H1 fit: fd on a 1-, 2- and 4-thread
+// evaluator vs analytic, end-to-end through core::fitHypothesis (the
+// production path).
 //
 // Expected shape: evals_per_fit drops by >= 3x under `analytic` — every BFGS
 // iteration replaces its numBranches finite-difference probes with one
 // pruning-style gradient sweep, leaving only the handful of
 // substitution/mixture coordinates to finite-difference.  `fd` on more
-// workers keeps the evaluation count but fans the probe points across
-// single-threaded evaluators (a wall-clock win on multi-core hosts; on a
-// 1-core host it collapses to the serial path).
+// threads keeps the evaluation count and every counter; the evaluator's
+// pool runs each probe's eigendecompositions, propagator builds and sweep
+// in parallel (a wall-clock win on multi-core hosts; on a 1-core host it
+// collapses to the serial path).
 //
 // Emit machine-readable numbers for tracking with
 //   ./gradient_scaling --benchmark_format=json > BENCH_gradient_scaling.json
@@ -48,9 +50,9 @@ const Inputs& inputs() {
   return in;
 }
 
-// Args: (mode: 0 fd / 1 fd with probe fan-out / 2 analytic, workers).
-// Modes 0 and 1 are one gradient mode; both keep their rows so the
-// recorded keys stay comparable.
+// Args: (mode: 0 fd / 1 fd on a `workers`-thread evaluator / 2 analytic,
+// workers).  Modes 0 and 1 are one gradient mode; both keep their rows so
+// the recorded keys stay comparable.
 void BM_H1FitByGradientMode(benchmark::State& state) {
   const core::GradientMode mode = state.range(0) == 2
                                       ? core::GradientMode::Analytic
@@ -61,7 +63,6 @@ void BM_H1FitByGradientMode(benchmark::State& state) {
   options.bfgs.maxIterations = 30;
   options.tuning.gradient = mode;
   options.tuning.numThreads = workers;
-  options.tuning.policy = core::ParallelPolicy::TaskLevel;
   options.tuning.cachePropagators = 1;
 
   double lnLSum = 0;

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "core/objective.hpp"
-#include "support/parallel.hpp"
 #include "support/require.hpp"
 
 namespace slim::core {
@@ -70,16 +69,12 @@ FitResult fitHypothesis(const AnalysisContext& context, Hypothesis hypothesis,
       fitOptions.initialParams, std::move(startLengths),
       fitOptions.startJitterSeed);
 
-  // The derivative-aware objective: value() on the fit's evaluator; FD probe
-  // points fanned across single-threaded pool evaluators when the policy
-  // allows; analytic branch derivatives under GradientMode::Analytic.  The
-  // likelihood's thread budget doubles as the coordinate fan-out width (a
-  // task-level scheduler above this fit passes numThreads = 1, which also
-  // keeps the probe pool sequential — no nested oversubscription).
-  LikelihoodObjective objective(
-      eval, context, layout, likOptions, fitOptions.tuning.gradient,
-      fitOptions.tuning.policy,
-      support::resolveThreadCount(likOptions.numThreads));
+  // The derivative-aware objective: value() and every FD probe on the fit's
+  // evaluator, whose pool holds the fit's threads (a task-level scheduler
+  // above this fit passes numThreads = 1); analytic branch derivatives under
+  // GradientMode::Analytic.
+  LikelihoodObjective objective(eval, context, layout,
+                                fitOptions.tuning.gradient);
 
   // Checkpoint plumbing: the starting point is still packed above even on a
   // resume — its length fixes the optimization dimension (which the restored
@@ -112,7 +107,7 @@ FitResult fitHypothesis(const AnalysisContext& context, Hypothesis hypothesis,
   r.converged = bfgsResult.converged;
   r.cancelled = bfgsResult.cancelled;
   r.message = bfgsResult.message;
-  r.counters = objective.counters();
+  r.counters = eval.counters();
   if (resumeState != nullptr) {
     r.resumedFrom = checkpoint->resumedFromPath;
     r.iterationsReplayed = resumeState->iterations;

@@ -55,10 +55,9 @@ constexpr const char* parallelPolicyName(ParallelPolicy p) noexcept {
 /// (`gradient =` in the control file).
 enum class GradientMode {
   /// Forward/central finite differences, one evaluation per coordinate
-  /// (the default).  A fit with more than one thread fans the probe points
-  /// across a pool of single-threaded evaluators on core::TaskScheduler
-  /// when the `parallel =` policy allows; values are bit-identical for
-  /// every worker count.
+  /// (the default).  The probes run one after another on the fit's
+  /// evaluator, whose threads parallelize each one; values are
+  /// bit-identical for every thread count.
   FiniteDiff,
   /// Hybrid analytic gradient: branch-length derivatives from one extra
   /// pruning-style sweep (dP/dt via the eigendecomposition), finite
@@ -84,8 +83,7 @@ struct LikelihoodTuning {
   int blockSize = -1;         ///< see lik::LikelihoodOptions::blockSize
   int cachePropagators = -1;  ///< tri-state: -1 preset, 0 off, 1 on
   /// Nested-parallelism policy for schedulers running independent fit tasks
-  /// (core::TaskScheduler / core::BatchAnalysis); single evaluations ignore
-  /// it, but it also gates whether a fit may fan its FD probe points.
+  /// (core::TaskScheduler / core::BatchAnalysis); a single fit ignores it.
   ParallelPolicy policy = ParallelPolicy::Auto;
   /// Gradient computation for the BFGS fits.
   GradientMode gradient = GradientMode::FiniteDiff;

@@ -16,8 +16,8 @@ using model::ModelKind;
 
 namespace {
 
-/// The infeasibility penalty: large, finite, and identical on every path so
-/// serial and fanned probe evaluations agree bit for bit.
+/// The infeasibility penalty: large and finite, so the line search
+/// backtracks from it.
 constexpr double kInfeasible = 1e100;
 
 bool sameLengthEqual(const std::vector<double>& a, std::span<const double> b) {
@@ -209,102 +209,38 @@ std::vector<double> ParameterLayout::start(
 LikelihoodObjective::LikelihoodObjective(lik::BranchSiteLikelihood& evaluator,
                                          const AnalysisContext& context,
                                          ParameterLayout layout,
-                                         lik::LikelihoodOptions poolOptions,
-                                         GradientMode mode,
-                                         ParallelPolicy policy, int fanWorkers)
-    : main_(evaluator),
-      context_(context),
-      layout_(layout),
-      poolOptions_(poolOptions),
-      mode_(mode),
-      policy_(policy),
-      fanWorkers_(fanWorkers) {
-  SLIM_REQUIRE(layout_.numBranches() == main_.numBranches(),
+                                         GradientMode mode)
+    : eval_(evaluator), context_(context), layout_(layout), mode_(mode) {
+  SLIM_REQUIRE(layout_.numBranches() == eval_.numBranches(),
                "LikelihoodObjective: layout does not match the evaluator");
-  // Probe evaluators must be single-threaded: the parallelism lives in the
-  // coordinate fan-out, exactly as task-level fit fan-out forces
-  // single-threaded pattern sweeps.
-  poolOptions_.numThreads = 1;
-  // The scheduler exists whenever fanning is possible at all (its worker
-  // pool is still created lazily), so wouldFan can consult the policy.
-  if (fanWorkers_ > 1)
-    scheduler_ = std::make_unique<TaskScheduler>(fanWorkers_);
-}
-
-bool LikelihoodObjective::wouldFan(int numPoints) const {
-  return scheduler_ != nullptr &&
-         scheduler_->useTaskLevel(std::min(fanWorkers_, numPoints), policy_);
 }
 
 model::MixtureSpec LikelihoodObjective::prepare(
-    lik::BranchSiteLikelihood& evaluator, std::span<const double> x) const {
+    std::span<const double> x) const {
   const ModelPoint point = layout_.unpack(x);
   model::MixtureSpec spec =
       buildFitSpec(*context_.alignment().code, context_.pi(), layout_.kind(),
                    layout_.hypothesis(), point.params, point.classOmegas);
   for (int k = 0; k < layout_.numBranches(); ++k)
-    evaluator.setBranchLength(k, layout_.branchLength(x, k));
+    eval_.setBranchLength(k, layout_.branchLength(x, k));
   return spec;
 }
 
-double LikelihoodObjective::evalOn(lik::BranchSiteLikelihood& evaluator,
-                                   std::span<const double> x) {
+double LikelihoodObjective::value(std::span<const double> x) {
   // Extreme line-search trial points can underflow a transform to its
   // boundary (e.g. kappa == 0) or overflow a kernel; both count as
   // infeasible and the search backtracks.
+  double f = kInfeasible;
   try {
-    const model::MixtureSpec spec = prepare(evaluator, x);
-    const double lnL = evaluator.logLikelihood(spec);
-    return std::isfinite(lnL) ? -lnL : kInfeasible;
+    const double lnL = eval_.logLikelihood(prepare(x));
+    if (std::isfinite(lnL)) f = -lnL;
   } catch (const std::invalid_argument&) {
-    return kInfeasible;
   } catch (const std::runtime_error&) {
-    return kInfeasible;  // eigensolver non-convergence on degenerate input
+    // eigensolver non-convergence on degenerate input
   }
-}
-
-double LikelihoodObjective::value(std::span<const double> x) {
-  const double f = evalOn(main_, x);
   lastX_.assign(x.begin(), x.end());
   lastValid_ = f != kInfeasible;
   return f;
-}
-
-void LikelihoodObjective::ensurePool(int evaluators) {
-  while (static_cast<int>(pool_.size()) < evaluators) {
-    // Null shard: with caching on, each probe evaluator creates its own
-    // private shard at construction — exclusive to it for the whole fit
-    // (the shard-per-task contract) yet warm across every gradient call.
-    pool_.push_back(std::make_unique<lik::BranchSiteLikelihood>(
-        context_.alignment(), context_.patterns(), context_.pi(),
-        context_.tree(), layout_.hypothesis(), poolOptions_));
-  }
-}
-
-std::vector<double> LikelihoodObjective::evaluateMany(
-    const std::vector<std::vector<double>>& points) {
-  const int numPoints = static_cast<int>(points.size());
-  std::vector<double> values(points.size());
-
-  // Fan only when the fit has workers to spare and the policy would also fan
-  // this many independent tasks; otherwise run the sequential loop on the
-  // main evaluator (which may itself be pattern-parallel).
-  if (!wouldFan(numPoints)) {
-    for (int i = 0; i < numPoints; ++i) values[i] = evalOn(main_, points[i]);
-    lastValid_ = false;  // main_'s state is now at the last probe point
-    return values;
-  }
-
-  const int evaluators = std::min(fanWorkers_, numPoints);
-  ensurePool(evaluators);
-  // Static index partition: point i always runs on evaluator i mod E, so the
-  // probe history each evaluator (and its cache shard) sees is a function of
-  // the fit alone, never of thread scheduling.
-  scheduler_->run(evaluators, ParallelPolicy::TaskLevel, [&](int e) {
-    for (int i = e; i < numPoints; i += evaluators)
-      values[i] = evalOn(*pool_[e], points[i]);
-  });
-  return values;
 }
 
 opt::GradientResult LikelihoodObjective::valueAndGradient(
@@ -328,10 +264,10 @@ opt::GradientResult LikelihoodObjective::valueAndGradient(
   std::vector<double> branchGrad(numBranches);
   try {
     if (reuse) {
-      lnL = main_.gradientBranchesAtLastEvaluation(branchGrad);
+      lnL = eval_.gradientBranchesAtLastEvaluation(branchGrad);
     } else {
-      const model::MixtureSpec spec = prepare(main_, x);
-      lnL = main_.logLikelihoodGradientBranches(spec, branchGrad);
+      const model::MixtureSpec spec = prepare(x);
+      lnL = eval_.logLikelihoodGradientBranches(spec, branchGrad);
       ++result.functionEvaluations;
     }
   } catch (const std::invalid_argument&) {
@@ -360,19 +296,13 @@ opt::GradientResult LikelihoodObjective::valueAndGradient(
   }
 
   // Leading substitution/mixture coordinates: the ordinary FD path over
-  // this objective's evaluateMany (fanned when the policy allows), so the
-  // hybrid's FD block and a pure-fd gradient share one step rule.
+  // this objective's value(), so the hybrid's FD block and a pure-fd
+  // gradient share one step rule.
   if (branchOffset > 0)
     opt::fdGradient(*this, x, f0, options.relStep, options.central,
                     grad.first(static_cast<std::size_t>(branchOffset)),
                     result.functionEvaluations);
   return result;
-}
-
-lik::EvalCounters LikelihoodObjective::counters() const {
-  lik::EvalCounters total = main_.counters();
-  for (const auto& e : pool_) total += e->counters();
-  return total;
 }
 
 }  // namespace slim::core

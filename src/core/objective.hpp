@@ -17,29 +17,21 @@
 // LikelihoodObjective adapts one fit task (an evaluator plus its layout)
 // onto opt::ObjectiveFunction:
 //
-//   * value(x) runs the fit's main evaluator, with the usual infeasibility
+//   * value(x) runs the fit's one evaluator, with the usual infeasibility
 //     mapping (transform underflow / eigensolver failure -> a large finite
-//     penalty the line search backtracks from);
-//   * evaluateMany(points) fans independent probe points — the coordinates
-//     of a finite-difference gradient — across a pool of *single-threaded*
-//     sibling evaluators on a core::TaskScheduler, under the same
-//     ParallelPolicy that governs task-level fit fan-out.  Points are
-//     statically partitioned by index (point i -> evaluator i mod poolSize),
-//     so which evaluator computes which point never depends on scheduling;
-//     with exact-keyed propagator caches the values are bit-identical to the
-//     sequential loop for every worker count.  Each pool evaluator keeps its
-//     own persistent cache shard: a shard is exclusive to one running task
-//     (propagator_cache.hpp), so concurrent probes must not share one, but
-//     per-evaluator shards stay warm across every gradient of the fit;
+//     penalty the line search backtracks from).  Finite-difference probes
+//     come through here too, one after another: a fit's threads are its
+//     evaluator's pool, which decomposes, builds and sweeps each probe in
+//     parallel, so every value and counter is the same for every thread
+//     count;
 //   * valueAndGradient(x, grad) under GradientMode::Analytic computes the
 //     branch-length block of the gradient analytically in one extra
 //     pruning-style sweep (reusing the evaluator's retained state when the
 //     optimizer differentiates at the point it just evaluated — the common
 //     case, costing zero re-evaluations) and finite-differences only the
-//     leading substitution/mixture coordinates through evaluateMany.
+//     leading substitution/mixture coordinates through value().
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -48,7 +40,6 @@
 
 #include "core/context.hpp"
 #include "core/engine.hpp"
-#include "core/scheduler.hpp"
 #include "lik/branch_site_likelihood.hpp"
 #include "model/model_spec.hpp"
 #include "model/site_mixture.hpp"
@@ -138,60 +129,34 @@ class ParameterLayout {
 
 class LikelihoodObjective final : public opt::ObjectiveFunction {
  public:
-  /// `evaluator` is the fit's main evaluator over `context`'s data
-  /// (caller-owned; both must outlive this object).  `poolOptions`
-  /// configures probe evaluators — pass the fit's resolved engine options;
-  /// numThreads is forced to 1, since the parallelism moves up to the
-  /// coordinate fan-out.  `fanWorkers` <= 1 disables the pool (every probe
-  /// runs on the main evaluator).
+  /// `evaluator` is the fit's evaluator over `context`'s data
+  /// (caller-owned; both must outlive this object).
   LikelihoodObjective(lik::BranchSiteLikelihood& evaluator,
                       const AnalysisContext& context, ParameterLayout layout,
-                      lik::LikelihoodOptions poolOptions, GradientMode mode,
-                      ParallelPolicy policy, int fanWorkers);
+                      GradientMode mode);
 
   double value(std::span<const double> x) override;
-  std::vector<double> evaluateMany(
-      const std::vector<std::vector<double>>& points) override;
   opt::GradientResult valueAndGradient(
       std::span<const double> x, std::span<double> grad,
       const opt::GradientOptions& options) override;
 
-  /// Engine counters of the whole fit: the main evaluator plus every pool
-  /// evaluator, merged in fixed (pool-index) order.
-  lik::EvalCounters counters() const;
-
   GradientMode mode() const noexcept { return mode_; }
-  int poolSize() const noexcept { return static_cast<int>(pool_.size()); }
 
  private:
-  /// Apply point x to an evaluator — build its mixture, set every branch
-  /// length — and return the mixture to evaluate.  Self-contained (pool
-  /// evaluators start wherever the previous probe left them); throws
+  /// Apply point x to the evaluator — build its mixture, set every branch
+  /// length — and return the mixture to evaluate.  Throws
   /// std::invalid_argument for infeasible points.
-  model::MixtureSpec prepare(lik::BranchSiteLikelihood& evaluator,
-                             std::span<const double> x) const;
-  double evalOn(lik::BranchSiteLikelihood& evaluator,
-                std::span<const double> x);
-  /// Whether a batch of numPoints would be fanned across the probe pool
-  /// under the policy.
-  bool wouldFan(int numPoints) const;
-  void ensurePool(int evaluators);
+  model::MixtureSpec prepare(std::span<const double> x) const;
 
-  lik::BranchSiteLikelihood& main_;
+  lik::BranchSiteLikelihood& eval_;
   const AnalysisContext& context_;
   ParameterLayout layout_;
-  lik::LikelihoodOptions poolOptions_;
   GradientMode mode_;
-  ParallelPolicy policy_;
-  int fanWorkers_;
 
-  std::unique_ptr<TaskScheduler> scheduler_;  // created on first fan-out
-  std::vector<std::unique_ptr<lik::BranchSiteLikelihood>> pool_;
-
-  // The last point value() evaluated on the main evaluator (and whether the
-  // evaluator's retained state is valid for it) — the analytic gradient
-  // reuses that state instead of re-evaluating when BFGS differentiates at
-  // the point the line search just accepted.
+  // The last point value() evaluated (and whether the evaluator's retained
+  // state is valid for it) — the analytic gradient reuses that state
+  // instead of re-evaluating when BFGS differentiates at the point the line
+  // search just accepted.
   std::vector<double> lastX_;
   bool lastValid_ = false;
 };

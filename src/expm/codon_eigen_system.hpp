@@ -47,6 +47,8 @@ class CodonEigenSystem {
   /// zero diagonal (an exchangeability matrix, possibly pre-scaled); `pi`
   /// strictly positive summing to 1.
   CodonEigenSystem(const linalg::Matrix& s, std::span<const double> pi);
+  /// An empty system (n() == 0), to be assigned a decomposed one.
+  CodonEigenSystem() = default;
 
   std::size_t n() const noexcept { return eig_.vectors.rows(); }
   const linalg::Vector& eigenvalues() const noexcept { return eig_.values; }

@@ -94,8 +94,13 @@ BranchSiteLikelihood::BranchSiteLikelihood(
   const int threads = options_.numThreads == 1
                           ? 1
                           : support::resolveThreadCount(options_.numThreads);
-  if (threads > 1) pool_ = std::make_unique<support::ThreadPool>(threads);
+  pool_ = std::make_unique<support::ThreadPool>(threads);
   workspaces_.resize(threads);
+  for (SweepWorkspace& ws : workspaces_) {
+    ws.expm.y.resize(n_, n_);
+    ws.expm.expDiag.assign(n_, 0.0);
+    ws.square.resize(n_, n_);
+  }
 
   totalWeight_ = 0;
   for (double w : patterns_.weights) totalWeight_ += w;
@@ -105,12 +110,11 @@ void BranchSiteLikelihood::setAllBranchLengths(double t) {
   for (int k = 0; k < numBranches(); ++k) setBranchLength(k, t);
 }
 
-void BranchSiteLikelihood::buildPropagator(int eigenIdx, double t,
-                                           Matrix& out) {
-  if (out.rows() != static_cast<std::size_t>(n_)) out.resize(n_, n_);
+void BranchSiteLikelihood::buildPropagator(int eigenIdx, double t, Matrix& out,
+                                           SweepWorkspace& ws) const {
   const expm::CodonEigenSystem& es = eigenSystems_[eigenIdx];
   if (options_.propagation == PropagationStrategy::PerSiteGemv) {
-    es.transitionMatrix(t, options_.reconstruction, backend_.ops, expmWs_, out);
+    es.transitionMatrix(t, options_.reconstruction, backend_.ops, ws.expm, out);
     return;
   }
   // BundledGemm stores P *transposed*: the panel product W P^T then runs as
@@ -118,61 +122,68 @@ void BranchSiteLikelihood::buildPropagator(int eigenIdx, double t,
   // with FMAs instead of doing horizontal-reduction dot products — much
   // faster for large pattern panels.  The O(n^2) transpose is paid once per
   // build and amortized over every pattern (and every cache hit).
-  if (transposeScratch_.rows() != static_cast<std::size_t>(n_))
-    transposeScratch_.resize(n_, n_);
-  es.transitionMatrix(t, options_.reconstruction, backend_.ops, expmWs_,
-                     transposeScratch_);
-  linalg::transposeInto(transposeScratch_, out);
-}
-
-const Matrix& BranchSiteLikelihood::propagator(int node, int omegaIdx) {
-  const std::size_t key = propIndex(node, omegaIdx);
-  if (propPtr_[key]) return *propPtr_[key];
-
-  const int eigenIdx = omegaToEigen_[omegaIdx];
-  const double t = tree_.branchLength(node);
-
-  if (shard_) {
-    const PropagatorCacheShard::Key ck{eigenIdx, std::bit_cast<std::uint64_t>(t)};
-    auto it = shard_->entries.find(ck);
-    if (it == shard_->entries.end()) {
-      // A full cache is flushed at the start of the *next* evaluation:
-      // entries inserted this evaluation may already be referenced through
-      // propPtr_, so they must stay addressable until the sweep finishes.
-      if (shard_->entries.size() >= PropagatorCacheShard::kCapacity)
-        shard_->flushNextEval = true;
-      Matrix p;
-      buildPropagator(eigenIdx, t, p);
-      ++counters_.propagatorBuilds;
-      ++counters_.propagatorCacheMisses;
-      it = shard_->entries.emplace(ck, std::move(p)).first;
-    } else {
-      ++counters_.propagatorCacheHits;
-    }
-    propPtr_[key] = &it->second;
-    return it->second;
-  }
-
-  Matrix& out = propCache_[key];
-  buildPropagator(eigenIdx, t, out);
-  ++counters_.propagatorBuilds;
-  propPtr_[key] = &out;
-  return out;
+  es.transitionMatrix(t, options_.reconstruction, backend_.ops, ws.expm,
+                     ws.square);
+  linalg::transposeInto(ws.square, out);
 }
 
 void BranchSiteLikelihood::prebuildPropagators() {
   const std::size_t propSlots =
       static_cast<std::size_t>(tree_.numNodes()) * numOmegas_;
   if (missingRows_.rows() != propSlots) missingRows_.resize(propSlots, n_);
+  buildSlots_.clear();
   for (int node : branchNodes_) {
     const int branchClass = tree_.node(node).mark;
+    const double t = tree_.branchLength(node);
     for (int m = 0; m < numClasses_; ++m) {
-      const int omegaIdx = activeClasses_[m].omegaFor(branchClass);
-      const std::size_t slot = propIndex(node, omegaIdx);
+      const std::size_t slot =
+          propIndex(node, activeClasses_[m].omegaFor(branchClass));
       if (propPtr_[slot]) continue;  // an earlier class reads the same slot
-      const Matrix& prop = propagator(node, omegaIdx);
-      if (leafHasMissing_[node])
-        propagateBranch(prop, onesRow_.view(), missingRows_.rowBlock(slot, 1));
+      if (!shard_) {
+        Matrix& out = propCache_[slot];
+        if (out.rows() != static_cast<std::size_t>(n_)) out.resize(n_, n_);
+        propPtr_[slot] = &out;
+        buildSlots_.push_back(slot);
+        continue;
+      }
+      // A slot whose key another slot reserved earlier in this evaluation
+      // hits the entry that slot's task builds.
+      const PropagatorCacheShard::Key ck{static_cast<int>(slot % numOmegas_),
+                                         std::bit_cast<std::uint64_t>(t)};
+      auto it = shard_->entries.find(ck);
+      if (it == shard_->entries.end()) {
+        // A full cache is flushed at the start of the *next* evaluation:
+        // entries inserted this evaluation may already be referenced through
+        // propPtr_, so they must stay addressable until the sweep finishes.
+        if (shard_->entries.size() >= PropagatorCacheShard::kCapacity)
+          shard_->flushNextEval = true;
+        it = shard_->entries.emplace(ck, Matrix(n_, n_)).first;
+        ++counters_.propagatorCacheMisses;
+        buildSlots_.push_back(slot);
+      } else {
+        ++counters_.propagatorCacheHits;
+      }
+      propPtr_[slot] = &it->second;
+    }
+  }
+  counters_.propagatorBuilds += static_cast<std::int64_t>(buildSlots_.size());
+
+  const auto build = [&](int i, int worker) {
+    const std::size_t slot = buildSlots_[i];
+    buildPropagator(static_cast<int>(slot % numOmegas_),
+                    tree_.branchLength(static_cast<int>(slot / numOmegas_)),
+                    *propPtr_[slot], workspaces_[worker]);
+  };
+  pool_->parallelFor(static_cast<int>(buildSlots_.size()), std::cref(build));
+
+  // After every build: a slot that hit may read another slot's entry.
+  for (int node : branchNodes_) {
+    if (!leafHasMissing_[node]) continue;
+    for (int e = 0; e < numOmegas_; ++e) {
+      const std::size_t slot = static_cast<std::size_t>(node) * numOmegas_ + e;
+      if (propPtr_[slot])
+        propagateBranch(*propPtr_[slot], onesRow_.view(),
+                        missingRows_.rowBlock(slot, 1));
     }
   }
 }
@@ -358,11 +369,9 @@ void BranchSiteLikelihood::forEachGroupBlock(
     for (int m : classGroups_[task / numBlocks])
       perClass(m, h0, std::min(blockMax_, npat_ - h0), ws);
   };
-  if (pool_) {
-    pool_->parallelFor(numTasks, runTask);
-  } else {
-    for (int task = 0; task < numTasks; ++task) runTask(task, 0);
-  }
+  // std::cref keeps the std::function parallelFor takes from copying (and
+  // allocating) the closure; the same holds for the build loops.
+  pool_->parallelFor(numTasks, std::cref(runTask));
   // Deterministic merge of the per-worker counters.
   for (auto& ws : workspaces_) {
     counters_.patternPropagations += ws.patternPropagations;
@@ -409,8 +418,8 @@ void BranchSiteLikelihood::prepareEigenSystems(const MixtureSpec& spec) {
            std::memcmp(a.data(), spec.scaledS[k].data(),
                        a.size() * sizeof(double)) == 0;
   };
-  eigenSystems_.clear();
   omegaToEigen_.assign(numOmegas_, -1);
+  int numEigen = 0;
   for (int k = 0; k < numOmegas_; ++k) {
     int found = -1;
     for (int j = 0; j < k; ++j)
@@ -418,13 +427,19 @@ void BranchSiteLikelihood::prepareEigenSystems(const MixtureSpec& spec) {
         found = omegaToEigen_[j];
         break;
       }
-    if (found < 0) {
-      eigenSystems_.emplace_back(spec.scaledS[k], pi_);
-      ++counters_.eigenDecompositions;
-      found = static_cast<int>(eigenSystems_.size()) - 1;
-    }
-    omegaToEigen_[k] = found;
+    omegaToEigen_[k] = found < 0 ? numEigen++ : found;
   }
+  // Eigensystem e comes from the first omega slot mapped to it; each task
+  // assigns only its own entry.
+  eigenSystems_.clear();
+  eigenSystems_.resize(numEigen);
+  const auto decompose = [&](int e, int) {
+    const auto k = std::find(omegaToEigen_.begin(), omegaToEigen_.end(), e) -
+                   omegaToEigen_.begin();
+    eigenSystems_[e] = expm::CodonEigenSystem(spec.scaledS[k], pi_);
+  };
+  pool_->parallelFor(numEigen, std::cref(decompose));
+  counters_.eigenDecompositions += numEigen;
 
   if (shard_) {
     shard_->specOmegas = spec.omegas;
@@ -462,7 +477,7 @@ void BranchSiteLikelihood::computeClassLikelihoods(const MixtureSpec& spec) {
   prepareEigenSystems(spec);
   planSharing();
 
-  // Propagators depend on branch lengths and omega: rebuild lazily.
+  // Propagators depend on branch lengths and omega: resolve every slot anew.
   const std::size_t propSlots =
       static_cast<std::size_t>(tree_.numNodes()) * numOmegas_;
   if (!options_.cachePropagators) propCache_.resize(propSlots);
@@ -592,39 +607,34 @@ void BranchSiteLikelihood::buildGradientPropagators() {
   gradDerivT_.resize(propSlots);
   if (gradMissingDerivRows_.rows() != propSlots)
     gradMissingDerivRows_.resize(propSlots, n_);
-  std::vector<char> built(propSlots, 0);
-  Matrix dp(n_, n_);
-  for (int node : branchNodes_) {
-    const int branchClass = tree_.node(node).mark;
-    for (int m = 0; m < numClasses_; ++m) {
-      const auto& cls = activeClasses_[m];
-      const int omegaIdx = cls.omegaFor(branchClass);
-      const std::size_t slot = propIndex(node, omegaIdx);
-      if (built[slot]) continue;
-      built[slot] = 1;
-      const int eigenIdx = omegaToEigen_[omegaIdx];
-      // The evaluation's propagator table (still addressable — the gradient
-      // runs on the retained state of the last evaluation) holds P^T under
-      // BundledGemm and P under PerSiteGemv for every slot visited here.
-      const Matrix* stored = propPtr_[slot];
-      SLIM_REQUIRE(stored != nullptr,
-                   "gradient: propagator missing from the last evaluation");
-      if (bundled) {
-        Matrix& p = gradProp_[slot];
-        if (p.rows() != static_cast<std::size_t>(n_)) p.resize(n_, n_);
-        linalg::transposeInto(*stored, p);
-      }
-      Matrix& dT = gradDerivT_[slot];
-      if (dT.rows() != static_cast<std::size_t>(n_)) dT.resize(n_, n_);
-      eigenSystems_[eigenIdx].derivativeMatrix(tree_.branchLength(node),
-                                               backend_.ops, expmWs_, dp);
-      linalg::transposeInto(dp, dT);
-      ++counters_.propagatorBuilds;
-      if (leafHasMissing_[node])
-        linalg::gemm(backend_.ops, onesRow_.view(), dT.view(),
-                     gradMissingDerivRows_.rowBlock(slot, 1));
-    }
+  // The slots the last evaluation resolved — still addressable, since the
+  // gradient runs on its retained state — with their tables sized here.
+  const auto n = static_cast<std::size_t>(n_);
+  buildSlots_.clear();
+  for (std::size_t slot = 0; slot < propSlots; ++slot) {
+    if (!propPtr_[slot]) continue;
+    buildSlots_.push_back(slot);
+    if (bundled && gradProp_[slot].rows() != n) gradProp_[slot].resize(n, n);
+    if (gradDerivT_[slot].rows() != n) gradDerivT_[slot].resize(n, n);
   }
+  counters_.propagatorBuilds += static_cast<std::int64_t>(buildSlots_.size());
+
+  // A slot's tables read only its own stored propagator (P^T under
+  // BundledGemm, P under PerSiteGemv), so one task does all of them.
+  const auto build = [&](int i, int worker) {
+    const std::size_t slot = buildSlots_[i];
+    const auto node = static_cast<int>(slot / numOmegas_);
+    SweepWorkspace& ws = workspaces_[worker];
+    if (bundled) linalg::transposeInto(*propPtr_[slot], gradProp_[slot]);
+    eigenSystems_[slot % numOmegas_].derivativeMatrix(
+        tree_.branchLength(node), backend_.ops, ws.expm, ws.square);
+    Matrix& dT = gradDerivT_[slot];
+    linalg::transposeInto(ws.square, dT);
+    if (leafHasMissing_[node])
+      linalg::gemm(backend_.ops, onesRow_.view(), dT.view(),
+                   gradMissingDerivRows_.rowBlock(slot, 1));
+  };
+  pool_->parallelFor(static_cast<int>(buildSlots_.size()), std::cref(build));
 }
 
 void BranchSiteLikelihood::gradientUpPass(int m, int h0, int len,

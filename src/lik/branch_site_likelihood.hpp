@@ -192,10 +192,9 @@ class BranchSiteLikelihood {
   const EvalCounters& counters() const noexcept { return counters_; }
   void resetCounters() noexcept { counters_ = {}; }
 
-  /// Threads actually used by the pattern-block sweep.
-  int numThreads() const noexcept {
-    return pool_ ? pool_->numThreads() : 1;
-  }
+  /// Threads of the evaluator's pool: the eigendecompositions, the
+  /// propagator builds and the pattern-block sweeps all run on it.
+  int numThreads() const noexcept { return pool_->numThreads(); }
   /// The SIMD level options().simd resolved to at construction (Scalar when
   /// the flavor is Naive — the baseline loop nests are never vectorized).
   linalg::SimdLevel simdLevel() const noexcept { return backend_.simdLevel; }
@@ -213,15 +212,18 @@ class BranchSiteLikelihood {
   }
 
  private:
-  // Per-worker scratch for one (sharing group, pattern block) task of
-  // either sweep.  The down pass holds one class's panel set at a time;
-  // downTag/prodTag name the representative class whose values a panel
-  // holds (-1: none), so a later class of the same task reads a panel
-  // instead of recomputing it.  Concurrent tasks share nothing mutable, and
-  // results land in slots addressed by pattern index, which keeps every
-  // reduction order — and so lnL and the gradient — independent of the
-  // thread count and the block size.
+  // Per-worker scratch for one propagator build or one (sharing group,
+  // pattern block) task of either sweep.  The down pass holds one class's
+  // panel set at a time; downTag/prodTag name the representative class
+  // whose values a panel holds (-1: none), so a later class of the same
+  // task reads a panel instead of recomputing it.  Concurrent tasks share
+  // nothing mutable, and results land in slots addressed by pattern index
+  // or propagator slot, which keeps every reduction order — and so lnL and
+  // the gradient — independent of the thread count and the block size.
   struct SweepWorkspace {
+    // Build scratch, sized at construction so no worker allocates it.
+    expm::ExpmWorkspace expm;
+    linalg::Matrix square;  // n x n: P before its transpose, or dP
     std::vector<linalg::Matrix> down;         // per internal node: CPV panel
     std::vector<std::vector<double>> sDown;   // per node: subtree scale log
     std::vector<linalg::Matrix> prod;         // per non-root node: P * CPV
@@ -254,9 +256,10 @@ class BranchSiteLikelihood {
   // logLikelihoodGradientBranches / gradientBranchesAtLastEvaluation).
   double gradientBranchesFromState(std::span<double> gradT);
 
-  // Build P (BundledGemm's other layout) and dP^T for every (branch node,
-  // eigensystem) the active classes reference; the down pass reads the
-  // stored propagators and missingRows_ themselves.
+  // Build P (BundledGemm's other layout), dP^T and the missing dP row for
+  // every (branch node, eigensystem) slot the last evaluation resolved, one
+  // slot per worker task; the down pass reads the stored propagators and
+  // missingRows_ themselves.
   void buildGradientPropagators();
 
   // Up (pre-order) pass of the gradient for site class m over patterns
@@ -270,7 +273,8 @@ class BranchSiteLikelihood {
 
   // (Re)build eigenSystems_ / omegaToEigen_ for the spec, reusing them — and
   // keeping the propagator cache — when the spec is unchanged since the last
-  // evaluation and caching is enabled.
+  // evaluation and caching is enabled.  The distinct omega slots are found
+  // serially and decomposed on the workers.
   void prepareEigenSystems(const model::MixtureSpec& spec);
 
   // Site-class sharing for the active spec, from omegaToEigen_: the
@@ -283,8 +287,11 @@ class BranchSiteLikelihood {
       const std::function<void(int, int, int, SweepWorkspace&)>& perClass);
 
   // Build every propagator the sweep will read, and the missing-codon rows
-  // of the leaves that need them (serial, so the parallel region only ever
-  // reads propPtr_ and missingRows_).
+  // of the leaves that need them.  Each (branch node, eigensystem) slot is
+  // resolved serially — cache lookup or reservation, a sized table,
+  // propPtr_, the counters — and the missing tables are then built on the
+  // workers, each writing only its own.  The missing-codon rows come last,
+  // since a slot may read a cache entry another slot's task built.
   void prebuildPropagators();
 
   // Row `state` of a P^T-layout table — a leaf's one-hot panel row times
@@ -307,12 +314,10 @@ class BranchSiteLikelihood {
   // straight into the parent's panel.
   void downPass(int m, int h0, int len, bool keepLeaves, SweepWorkspace& ws);
 
-  // Ensure the propagator for (branch node, omega class) is built.
-  const linalg::Matrix& propagator(int node, int omegaIdx);
-
-  // The strategy's stored propagator at branch length t: P for
-  // per-site-gemv, P^T for bundled-gemm.
-  void buildPropagator(int eigenIdx, double t, linalg::Matrix& out);
+  // The strategy's stored propagator at branch length t into the n x n
+  // `out`: P for per-site-gemv, P^T for bundled-gemm.
+  void buildPropagator(int eigenIdx, double t, linalg::Matrix& out,
+                       SweepWorkspace& ws) const;
 
   // Propagate a panel of internal-node CPVs (or onesRow_) through one
   // branch (strategy dispatch).
@@ -323,7 +328,8 @@ class BranchSiteLikelihood {
   // The propagator slot of (branch node, omega slot): omega slots that share
   // an eigensystem (omega2 = omega1 = 1 under the model A null) share one
   // slot, so each (branch, eigensystem) pair gets one P, one dP and one
-  // missing-codon row.
+  // missing-codon row.  slot / numOmegas_ is the node, slot % numOmegas_
+  // the eigensystem.
   std::size_t propIndex(int node, int omegaIdx) const noexcept {
     return static_cast<std::size_t>(node) * numOmegas_ +
            omegaToEigen_[omegaIdx];
@@ -352,9 +358,10 @@ class BranchSiteLikelihood {
   std::vector<char> leafHasMissing_;  // any kMissingState in leafState_[id]
   linalg::Matrix onesRow_;            // 1 x n, the missing codon's panel row
 
-  // Parallel sweep machinery.
-  std::unique_ptr<support::ThreadPool> pool_;  // null: single-threaded
-  std::vector<SweepWorkspace> workspaces_;     // one per worker, both sweeps
+  // The evaluator's workers (a 1-thread pool runs its tasks inline) and
+  // their scratch, one workspace per worker.
+  std::unique_ptr<support::ThreadPool> pool_;
+  std::vector<SweepWorkspace> workspaces_;
 
   // Per-evaluation state, set from the active MixtureSpec.
   int numClasses_ = 0;
@@ -364,14 +371,14 @@ class BranchSiteLikelihood {
   std::vector<expm::CodonEigenSystem> eigenSystems_;  // per distinct omega
   std::vector<int> omegaToEigen_;
   std::vector<linalg::Matrix> propCache_;  // uncached-mode propagator storage
-  std::vector<const linalg::Matrix*> propPtr_;  // propIndex -> built prop
+  std::vector<linalg::Matrix*> propPtr_;   // propIndex -> resolved prop
+  // The slots a build phase hands to the workers (reused across calls).
+  std::vector<std::size_t> buildSlots_;
   // Row propIndex(node, omega): onesRow_ through that propagator, for the
   // leaves with missing codons (other rows unused).  A 1-row call of the
   // table gives the panel row's bits, since output row i of a product
   // depends only on input row i.
   linalg::Matrix missingRows_;
-  expm::ExpmWorkspace expmWs_;
-  linalg::Matrix transposeScratch_;  // BundledGemm builds P here, stores P^T
 
   // Site-class sharing, [m * numNodes + node]: nodeRep_ is the lowest class
   // reading the same eigensystem as class m on every edge below the node,

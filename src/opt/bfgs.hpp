@@ -11,8 +11,8 @@
 //
 // The driver consumes the derivative-aware opt::ObjectiveFunction contract
 // (opt/objective.hpp): gradients come from the objective's valueAndGradient
-// — analytic where the objective provides them, finite differences routed
-// through evaluateMany (and hence batchable across workers) otherwise.
+// — analytic where the objective provides them, finite differences over
+// value() otherwise.
 // Legacy std::function objectives run through the CallableObjective shim via
 // the convenience overload.
 //

@@ -6,13 +6,6 @@
 
 namespace slim::opt {
 
-std::vector<double> ObjectiveFunction::evaluateMany(
-    const std::vector<std::vector<double>>& points) {
-  std::vector<double> values(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) values[i] = value(points[i]);
-  return values;
-}
-
 GradientResult ObjectiveFunction::valueAndGradient(
     std::span<const double> x, std::span<double> grad,
     const GradientOptions& options) {
@@ -34,29 +27,20 @@ void fdGradient(ObjectiveFunction& f, std::span<const double> x, double f0,
   const std::size_t n = grad.size();
   SLIM_REQUIRE(n <= x.size(), "gradient size mismatch");
 
-  // Probe points in coordinate order: x + h_i e_i (and x - h_i e_i when
-  // central), batched into one evaluateMany so a parallel objective can fan
-  // them across workers.  The assembly below consumes the returned values in
-  // the same fixed order, so serial and fanned execution agree bit for bit.
-  std::vector<double> h(n);
-  std::vector<std::vector<double>> points;
-  points.reserve(central ? 2 * n : n);
-  const std::vector<double> base(x.begin(), x.end());
+  std::vector<double> probe(x.begin(), x.end());
   for (std::size_t i = 0; i < n; ++i) {
-    h[i] = relStep * std::max(std::fabs(x[i]), 1.0);
-    points.push_back(base);
-    points.back()[i] = x[i] + h[i];
+    const double h = relStep * std::max(std::fabs(x[i]), 1.0);
+    probe[i] = x[i] + h;
+    const double fPlus = f.value(probe);
     if (central) {
-      points.push_back(base);
-      points.back()[i] = x[i] - h[i];
+      probe[i] = x[i] - h;
+      grad[i] = (fPlus - f.value(probe)) / (2.0 * h);
+    } else {
+      grad[i] = (fPlus - f0) / h;
     }
+    probe[i] = x[i];
   }
-  const std::vector<double> values = f.evaluateMany(points);
-  evals += static_cast<long>(points.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    grad[i] = central ? (values[2 * i] - values[2 * i + 1]) / (2.0 * h[i])
-                      : (values[i] - f0) / h[i];
-  }
+  evals += static_cast<long>(central ? 2 * n : n);
 }
 
 void fdGradient(const Objective& f, std::span<const double> x, double f0,

@@ -2,25 +2,21 @@
 // The derivative-aware objective contract between the optimizers and the
 // likelihood layer.
 //
-// PR 2 left the optimizer boundary a scalar callback: every gradient was
-// numParams + 1 independent likelihood evaluations, and the evaluator had no
-// way to tell the optimizer about derivatives it can compute analytically or
-// to batch independent probe points.  ObjectiveFunction makes both
-// first-class:
+// A scalar callback would make every gradient numParams + 1 independent
+// likelihood evaluations, with no way for the evaluator to tell the
+// optimizer about derivatives it can compute analytically.
+// ObjectiveFunction makes that first-class:
 //
-//   * value(x)                 — one objective evaluation (the old contract);
-//   * evaluateMany(points)     — batched multi-point evaluation.  The default
-//     is a sequential value() loop; implementations may fan the points across
-//     workers (core::LikelihoodObjective runs one single-threaded evaluator
-//     per worker), but must return exactly the values the sequential loop
-//     would — bit for bit — so batching never changes an optimization
-//     trajectory;
+//   * value(x)                 — one objective evaluation;
 //   * valueAndGradient(x, g)   — the gradient, reporting through
 //     GradientResult *which* coordinates carried analytic derivatives and how
 //     many objective evaluations / analytic sweeps the computation consumed.
-//     The default implementation is finite differences routed through
-//     evaluateMany, so a batching objective parallelizes FD gradients with no
-//     optimizer changes.
+//     The default implementation is finite differences, one value() call per
+//     probe point.
+//
+// Parallelism lives below this interface (core::LikelihoodObjective's
+// evaluator runs each evaluation on its own thread pool) or above it (whole
+// fits fanned across workers), never in the probe sequence itself.
 //
 // minimizeBfgs consumes this interface; legacy std::function objectives are
 // adapted by CallableObjective (or the convenience overload in bfgs.hpp).
@@ -69,21 +65,15 @@ class ObjectiveFunction {
   /// Evaluate f at x.  May return +infinity / NaN for infeasible points.
   virtual double value(std::span<const double> x) = 0;
 
-  /// Evaluate f at every point; element i of the result is f(points[i]).
-  /// Overrides may evaluate concurrently but must return values identical to
-  /// the sequential value() loop.
-  virtual std::vector<double> evaluateMany(
-      const std::vector<std::vector<double>>& points);
-
   /// Fill grad with the gradient of f at x and return what was done.  The
-  /// default finite-differences every coordinate through evaluateMany.
+  /// default finite-differences every coordinate through value().
   virtual GradientResult valueAndGradient(std::span<const double> x,
                                           std::span<double> grad,
                                           const GradientOptions& options);
 };
 
 /// Adapts a legacy std::function objective onto the interface (no analytic
-/// derivatives, sequential evaluateMany).  Owns a copy of the callable, so
+/// derivatives).  Owns a copy of the callable, so
 /// adapting a temporary (e.g. a lambda converted at the call site) is safe.
 class CallableObjective final : public ObjectiveFunction {
  public:
@@ -94,9 +84,10 @@ class CallableObjective final : public ObjectiveFunction {
   Objective f_;
 };
 
-/// Finite-difference gradient of f at x where f0 = f(x), with all probe
-/// points routed through one evaluateMany call; evals is incremented by the
-/// number of probe evaluations.  Steps are relStep * max(|x_i|, 1).
+/// Finite-difference gradient of f at x where f0 = f(x), probing the
+/// coordinates in order through value(): x + h_i e_i, then x - h_i e_i when
+/// central.  evals is incremented by the number of probe evaluations.
+/// Steps are relStep * max(|x_i|, 1).
 /// Differentiates the leading grad.size() coordinates (grad.size() may be
 /// smaller than x.size() — how hybrid objectives finite-difference only
 /// their non-analytic block with the same step rule as a full FD gradient).

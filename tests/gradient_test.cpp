@@ -1,11 +1,11 @@
 // The derivative-aware objective API: analytic branch-length gradients and
-// parallel multi-point (finite-difference) evaluation.
+// finite-difference gradients on threaded evaluators.
 //
 //  * correctness: analytic d lnL / d t matches central finite differences at
 //    random feasible points, under both hypothesis parameterizations, with
 //    and without missing codons, and across engine presets / thread counts;
-//  * determinism: fd's probe fan-out returns bit-identical gradients to the
-//    serial fd path for every worker count;
+//  * determinism: values, fd and analytic gradients, whole fits and every
+//    work counter are bit-identical for every evaluator thread count;
 //  * end-to-end: full H0/H1 fits reach the same maximum under both
 //    GradientModes, with `analytic` cutting likelihood evaluations per
 //    converged fit by >= 3x versus `fd` (the whole point of the API).
@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/analysis.hpp"
@@ -153,84 +154,119 @@ TEST(AnalyticGradient, BitIdenticalAcrossThreadCountsAndEngines) {
   }
 }
 
-// ---------- fd probe fan-out bit-identity ----------
+// ---------- threaded fits: one evaluator, every thread count ----------
 
-TEST(FdProbeFanOut, BitIdenticalToSerialForEveryWorkerCount) {
+// A fit's threads are its evaluator's pool, which decomposes, builds and
+// sweeps every evaluation and FD probe in parallel; the value, the gradient
+// and every work counter are those of the 1-thread run.
+TEST(ThreadedFits, ObjectiveMatchesOneThreadForEveryThreadCountAndBlockSize) {
   const auto d = makeData(7, 40, 17);
   const BranchSiteParams p;
-  auto likOptions = lik::slimParallelOptions();
-  likOptions.numThreads = 1;
   const auto ctx = core::AnalysisContext::create(
       d.codons, d.tree, core::EngineKind::SlimParallel);
+  struct Mode {
+    GradientMode gradient;
+    bool central;
+    const char* name;
+  };
+  for (const Mode mode : {Mode{GradientMode::FiniteDiff, false, "fd forward"},
+                          Mode{GradientMode::FiniteDiff, true, "fd central"},
+                          Mode{GradientMode::Analytic, false, "analytic"}}) {
+    double refValue = 0;
+    std::vector<double> refGrad;
+    lik::EvalCounters refCounters;
+    for (int threads : {1, 2, 8}) {
+      for (int blockSize : {0, 7, 64}) {
+        auto options = lik::slimParallelOptions();
+        options.numThreads = threads;
+        options.blockSize = blockSize;
+        lik::BranchSiteLikelihood eval(ctx->alignment(), ctx->patterns(),
+                                       ctx->pi(), ctx->tree(), Hypothesis::H1,
+                                       options);
+        const int numBranches = eval.numBranches();
+        const core::ParameterLayout layout(model::ModelSpec::branchSite(),
+                                           Hypothesis::H1, numBranches);
+        std::vector<double> lengths(numBranches);
+        for (int k = 0; k < numBranches; ++k) lengths[k] = eval.branchLength(k);
+        const std::vector<double> x0 = layout.pack({p, {}}, lengths);
 
-  // Serial fd reference on a plain evaluator, over the branch-site H1
-  // layout (every coordinate finite-differenced).
-  lik::BranchSiteLikelihood refEval(ctx->alignment(), ctx->patterns(),
-                                    ctx->pi(), ctx->tree(), Hypothesis::H1,
-                                    likOptions);
-  const int numBranches = refEval.numBranches();
-  const core::ParameterLayout layout(model::ModelSpec::branchSite(),
-                                     Hypothesis::H1, numBranches);
-  std::vector<double> lengths(numBranches);
-  for (int k = 0; k < numBranches; ++k) lengths[k] = refEval.branchLength(k);
-  const std::vector<double> x0 = layout.pack({p, {}}, lengths);
-
-  core::LikelihoodObjective serial(refEval, *ctx, layout, likOptions,
-                                   GradientMode::FiniteDiff,
-                                   core::ParallelPolicy::Auto, 1);
-  const double f0 = serial.value(x0);
-  std::vector<double> refGrad(x0.size());
-  for (bool central : {false, true}) {
-    const auto refResult =
-        serial.valueAndGradient(x0, refGrad, {1e-7, central, f0});
-    EXPECT_EQ(refResult.analyticCoordinates, 0);
-
-    for (int workers : {1, 2, 8}) {
-      lik::BranchSiteLikelihood eval(ctx->alignment(), ctx->patterns(),
-                                     ctx->pi(), ctx->tree(), Hypothesis::H1,
-                                     likOptions);
-      core::LikelihoodObjective fanned(eval, *ctx, layout, likOptions,
-                                       GradientMode::FiniteDiff,
-                                       core::ParallelPolicy::TaskLevel,
-                                       workers);
-      EXPECT_EQ(fanned.value(x0), f0) << workers;
-      std::vector<double> grad(x0.size());
-      fanned.valueAndGradient(x0, grad, {1e-7, central, f0});
-      EXPECT_EQ(grad, refGrad) << "workers=" << workers
-                               << " central=" << central;
-      if (workers > 1) {
-        EXPECT_GT(fanned.poolSize(), 0) << workers;
-      } else {
-        EXPECT_EQ(fanned.poolSize(), 0);
+        core::LikelihoodObjective objective(eval, *ctx, layout, mode.gradient);
+        const double f0 = objective.value(x0);
+        std::vector<double> grad(x0.size());
+        const auto result =
+            objective.valueAndGradient(x0, grad, {1e-7, mode.central, f0});
+        EXPECT_EQ(result.analyticCoordinates,
+                  mode.gradient == GradientMode::Analytic ? numBranches : 0);
+        const std::string label = std::string(mode.name) + " threads=" +
+                                  std::to_string(threads) + " blockSize=" +
+                                  std::to_string(blockSize);
+        if (refGrad.empty()) {
+          refValue = f0;
+          refGrad = grad;
+          refCounters = eval.counters();
+          continue;
+        }
+        EXPECT_EQ(f0, refValue) << label;
+        EXPECT_EQ(grad, refGrad) << label;
+        testutil::expectSameCounters(eval.counters(), refCounters, label);
       }
     }
   }
 }
 
-TEST(FdProbeFanOut, FullFitsBitIdenticalToSerialFd) {
-  const auto d = makeData(6, 30, 19);
-  core::FitOptions fd;
-  fd.bfgs.maxIterations = 8;
-  fd.tuning.cachePropagators = 1;
-  fd.tuning.gradient = GradientMode::FiniteDiff;
-  fd.tuning.numThreads = 1;
-  core::BranchSiteAnalysis serial(d.codons, d.tree, core::EngineKind::Slim, fd);
+// Whole H1 fits at threads 2 and 8 repeat the 1-thread fit: the trajectory,
+// the evaluation bill and every engine counter.
+void expectThreadedFitsMatchOneThread(const SimData& d, GradientMode gradient,
+                                      int maxIterations) {
+  core::FitOptions options;
+  options.bfgs.maxIterations = maxIterations;
+  options.tuning.cachePropagators = 1;
+  options.tuning.gradient = gradient;
+  options.tuning.numThreads = 1;
+  core::BranchSiteAnalysis serial(d.codons, d.tree, core::EngineKind::Slim,
+                                  options);
   const auto ref = serial.fit(Hypothesis::H1);
 
-  for (int threads : {1, 2, 8}) {
-    core::FitOptions par = fd;
-    par.tuning.numThreads = threads;
-    par.tuning.policy = core::ParallelPolicy::TaskLevel;
-    core::BranchSiteAnalysis fanned(d.codons, d.tree, core::EngineKind::Slim,
-                                    par);
-    const auto r = fanned.fit(Hypothesis::H1);
-    EXPECT_EQ(r.lnL, ref.lnL) << threads;
-    EXPECT_EQ(r.branchLengths, ref.branchLengths) << threads;
-    EXPECT_EQ(r.iterations, ref.iterations) << threads;
-    EXPECT_EQ(r.functionEvaluations, ref.functionEvaluations) << threads;
-    EXPECT_EQ(r.gradientEvaluations, ref.gradientEvaluations) << threads;
-    EXPECT_EQ(r.counters.evaluations, ref.counters.evaluations) << threads;
+  for (int threads : {2, 8}) {
+    options.tuning.numThreads = threads;
+    core::BranchSiteAnalysis threaded(d.codons, d.tree, core::EngineKind::Slim,
+                                      options);
+    const auto r = threaded.fit(Hypothesis::H1);
+    const std::string label = std::string(core::gradientModeName(gradient)) +
+                              " threads=" + std::to_string(threads);
+    EXPECT_EQ(r.lnL, ref.lnL) << label;
+    EXPECT_EQ(r.branchLengths, ref.branchLengths) << label;
+    EXPECT_EQ(r.iterations, ref.iterations) << label;
+    EXPECT_EQ(r.functionEvaluations, ref.functionEvaluations) << label;
+    EXPECT_EQ(r.gradientEvaluations, ref.gradientEvaluations) << label;
+    testutil::expectSameCounters(r.counters, ref.counters, label);
   }
+}
+
+TEST(ThreadedFits, FdFitsMatchOneThread) {
+  expectThreadedFitsMatchOneThread(makeData(6, 30, 19),
+                                   GradientMode::FiniteDiff, 8);
+}
+
+// The CI smoke gene: a gap, an unknown codon and two sister branches of
+// equal length, fitted until omega0 and p1 approach 0.  There the cache
+// hits of a fit depend on which evaluator ran its previous probes.
+SimData smokeGene() {
+  seqio::Alignment aln;
+  aln.addSequence("human", "ATGGCTAAATTTCCCGGGACTTGCGGAGAT");
+  aln.addSequence("chimp", "ATGGCT---TTCCCCGGGACTTGCGGAGAT");
+  aln.addSequence("gorilla", "ATGGCAAAATTTCCCGGAACTTGTNNNGAC");
+  aln.addSequence("orangutan", "ATGGCTAAGTTTCCAGGGACATGCGGTGAT");
+  aln.addSequence("macaque", "ATGGCGAAGTTTCCAGGAACATGTGGTGAC");
+  SimData d{seqio::encodeCodons(aln, bio::GeneticCode::universal()), {}, {},
+            tree::Tree::parseNewick(
+                "(((human:0.02,chimp:0.02) #1:0.015,gorilla:0.04):0.02,"
+                "(orangutan:0.08,macaque:0.10):0.03);")};
+  return d;
+}
+
+TEST(ThreadedFits, AnalyticFitsMatchOneThread) {
+  expectThreadedFitsMatchOneThread(smokeGene(), GradientMode::Analytic, 50);
 }
 
 // ---------- end-to-end: the modes agree, analytic is cheaper ----------
@@ -238,10 +274,10 @@ TEST(FdProbeFanOut, FullFitsBitIdenticalToSerialFd) {
 TEST(GradientModes, FitsAgreeAndAnalyticCutsEvaluations) {
 #ifdef SLIM_SANITIZED
   // Four full fits run to tight convergence: tens of seconds natively but
-  // tens of minutes under ASan/TSan, and entirely single-threaded (numThreads = 1, no probe
-  // fan-out), so sanitized runs gain no coverage from it.  The threaded
-  // gradient paths are covered by the AnalyticGradient and FdProbeFanOut
-  // suites above.
+  // tens of minutes under ASan/TSan, and entirely single-threaded
+  // (numThreads = 1), so sanitized runs gain no coverage from it.  The
+  // threaded gradient paths are covered by the AnalyticGradient and
+  // ThreadedFits suites above.
   GTEST_SKIP() << "single-threaded convergence marathon skipped under "
                   "sanitizers";
 #endif

@@ -188,6 +188,57 @@ TEST(ParallelEngine, CountersMatchSerialEngine) {
             threaded.counters().patternPropagations);
 }
 
+// The build phases resolve every (branch, eigensystem) slot serially and
+// build on the workers.  Two branches of equal length share a cache key, so
+// the second slot hits the entry the first slot's task builds, and the
+// gapped leaves' missing-codon rows are read from such shared entries after
+// the builds.  Every thread count reproduces the 1-thread results and
+// counters, cache on or off.
+TEST(ParallelEngine, TwoPhaseBuildsMatchOneThread) {
+  Fixture f = makeFixture(/*gapped=*/true);
+  std::vector<int> leaves;  // background leaves, every one of them gapped
+  for (int node : f.tree.branches())
+    if (f.tree.node(node).isLeaf() && f.tree.node(node).mark == 0)
+      leaves.push_back(node);
+  ASSERT_GE(leaves.size(), 2u);
+  f.tree.setBranchLength(leaves[1], f.tree.branchLength(leaves[0]));
+  const BranchSiteParams p = testParams();
+
+  std::pair<double, std::vector<double>> want;
+  SiteClassPosteriors wantPost;
+  for (bool cache : {false, true}) {
+    EvalCounters wantCounters;
+    for (int threads : {1, 2, 8}) {
+      LikelihoodOptions o = withThreads(slimOptions(), threads, /*blockSize=*/7);
+      o.cachePropagators = cache;
+      BranchSiteLikelihood eval(f.alignment, f.patterns, f.pi, f.tree,
+                                Hypothesis::H1, o);
+      const double lnL = eval.logLikelihood(p);
+      if (cache) {
+        // Each background slot of the second leaf hits its twin's entry.
+        EXPECT_GE(eval.counters().propagatorCacheHits, 2) << threads;
+      }
+      const auto got = testutil::lnLAndGradient(eval, p);
+      const SiteClassPosteriors post = eval.siteClassPosteriors(p);
+      EXPECT_EQ(got.first, lnL);
+      const std::string label = std::string(cache ? "cached" : "uncached") +
+                                " threads=" + std::to_string(threads);
+      if (!cache && threads == 1) {
+        want = got;
+        wantPost = post;
+      } else {
+        EXPECT_EQ(got, want) << label;
+        EXPECT_EQ(post.post, wantPost.post) << label;
+        EXPECT_EQ(post.positiveSelection, wantPost.positiveSelection) << label;
+      }
+      if (threads == 1)
+        wantCounters = eval.counters();
+      else
+        testutil::expectSameCounters(eval.counters(), wantCounters, label);
+    }
+  }
+}
+
 // ---------- propagator cache ----------
 
 TEST(PropagatorCache, CachedAndUncachedAgreeExactly) {

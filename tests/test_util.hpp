@@ -77,6 +77,19 @@ inline seqio::Alignment withMissingCodons(const seqio::Alignment& aln,
   return out;
 }
 
+/// EXPECT_EQ on every work counter, each failure naming the counter.
+inline void expectSameCounters(const lik::EvalCounters& got,
+                               const lik::EvalCounters& want,
+                               const std::string& label) {
+  EXPECT_EQ(got.evaluations, want.evaluations) << label;
+  EXPECT_EQ(got.eigenDecompositions, want.eigenDecompositions) << label;
+  EXPECT_EQ(got.propagatorBuilds, want.propagatorBuilds) << label;
+  EXPECT_EQ(got.patternPropagations, want.patternPropagations) << label;
+  EXPECT_EQ(got.gradientSweeps, want.gradientSweeps) << label;
+  EXPECT_EQ(got.propagatorCacheHits, want.propagatorCacheHits) << label;
+  EXPECT_EQ(got.propagatorCacheMisses, want.propagatorCacheMisses) << label;
+}
+
 /// lnL and the analytic branch gradient of an evaluator at p (EXPECT_EQ on
 /// the pair checks both bit for bit).
 inline std::pair<double, std::vector<double>> lnLAndGradient(
