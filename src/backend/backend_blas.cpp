@@ -18,6 +18,7 @@
 #include <cblas.h>
 
 #include <cstddef>
+#include <vector>
 
 namespace slim::backend {
 
@@ -48,34 +49,53 @@ void syrkBlas(const double* y, double* c, std::size_t n, std::size_t k) {
     for (std::size_t j = 0; j < i; ++j) c[i * n + j] = c[j * n + i];
 }
 
+// Element (i, j) of a sandwich's m x n result is stored at c[i * rs +
+// j * cs], (rs, cs) = (n, 1) for the plain layout and (1, m) for the
+// transposed one, as in the other tables.
 void syrkSandwichBlas(const double* y, const double* l, const double* r,
-                      double* p, std::size_t n, std::size_t k) {
+                      double* p, std::size_t n, std::size_t k,
+                      linalg::OutputLayout layout) {
   cblas_dsyrk(CblasRowMajor, CblasUpper, CblasNoTrans, static_cast<int>(n),
               static_cast<int>(k), 1.0, y, static_cast<int>(k), 0.0, p,
               static_cast<int>(n));
   // Mirror + sandwich + clamp in one pass over the upper triangle, keeping
-  // the (l[i] * t) * r[j] association of the scalar reference.
+  // the (l[i] * t) * r[j] association of the scalar reference.  Each pass
+  // reads (i, j) before it writes there, and never reads the lower triangle.
+  const bool plain = layout == linalg::OutputLayout::Plain;
+  const std::size_t rs = plain ? n : 1, cs = plain ? 1 : n;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i; j < n; ++j) {
       const double t = p[i * n + j];
       const double pij = l[i] * t * r[j];
       const double pji = l[j] * t * r[i];
-      p[i * n + j] = pij < 0.0 ? 0.0 : pij;
-      p[j * n + i] = pji < 0.0 ? 0.0 : pji;
+      p[i * rs + j * cs] = pij < 0.0 ? 0.0 : pij;
+      p[j * rs + i * cs] = pji < 0.0 ? 0.0 : pji;
     }
   }
 }
 
 void gemmNTSandwichBlas(const double* a, const double* b, const double* l,
                         const double* r, double* c, std::size_t m,
-                        std::size_t k, std::size_t n, bool clampNegative) {
-  gemmNTBlas(a, b, c, m, k, n);
+                        std::size_t k, std::size_t n, bool clampNegative,
+                        linalg::OutputLayout layout) {
+  // The vendor product lands in c for the plain layout and in a per-thread
+  // scratch for the transposed one, so the scale pass below reads the same
+  // product either way.
+  thread_local std::vector<double> scratch;
+  const bool plain = layout == linalg::OutputLayout::Plain;
+  double* z = c;
+  if (!plain) {
+    scratch.resize(m * n);
+    z = scratch.data();
+  }
+  gemmNTBlas(a, b, z, m, k, n);
+  const std::size_t rs = plain ? n : 1, cs = plain ? 1 : m;
   for (std::size_t i = 0; i < m; ++i) {
     const double li = l[i];
-    double* crow = c + i * n;
+    const double* zrow = z + i * n;
     for (std::size_t j = 0; j < n; ++j) {
-      const double v = li * crow[j] * r[j];
-      crow[j] = clampNegative && v < 0.0 ? 0.0 : v;
+      const double v = li * zrow[j] * r[j];
+      c[i * rs + j * cs] = clampNegative && v < 0.0 ? 0.0 : v;
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "support/require.hpp"
@@ -14,14 +15,17 @@ using linalg::Vector;
 
 namespace {
 
-// Householder reduction of a symmetric matrix to tridiagonal form, with
-// accumulation of the orthogonal transformation in v (eigenvectors end up in
-// the columns of v after ql2).  This is the classic EISPACK tred2 algorithm
-// (0-based formulation as in the public-domain NIST JAMA package).
-void tred2(Matrix& v, std::vector<double>& d, std::vector<double>& e) {
-  const std::size_t n = v.rows();
+// tred2 and tql2 run EISPACK's statements on W = V^T (sym_eigen.hpp): each
+// v(a, b) of the column-order code is w(b, a), and nothing else changes.
 
-  for (std::size_t j = 0; j < n; ++j) d[j] = v(n - 1, j);
+// Householder reduction of a symmetric matrix to tridiagonal form, with
+// accumulation of the orthogonal transformation in w (eigenvectors end up in
+// the rows of w after tql2).  This is the classic EISPACK tred2 algorithm
+// (0-based formulation as in the public-domain NIST JAMA package).
+void tred2(Matrix& w, std::vector<double>& d, std::vector<double>& e) {
+  const std::size_t n = w.rows();
+
+  for (std::size_t j = 0; j < n; ++j) d[j] = w(j, n - 1);
 
   for (std::size_t i = n - 1; i > 0; --i) {
     double scale = 0.0;
@@ -30,9 +34,9 @@ void tred2(Matrix& v, std::vector<double>& d, std::vector<double>& e) {
     if (scale == 0.0) {
       e[i] = d[i - 1];
       for (std::size_t j = 0; j < i; ++j) {
-        d[j] = v(i - 1, j);
-        v(i, j) = 0.0;
-        v(j, i) = 0.0;
+        d[j] = w(j, i - 1);
+        w(j, i) = 0.0;
+        w(i, j) = 0.0;
       }
     } else {
       for (std::size_t k = 0; k < i; ++k) {
@@ -49,11 +53,11 @@ void tred2(Matrix& v, std::vector<double>& d, std::vector<double>& e) {
 
       for (std::size_t j = 0; j < i; ++j) {
         f = d[j];
-        v(j, i) = f;
-        g = e[j] + v(j, j) * f;
+        w(i, j) = f;
+        g = e[j] + w(j, j) * f;
         for (std::size_t k = j + 1; k < i; ++k) {
-          g += v(k, j) * d[k];
-          e[k] += v(k, j) * f;
+          g += w(j, k) * d[k];
+          e[k] += w(j, k) * f;
         }
         e[j] = g;
       }
@@ -67,9 +71,9 @@ void tred2(Matrix& v, std::vector<double>& d, std::vector<double>& e) {
       for (std::size_t j = 0; j < i; ++j) {
         f = d[j];
         g = e[j];
-        for (std::size_t k = j; k < i; ++k) v(k, j) -= f * e[k] + g * d[k];
-        d[j] = v(i - 1, j);
-        v(i, j) = 0.0;
+        for (std::size_t k = j; k < i; ++k) w(j, k) -= f * e[k] + g * d[k];
+        d[j] = w(j, i - 1);
+        w(j, i) = 0.0;
       }
     }
     d[i] = h;
@@ -77,32 +81,32 @@ void tred2(Matrix& v, std::vector<double>& d, std::vector<double>& e) {
 
   // Accumulate transformations.
   for (std::size_t i = 0; i + 1 < n; ++i) {
-    v(n - 1, i) = v(i, i);
-    v(i, i) = 1.0;
+    w(i, n - 1) = w(i, i);
+    w(i, i) = 1.0;
     const double h = d[i + 1];
     if (h != 0.0) {
-      for (std::size_t k = 0; k <= i; ++k) d[k] = v(k, i + 1) / h;
+      for (std::size_t k = 0; k <= i; ++k) d[k] = w(i + 1, k) / h;
       for (std::size_t j = 0; j <= i; ++j) {
         double g = 0.0;
-        for (std::size_t k = 0; k <= i; ++k) g += v(k, i + 1) * v(k, j);
-        for (std::size_t k = 0; k <= i; ++k) v(k, j) -= g * d[k];
+        for (std::size_t k = 0; k <= i; ++k) g += w(i + 1, k) * w(j, k);
+        for (std::size_t k = 0; k <= i; ++k) w(j, k) -= g * d[k];
       }
     }
-    for (std::size_t k = 0; k <= i; ++k) v(k, i + 1) = 0.0;
+    for (std::size_t k = 0; k <= i; ++k) w(i + 1, k) = 0.0;
   }
   for (std::size_t j = 0; j < n; ++j) {
-    d[j] = v(n - 1, j);
-    v(n - 1, j) = 0.0;
+    d[j] = w(j, n - 1);
+    w(j, n - 1) = 0.0;
   }
-  v(n - 1, n - 1) = 1.0;
+  w(n - 1, n - 1) = 1.0;
   e[0] = 0.0;
 }
 
 // Implicit-shift QL iteration on the tridiagonal matrix (d, e), accumulating
-// rotations into v.  EISPACK tql2 / JAMA formulation; eigenvalues are sorted
-// ascending together with their vectors at the end.
-void tql2(Matrix& v, std::vector<double>& d, std::vector<double>& e) {
-  const std::size_t n = v.rows();
+// rotations into the rows of w.  EISPACK tql2 / JAMA formulation;
+// eigenvalues are sorted ascending together with their vectors at the end.
+void tql2(Matrix& w, std::vector<double>& d, std::vector<double>& e) {
+  const std::size_t n = w.rows();
   constexpr int kMaxIter = 60;
 
   for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
@@ -151,9 +155,9 @@ void tql2(Matrix& v, std::vector<double>& d, std::vector<double>& e) {
           p = c * d[i] - s * g;
           d[i + 1] = h + s * (c * g + s * d[i]);
           for (std::size_t k = 0; k < n; ++k) {
-            h = v(k, i + 1);
-            v(k, i + 1) = s * v(k, i) + c * h;
-            v(k, i) = c * v(k, i) - s * h;
+            h = w(i + 1, k);
+            w(i + 1, k) = s * w(i, k) + c * h;
+            w(i, k) = c * w(i, k) - s * h;
           }
         }
         p = -s * s2 * c3 * el1 * e[l] / dl1;
@@ -177,7 +181,7 @@ void tql2(Matrix& v, std::vector<double>& d, std::vector<double>& e) {
     if (k != i) {
       d[k] = d[i];
       d[i] = p;
-      for (std::size_t j = 0; j < n; ++j) std::swap(v(j, i), v(j, k));
+      for (std::size_t j = 0; j < n; ++j) std::swap(w(i, j), w(k, j));
     }
   }
 }
@@ -190,7 +194,9 @@ SymEigenResult symEigen(const Matrix& a) {
   const std::size_t n = a.rows();
 
   SymEigenResult r;
-  r.vectors = a;  // tred2/tql2 overwrite this with the eigenvectors
+  // tred2/tql2 work on W = V^T in place and leave the eigenvectors in its
+  // rows.  The symmetrized input is its own transpose, so it starts W.
+  r.vectors = a;
   // Symmetrize from the lower triangle so callers may pass either triangle
   // filled (mirrors LAPACK's uplo='L' contract).
   for (std::size_t i = 0; i < n; ++i)
@@ -199,6 +205,9 @@ SymEigenResult symEigen(const Matrix& a) {
   std::vector<double> d(n), e(n);
   tred2(r.vectors, d, e);
   tql2(r.vectors, d, e);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j)
+      std::swap(r.vectors(i, j), r.vectors(j, i));
 
   r.values = Vector(n);
   for (std::size_t i = 0; i < n; ++i) r.values[i] = d[i];

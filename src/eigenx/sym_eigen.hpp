@@ -8,6 +8,14 @@
 // algorithm family PAML's own eigen routine uses, and the QR/QL fallback
 // inside dsyevr itself), plus a cyclic Jacobi solver used as a slow,
 // independently-derived oracle in tests.
+//
+// symEigen runs EISPACK's tred2/tql2 statements on the working matrix
+// W = V^T (each v(a, b) of the column-order code is w(b, a)), so every inner
+// loop walks one contiguous row, and transposes W into `vectors` once at the
+// end.  Expressions and loop order are unchanged, so without FMA contraction
+// (the default build) the results equal the column-order code's bit for bit;
+// a build that lets the compiler contract a * b + c into FMAs contracts the
+// row loops differently and moves the bits at roundoff.
 
 #include "linalg/matrix.hpp"
 

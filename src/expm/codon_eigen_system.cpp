@@ -51,7 +51,8 @@ CodonEigenSystem::CodonEigenSystem(const Matrix& s, std::span<const double> pi) 
 
 void CodonEigenSystem::transitionMatrix(double t, ReconstructionPath path,
                                         const linalg::SimdKernels& kern,
-                                        ExpmWorkspace& ws, Matrix& p) const {
+                                        ExpmWorkspace& ws, Matrix& p,
+                                        linalg::OutputLayout layout) const {
   const std::size_t nn = n();
   SLIM_REQUIRE(t >= 0, "branch length must be non-negative");
   SLIM_REQUIRE(p.rows() == nn && p.square(), "output shape mismatch");
@@ -66,7 +67,7 @@ void CodonEigenSystem::transitionMatrix(double t, ReconstructionPath path,
       ws.expDiag[i] = std::exp(0.5 * eig_.values[i] * t);
     linalg::scaleCols(eig_.vectors, ws.expDiag.span(), ws.y);
     kern.syrkSandwich(ws.y.data(), invSqrtPi_.data(), sqrtPi_.data(), p.data(),
-                      nn, nn);
+                      nn, nn, layout);
   } else {
     // Eq. 9: Z = (X e^{Lambda t}) X^T, general product (~2n^3 flops), with
     // step 5 and the clamp fused.
@@ -75,13 +76,14 @@ void CodonEigenSystem::transitionMatrix(double t, ReconstructionPath path,
     linalg::scaleCols(eig_.vectors, ws.expDiag.span(), ws.y);
     kern.gemmNTSandwich(ws.y.data(), eig_.vectors.data(), invSqrtPi_.data(),
                         sqrtPi_.data(), p.data(), nn, nn, nn,
-                        /*clampNegative=*/true);
+                        /*clampNegative=*/true, layout);
   }
 }
 
 void CodonEigenSystem::derivativeMatrix(double t,
                                         const linalg::SimdKernels& kern,
-                                        ExpmWorkspace& ws, Matrix& dp) const {
+                                        ExpmWorkspace& ws, Matrix& dp,
+                                        linalg::OutputLayout layout) const {
   const std::size_t nn = n();
   SLIM_REQUIRE(t >= 0, "branch length must be non-negative");
   SLIM_REQUIRE(dp.rows() == nn && dp.square(), "output shape mismatch");
@@ -93,7 +95,7 @@ void CodonEigenSystem::derivativeMatrix(double t,
   linalg::scaleCols(eig_.vectors, ws.expDiag.span(), ws.y);
   kern.gemmNTSandwich(ws.y.data(), eig_.vectors.data(), invSqrtPi_.data(),
                       sqrtPi_.data(), dp.data(), nn, nn, nn,
-                      /*clampNegative=*/false);
+                      /*clampNegative=*/false, layout);
 }
 
 }  // namespace slim::expm

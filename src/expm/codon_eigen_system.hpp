@@ -14,6 +14,14 @@
 //
 // Steps 4 and 5 run as one fused entry of the caller's kernel table
 // (linalg/simd.hpp): syrkSandwich for Eq. 10, gemmNTSandwich for Eq. 9.
+//
+// The kernel stores the result in the layout its caller reads
+// (linalg::OutputLayout; the store is the only thing that moves, so both
+// layouts hold the same bits).  Plain P is the default: the per-site
+// (PerSiteGemv) sweeps, the simulator and the benchmarks read P.  The
+// likelihood evaluator's BundledGemm tables ask for P^T, which its panel
+// products W P^T read, and its gradient asks for (dP/dt)^T under both
+// propagation strategies.
 
 #include <span>
 #include <vector>
@@ -60,10 +68,11 @@ class CodonEigenSystem {
   /// Steps 3-5: fill p with P(t) = e^{Qt} through the kernel table, the
   /// Pi^{-1/2}/Pi^{1/2} sandwich and the roundoff clamp (tiny negative
   /// entries set to 0, the same policy on every path and table) fused into
-  /// the reconstruction product.
-  void transitionMatrix(double t, ReconstructionPath path,
-                        const linalg::SimdKernels& kern, ExpmWorkspace& ws,
-                        linalg::Matrix& p) const;
+  /// the reconstruction product.  `layout` Transposed stores P^T.
+  void transitionMatrix(
+      double t, ReconstructionPath path, const linalg::SimdKernels& kern,
+      ExpmWorkspace& ws, linalg::Matrix& p,
+      linalg::OutputLayout layout = linalg::OutputLayout::Plain) const;
 
   /// Fill dp with dP(t)/dt = Q e^{Qt}, the branch-length derivative of the
   /// propagator, via the same eigendecomposition:
@@ -73,9 +82,12 @@ class CodonEigenSystem {
   /// legitimately carries negative entries.  One O(n^3) product per (omega
   /// class, branch length) — what makes a full analytic branch gradient
   /// cost a constant number of pruning-sweep equivalents instead of one
-  /// likelihood evaluation per branch.
-  void derivativeMatrix(double t, const linalg::SimdKernels& kern,
-                        ExpmWorkspace& ws, linalg::Matrix& dp) const;
+  /// likelihood evaluation per branch.  `layout` Transposed stores
+  /// (dP/dt)^T.
+  void derivativeMatrix(
+      double t, const linalg::SimdKernels& kern, ExpmWorkspace& ws,
+      linalg::Matrix& dp,
+      linalg::OutputLayout layout = linalg::OutputLayout::Plain) const;
 
  private:
   std::vector<double> pi_, sqrtPi_, invSqrtPi_;

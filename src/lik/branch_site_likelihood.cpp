@@ -99,7 +99,6 @@ BranchSiteLikelihood::BranchSiteLikelihood(
   for (SweepWorkspace& ws : workspaces_) {
     ws.expm.y.resize(n_, n_);
     ws.expm.expDiag.assign(n_, 0.0);
-    ws.square.resize(n_, n_);
   }
 
   totalWeight_ = 0;
@@ -112,19 +111,16 @@ void BranchSiteLikelihood::setAllBranchLengths(double t) {
 
 void BranchSiteLikelihood::buildPropagator(int eigenIdx, double t, Matrix& out,
                                            SweepWorkspace& ws) const {
-  const expm::CodonEigenSystem& es = eigenSystems_[eigenIdx];
-  if (options_.propagation == PropagationStrategy::PerSiteGemv) {
-    es.transitionMatrix(t, options_.reconstruction, backend_.ops, ws.expm, out);
-    return;
-  }
   // BundledGemm stores P *transposed*: the panel product W P^T then runs as
   // the saxpy-form gemm W (P^T), which streams contiguous propagator rows
   // with FMAs instead of doing horizontal-reduction dot products — much
-  // faster for large pattern panels.  The O(n^2) transpose is paid once per
-  // build and amortized over every pattern (and every cache hit).
-  es.transitionMatrix(t, options_.reconstruction, backend_.ops, ws.expm,
-                     ws.square);
-  linalg::transposeInto(ws.square, out);
+  // faster for large pattern panels.  The kernel writes P^T directly.
+  const linalg::OutputLayout layout =
+      options_.propagation == PropagationStrategy::PerSiteGemv
+          ? linalg::OutputLayout::Plain
+          : linalg::OutputLayout::Transposed;
+  eigenSystems_[eigenIdx].transitionMatrix(t, options_.reconstruction,
+                                           backend_.ops, ws.expm, out, layout);
 }
 
 void BranchSiteLikelihood::prebuildPropagators() {
@@ -209,19 +205,27 @@ void BranchSiteLikelihood::downPass(int m, int h0, int len, bool keepLeaves,
   const int* edgeRep = edgeRep_.data() + static_cast<std::size_t>(m) * numNodes;
   const bool perSite = options_.propagation == PropagationStrategy::PerSiteGemv;
   // A leaf child's product row h is row `state` of the stored P^T (column
-  // `state` of P under PerSiteGemv), multiplied into dst: straight into the
-  // parent CPV (x * y == y * x, so these are the bits of product-then-
-  // Hadamard), or into a panel of ones to keep it (1 * x == x).
+  // `state` of P under PerSiteGemv).  It is multiplied into dst when dst
+  // already holds a product (x * y == y * x, so these are the bits of
+  // product-then-Hadamard) and copied into it otherwise (1 * x == x, so
+  // these are the bits of multiplying a panel of ones).
   const auto gatherLeaf = [&](int leaf, const Matrix& prop, std::size_t slot,
-                              MatrixView dst) {
+                              MatrixView dst, bool multiply) {
     const int* states = leafState_[leaf].data() + h0;
     for (int h = 0; h < len; ++h) {
       double* row = dst.row(h);
       if (perSite && states[h] != seqio::kMissingState) {
-        for (int i = 0; i < n_; ++i) row[i] *= prop(i, states[h]);
+        const int col = states[h];
+        if (multiply)
+          for (int i = 0; i < n_; ++i) row[i] *= prop(i, col);
+        else
+          for (int i = 0; i < n_; ++i) row[i] = prop(i, col);
       } else {
         const double* src = gatherRow(prop, missingRows_, slot, states[h]);
-        for (int i = 0; i < n_; ++i) row[i] *= src[i];
+        if (multiply)
+          for (int i = 0; i < n_; ++i) row[i] *= src[i];
+        else
+          std::copy(src, src + n_, row);
       }
     }
   };
@@ -236,14 +240,15 @@ void BranchSiteLikelihood::downPass(int m, int h0, int len, bool keepLeaves,
     if (cpvStore.rows() != static_cast<std::size_t>(blockMax_))
       cpvStore.resize(blockMax_, n_);
     const MatrixView cpv = cpvStore.rowBlock(0, len);
-    for (int h = 0; h < len; ++h) {
-      double* row = cpv.row(h);
-      std::fill(row, row + n_, 1.0);
-    }
     auto& scaleLog = ws.sDown[id];
     scaleLog.assign(len, 0.0);
 
-    for (int child : tree_.node(id).children) {
+    // The first child's product is copied into the panel and each later
+    // one multiplied in: the bits of a panel of ones times every child.
+    const auto& children = tree_.node(id).children;
+    for (std::size_t c = 0; c < children.size(); ++c) {
+      const int child = children[c];
+      const bool multiply = c > 0;
       const bool leaf = tree_.node(child).isLeaf();
       const std::size_t slot =
           propIndex(child, cls.omegaFor(tree_.node(child).mark));
@@ -255,7 +260,7 @@ void BranchSiteLikelihood::downPass(int m, int h0, int len, bool keepLeaves,
       if (leaf && !keepLeaves) {
         // The table row is always at hand, so a held gather only skips the
         // count.
-        gatherLeaf(child, prop, slot, cpv);
+        gatherLeaf(child, prop, slot, cpv, multiply);
         continue;
       }
       Matrix& store = ws.prod[child];
@@ -263,15 +268,16 @@ void BranchSiteLikelihood::downPass(int m, int h0, int len, bool keepLeaves,
         if (store.rows() != static_cast<std::size_t>(blockMax_))
           store.resize(blockMax_, n_);
         const MatrixView out = store.rowBlock(0, len);
-        if (leaf) {
-          std::ranges::fill(out.span(), 1.0);
-          gatherLeaf(child, prop, slot, out);
-        } else {
+        if (leaf)
+          gatherLeaf(child, prop, slot, out, /*multiply=*/false);
+        else
           propagateBranch(prop, ws.down[child].rowBlock(0, len), out);
-        }
       }
-      linalg::hadamardInPlace(ConstMatrixView(store.rowBlock(0, len)).span(),
-                              cpv.span());
+      const auto product = ConstMatrixView(store.rowBlock(0, len)).span();
+      if (multiply)
+        linalg::hadamardInPlace(product, cpv.span());
+      else
+        linalg::copy(product, cpv.span());
       // A leaf's scale log is zero; adding it would change no bit.
       if (!leaf)
         for (int h = 0; h < len; ++h) scaleLog[h] += ws.sDown[child][h];
@@ -626,10 +632,10 @@ void BranchSiteLikelihood::buildGradientPropagators() {
     const auto node = static_cast<int>(slot / numOmegas_);
     SweepWorkspace& ws = workspaces_[worker];
     if (bundled) linalg::transposeInto(*propPtr_[slot], gradProp_[slot]);
-    eigenSystems_[slot % numOmegas_].derivativeMatrix(
-        tree_.branchLength(node), backend_.ops, ws.expm, ws.square);
     Matrix& dT = gradDerivT_[slot];
-    linalg::transposeInto(ws.square, dT);
+    eigenSystems_[slot % numOmegas_].derivativeMatrix(
+        tree_.branchLength(node), backend_.ops, ws.expm, dT,
+        linalg::OutputLayout::Transposed);
     if (leafHasMissing_[node])
       linalg::gemm(backend_.ops, onesRow_.view(), dT.view(),
                    gradMissingDerivRows_.rowBlock(slot, 1));

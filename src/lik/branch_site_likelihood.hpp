@@ -223,7 +223,6 @@ class BranchSiteLikelihood {
   struct SweepWorkspace {
     // Build scratch, sized at construction so no worker allocates it.
     expm::ExpmWorkspace expm;
-    linalg::Matrix square;  // n x n: P before its transpose, or dP
     std::vector<linalg::Matrix> down;         // per internal node: CPV panel
     std::vector<std::vector<double>> sDown;   // per node: subtree scale log
     std::vector<linalg::Matrix> prod;         // per non-root node: P * CPV

@@ -161,15 +161,17 @@ void syrkAvx512(const double* SLIM_RESTRICT y, double* SLIM_RESTRICT c,
 void syrkSandwichAvx512(const double* SLIM_RESTRICT y,
                         const double* SLIM_RESTRICT l,
                         const double* SLIM_RESTRICT r, double* SLIM_RESTRICT p,
-                        std::size_t n, std::size_t kk) {
+                        std::size_t n, std::size_t kk, OutputLayout layout) {
+  const bool plain = layout == OutputLayout::Plain;
+  const std::size_t rs = plain ? n : 1, cs = plain ? 1 : n;
   for (std::size_t i = 0; i < n; ++i) {
     const double* SLIM_RESTRICT yi = y + i * kk;
     for (std::size_t j = i; j < n; ++j) {
       const double t = dotAvx512(yi, y + j * kk, kk);
       const double pij = l[i] * t * r[j];
       const double pji = l[j] * t * r[i];
-      p[i * n + j] = pij < 0.0 ? 0.0 : pij;
-      p[j * n + i] = pji < 0.0 ? 0.0 : pji;
+      p[i * rs + j * cs] = pij < 0.0 ? 0.0 : pij;
+      p[j * rs + i * cs] = pji < 0.0 ? 0.0 : pji;
     }
   }
 }
@@ -179,14 +181,17 @@ void gemmNTSandwichAvx512(const double* SLIM_RESTRICT a,
                           const double* SLIM_RESTRICT l,
                           const double* SLIM_RESTRICT r,
                           double* SLIM_RESTRICT c, std::size_t m,
-                          std::size_t kk, std::size_t n, bool clampNegative) {
+                          std::size_t kk, std::size_t n, bool clampNegative,
+                          OutputLayout layout) {
+  const bool plain = layout == OutputLayout::Plain;
+  const std::size_t rs = plain ? n : 1, cs = plain ? 1 : m;
   for (std::size_t i = 0; i < m; ++i) {
     const double* SLIM_RESTRICT arow = a + i * kk;
-    double* SLIM_RESTRICT crow = c + i * n;
+    double* SLIM_RESTRICT crow = c + i * rs;
     const double li = l[i];
     for (std::size_t j = 0; j < n; ++j) {
       const double v = li * dotAvx512(arow, b + j * kk, kk) * r[j];
-      crow[j] = clampNegative && v < 0.0 ? 0.0 : v;
+      crow[j * cs] = clampNegative && v < 0.0 ? 0.0 : v;
     }
   }
 }

@@ -44,19 +44,26 @@ void syrkNaive(const double* y, double* c, std::size_t n, std::size_t kk) {
   gemmNTNaive(y, y, c, n, kk, n);
 }
 
+// Element (i, j) of a sandwich entry's m x n result is stored at
+// c[i * rs + j * cs]: (rs, cs) = (n, 1) for the plain layout and (1, m) for
+// the transposed one.  The vector tables use the same addressing.
 void gemmNTSandwichNaive(const double* a, const double* b, const double* l,
                          const double* r, double* c, std::size_t m,
-                         std::size_t kk, std::size_t n, bool clampNegative) {
+                         std::size_t kk, std::size_t n, bool clampNegative,
+                         OutputLayout layout) {
+  const bool plain = layout == OutputLayout::Plain;
+  const std::size_t rs = plain ? n : 1, cs = plain ? 1 : m;
   for (std::size_t i = 0; i < m; ++i)
     for (std::size_t j = 0; j < n; ++j) {
       const double v = l[i] * dotNaive(a + i * kk, b + j * kk, kk) * r[j];
-      c[i * n + j] = clampNegative && v < 0.0 ? 0.0 : v;
+      c[i * rs + j * cs] = clampNegative && v < 0.0 ? 0.0 : v;
     }
 }
 
 void syrkSandwichNaive(const double* y, const double* l, const double* r,
-                       double* p, std::size_t n, std::size_t kk) {
-  gemmNTSandwichNaive(y, y, l, r, p, n, kk, n, /*clampNegative=*/true);
+                       double* p, std::size_t n, std::size_t kk,
+                       OutputLayout layout) {
+  gemmNTSandwichNaive(y, y, l, r, p, n, kk, n, /*clampNegative=*/true, layout);
 }
 
 constexpr SimdKernels kNaiveKernels{
@@ -137,15 +144,17 @@ void syrkScalar(const double* SLIM_RESTRICT y, double* SLIM_RESTRICT c,
 void syrkSandwichScalar(const double* SLIM_RESTRICT y,
                         const double* SLIM_RESTRICT l,
                         const double* SLIM_RESTRICT r, double* SLIM_RESTRICT p,
-                        std::size_t n, std::size_t kk) {
+                        std::size_t n, std::size_t kk, OutputLayout layout) {
+  const bool plain = layout == OutputLayout::Plain;
+  const std::size_t rs = plain ? n : 1, cs = plain ? 1 : n;
   for (std::size_t i = 0; i < n; ++i) {
     const double* SLIM_RESTRICT yi = y + i * kk;
     for (std::size_t j = i; j < n; ++j) {
       const double t = dotScalar(yi, y + j * kk, kk);
       const double pij = l[i] * t * r[j];
       const double pji = l[j] * t * r[i];
-      p[i * n + j] = pij < 0.0 ? 0.0 : pij;
-      p[j * n + i] = pji < 0.0 ? 0.0 : pji;
+      p[i * rs + j * cs] = pij < 0.0 ? 0.0 : pij;
+      p[j * rs + i * cs] = pji < 0.0 ? 0.0 : pji;
     }
   }
 }
@@ -155,14 +164,17 @@ void gemmNTSandwichScalar(const double* SLIM_RESTRICT a,
                           const double* SLIM_RESTRICT l,
                           const double* SLIM_RESTRICT r,
                           double* SLIM_RESTRICT c, std::size_t m,
-                          std::size_t kk, std::size_t n, bool clampNegative) {
+                          std::size_t kk, std::size_t n, bool clampNegative,
+                          OutputLayout layout) {
+  const bool plain = layout == OutputLayout::Plain;
+  const std::size_t rs = plain ? n : 1, cs = plain ? 1 : m;
   for (std::size_t i = 0; i < m; ++i) {
     const double* SLIM_RESTRICT arow = a + i * kk;
-    double* SLIM_RESTRICT crow = c + i * n;
+    double* SLIM_RESTRICT crow = c + i * rs;
     const double li = l[i];
     for (std::size_t j = 0; j < n; ++j) {
       const double v = li * dotScalar(arow, b + j * kk, kk) * r[j];
-      crow[j] = clampNegative && v < 0.0 ? 0.0 : v;
+      crow[j * cs] = clampNegative && v < 0.0 ? 0.0 : v;
     }
   }
 }

@@ -25,6 +25,9 @@
 //   * The fused sandwich entries of the naive and scalar tables reproduce
 //     their table's product followed by scaleSandwich and the clamp, bit
 //     for bit.
+//   * On every table, a sandwich entry's OutputLayout argument moves only
+//     where each finished element is stored: the Transposed output is the
+//     transpose of the Plain output bit for bit.
 //   * The vector tables' gemm computes every element as the k-ordered FMA
 //     chain from +0.0, c(i,j) = fma(a(i,k-1), b(k-1,j), ... fma(a(i,0),
 //     b(0,j), +0.0)).  So avx2 and avx512 gemm agree bit for bit, and their
@@ -73,6 +76,18 @@ const char* simdLevelName(SimdLevel l) noexcept;
 /// false on unknown text (out untouched).
 bool parseSimdMode(std::string_view text, SimdMode& out) noexcept;
 
+/// Where a sandwich entry stores element (i, j) of its m x n result: at
+/// (i, j) of an m x n output (Plain), or at (j, i) of an n x m output
+/// (Transposed).  The layout moves only the store: each element is computed
+/// by the same operations in both layouts, so the Transposed output is the
+/// transpose of the Plain one bit for bit.  (Swapping l and r instead would
+/// compute (r[i] * t) * l[j] where (l[j] * t) * r[i] is due, which rounds
+/// differently.)
+enum class OutputLayout {
+  Plain,
+  Transposed,
+};
+
 /// One kernel table.  All matrices are dense row-major and contiguous
 /// (leading dimension == column count), the layout every panel and
 /// propagator in the engine uses.  Row i of each output depends only on the
@@ -99,15 +114,19 @@ struct SimdKernels {
   /// roundoff negatives clamped to 0, the Pi sandwich and clamp folded into
   /// the rank-update loop (each dot is written twice, pre-scaled, instead
   /// of mirror + two O(n^2) scaling passes).  l = Pi^{-1/2}, r = Pi^{1/2}.
+  /// `layout` stores p or p^T (see OutputLayout).
   void (*syrkSandwich)(const double* y, const double* l, const double* r,
-                       double* p, std::size_t n, std::size_t k);
+                       double* p, std::size_t n, std::size_t k,
+                       OutputLayout layout);
 
   /// Fused Eq. 9 form: c[m x n] := diag(l) (A B^T) diag(r); clampNegative
   /// selects the P(t) policy (on) or the dP/dt policy (off — derivatives
-  /// legitimately carry negative entries).
+  /// legitimately carry negative entries).  `layout` stores c or c^T
+  /// (see OutputLayout).
   void (*gemmNTSandwich)(const double* a, const double* b, const double* l,
                          const double* r, double* c, std::size_t m,
-                         std::size_t k, std::size_t n, bool clampNegative);
+                         std::size_t k, std::size_t n, bool clampNegative,
+                         OutputLayout layout);
 };
 
 /// Whether this binary contains kernels for the level (compile-time gate:

@@ -2,12 +2,16 @@
 // paper.  Both reconstruction paths (Eq. 9 gemm, Eq. 10 syrk) on the naive
 // and scalar kernel tables are validated against the independent Pade
 // oracle and against CTMC invariants (stochasticity, semigroup property,
-// equilibrium).
+// equilibrium); on every table the transposed output layout is the
+// transpose of P bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "backend/compute_backend.hpp"
 #include "expm/codon_eigen_system.hpp"
 #include "expm/pade.hpp"
 #include "linalg/blas3.hpp"
@@ -108,6 +112,47 @@ INSTANTIATE_TEST_SUITE_P(
                                          ReconstructionPath::Syrk),
                        ::testing::Values(&linalg::naiveKernels(), &scalar()),
                        ::testing::Values(0.01, 0.1, 0.5, 2.0)));
+
+// ---------- the stored layout ----------
+
+// P^T and (dP/dt)^T straight from the kernel are the transposes of P and
+// dP/dt bit for bit, on both reconstruction paths and every table this
+// build can run (blas too, when it is compiled in).
+TEST(CodonEigenSystem, TransposedLayoutIsTheTransposeOfP) {
+  std::vector<const SimdKernels*> tables{&linalg::naiveKernels(), &scalar()};
+  for (auto level : {linalg::SimdLevel::Avx2, linalg::SimdLevel::Avx512})
+    if (linalg::simdLevelAvailable(level))
+      tables.push_back(&linalg::simdKernels(level));
+  if (backend::backendCompiled(backend::BackendKind::Blas)) {
+    static const backend::ComputeBackend blas = backend::computeBackend(
+        backend::BackendKind::Blas, linalg::SimdLevel::Scalar);
+    tables.push_back(&blas.ops);
+  }
+  const auto cs = makeCodonSetup(2.5, 0.066, 13);
+  const CodonEigenSystem es(cs.s, cs.pi);
+  const auto bits = [](const Matrix& got, const Matrix& want) {
+    return std::memcmp(got.data(), want.data(),
+                       want.size() * sizeof(double)) == 0;
+  };
+  for (const SimdKernels* kern : tables) {
+    ExpmWorkspace ws;
+    Matrix p(es.n(), es.n()), pT(es.n(), es.n());
+    for (double t : {1e-4, 0.05, 0.7, 4.0}) {
+      for (auto path : {ReconstructionPath::Syrk, ReconstructionPath::Gemm}) {
+        es.transitionMatrix(t, path, *kern, ws, p);
+        es.transitionMatrix(t, path, *kern, ws, pT,
+                            linalg::OutputLayout::Transposed);
+        EXPECT_TRUE(bits(pT, linalg::transposed(p)))
+            << kern->name << " " << reconstructionPathName(path)
+            << " t=" << t;
+      }
+      es.derivativeMatrix(t, *kern, ws, p);
+      es.derivativeMatrix(t, *kern, ws, pT, linalg::OutputLayout::Transposed);
+      EXPECT_TRUE(bits(pT, linalg::transposed(p)))
+          << kern->name << " dP/dt t=" << t;
+    }
+  }
+}
 
 // ---------- CTMC invariants ----------
 

@@ -12,6 +12,9 @@
 //     under any row partition of a panel;
 //   * the vector tables' gemm gives every element the bits of the k-ordered
 //     FMA chain from +0.0, so avx2 and avx512 agree bit for bit;
+//   * on every table (blas too, when compiled in) a sandwich entry's
+//     Transposed output is the transpose of its Plain output bit for bit,
+//     and a kernel that gets P^T by swapping l and r fails that check;
 //   * every table's product of a one-hot row is exactly the selected row of
 //     the other operand, and a 1-row call equals that row inside a panel —
 //     what the likelihood sweeps' leaf row gathers rest on.
@@ -27,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "backend/compute_backend.hpp"
 #include "expm/codon_eigen_system.hpp"
 #include "lik/branch_site_likelihood.hpp"
 #include "linalg/blas3.hpp"
@@ -180,15 +184,17 @@ TEST(SimdKernels, FusedSandwichMatchesScalarOnEveryLevel) {
   const auto r = randomPositive(n, 53);
   Matrix wantSyrk(n, n), wantGemm(n, n);
   simdKernels(SimdLevel::Scalar)
-      .syrkSandwich(y.data(), l.data(), r.data(), wantSyrk.data(), n, n);
+      .syrkSandwich(y.data(), l.data(), r.data(), wantSyrk.data(), n, n,
+                    OutputLayout::Plain);
   simdKernels(SimdLevel::Scalar)
       .gemmNTSandwich(y.data(), y.data(), l.data(), r.data(), wantGemm.data(),
-                      n, n, n, false);
+                      n, n, n, false, OutputLayout::Plain);
   for (const SimdKernels* kern : availableTables()) {
     Matrix gotSyrk(n, n), gotGemm(n, n);
-    kern->syrkSandwich(y.data(), l.data(), r.data(), gotSyrk.data(), n, n);
+    kern->syrkSandwich(y.data(), l.data(), r.data(), gotSyrk.data(), n, n,
+                       OutputLayout::Plain);
     kern->gemmNTSandwich(y.data(), y.data(), l.data(), r.data(),
-                         gotGemm.data(), n, n, n, false);
+                         gotGemm.data(), n, n, n, false, OutputLayout::Plain);
     expectClose(gotSyrk, wantSyrk, kern->name);
     expectClose(gotGemm, wantGemm, kern->name);
   }
@@ -223,17 +229,112 @@ TEST(SimdKernels, FusedSandwichIsBitIdenticalToUnfused) {
   for (const SimdKernels* kern : kBitExactTables) {
     Matrix z(n, n), got(n, n);
     kern->syrk(y.data(), z.data(), n, n);
-    kern->syrkSandwich(y.data(), l.data(), r.data(), got.data(), n, n);
+    kern->syrkSandwich(y.data(), l.data(), r.data(), got.data(), n, n,
+                       OutputLayout::Plain);
     EXPECT_EQ(got, unfusedSandwich(z, l, r, true)) << kern->name;
 
     kern->gemmNT(y.data(), b.data(), z.data(), n, n, n);
     for (bool clampNegative : {true, false}) {
       kern->gemmNTSandwich(y.data(), b.data(), l.data(), r.data(), got.data(),
-                           n, n, n, clampNegative);
+                           n, n, n, clampNegative, OutputLayout::Plain);
       EXPECT_EQ(got, unfusedSandwich(z, l, r, clampNegative))
           << kern->name << " clamp = " << clampNegative;
     }
   }
+}
+
+// ---------- the stored layout moves only the stores ----------
+
+// Every table this build can run: naive, scalar, each available vector
+// level, and blas when it is compiled in.
+std::vector<const SimdKernels*> everyTable() {
+  std::vector<const SimdKernels*> out = availableTables();
+  if (backend::backendCompiled(backend::BackendKind::Blas)) {
+    static const backend::ComputeBackend blas =
+        backend::computeBackend(backend::BackendKind::Blas, SimdLevel::Scalar);
+    out.push_back(&blas.ops);
+  }
+  return out;
+}
+
+std::size_t bitMismatches(const Matrix& got, const Matrix& want) {
+  std::size_t bad = 0;
+  for (std::size_t k = 0; k < want.size(); ++k)
+    bad += std::bit_cast<std::uint64_t>(got.data()[k]) !=
+           std::bit_cast<std::uint64_t>(want.data()[k]);
+  return bad;
+}
+
+// Elements of a table's Transposed sandwich outputs whose bits differ from
+// the transpose of its Plain outputs: syrkSandwich on n x k panels, and
+// gemmNTSandwich with clamp on and off on n x n and 7 x n outputs.
+std::size_t layoutMismatches(const SimdKernels& kern) {
+  std::size_t bad = 0;
+  for (std::size_t n : {1, 3, 5, 8, 61, 64, 65})
+    for (std::size_t k : {1, 3, 61}) {
+      const Matrix y = randomMatrix(n, k, 300 + n * k);
+      const Matrix b = randomMatrix(n, k, 400 + n * k);
+      const auto l = randomPositive(n, 500 + n);
+      const auto r = randomPositive(n, 600 + n);
+      Matrix plain(n, n), stored(n, n);
+      kern.syrkSandwich(y.data(), l.data(), r.data(), plain.data(), n, k,
+                        OutputLayout::Plain);
+      kern.syrkSandwich(y.data(), l.data(), r.data(), stored.data(), n, k,
+                        OutputLayout::Transposed);
+      bad += bitMismatches(stored, transposed(plain));
+      for (std::size_t m : {n, std::size_t{7}}) {
+        const Matrix a = randomMatrix(m, k, 700 + m * k);
+        const auto lm = randomPositive(m, 800 + m);
+        for (bool clampNegative : {true, false}) {
+          Matrix c(m, n), cT(n, m);
+          kern.gemmNTSandwich(a.data(), b.data(), lm.data(), r.data(),
+                              c.data(), m, k, n, clampNegative,
+                              OutputLayout::Plain);
+          kern.gemmNTSandwich(a.data(), b.data(), lm.data(), r.data(),
+                              cT.data(), m, k, n, clampNegative,
+                              OutputLayout::Transposed);
+          bad += bitMismatches(cT, transposed(c));
+        }
+      }
+    }
+  return bad;
+}
+
+TEST(SimdKernels, TransposedSandwichIsThePlainOneTransposed) {
+  for (const SimdKernels* kern : everyTable())
+    EXPECT_EQ(layoutMismatches(*kern), 0u) << kern->name;
+}
+
+// Getting P^T by swapping l and r (and the operands) computes
+// (r[i] * t) * l[j] where (l[j] * t) * r[i] is due; the check above must
+// see that in the bits.
+void swappedSyrkSandwich(const double* y, const double* l, const double* r,
+                         double* p, std::size_t n, std::size_t k,
+                         OutputLayout layout) {
+  const bool swap = layout == OutputLayout::Transposed;
+  simdKernels(SimdLevel::Scalar)
+      .syrkSandwich(y, swap ? r : l, swap ? l : r, p, n, k,
+                    OutputLayout::Plain);
+}
+
+void swappedGemmNTSandwich(const double* a, const double* b, const double* l,
+                           const double* r, double* c, std::size_t m,
+                           std::size_t k, std::size_t n, bool clampNegative,
+                           OutputLayout layout) {
+  const SimdKernels& scalar = simdKernels(SimdLevel::Scalar);
+  if (layout == OutputLayout::Transposed)
+    scalar.gemmNTSandwich(b, a, r, l, c, n, k, m, clampNegative,
+                          OutputLayout::Plain);
+  else
+    scalar.gemmNTSandwich(a, b, l, r, c, m, k, n, clampNegative,
+                          OutputLayout::Plain);
+}
+
+TEST(SimdKernels, LayoutCheckCatchesSwappedScaling) {
+  SimdKernels swapped = simdKernels(SimdLevel::Scalar);
+  swapped.syrkSandwich = swappedSyrkSandwich;
+  swapped.gemmNTSandwich = swappedGemmNTSandwich;
+  EXPECT_GT(layoutMismatches(swapped), 0u);
 }
 
 TEST(SimdKernels, TransitionMatrixMatchesUnfusedSequenceBitwise) {
