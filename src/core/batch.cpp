@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "core/checkpoint.hpp"
-#include "support/require.hpp"
 
 namespace slim::core {
 
@@ -36,18 +35,6 @@ GeneHandle BatchAnalysis::addGene(const seqio::CodonAlignment& alignment,
   contexts_.push_back(AnalysisContext::create(
       alignment, std::move(tree), engine_,
       resolveGeneOptions(std::move(geneOptions), gene)));
-  names_.push_back(name.empty() ? "gene" + std::to_string(gene)
-                                : std::move(name));
-  return gene;
-}
-
-GeneHandle BatchAnalysis::addGene(std::shared_ptr<const AnalysisContext> context,
-                                  std::string name) {
-  SLIM_REQUIRE(context != nullptr, "BatchAnalysis: null context");
-  SLIM_REQUIRE(context->engine() == engine_,
-               "BatchAnalysis: context engine does not match the batch engine");
-  const auto gene = static_cast<GeneHandle>(contexts_.size());
-  contexts_.push_back(std::move(context));
   names_.push_back(name.empty() ? "gene" + std::to_string(gene)
                                 : std::move(name));
   return gene;

@@ -74,12 +74,6 @@ class BatchAnalysis {
   GeneHandle addGene(const seqio::CodonAlignment& alignment,
                      std::shared_ptr<const tree::Tree> tree,
                      FitOptions geneOptions, std::string name = {});
-  /// Register an already-built context (serve mode: the daemon's context
-  /// cache hands the batch a clone of its parsed inputs).  The
-  /// context's options are taken as-is — jitterSeedBase is *not* applied —
-  /// and its engine must match the batch engine.
-  GeneHandle addGene(std::shared_ptr<const AnalysisContext> context,
-                     std::string name = {});
 
   std::size_t numGenes() const noexcept { return contexts_.size(); }
   const AnalysisContext& context(GeneHandle gene) const {

@@ -346,7 +346,7 @@ std::vector<std::string> scanBatchDirectory(const std::string& dir) {
   return files;
 }
 
-RunOutput runConfig(const Config& rawConfig, const ContextSource& contexts) {
+RunOutput runConfig(const Config& rawConfig) {
   if (rawConfig.seqfiles.empty())
     throw ConfigError(
         "control file: seqfile is required (or pass --batch <dir>)");
@@ -395,11 +395,8 @@ RunOutput runConfig(const Config& rawConfig, const ContextSource& contexts) {
   BatchAnalysis batch(config.engine, options);
   for (const auto& path : config.seqfiles) {
     out.names.push_back(fileStem(path));
-    if (contexts)
-      batch.addGene(contexts(path, config), out.names.back());
-    else
-      batch.addGene(loadAlignmentFile(path, config.stopCodonsAsMissing), tree,
-                    config.fit, out.names.back());
+    batch.addGene(loadAlignmentFile(path, config.stopCodonsAsMissing), tree,
+                  config.fit, out.names.back());
   }
   out.tests = batch.runAll();
   out.totals = batch.totals();

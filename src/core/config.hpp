@@ -44,7 +44,6 @@
 // genes share the one tree), or leave it out and pass `--batch <dir>` to the
 // CLI.  core::runConfig runs every control file, for the CLI and the daemon.
 
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <stdexcept>
@@ -118,7 +117,6 @@ model::ModelSpec modelSpecFor(model::ModelKind kind, int numBranchClasses);
 
 /// Load one alignment file: FASTA when the first non-blank character is
 /// '>', else sequential PHYLIP; codon-encoded with the universal code.
-/// Shared by the config runner and the serve-mode context cache.
 seqio::CodonAlignment loadAlignmentFile(const std::string& path,
                                         bool stopCodonsAsMissing);
 
@@ -135,20 +133,15 @@ struct RunOutput {
   bool singleTest = false;  ///< One seqfile, no scan: single-test reports.
 };
 
-/// The context of one seqfile, built for `config` (fit.modelSpec already
-/// sized to the tree).  The daemon hands out clones of the parsed contexts
-/// in its ContextCache.
-using ContextSource = std::function<std::shared_ptr<const AnalysisContext>(
-    const std::string& seqfile, const Config& config)>;
-
 /// Run every test a control file asks for, whatever its model kind: one
 /// H0/H1 task pair per seqfile through core::BatchAnalysis (fanned across
 /// `threads` workers under the `parallel` policy), or per (gene x branch
 /// set) through core::ScanAnalysis under `foreground =`.  Arms `timeoutSec`
 /// on top of fit.bfgs.cancel and opens `checkpoint =` (resuming when
-/// config.resume is set).  Loads the alignments itself for scans and when
-/// `contexts` is empty.  Throws a keyed ConfigError without any seqfile.
-RunOutput runConfig(const Config& config, const ContextSource& contexts = {});
+/// config.resume is set).  The CLI and every daemon job call this, so both
+/// load, fit and report through one path.  Throws a keyed ConfigError
+/// without any seqfile.
+RunOutput runConfig(const Config& config);
 
 /// The JSON report of one run (the single-test or the batch object): the
 /// CLI's --json and the daemon's results.

@@ -36,18 +36,6 @@ std::shared_ptr<const AnalysisContext> AnalysisContext::create(
       std::move(alignment), std::move(tree), engine, std::move(options));
 }
 
-std::shared_ptr<const AnalysisContext> AnalysisContext::withOptions(
-    FitOptions options) const {
-  SLIM_REQUIRE(options.frequencyModel == options_.frequencyModel,
-               "AnalysisContext::withOptions: frequency model must match the "
-               "original (pi would be stale)");
-  // Member-wise copy deliberately skips the pattern compression and frequency
-  // estimation the public constructor performs — that reuse is the point.
-  auto clone = std::make_shared<AnalysisContext>(*this);
-  clone->options_ = std::move(options);
-  return clone;
-}
-
 FitResult fitHypothesis(const AnalysisContext& context, Hypothesis hypothesis,
                         const FitOptions& fitOptions,
                         const lik::LikelihoodOptions& likOptions,

@@ -160,13 +160,6 @@ class AnalysisContext {
     return nullptr;
   }
 
-  /// Cheap clone carrying different fit options: shares the parsed tree and
-  /// copies alignment/patterns/pi as-is (no re-parsing, no recompression).
-  /// This is how the serve-mode context cache reuses one gene's parsed
-  /// inputs across jobs whose optimizer settings differ.  The new options
-  /// must keep the frequency model (pi would be stale otherwise).
-  std::shared_ptr<const AnalysisContext> withOptions(FitOptions options) const;
-
   AnalysisContext(seqio::CodonAlignment alignment,
                   std::shared_ptr<const tree::Tree> tree, EngineKind engine,
                   FitOptions options);  // prefer create()

@@ -159,8 +159,6 @@ struct AnalysisServer::Impl {
   std::uint64_t nextSeq SLIM_GUARDED_BY(mutex) = 1;
   bool suppressPersist SLIM_GUARDED_BY(mutex) = false;  ///< abortStop: SIGKILL.
 
-  ContextCache cache;
-
   std::vector<std::thread> workers;
   std::thread acceptThread;
   support::Mutex connMutex;
@@ -168,8 +166,7 @@ struct AnalysisServer::Impl {
   std::vector<std::thread> connThreads SLIM_GUARDED_BY(connMutex);
 };
 
-AnalysisServer::Impl::Impl(ServerOptions opts)
-    : options(std::move(opts)), cache(options.contextCacheEntries) {
+AnalysisServer::Impl::Impl(ServerOptions opts) : options(std::move(opts)) {
   SLIM_REQUIRE(!options.socketPath.empty(), "serve: socketPath is required");
   SLIM_REQUIRE(options.workers > 0, "serve: workers must be > 0");
   if (!options.stateDir.empty()) {
@@ -246,8 +243,14 @@ void AnalysisServer::Impl::start() {
 }
 
 void AnalysisServer::Impl::stopThreads() {
-  stopping.store(true);
-  draining.store(true);
+  {
+    // Set under `mutex`, which each cv waiter holds while it tests
+    // `stopping`, so the notify below cannot fall between a waiter's test
+    // and its wait (the join below would then hang).
+    support::MutexLock lock(mutex);
+    stopping.store(true);
+    draining.store(true);
+  }
   cv.notifyAll();
   // Wake the accept loop and kick every open connection so blocked reads
   // (including `result wait`ers, woken via cv above) unwind promptly.
@@ -476,8 +479,9 @@ std::string AnalysisServer::Impl::handleStatus(const Request& req) {
   for (const auto& [id, job] : jobs)
     ++byState[static_cast<int>(job->state)];
   lock.unlock();
-  const ContextCacheStats cacheStats = cache.stats();
 
+  // `contextCache` is a constant: the daemon keeps no parsed inputs between
+  // jobs, and slimcodeml-serve-v1 readers still parse the field.
   std::ostringstream os;
   os << "{\"schema\":\"" << kServeSchema
      << "\",\"ok\":true,\"op\":\"status\",\"server\":{\"version\":"
@@ -490,9 +494,7 @@ std::string AnalysisServer::Impl::handleStatus(const Request& req) {
      << byState[static_cast<int>(JobState::Done)] << ",\"failed\":"
      << byState[static_cast<int>(JobState::Failed)] << ",\"cancelled\":"
      << byState[static_cast<int>(JobState::Cancelled)]
-     << "},\"contextCache\":{\"entries\":" << cacheStats.entries
-     << ",\"hits\":" << cacheStats.hits << ",\"misses\":" << cacheStats.misses
-     << "}}}";
+     << "},\"contextCache\":{\"entries\":0,\"hits\":0,\"misses\":0}}}";
   return os.str();
 }
 
@@ -637,11 +639,7 @@ AnalysisServer::Impl::RunOutcome AnalysisServer::Impl::runJob(Job& job) {
       config.resume = true;
     }
 
-    // Every non-scan gene runs on a clone of its cached parsed context.
-    const core::RunOutput run = core::runConfig(
-        config, [&](const std::string& seqfile, const core::Config& resolved) {
-          return cache.acquire(seqfile, resolved, resolved.fit);
-        });
+    const core::RunOutput run = core::runConfig(config);
     for (const auto& test : run.tests)
       out.cancelled |= test.h0.cancelled || test.h1.cancelled;
     if (out.cancelled) return out;
@@ -832,10 +830,6 @@ void AnalysisServer::abortStop() { impl_->abortStop(); }
 
 const std::string& AnalysisServer::socketPath() const noexcept {
   return impl_->options.socketPath;
-}
-
-ContextCacheStats AnalysisServer::cacheStats() const {
-  return impl_->cache.stats();
 }
 
 }  // namespace slim::serve

@@ -12,14 +12,13 @@
 //  * per-job cooperative cancellation and deadlines ride the optimizer's
 //    CancelPredicate — a cancelled fit stops at an iteration boundary, which
 //    is also a checkpoint snapshot boundary;
-//  * parsed inputs stay resident across jobs in a ContextCache (a repeat
-//    gene skips parsing; every job starts with its own propagator cache);
 //  * with a state directory, the queue is journalled (atomic rewrite on
 //    every mutation) and jobs submitted with "checkpoint":true snapshot
 //    their optimizer state — SIGKILL + restart recovers them and resumes
 //    bit-identically (PR 5 machinery);
-//  * jobs run through the CLI's core::runConfig and writeJsonRunReport, so
-//    a daemon job's report is bit-identical to the CLI run of the same ctl.
+//  * a job makes the CLI's own calls (core::runConfig, writeJsonRunReport)
+//    and keeps nothing for later jobs, so its report is bit-identical to
+//    the CLI run of the same ctl.
 //
 // The class is a library object (the `slimcodemld` binary and serve_test
 // both drive it) — POSIX sockets only, matching the platforms CI builds.
@@ -33,7 +32,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/context_cache.hpp"
 #include "serve/protocol.hpp"
 
 namespace slim::serve {
@@ -50,7 +48,6 @@ struct ServerOptions {
   int workers = 2;               ///< Max concurrently running jobs.
   std::size_t maxQueued = 64;    ///< Admission bound on waiting jobs.
   std::size_t maxRequestBytes = kDefaultMaxRequestBytes;
-  std::size_t contextCacheEntries = 16;
 };
 
 class AnalysisServer {
@@ -90,7 +87,6 @@ class AnalysisServer {
   void abortStop();
 
   const std::string& socketPath() const noexcept;
-  ContextCacheStats cacheStats() const;
 
  private:
   struct Job;

@@ -1,10 +1,11 @@
 // Tests for the analysis daemon stack: the strict JSON parser, the
 // slimcodeml-serve-v1 protocol, cooperative cancellation in both optimizers,
 // and the AnalysisServer end to end — daemon results bit-identical
-// (EXPECT_EQ) to CLI runs of the same control file, counters included,
-// parsed-context reuse across jobs (and the ContextCache itself),
-// admission control and malformed-request handling (keyed errors, never
-// UB), cancellation of queued and running jobs, deadline enforcement,
+// (EXPECT_EQ) to CLI runs of the same control file, counters included, for
+// every job on one daemon whatever ran before it (nothing crosses jobs: a
+// rewritten input, another frequency model, cleandata or engine, a failed
+// job), admission control and malformed-request handling (keyed errors,
+// never UB), cancellation of queued and running jobs, deadline enforcement,
 // kill -9 + restart recovery of checkpointed jobs, journal validation, and
 // the one config runner every model kind takes on every path.
 
@@ -31,7 +32,6 @@
 #include "opt/bfgs.hpp"
 #include "opt/cancel.hpp"
 #include "serve/client.hpp"
-#include "serve/context_cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "support/build_info.hpp"
@@ -444,91 +444,6 @@ TEST(CancelPredicate, TimeoutSecCtlKeyCancelsRun) {
   EXPECT_TRUE(converged.h1.converged) << converged.h1.message;
 }
 
-// ---------- the parsed-context cache ----------
-
-/// A ctl's parsed config for gene `stem`, as the daemon hands it to the
-/// cache (cachePropagators on, so clones have shards to compare).
-core::Config geneConfig(const TempDir& dir, const std::string& stem,
-                        const std::string& extra = {}) {
-  return core::Config::parseString(
-      makeCtl(dir, stem, 0, 1, "cachePropagators = 1\n" + extra));
-}
-
-std::shared_ptr<const core::AnalysisContext> acquireGene(
-    ContextCache& cache, const core::Config& config) {
-  return cache.acquire(config.seqfiles.front(), config, config.fit);
-}
-
-TEST(ContextCache, KeysOnContentEngineFrequenciesAndCleandata) {
-  const TempDir dir("cachekey");
-  writeGene(dir, "gene");
-  fs::copy_file(dir.file("gene.fasta"), dir.file("copy.fasta"));
-  ContextCache cache;
-  const core::Config config = geneConfig(dir, "gene");
-  acquireGene(cache, config);
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  // The same bytes under another path are the same gene.
-  cache.acquire(dir.file("copy.fasta"), config, config.fit);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  // Each of engine, CodonFreq and cleandata is part of the key.
-  for (const char* extra :
-       {"engine = slim-parallel\n", "CodonFreq = 3\n", "cleandata = 1\n"}) {
-    SCOPED_TRACE(extra);
-    const std::uint64_t misses = cache.stats().misses;
-    acquireGene(cache, geneConfig(dir, "gene", extra));
-    EXPECT_EQ(cache.stats().misses, misses + 1);
-  }
-
-  // A file rewritten in place is a new gene.
-  writeGene(dir, "gene", "GAC");
-  const std::uint64_t misses = cache.stats().misses;
-  acquireGene(cache, config);
-  EXPECT_EQ(cache.stats().misses, misses + 1);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().entries, 5u);
-}
-
-TEST(ContextCache, EvictsTheLeastRecentlyUsedGene) {
-  const TempDir dir("cachelru");
-  writeGene(dir, "a", "GAT");
-  writeGene(dir, "b", "GAC");
-  writeGene(dir, "c", "GAA");
-  ContextCache cache(2);
-  acquireGene(cache, geneConfig(dir, "a"));
-  acquireGene(cache, geneConfig(dir, "b"));
-  acquireGene(cache, geneConfig(dir, "a"));  // hit: b is now the LRU gene
-  acquireGene(cache, geneConfig(dir, "c"));  // evicts b
-  EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 3u);
-
-  acquireGene(cache, geneConfig(dir, "a"));
-  EXPECT_EQ(cache.stats().hits, 2u);
-  acquireGene(cache, geneConfig(dir, "b"));
-  EXPECT_EQ(cache.stats().misses, 4u);
-  EXPECT_EQ(cache.stats().entries, 2u);
-}
-
-TEST(ContextCache, ClonesCarryTheJobOptionsAndShareTheTree) {
-  const TempDir dir("cacheclone");
-  writeGene(dir, "gene");
-  ContextCache cache;
-  const core::Config config = geneConfig(dir, "gene");
-  core::FitOptions fitA = config.fit;
-  fitA.bfgs.maxIterations = 3;
-  core::FitOptions fitB = config.fit;
-  fitB.bfgs.maxIterations = 7;
-  const auto a = cache.acquire(config.seqfiles.front(), config, fitA);
-  const auto b = cache.acquire(config.seqfiles.front(), config, fitB);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(a->options().bfgs.maxIterations, 3);
-  EXPECT_EQ(b->options().bfgs.maxIterations, 7);
-  EXPECT_EQ(a->treePtr(), b->treePtr());
-}
-
 // ---------- server end to end ----------
 
 TEST(Server, PingStatusAndVersion) {
@@ -553,6 +468,9 @@ TEST(Server, PingStatusAndVersion) {
   EXPECT_EQ(info.at("version").at("schemas").at("serve").asString(),
             kServeSchema);
   EXPECT_FALSE(info.at("version").at("compiler").asString().empty());
+  // Kept for slimcodeml-serve-v1 readers; the daemon keeps no inputs.
+  EXPECT_EQ(dump(info.at("contextCache")),
+            "{\"entries\":0,\"hits\":0,\"misses\":0}");
 
   EXPECT_EQ(errorOf(client.call(idRequest("status", "job-99"))),
             "unknown job id \"job-99\"");
@@ -627,16 +545,16 @@ TEST(Server, ConcurrentClientsMatchSequentialCli) {
     });
   for (auto& t : clients) t.join();
 
-  // Two workers run clones of the same cached contexts concurrently; every
-  // result, counters included, must still equal its sequential CLI
-  // baseline bit for bit.
+  // Two workers run jobs on the same genes concurrently; every result,
+  // counters included, must still equal its sequential CLI baseline bit
+  // for bit.
   for (int j = 0; j < 4; ++j)
     EXPECT_EQ(strip(reports[j], kClockOnly), strip(baselines[j], kClockOnly))
         << "job " << j;
   server.drainAndStop();
 }
 
-TEST(Server, RepeatJobReusesParsedInputsOnly) {
+TEST(Server, RepeatJobCarriesNothingFromTheFirst) {
   const TempDir dir("repeat");
   writeGene(dir, "gene");
   // maxIterations = 0: each fit evaluates only around the initial point, so
@@ -657,17 +575,100 @@ TEST(Server, RepeatJobReusesParsedInputsOnly) {
   const JsonValue first = submitAndWait(client, ctl);
   const JsonValue second = submitAndWait(client, ctl);
 
-  // The second job reused the first one's parsed inputs...
-  const ContextCacheStats stats = server.cacheStats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_GE(stats.hits, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-  // ...and nothing else: both reports, counters included, are the CLI's.
+  // Both reports, counters included, are the CLI's.
   const std::string counters = dump(baseline.at("test").at("counters"));
   EXPECT_EQ(dump(first.at("test").at("counters")), counters);
   EXPECT_EQ(dump(second.at("test").at("counters")), counters);
   EXPECT_EQ(strip(second, kClockOnly), strip(baseline, kClockOnly))
       << dump(second);
+  server.drainAndStop();
+}
+
+// Every job loads its own inputs, so none can see what an earlier job on
+// the same gene loaded: a gene file rewritten in place, and the same gene
+// under another frequency model, cleandata or engine, each give the CLI
+// run's report, counters included.
+TEST(Server, EveryJobEqualsItsOwnCliRun) {
+  const TempDir dir("ownrun");
+  writeGene(dir, "gene");
+  ServerOptions options;
+  options.socketPath = dir.file("d.sock");
+  options.workers = 1;
+  AnalysisServer server(std::move(options));
+  server.start();
+  Client client(dir.file("d.sock"));
+
+  const std::string ctl = makeCtl(dir, "gene", 3);
+  const JsonValue before = submitAndWait(client, ctl);
+  EXPECT_EQ(strip(before, kClockOnly), strip(cliReport(ctl), kClockOnly));
+
+  writeGene(dir, "gene", "GAC");
+  const JsonValue rewritten = submitAndWait(client, ctl);
+  EXPECT_EQ(strip(rewritten, kClockOnly), strip(cliReport(ctl), kClockOnly));
+  EXPECT_NE(rewritten.at("test").at("h0").at("lnL"),
+            before.at("test").at("h0").at("lnL"));
+
+  for (const char* extra :
+       {"CodonFreq = 3\n", "cleandata = 1\n", "engine = slim-parallel\n"}) {
+    SCOPED_TRACE(extra);
+    const std::string variant = makeCtl(dir, "gene", 3, 1, extra);
+    EXPECT_EQ(strip(submitAndWait(client, variant), kClockOnly),
+              strip(cliReport(variant), kClockOnly));
+  }
+  server.drainAndStop();
+}
+
+/// The error the CLI's runner throws for this control file.
+std::string cliError(const std::string& ctl) {
+  try {
+    core::runConfig(core::Config::parseString(ctl));
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "the CLI run succeeded";
+  return {};
+}
+
+/// Submit a job that must fail, and check it fails with the CLI's error.
+void expectFailsAsCli(Client& client, const std::string& ctl,
+                      const std::string& needle) {
+  const std::string expected = cliError(ctl);
+  EXPECT_NE(expected.find(needle), std::string::npos) << expected;
+  const JsonValue submitted = client.call(submitRequest(ctl));
+  ASSERT_TRUE(isOk(submitted)) << errorOf(submitted);
+  const JsonValue result = client.call(idRequest(
+      "result", submitted.at("id").asString(), ",\"wait\":true"));
+  EXPECT_FALSE(isOk(result));
+  EXPECT_EQ(result.at("state").asString(), "failed");
+  EXPECT_EQ(errorOf(result), expected);
+}
+
+// A failed job fails as the CLI does and leaves nothing behind: the jobs
+// after it run as the CLI does.
+TEST(Server, FailedJobLeavesTheNextJobsToTheCli) {
+  const TempDir dir("failed");
+  writeGene(dir, "gene");
+  writeGene(dir, "stop", "TAA");  // a stop codon: refused unless cleandata
+  ServerOptions options;
+  options.socketPath = dir.file("d.sock");
+  options.workers = 1;
+  AnalysisServer server(std::move(options));
+  server.start();
+  Client client(dir.file("d.sock"));
+
+  const std::string absent = dir.file("absent.fasta");
+  expectFailsAsCli(client,
+                   "seqfile = " + absent + "\ntreefile = " +
+                       dir.file("gene.nwk") + "\nthreads = 1\n",
+                   "cannot open sequence file '" + absent + "'");
+  const std::string ctl = makeCtl(dir, "gene", 3);
+  EXPECT_EQ(strip(submitAndWait(client, ctl), kClockOnly),
+            strip(cliReport(ctl), kClockOnly));
+
+  expectFailsAsCli(client, makeCtl(dir, "stop", 3), "stop codon 'TAA'");
+  const std::string clean = makeCtl(dir, "stop", 3, 1, "cleandata = 1\n");
+  EXPECT_EQ(strip(submitAndWait(client, clean), kClockOnly),
+            strip(cliReport(clean), kClockOnly));
   server.drainAndStop();
 }
 

@@ -6,8 +6,11 @@
 // same numbers `slimcodeml --json` writes for that control file (the daemon
 // splices the report verbatim; numbers re-emit losslessly on both sides).
 
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -77,6 +80,16 @@ int checkOk(const JsonValue& response) {
                                                     : "request failed");
 }
 
+/// A submit flag's value: the whole word as a finite number.  It is sent as
+/// given, so the daemon's protocol checks decide whether it is in range.
+std::optional<double> parseNumber(const std::string& word) {
+  char* end = nullptr;
+  const double v = std::strtod(word.c_str(), &end);
+  if (end == word.c_str() || *end != '\0' || !std::isfinite(v))
+    return std::nullopt;
+  return v;
+}
+
 std::string resultRequest(const std::string& id, bool wait) {
   std::ostringstream os;
   os << "{\"schema\":\"" << slim::serve::kServeSchema
@@ -115,7 +128,13 @@ int main(int argc, char** argv) {
     return fail("no socket (pass --socket or set $SLIMCODEMLD_SOCKET)");
 
   try {
-    slim::serve::Client client(socketPath);
+    // Connect on the first request, so a bad argument is reported as such
+    // whether or not a daemon is listening.
+    std::optional<slim::serve::Client> client;
+    const auto call = [&](const std::string& request) {
+      if (!client) client.emplace(socketPath);
+      return client->call(request);
+    };
     const std::string& command = words[0];
     std::ostringstream os;
     os << "{\"schema\":\"" << slim::serve::kServeSchema << "\",\"op\":";
@@ -123,7 +142,7 @@ int main(int argc, char** argv) {
     if (command == "ping" || command == "drain") {
       if (words.size() != 1) return fail(command + " takes no arguments");
       os << '"' << command << "\"}";
-      return checkOk(client.call(os.str()));
+      return checkOk(call(os.str()));
     }
 
     if (command == "status") {
@@ -134,7 +153,7 @@ int main(int argc, char** argv) {
         slim::support::jsonString(os, words[1]);
       }
       os << '}';
-      return checkOk(client.call(os.str()));
+      return checkOk(call(os.str()));
     }
 
     if (command == "cancel") {
@@ -142,7 +161,7 @@ int main(int argc, char** argv) {
       os << "\"cancel\",\"id\":";
       slim::support::jsonString(os, words[1]);
       os << '}';
-      return checkOk(client.call(os.str()));
+      return checkOk(call(os.str()));
     }
 
     if (command == "result") {
@@ -157,13 +176,13 @@ int main(int argc, char** argv) {
           return fail("result takes one job id and optionally --wait");
       }
       if (id.empty()) return fail("result needs a job id");
-      return printResult(client.call(resultRequest(id, wait)));
+      return printResult(call(resultRequest(id, wait)));
     }
 
     if (command == "submit") {
       std::string ctlPath;
-      int priority = 0;
-      double timeoutSec = 0;
+      std::optional<double> priority;
+      std::optional<double> timeoutSec;
       bool checkpoint = false;
       bool wait = false;
       for (std::size_t w = 1; w < words.size(); ++w) {
@@ -173,10 +192,14 @@ int main(int argc, char** argv) {
           wait = true;
         } else if (word == "--checkpoint") {
           checkpoint = true;
-        } else if (word == "--priority" && hasValue) {
-          priority = std::stoi(words[++w]);
-        } else if (word == "--timeout" && hasValue) {
-          timeoutSec = std::stod(words[++w]);
+        } else if ((word == "--priority" || word == "--timeout") &&
+                   hasValue) {
+          const std::string& value = words[++w];
+          std::optional<double>& field =
+              word == "--priority" ? priority : timeoutSec;
+          field = parseNumber(value);
+          if (!field)
+            return fail(word + " needs a finite number, not '" + value + "'");
         } else if (ctlPath.empty()) {
           ctlPath = word;
         } else {
@@ -191,15 +214,18 @@ int main(int argc, char** argv) {
 
       os << "\"submit\",\"ctl\":";
       slim::support::jsonString(os, slim::serve::resolveCtlPaths(ctl.str()));
-      if (priority != 0) os << ",\"priority\":" << priority;
-      if (timeoutSec > 0) {
+      if (priority) {
+        os << ",\"priority\":";
+        slim::support::jsonNumber(os, *priority);
+      }
+      if (timeoutSec) {
         os << ",\"timeoutSec\":";
-        slim::support::jsonNumber(os, timeoutSec);
+        slim::support::jsonNumber(os, *timeoutSec);
       }
       if (checkpoint) os << ",\"checkpoint\":true";
       os << '}';
 
-      const JsonValue response = client.call(os.str());
+      const JsonValue response = call(os.str());
       if (const JsonValue* ok = response.find("ok");
           ok == nullptr || !ok->isBool() || !ok->asBool()) {
         const JsonValue* error = response.find("error");
@@ -213,7 +239,7 @@ int main(int argc, char** argv) {
       }
       const std::string id = response.at("id").asString();
       std::cerr << "slimcodeml_client: submitted " << id << ", waiting\n";
-      return printResult(client.call(resultRequest(id, /*wait=*/true)));
+      return printResult(call(resultRequest(id, /*wait=*/true)));
     }
 
     return fail("unknown command '" + command + "'");

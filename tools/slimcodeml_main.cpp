@@ -22,10 +22,10 @@ Fits the selected model (branch-site A, the branch model, clade model C,
 or M1a vs M2a with `model = site`) under H0 and H1, runs the
 likelihood-ratio test, and writes a report.  Repeating the seqfile line
 (or --batch) selects the multi-gene workflow: every gene's H0/H1 fits are
-fanned as independent tasks across the worker pool, sharing the tree and
-the propagator cache machinery.  With --batch the control file may leave
-out seqfile altogether.  `foreground = every-branch` (or a list of branch
-sets) scans each candidate foreground as its own task, named
+fanned as independent tasks across the worker pool, sharing one parsed
+tree; each task keeps its own propagators.  With --batch the control file
+may leave out seqfile altogether.  `foreground = every-branch` (or a list
+of branch sets) scans each candidate foreground as its own task, named
 <gene>@<branch-set>.
 
   --json         also emit a structured JSON report: to '<outfile>.json'

@@ -1,8 +1,8 @@
 // slimcodemld: the persistent analysis daemon.  Accepts control-file jobs
 // over a UNIX-domain socket (slimcodeml-serve-v1, see docs/protocol.md),
-// keeps parsed alignments and trees resident across jobs, and — with
-// --state — journals the queue and checkpoints jobs so a killed daemon
-// recovers them on restart.
+// runs each one through the CLI's own path, and — with --state — journals
+// the queue and checkpoints jobs so a killed daemon recovers them on
+// restart.
 //
 //   slimcodemld --socket /tmp/slim.sock [--state dir] [--workers 2]
 
@@ -33,7 +33,6 @@ are bit-identical to `slimcodeml --json` runs of the same control file.
                       a restarted daemon recovers interrupted jobs from it
   --workers <n>       concurrently running jobs (default 2)
   --max-queued <n>    admission bound on waiting jobs (default 64)
-  --cache-entries <n> resident parsed gene contexts (default 16)
   --version           print build information and exit
 
 SIGTERM/SIGINT drain gracefully: admission stops, running fits cancel at
@@ -77,9 +76,6 @@ int main(int argc, char** argv) {
       options.workers = n;
     } else if (arg == "--max-queued" && hasValue && parseCount(argv[++i], n)) {
       options.maxQueued = static_cast<std::size_t>(n);
-    } else if (arg == "--cache-entries" && hasValue &&
-               parseCount(argv[++i], n)) {
-      options.contextCacheEntries = static_cast<std::size_t>(n);
     } else {
       std::cerr << "slimcodemld: error: bad argument '" << arg << "'\n"
                 << kUsage;
