@@ -10,7 +10,6 @@
 
 #include <string>
 
-#include "backend/compute_backend.hpp"
 #include "gbench_main.hpp"
 #include "linalg/blas3.hpp"
 #include "linalg/simd.hpp"
@@ -111,81 +110,6 @@ void BM_PanelGemm(benchmark::State& state, linalg::SimdLevel level) {
         BM_PanelGemm, level);
   return true;
 }();
-
-// --- Compute-backend dimension (src/backend/) ---------------------------
-//
-// The same three hot panels through each runtime-pluggable backend's kernel
-// table: reference (scalar oracle), simd (best available ISA), blas (vendor
-// CBLAS, only in -DSLIM_WITH_BLAS=ON builds).  Unavailable backends skip.
-backend::BackendKind kindForArg(int arg) {
-  switch (arg) {
-    case 1: return backend::BackendKind::Simd;
-    case 2: return backend::BackendKind::Blas;
-    default: return backend::BackendKind::Reference;
-  }
-}
-
-bool skipUnavailable(benchmark::State& state, backend::BackendKind kind) {
-  if (backend::backendCompiled(kind)) return false;
-  state.SkipWithError("backend unavailable in this build");
-  return true;
-}
-
-void BM_BackendGemm(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto kind = kindForArg(static_cast<int>(state.range(1)));
-  if (skipUnavailable(state, kind)) return;
-  const auto be = backend::computeBackend(kind, linalg::detectSimdLevel());
-  const Matrix a = bench::randomMatrix(n, n, 1);
-  const Matrix b = bench::randomMatrix(n, n, 2);
-  Matrix c(n, n);
-  for (auto _ : state) {
-    be.ops.gemm(a.data(), b.data(), c.data(), n, n, n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-  state.SetLabel(be.name);
-}
-
-void BM_BackendGemmNT(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto kind = kindForArg(static_cast<int>(state.range(1)));
-  if (skipUnavailable(state, kind)) return;
-  const auto be = backend::computeBackend(kind, linalg::detectSimdLevel());
-  const Matrix a = bench::randomMatrix(n, n, 3);
-  const Matrix b = bench::randomMatrix(n, n, 4);
-  Matrix c(n, n);
-  for (auto _ : state) {
-    be.ops.gemmNT(a.data(), b.data(), c.data(), n, n, n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-  state.SetLabel(be.name);
-}
-
-void BM_BackendSyrk(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto kind = kindForArg(static_cast<int>(state.range(1)));
-  if (skipUnavailable(state, kind)) return;
-  const auto be = backend::computeBackend(kind, linalg::detectSimdLevel());
-  const Matrix y = bench::randomMatrix(n, n, 5);
-  Matrix c(n, n);
-  for (auto _ : state) {
-    be.ops.syrk(y.data(), c.data(), n, n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-  state.SetLabel(be.name);
-}
-
-void sizesAndBackends(benchmark::internal::Benchmark* b) {
-  for (int n : {61, 122, 244})
-    for (int kind : {0, 1, 2}) b->Args({n, kind});
-}
-
-BENCHMARK(BM_BackendGemm)->Apply(sizesAndBackends);
-BENCHMARK(BM_BackendGemmNT)->Apply(sizesAndBackends);
-BENCHMARK(BM_BackendSyrk)->Apply(sizesAndBackends);
 
 }  // namespace
 

@@ -44,9 +44,6 @@ class BranchSiteAnalysis {
   const FitOptions& options() const noexcept { return context_->options(); }
 
   const AnalysisContext& context() const noexcept { return *context_; }
-  const std::shared_ptr<const AnalysisContext>& contextPtr() const noexcept {
-    return context_;
-  }
 
  private:
   std::shared_ptr<const AnalysisContext> context_;

@@ -79,10 +79,6 @@ class BatchAnalysis {
   const AnalysisContext& context(GeneHandle gene) const {
     return *contexts_.at(gene);
   }
-  const std::shared_ptr<const AnalysisContext>& contextPtr(
-      GeneHandle gene) const {
-    return contexts_.at(gene);
-  }
   /// The resolved options gene `gene` runs with (including any seed derived
   /// from jitterSeedBase) — hand these to a standalone BranchSiteAnalysis
   /// to reproduce the gene's batch result exactly.

@@ -114,13 +114,13 @@ linalg::SimdLevel parseSimdLevel(std::string_view rest,
                     "'");
 }
 
-backend::BackendKind parseBackendKindField(std::string_view rest,
-                                           const std::string& context) {
-  backend::BackendKind k = backend::BackendKind::Reference;
-  if (!backend::parseBackendKind(rest, k))
+// The `backend` label follows from the record's simd level
+// (linalg::backendLabel), so only its two values are accepted and the value
+// itself is not kept.
+void checkBackendField(std::string_view rest, const std::string& context) {
+  if (rest != "reference" && rest != "simd")
     throw ConfigError(context + ": unknown backend '" + std::string(rest) +
                       "'");
-  return k;
 }
 
 // The eigen path is the only propagator builder, so `eigen` is the one
@@ -202,7 +202,7 @@ std::string Checkpoint::serialize() const {
     os << "gradientEvaluations " << fit.gradientEvaluations << '\n';
     os << "gradientMode " << gradientModeName(fit.gradientMode) << '\n';
     os << "simd " << linalg::simdLevelName(fit.simd) << '\n';
-    os << "backend " << backend::backendKindName(fit.backend) << '\n';
+    os << "backend " << linalg::backendLabel(fit.simd) << '\n';
     // The one propagator builder, still written so the format stays
     // byte-identical for readers of earlier versions.
     os << "expm eigen\n";
@@ -357,11 +357,10 @@ Checkpoint Checkpoint::parse(std::string_view text, const std::string& origin) {
       fit.gradientMode = parseGradientMode(need("gradientMode"),
                                            ctx("gradientMode"));
       fit.simd = parseSimdLevel(need("simd"), ctx("simd"));
-      // Fields introduced with the backend subsystem.  Optional on parse:
-      // hand-written fixtures and the hash pin (which covers the resolved
-      // backend) keep compatibility honest either way.
+      // Optional on parse: hand-written fixtures and the hash pin (which
+      // covers the resolved kernels) keep compatibility honest either way.
       if (const auto it = fields.find("backend"); it != fields.end())
-        fit.backend = parseBackendKindField(it->second, ctx("backend"));
+        checkBackendField(it->second, ctx("backend"));
       if (const auto it = fields.find("expm"); it != fields.end())
         checkExpmField(it->second, ctx("expm"));
       fit.converged = parseLong(need("converged"), ctx("converged")) != 0;
@@ -461,14 +460,15 @@ std::uint64_t checkpointConfigHash(const Config& config) {
   // The *resolved* kernels, as the engine's evaluators resolve them: a
   // checkpoint written under `simd = auto` on an AVX-512 host must not
   // silently continue with different arithmetic on an AVX2 host — the hash
-  // mismatch turns that into a keyed refusal.  `backend = auto` resolves per
-  // host capability too, and the kernels' summation orders differ across
-  // tables; engine = codeml runs the naive table whatever the two keys say.
-  const backend::ComputeBackend kernels = backend::resolveComputeBackend(
-      engineOptions(config.engine).flavor, config.fit.tuning.backend,
-      config.fit.tuning.simd);
-  add("simd", linalg::simdLevelName(kernels.simdLevel));
-  add("backend", backend::backendKindName(kernels.kind));
+  // mismatch turns that into a keyed refusal.  engine = codeml runs the
+  // naive table whatever `simd =` says.  The `backend` line is the level's
+  // label, so every hash pinned before `simd =` alone chose the table holds.
+  const linalg::SimdLevel level =
+      linalg::resolveKernels(engineOptions(config.engine).flavor,
+                             config.fit.tuning.simd)
+          .level;
+  add("simd", linalg::simdLevelName(level));
+  add("backend", linalg::backendLabel(level));
   // A literal since the eigen path became the only propagator builder:
   // without this line every configuration would hash differently, and every
   // checkpoint written before that would be refused on --resume.

@@ -151,10 +151,6 @@ Config Config::parse(std::istream& in) {
       if (!linalg::parseSimdMode(value, cfg.fit.tuning.simd))
         badLine(lineNo,
                 "simd must be 'auto', 'scalar', 'avx2' or 'avx512'");
-    } else if (key == "backend") {
-      if (!backend::parseBackendMode(value, cfg.fit.tuning.backend))
-        badLine(lineNo,
-                "backend must be 'auto', 'reference', 'simd' or 'blas'");
     } else if (key == "parallel") {
       if (value == "auto")
         cfg.fit.tuning.policy = ParallelPolicy::Auto;

@@ -20,7 +20,6 @@
 //     parallel = auto              * auto | task | pattern (batch fan-out)
 //     gradient = fd                * fd | analytic
 //     simd     = auto              * auto | scalar | avx2 | avx512
-//     backend  = auto              * auto | reference | simd | blas
 //     blockSize = 64               * site patterns per work block
 //     cachePropagators = 1         * persistent propagator cache on/off
 //     CodonFreq = 2                * 0 equal, 1 F1x4, 2 F3x4, 3 F61

@@ -91,7 +91,6 @@ FitResult fitHypothesis(const AnalysisContext& context, Hypothesis hypothesis,
   r.gradientEvaluations = bfgsResult.gradientEvaluations;
   r.gradientMode = fitOptions.tuning.gradient;
   r.simd = eval.simdLevel();
-  r.backend = eval.backendKind();
   r.converged = bfgsResult.converged;
   r.cancelled = bfgsResult.cancelled;
   r.message = bfgsResult.message;

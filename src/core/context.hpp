@@ -81,8 +81,6 @@ struct FitResult {
   GradientMode gradientMode = GradientMode::FiniteDiff;
   /// The SIMD kernel level the evaluator resolved `simd =` to.
   linalg::SimdLevel simd = linalg::SimdLevel::Scalar;
-  /// The compute backend the evaluator resolved `backend =` to.
-  backend::BackendKind backend = backend::BackendKind::Reference;
   bool converged = false;
   /// True when a cancel predicate (deadline, SIGTERM, daemon cancel) stopped
   /// the optimizer; lnL/params hold the last accepted point.

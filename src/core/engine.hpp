@@ -91,10 +91,6 @@ struct LikelihoodTuning {
   /// see lik::LikelihoodOptions::simd.  The resolved level is recorded in
   /// FitResult::simd and the text/JSON reports.
   linalg::SimdMode simd = linalg::SimdMode::Auto;
-  /// Compute-backend selection (`backend =` ctl key); see
-  /// lik::LikelihoodOptions::backend.  The resolved kind is recorded in
-  /// FitResult::backend and the text/JSON reports.
-  backend::BackendMode backend = backend::BackendMode::Auto;
 };
 
 constexpr lik::LikelihoodOptions resolvedEngineOptions(
@@ -105,7 +101,6 @@ constexpr lik::LikelihoodOptions resolvedEngineOptions(
   if (tuning.cachePropagators >= 0)
     o.cachePropagators = tuning.cachePropagators != 0;
   o.simd = tuning.simd;
-  o.backend = tuning.backend;
   return o;
 }
 

@@ -84,7 +84,7 @@ void writeFitReport(std::ostream& os, const FitResult& fit) {
     // The site report has never carried evaluation counts or timings.
     os << "    iterations = " << fit.iterations << stopReason(fit)
        << ", simd = " << linalg::simdLevelName(fit.simd)
-       << ", backend = " << backend::backendKindName(fit.backend) << '\n';
+       << ", backend = " << linalg::backendLabel(fit.simd) << '\n';
   } else {
     os << "    iterations = " << fit.iterations
        << ", function evaluations = " << fit.functionEvaluations << " + "
@@ -92,7 +92,7 @@ void writeFitReport(std::ostream& os, const FitResult& fit) {
        << gradientModeName(fit.gradientMode) << ')' << stopReason(fit) << '\n'
        << "    wall time = " << std::setprecision(3) << fit.seconds
        << " s, simd = " << linalg::simdLevelName(fit.simd)
-       << ", backend = " << backend::backendKindName(fit.backend) << '\n';
+       << ", backend = " << linalg::backendLabel(fit.simd) << '\n';
   }
   if (!fit.resumedFrom.empty())
     os << "    resumed from " << fit.resumedFrom << " ("
@@ -227,7 +227,7 @@ void jsonFit(std::ostream& os, const FitResult& fit) {
   os << ",\"simd\":";
   jsonString(os, linalg::simdLevelName(fit.simd));
   os << ",\"backend\":";
-  jsonString(os, backend::backendKindName(fit.backend));
+  jsonString(os, linalg::backendLabel(fit.simd));
   os << ",\"converged\":" << (fit.converged ? "true" : "false");
   // Only cancelled fits carry the flag, keeping untouched runs' JSON
   // byte-identical to what earlier versions emitted.

@@ -45,10 +45,13 @@ BranchSiteLikelihood::BranchSiteLikelihood(
   SLIM_REQUIRE(options_.numThreads >= 0, "numThreads must be >= 0");
   SLIM_REQUIRE(options_.blockSize >= 0, "blockSize must be >= 0");
 
-  // Resolve the kernel table once; an explicit simd/backend request the
-  // host or build cannot run fails loudly here rather than mid-evaluation.
-  backend_ = backend::resolveComputeBackend(options_.flavor, options_.backend,
-                                            options_.simd);
+  // Resolve the kernel table once; an explicit simd level the host or
+  // build cannot run fails loudly here rather than mid-evaluation.  The
+  // transitional BackendMode::Reference (ROADMAP item 7) forces scalar.
+  kernels_ = linalg::resolveKernels(
+      options_.flavor, options_.backend == backend::BackendMode::Reference
+                           ? linalg::SimdMode::Scalar
+                           : options_.simd);
 
   branchNodes_ = tree_.branches();
   nodeToBranch_.assign(tree_.numNodes(), -1);
@@ -120,7 +123,7 @@ void BranchSiteLikelihood::buildPropagator(int eigenIdx, double t, Matrix& out,
           ? linalg::OutputLayout::Plain
           : linalg::OutputLayout::Transposed;
   eigenSystems_[eigenIdx].transitionMatrix(t, options_.reconstruction,
-                                           backend_.ops, ws.expm, out, layout);
+                                           kernels_.ops, ws.expm, out, layout);
 }
 
 void BranchSiteLikelihood::prebuildPropagators() {
@@ -189,11 +192,11 @@ void BranchSiteLikelihood::propagateBranch(const Matrix& prop,
                                            MatrixView out) {
   if (options_.propagation == PropagationStrategy::PerSiteGemv) {
     // prop holds P: row h of W P^T is CodeML's per-site product P w_h.
-    linalg::gemmNT(backend_.ops, childCpv, prop.view(), out);
+    linalg::gemmNT(kernels_.ops, childCpv, prop.view(), out);
   } else {
     // prop holds P^T, so out(h,i) = sum_j childCpv(h,j) P^T(j,i)
     //  ==  (P w_h)_i for every h — one BLAS-3 panel product per branch.
-    linalg::gemm(backend_.ops, childCpv, prop.view(), out);
+    linalg::gemm(kernels_.ops, childCpv, prop.view(), out);
   }
 }
 
@@ -396,7 +399,7 @@ void BranchSiteLikelihood::prepareEigenSystems(const MixtureSpec& spec) {
     // kernels).  Different tables agree to <= 1e-10, not bit for bit, so a
     // shard warmed by one table must never serve another.
     const bool pathMatches = shard_->builtKernels.empty() ||
-                             shard_->builtKernels == backend_.ops.name;
+                             shard_->builtKernels == kernels_.ops.name;
     // Identical substitution parameters since the shard was filled mean the
     // eigensystems — and every cached propagator derived from them — are
     // still valid.  This is what makes optimizer line searches and
@@ -450,7 +453,7 @@ void BranchSiteLikelihood::prepareEigenSystems(const MixtureSpec& spec) {
   if (shard_) {
     shard_->specOmegas = spec.omegas;
     shard_->specScaledS = spec.scaledS;
-    shard_->builtKernels = backend_.ops.name;
+    shard_->builtKernels = kernels_.ops.name;
   }
 }
 
@@ -634,10 +637,10 @@ void BranchSiteLikelihood::buildGradientPropagators() {
     if (bundled) linalg::transposeInto(*propPtr_[slot], gradProp_[slot]);
     Matrix& dT = gradDerivT_[slot];
     eigenSystems_[slot % numOmegas_].derivativeMatrix(
-        tree_.branchLength(node), backend_.ops, ws.expm, dT,
+        tree_.branchLength(node), kernels_.ops, ws.expm, dT,
         linalg::OutputLayout::Transposed);
     if (leafHasMissing_[node])
-      linalg::gemm(backend_.ops, onesRow_.view(), dT.view(),
+      linalg::gemm(kernels_.ops, onesRow_.view(), dT.view(),
                    gradMissingDerivRows_.rowBlock(slot, 1));
   };
   pool_->parallelFor(static_cast<int>(buildSlots_.size()), std::cref(build));
@@ -711,7 +714,7 @@ void BranchSiteLikelihood::gradientUpPass(int m, int h0, int len,
       const bool leaf = tree_.node(c).isLeaf();
       const MatrixView deriv = ws.deriv.rowBlock(0, len);
       if (!leaf)
-        linalg::gemm(backend_.ops, ws.down[c].rowBlock(0, len),
+        linalg::gemm(kernels_.ops, ws.down[c].rowBlock(0, len),
                      gradDerivT_[slot].view(), deriv);
       ws.patternPropagations += len;
 
@@ -740,7 +743,7 @@ void BranchSiteLikelihood::gradientUpPass(int m, int h0, int len,
           upC.resize(blockMax_, n_);
         const MatrixView uc = upC.rowBlock(0, len);
         const Matrix& p = perSite ? *propPtr_[slot] : gradProp_[slot];
-        linalg::gemm(backend_.ops, ConstMatrixView(o), p.view(), uc);
+        linalg::gemm(kernels_.ops, ConstMatrixView(o), p.view(), uc);
         ws.patternPropagations += len;
         auto& us = ws.uScale[c];
         us.assign(len, 0.0);

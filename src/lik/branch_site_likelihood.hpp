@@ -19,9 +19,9 @@
 // SlimCodeML behaviour is injected exclusively through LikelihoodOptions
 // (kernel flavor, reconstruction path, propagation strategy), so measured
 // speedups isolate exactly the optimizations the paper describes.  The
-// flavor and the `simd`/`backend` modes resolve once, at construction, to
-// one kernel table (backend::resolveComputeBackend) that every propagator
-// build, panel product and gradient product calls.
+// flavor and the `simd` mode resolve once, at construction, to one kernel
+// table (linalg::resolveKernels) that every propagator build, panel product
+// and gradient product calls.
 //
 // A leaf's conditional panel would be one-hot (all ones for a gap or
 // ambiguous codon), so its product with a propagator adds only exact zeros.
@@ -48,7 +48,6 @@
 #include <memory>
 #include <vector>
 
-#include "backend/compute_backend.hpp"
 #include "bio/genetic_code.hpp"
 #include "expm/codon_eigen_system.hpp"
 #include "lik/options.hpp"
@@ -195,13 +194,9 @@ class BranchSiteLikelihood {
   /// Threads of the evaluator's pool: the eigendecompositions, the
   /// propagator builds and the pattern-block sweeps all run on it.
   int numThreads() const noexcept { return pool_->numThreads(); }
-  /// The SIMD level options().simd resolved to at construction (Scalar when
-  /// the flavor is Naive — the baseline loop nests are never vectorized).
-  linalg::SimdLevel simdLevel() const noexcept { return backend_.simdLevel; }
-  /// The compute backend options().backend resolved to at construction
-  /// (Reference when the flavor is Naive, like simd).
-  backend::BackendKind backendKind() const noexcept { return backend_.kind; }
-  const char* backendName() const noexcept { return backend_.name; }
+  /// The SIMD level of the table this evaluator runs (Scalar when the
+  /// flavor is Naive — the baseline loop nests are never vectorized).
+  linalg::SimdLevel simdLevel() const noexcept { return kernels_.level; }
   /// Entries currently held by the persistent propagator cache.
   std::size_t cachedPropagators() const noexcept {
     return shard_ ? shard_->entries.size() : 0;
@@ -341,9 +336,9 @@ class BranchSiteLikelihood {
   model::Hypothesis hypothesis_;
   LikelihoodOptions options_;
 
-  // The one kernel table (backend_.ops) and its report labels, resolved
-  // once at construction.
-  backend::ComputeBackend backend_;
+  // The one kernel table (kernels_.ops) and its level, resolved once at
+  // construction.
+  linalg::KernelChoice kernels_;
 
   int n_ = 0;             // codon states (61)
   int npat_ = 0;          // site patterns

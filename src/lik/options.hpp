@@ -6,10 +6,21 @@
 // strategy — each independently selectable here so that benches can ablate
 // them; the two named presets reproduce the paper's two systems.
 
-#include "backend/compute_backend.hpp"
 #include "expm/codon_eigen_system.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/simd.hpp"
+
+namespace slim::backend {
+
+/// Transitional, deleted with LikelihoodOptions::backend (ROADMAP item 7):
+/// `simd =` alone picks the kernel table, and this survives only because
+/// e2ebench's reference evaluator sets `Reference` beside `simd = Scalar`.
+enum class BackendMode {
+  Auto,       ///< The table `simd` resolves to.
+  Reference,  ///< The scalar table, whatever `simd` says.
+};
+
+}  // namespace slim::backend
 
 namespace slim::lik {
 
@@ -69,13 +80,9 @@ struct LikelihoodOptions {
   /// AVX levels agree with it to <= 1e-10 relative on lnL.
   linalg::SimdMode simd = linalg::SimdMode::Auto;
 
-  /// Compute backend under Flavor::Opt (`backend =` ctl key).  Auto
-  /// resolves to `reference` (the scalar table) when the SIMD level
-  /// resolves to scalar and to `simd` otherwise, and never to `blas`
-  /// (vendor kernels reassociate, so leaving the deterministic default is
-  /// an explicit opt-in).  An explicit backend missing from the build (blas
-  /// without SLIM_WITH_BLAS) fails evaluator construction.  Ignored under
-  /// Flavor::Naive, which reports `reference`.
+  /// Transitional (ROADMAP item 7): Reference runs Flavor::Opt on the
+  /// scalar table and reports `simd = scalar`, as SimdMode::Scalar does.
+  /// Only e2ebench sets it; the field goes once e2ebench stops setting it.
   backend::BackendMode backend = backend::BackendMode::Auto;
 };
 

@@ -6,11 +6,12 @@
 //
 //   Flavor::Naive — the `naive` kernel table (linalg/simd.hpp): faithful
 //                   transcriptions of the PAML loop nests.
-//   Flavor::Opt   — the tuned tables (scalar / avx2 / avx512 / blas), chosen
-//                   by the `simd =` and `backend =` keys.
+//   Flavor::Opt   — the tuned tables (scalar / avx2 / avx512), chosen by
+//                   the `simd =` key.
 //
-// backend::resolveComputeBackend is the one function that reads it; every
-// linalg, expm and lik entry point takes the resolved table instead.
+// linalg::resolveKernels (linalg/simd.hpp) is the one function that reads
+// it; every linalg, expm and lik entry point takes the resolved table
+// instead.
 
 namespace slim::linalg {
 

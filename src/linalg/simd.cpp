@@ -286,6 +286,16 @@ SimdLevel resolveSimdLevel(SimdMode mode) {
 
 const SimdKernels& naiveKernels() noexcept { return kNaiveKernels; }
 
+KernelChoice resolveKernels(Flavor flavor, SimdMode simd) {
+  if (flavor == Flavor::Naive) return {kNaiveKernels, SimdLevel::Scalar};
+  const SimdLevel level = resolveSimdLevel(simd);
+  return {simdKernels(level), level};
+}
+
+const char* backendLabel(SimdLevel level) noexcept {
+  return level == SimdLevel::Scalar ? "reference" : "simd";
+}
+
 const SimdKernels& simdKernels(SimdLevel level) {
   const SimdKernels* table = compiledTable(level);
   if (table == nullptr || !cpuSupports(level))

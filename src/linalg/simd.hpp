@@ -17,9 +17,8 @@
 //                  once per evaluator through simdKernels(level); their gemm
 //                  is a register-blocked micro-kernel (4 rows x 12 columns
 //                  in ymm, 4 rows x 32 columns in zmm).
-//   blas           Vendor CBLAS (backend/backend_blas.cpp).
 //
-// backend::resolveComputeBackend picks the one table an evaluator uses.
+// resolveKernels picks the one table an evaluator uses.
 //
 // Contract (asserted by tests/simd_kernel_test.cpp):
 //   * The fused sandwich entries of the naive and scalar tables reproduce
@@ -43,6 +42,8 @@
 
 #include <cstddef>
 #include <string_view>
+
+#include "linalg/kernels.hpp"
 
 #ifndef SLIM_RESTRICT
 #if defined(__GNUC__) || defined(__clang__)
@@ -150,6 +151,29 @@ const SimdKernels& simdKernels(SimdLevel level);
 
 /// CodeML's loop nests as a kernel table (the `engine = codeml` baseline).
 const SimdKernels& naiveKernels() noexcept;
+
+/// One resolved kernel choice: the table an evaluator runs and the level
+/// its reports record as `simd`.
+struct KernelChoice {
+  SimdKernels ops{};
+  SimdLevel level = SimdLevel::Scalar;
+};
+
+/// The engine's kernel choice, made in this one place: maps (flavor,
+/// `simd =`) to the table every propagator build, panel product and
+/// gradient product runs.  Flavor::Naive gets the naive table at level
+/// Scalar whatever `simd` says; Flavor::Opt resolves `simd`
+/// (resolveSimdLevel), so an explicit level the host cannot run throws
+/// std::invalid_argument.
+KernelChoice resolveKernels(Flavor flavor, SimdMode simd);
+
+/// The `backend` label of reports, completed checkpoint records and the
+/// checkpoint config hash: "reference" at level Scalar (so also for the
+/// naive table) and "simd" otherwise.  A separate `backend =` key used to
+/// pick these labels; deriving them from the level keeps every report,
+/// record and pinned hash of a control file without that key byte for byte
+/// what it was.
+const char* backendLabel(SimdLevel level) noexcept;
 
 namespace detail {
 /// Implemented by kernels_avx2.cpp / kernels_avx512.cpp (the only TUs built

@@ -749,22 +749,21 @@ TEST(ConfigHash, PinnedValuesDoNotMove) {
 }
 
 TEST(ConfigHash, CodemlPinsTheNaiveKernelsItRuns) {
-  // engine = codeml runs the naive table whatever `simd =`/`backend =` say,
-  // so those keys must not split its checkpoints; under slim they pick the
-  // arithmetic and must.
-  Config reference;
-  reference.seqfiles = {"a.fasta"};
-  reference.treefile = "t.nwk";
-  reference.fit.tuning.backend = backend::BackendMode::Reference;
-  Config simdScalar = reference;
-  simdScalar.fit.tuning.backend = backend::BackendMode::Simd;
-  simdScalar.fit.tuning.simd = linalg::SimdMode::Scalar;
+  // engine = codeml runs the naive table whatever `simd =` says, so the key
+  // must not split its checkpoints; under slim it picks the arithmetic and
+  // must, whenever `auto` resolves to a vector level.
+  Config autoSimd;
+  autoSimd.seqfiles = {"a.fasta"};
+  autoSimd.treefile = "t.nwk";
+  Config scalarSimd = autoSimd;
+  scalarSimd.fit.tuning.simd = linalg::SimdMode::Scalar;
 
-  reference.engine = simdScalar.engine = EngineKind::CodemlBaseline;
-  EXPECT_EQ(checkpointConfigHash(reference), checkpointConfigHash(simdScalar));
+  autoSimd.engine = scalarSimd.engine = EngineKind::CodemlBaseline;
+  EXPECT_EQ(checkpointConfigHash(autoSimd), checkpointConfigHash(scalarSimd));
 
-  reference.engine = simdScalar.engine = EngineKind::Slim;
-  EXPECT_NE(checkpointConfigHash(reference), checkpointConfigHash(simdScalar));
+  autoSimd.engine = scalarSimd.engine = EngineKind::Slim;
+  EXPECT_EQ(checkpointConfigHash(autoSimd) == checkpointConfigHash(scalarSimd),
+            linalg::detectSimdLevel() == linalg::SimdLevel::Scalar);
 }
 
 TEST(ConfigHash, CoversInputFileContent) {

@@ -86,13 +86,23 @@ TEST(ConfigParse, Errors) {
   EXPECT_THROW(Config::parseString("seqfile = s.fa\n"),
                std::invalid_argument);
   // Unknown keys, whatever their value: `expm =` (the eigen path is the
-  // only propagator builder) and `tuning =` (no per-host profile).
-  for (const char* line : {"bogus = 1", "expm = eigen", "expm = adaptive",
-                           "tuning = auto", "tuning = host.profile"})
+  // only propagator builder), `tuning =` (no per-host profile) and
+  // `backend =` (`simd =` alone picks the kernel table).
+  for (const char* line :
+       {"bogus = 1", "expm = eigen", "expm = adaptive", "tuning = auto",
+        "tuning = host.profile", "backend = auto", "backend = reference",
+        "backend = simd", "backend = blas"})
     EXPECT_THROW(Config::parseString(
                      std::string("seqfile = s\ntreefile = t\n") + line + "\n"),
                  ConfigError)
         << line;
+  // The refusal is keyed by line and names the key.
+  try {
+    Config::parseString("seqfile = s\ntreefile = t\nbackend = blas\n");
+    ADD_FAILURE() << "backend = blas parsed";
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(), "control file line 3: unknown key 'backend'");
+  }
   // Malformed lines and values.
   EXPECT_THROW(Config::parseString("seqfile\n"), std::invalid_argument);
   EXPECT_THROW(Config::parseString(

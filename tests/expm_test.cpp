@@ -11,7 +11,6 @@
 #include <cstring>
 #include <vector>
 
-#include "backend/compute_backend.hpp"
 #include "expm/codon_eigen_system.hpp"
 #include "expm/pade.hpp"
 #include "linalg/blas3.hpp"
@@ -117,17 +116,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 // P^T and (dP/dt)^T straight from the kernel are the transposes of P and
 // dP/dt bit for bit, on both reconstruction paths and every table this
-// build can run (blas too, when it is compiled in).
+// build can run.
 TEST(CodonEigenSystem, TransposedLayoutIsTheTransposeOfP) {
   std::vector<const SimdKernels*> tables{&linalg::naiveKernels(), &scalar()};
   for (auto level : {linalg::SimdLevel::Avx2, linalg::SimdLevel::Avx512})
     if (linalg::simdLevelAvailable(level))
       tables.push_back(&linalg::simdKernels(level));
-  if (backend::backendCompiled(backend::BackendKind::Blas)) {
-    static const backend::ComputeBackend blas = backend::computeBackend(
-        backend::BackendKind::Blas, linalg::SimdLevel::Scalar);
-    tables.push_back(&blas.ops);
-  }
   const auto cs = makeCodonSetup(2.5, 0.066, 13);
   const CodonEigenSystem es(cs.s, cs.pi);
   const auto bits = [](const Matrix& got, const Matrix& want) {

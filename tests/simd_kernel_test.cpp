@@ -12,12 +12,16 @@
 //     under any row partition of a panel;
 //   * the vector tables' gemm gives every element the bits of the k-ordered
 //     FMA chain from +0.0, so avx2 and avx512 agree bit for bit;
-//   * on every table (blas too, when compiled in) a sandwich entry's
-//     Transposed output is the transpose of its Plain output bit for bit,
-//     and a kernel that gets P^T by swapping l and r fails that check;
+//   * on every table a sandwich entry's Transposed output is the transpose
+//     of its Plain output bit for bit, and a kernel that gets P^T by
+//     swapping l and r fails that check;
 //   * every table's product of a one-hot row is exactly the selected row of
 //     the other operand, and a 1-row call equals that row inside a panel —
-//     what the likelihood sweeps' leaf row gathers rest on.
+//     what the likelihood sweeps' leaf row gathers rest on;
+//   * resolveKernels is the one kernel choice: the naive table for the
+//     codeml flavor whatever `simd =` says, otherwise the table of the level
+//     `simd =` resolves to, and the transitional `backend = Reference`
+//     option runs and reports the scalar table.
 
 #include <gtest/gtest.h>
 
@@ -30,7 +34,6 @@
 #include <utility>
 #include <vector>
 
-#include "backend/compute_backend.hpp"
 #include "expm/codon_eigen_system.hpp"
 #include "lik/branch_site_likelihood.hpp"
 #include "linalg/blas3.hpp"
@@ -245,18 +248,6 @@ TEST(SimdKernels, FusedSandwichIsBitIdenticalToUnfused) {
 
 // ---------- the stored layout moves only the stores ----------
 
-// Every table this build can run: naive, scalar, each available vector
-// level, and blas when it is compiled in.
-std::vector<const SimdKernels*> everyTable() {
-  std::vector<const SimdKernels*> out = availableTables();
-  if (backend::backendCompiled(backend::BackendKind::Blas)) {
-    static const backend::ComputeBackend blas =
-        backend::computeBackend(backend::BackendKind::Blas, SimdLevel::Scalar);
-    out.push_back(&blas.ops);
-  }
-  return out;
-}
-
 std::size_t bitMismatches(const Matrix& got, const Matrix& want) {
   std::size_t bad = 0;
   for (std::size_t k = 0; k < want.size(); ++k)
@@ -301,7 +292,7 @@ std::size_t layoutMismatches(const SimdKernels& kern) {
 }
 
 TEST(SimdKernels, TransposedSandwichIsThePlainOneTransposed) {
-  for (const SimdKernels* kern : everyTable())
+  for (const SimdKernels* kern : availableTables())
     EXPECT_EQ(layoutMismatches(*kern), 0u) << kern->name;
 }
 
@@ -501,6 +492,47 @@ TEST(SimdDispatch, ResolveContract) {
   }
 }
 
+// The codeml flavor gets the naive table at level scalar whatever `simd =`
+// says, even a level the host cannot run.  The slim flavor gets the table
+// of the level `simd =` resolves to, so an explicit request for the level
+// auto picks runs auto's table, entry for entry.  The `backend` label
+// follows the level.
+TEST(SimdDispatch, ResolveKernelsContract) {
+  const auto sameTable = [](const SimdKernels& a, const SimdKernels& b) {
+    return a.name == b.name && a.gemm == b.gemm && a.gemmNT == b.gemmNT &&
+           a.syrk == b.syrk && a.syrkSandwich == b.syrkSandwich &&
+           a.gemmNTSandwich == b.gemmNTSandwich;
+  };
+  for (SimdMode mode :
+       {SimdMode::Auto, SimdMode::Scalar, SimdMode::Avx2, SimdMode::Avx512}) {
+    const KernelChoice naive = resolveKernels(Flavor::Naive, mode);
+    EXPECT_TRUE(sameTable(naive.ops, naiveKernels())) << simdModeName(mode);
+    EXPECT_EQ(naive.level, SimdLevel::Scalar) << simdModeName(mode);
+  }
+
+  const KernelChoice autoChoice = resolveKernels(Flavor::Opt, SimdMode::Auto);
+  EXPECT_EQ(autoChoice.level, detectSimdLevel());
+  constexpr std::pair<SimdMode, SimdLevel> kPairs[] = {
+      {SimdMode::Scalar, SimdLevel::Scalar},
+      {SimdMode::Avx2, SimdLevel::Avx2},
+      {SimdMode::Avx512, SimdLevel::Avx512}};
+  for (auto [mode, level] : kPairs) {
+    if (!simdLevelAvailable(level)) {
+      EXPECT_THROW(resolveKernels(Flavor::Opt, mode), std::invalid_argument);
+      continue;
+    }
+    const KernelChoice opt = resolveKernels(Flavor::Opt, mode);
+    EXPECT_EQ(opt.level, level);
+    EXPECT_TRUE(sameTable(opt.ops, simdKernels(level))) << simdModeName(mode);
+    EXPECT_EQ(sameTable(opt.ops, autoChoice.ops), level == detectSimdLevel())
+        << simdModeName(mode);
+  }
+
+  EXPECT_STREQ(backendLabel(SimdLevel::Scalar), "reference");
+  EXPECT_STREQ(backendLabel(SimdLevel::Avx2), "simd");
+  EXPECT_STREQ(backendLabel(SimdLevel::Avx512), "simd");
+}
+
 }  // namespace
 }  // namespace slim::linalg
 
@@ -693,6 +725,36 @@ TEST(SimdLikelihood, ScalarModeAndNaiveFlavorContracts) {
   ASSERT_TRUE(std::isfinite(a));
   ASSERT_TRUE(std::isfinite(b));
   EXPECT_NEAR(a, b, 1e-6 * std::fabs(b));
+}
+
+// The transitional LikelihoodOptions::backend (ROADMAP item 7): Reference
+// runs the scalar table and says so.  Under `simd = auto` it reports level
+// scalar, and its lnL and analytic branch gradient equal `simd = scalar`'s
+// bit for bit at every thread count and block size, which is what
+// e2ebench's reference lnL relies on.
+TEST(SimdLikelihood, TransitionalReferenceIsTheScalarTable) {
+  const Fixture f = makeFixture();
+  const BranchSiteParams p = testParams();
+  for (int threads : {1, 2, 8}) {
+    for (int blockSize : {0, 7, 64}) {
+      const LikelihoodOptions scalar = optionsFor(
+          SimdLevel::Scalar, PropagationStrategy::BundledGemm, threads,
+          blockSize);
+      LikelihoodOptions reference = scalar;
+      reference.simd = SimdMode::Auto;
+      reference.backend = backend::BackendMode::Reference;
+      BranchSiteLikelihood scalarEval(f.alignment, f.patterns, f.pi, f.tree,
+                                      Hypothesis::H1, scalar);
+      BranchSiteLikelihood refEval(f.alignment, f.patterns, f.pi, f.tree,
+                                   Hypothesis::H1, reference);
+      EXPECT_EQ(refEval.simdLevel(), SimdLevel::Scalar);
+      EXPECT_EQ(refEval.logLikelihood(p), scalarEval.logLikelihood(p))
+          << "threads = " << threads << " blockSize = " << blockSize;
+      EXPECT_EQ(testutil::lnLAndGradient(refEval, p),
+                testutil::lnLAndGradient(scalarEval, p))
+          << "threads = " << threads << " blockSize = " << blockSize;
+    }
+  }
 }
 
 TEST(SimdLikelihood, ExplicitUnavailableLevelFailsConstruction) {

@@ -42,8 +42,7 @@ docs/static-analysis.md):
   kernel-choice        One place chooses the engine's arithmetic.  In src/,
                        linalg::Flavor and the kernel-table accessors
                        (simdKernels(, naiveKernels(, *KernelTable() appear
-                       only in linalg/, backend/ (whose
-                       resolveComputeBackend maps flavor, `backend =` and
+                       only in linalg/ (whose resolveKernels maps flavor and
                        `simd =` to one table) and lik/options.hpp (the
                        presets).  Every other function takes the resolved
                        table as a parameter.
@@ -93,10 +92,7 @@ ISA_ALLOWED_FILES = {
 }
 
 # Where the kernel choice may be made (see kernel-choice above).
-KERNEL_CHOICE_DIRS = (
-    os.path.join("src", "linalg") + os.sep,
-    os.path.join("src", "backend") + os.sep,
-)
+KERNEL_CHOICE_DIRS = (os.path.join("src", "linalg") + os.sep,)
 KERNEL_CHOICE_FILES = {os.path.join("src", "lik", "options.hpp")}
 
 PATH_LISTS = {
@@ -318,9 +314,9 @@ def check_file(relpath: str, text: str, findings: list[Finding]) -> None:
             m = KERNEL_CHOICE.search(cl)
             if m:
                 add(ln, "kernel-choice",
-                    f"'{m.group(0).rstrip('( ')}' outside linalg/, backend/ "
-                    "and lik/options.hpp — take the table "
-                    "backend::resolveComputeBackend chose as a parameter")
+                    f"'{m.group(0).rstrip('( ')}' outside linalg/ and "
+                    "lik/options.hpp — take the table "
+                    "linalg::resolveKernels chose as a parameter")
 
     # --- isa-flags ----------------------------------------------------------
     if relpath not in ISA_ALLOWED_FILES:

@@ -60,7 +60,6 @@ Control file template:
     parallel = auto            * auto | task | pattern (batch fan-out)
     gradient = fd              * fd | analytic
     simd     = auto            * auto | scalar | avx2 | avx512 kernels
-    backend  = auto            * auto | reference | simd | blas
     blockSize = 64             * site patterns per work block
     cachePropagators = 1       * persistent (omega, branch-length) cache
     CodonFreq = 2              * 0 equal, 1 F1x4, 2 F3x4, 3 F61
