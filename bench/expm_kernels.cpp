@@ -4,6 +4,7 @@
 //     naive and scalar kernel tables: the paper's central claim, "saves
 //     about half of the flops".  (The naive table has no symmetric kernel,
 //     so its Eq. 10 row runs the full 2n^3 product, as CodeML would.)
+//   - The gradient's dP^T build (Eq. 9 form, Transposed layout) per table.
 //   - The symmetric eigendecomposition (once per omega class) and the Pade
 //     oracle, for context on where time goes.
 
@@ -144,6 +145,40 @@ BENCHMARK(BM_Reconstruct_Syrk_Avx2Unfused);
 BENCHMARK(BM_Reconstruct_Syrk_Avx2Fused);
 BENCHMARK(BM_Reconstruct_Syrk_Avx512Unfused);
 BENCHMARK(BM_Reconstruct_Syrk_Avx512Fused);
+
+// The gradient's dP^T build per kernel table: derivativeMatrix through
+// gemmNTSandwich, Transposed layout, clamp off — what every gradient sweep
+// runs once per (branch, eigensystem).
+void derivativeSimd(benchmark::State& state, linalg::SimdLevel level) {
+  if (!linalg::simdLevelAvailable(level)) {
+    state.SkipWithError("SIMD level unavailable on this host");
+    return;
+  }
+  auto& s = setup();
+  const auto& kern = linalg::simdKernels(level);
+  expm::ExpmWorkspace ws;
+  linalg::Matrix dT(61, 61);
+  double t = 0.01;
+  for (auto _ : state) {
+    s.es.derivativeMatrix(t, kern, ws, dT, linalg::OutputLayout::Transposed);
+    benchmark::DoNotOptimize(dT.data());
+    t += 1e-6;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_DerivativeMatrix_Scalar(benchmark::State& state) {
+  derivativeSimd(state, linalg::SimdLevel::Scalar);
+}
+void BM_DerivativeMatrix_Avx2(benchmark::State& state) {
+  derivativeSimd(state, linalg::SimdLevel::Avx2);
+}
+void BM_DerivativeMatrix_Avx512(benchmark::State& state) {
+  derivativeSimd(state, linalg::SimdLevel::Avx512);
+}
+BENCHMARK(BM_DerivativeMatrix_Scalar);
+BENCHMARK(BM_DerivativeMatrix_Avx2);
+BENCHMARK(BM_DerivativeMatrix_Avx512);
 
 void BM_Eigendecomposition(benchmark::State& state) {
   auto& s = setup();

@@ -37,6 +37,13 @@ GeneticCode::GeneticCode(std::string name, std::string_view table64)
     }
   }
   SLIM_REQUIRE(numSense_ > 1, "genetic code must have at least 2 sense codons");
+  for (int i = 0; i < numSense_; ++i)
+    for (int j = i + 1; j < numSense_; ++j) {
+      const auto cls =
+          classifyCodonPair(*this, codonOfSense_[i], codonOfSense_[j]);
+      if (cls.ndiff == 1)
+        singleChangePairs_.push_back({i, j, cls.transition, cls.synonymous});
+    }
 }
 
 const GeneticCode& GeneticCode::universal() {

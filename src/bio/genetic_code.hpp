@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "bio/nucleotide.hpp"
 
@@ -36,6 +37,15 @@ std::string codonString(int codon);
 
 /// Parse a 3-character codon; nullopt if any character is not T/C/A/G/U.
 std::optional<int> codonFromString(std::string_view s) noexcept;
+
+/// A pair of sense codons (dense indices i < j) that differ at exactly one
+/// codon position — the only pairs with a nonzero rate in Eq. 1.
+struct SingleChangePair {
+  int i = 0;
+  int j = 0;
+  bool transition = false;  ///< The nucleotide change is a transition.
+  bool synonymous = false;  ///< Both codons code for the same amino acid.
+};
 
 /// A translation table over the 64 codons.
 class GeneticCode {
@@ -78,12 +88,19 @@ class GeneticCode {
   /// Both must be sense codons.
   bool synonymous(int c1, int c2) const;
 
+  /// Every sense-codon pair differing at one position, in (i, j) order,
+  /// classified once at construction.
+  const std::vector<SingleChangePair>& singleChangePairs() const noexcept {
+    return singleChangePairs_;
+  }
+
  private:
   std::string name_;
   std::array<char, kNumCodons> aa_{};
   std::array<int, kNumCodons> senseIndex_{};
   std::array<int, kNumCodons> codonOfSense_{};  // first numSense_ entries valid
   int numSense_ = 0;
+  std::vector<SingleChangePair> singleChangePairs_;
 };
 
 /// Classification of an (ordered) pair of sense codons for Eq. 1 of the

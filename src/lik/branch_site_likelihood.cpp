@@ -200,37 +200,85 @@ void BranchSiteLikelihood::propagateBranch(const Matrix& prop,
   }
 }
 
-void BranchSiteLikelihood::downPass(int m, int h0, int len, bool keepLeaves,
+namespace {
+
+// The row passes' element loops: dst := src, or dst *= src, over n entries
+// of a row read with the given stride.
+void copyRow(double* SLIM_RESTRICT dst, const double* SLIM_RESTRICT src,
+             std::size_t stride, int n) noexcept {
+  if (stride == 1)
+    for (int i = 0; i < n; ++i) dst[i] = src[i];
+  else
+    for (int i = 0; i < n; ++i) dst[i] = src[i * stride];
+}
+
+void multiplyRow(double* SLIM_RESTRICT dst, const double* SLIM_RESTRICT src,
+                 std::size_t stride, int n) noexcept {
+  if (stride == 1)
+    for (int i = 0; i < n; ++i) dst[i] *= src[i];
+  else
+    for (int i = 0; i < n; ++i) dst[i] *= src[i * stride];
+}
+
+// dst := a * b: the bits of copying a and then multiplying b in.
+void multiplyRows(double* SLIM_RESTRICT dst, const double* SLIM_RESTRICT a,
+                  std::size_t aStride, const double* SLIM_RESTRICT b,
+                  std::size_t bStride, int n) noexcept {
+  if (aStride == 1 && bStride == 1)
+    for (int i = 0; i < n; ++i) dst[i] = a[i] * b[i];
+  else
+    for (int i = 0; i < n; ++i) dst[i] = a[i * aStride] * b[i * bStride];
+}
+
+// Underflow rescue: renormalize a row whose maximum dropped below the
+// threshold, adding the log of the removed factor to scaleLog.  The maximum
+// over 0.0 runs in four partial maxima instead of one compare chain; it is
+// the serial scan's value, since each partial starts at +0.0 like the scan
+// and a max picks an operand exactly (a NaN is skipped either way).
+void rescueRow(double* row, int n, double threshold,
+               double& scaleLog) noexcept {
+  double part[4] = {0.0, 0.0, 0.0, 0.0};
+  int i = 0;
+  for (; i + 4 <= n; i += 4)
+    for (int j = 0; j < 4; ++j) part[j] = std::max(part[j], row[i + j]);
+  for (; i < n; ++i) part[0] = std::max(part[0], row[i]);
+  const double mx =
+      std::max(std::max(part[0], part[1]), std::max(part[2], part[3]));
+  if (mx > 0.0 && mx < threshold) {
+    const double inv = 1.0 / mx;
+    for (int k = 0; k < n; ++k) row[k] *= inv;
+    scaleLog += std::log(mx);
+  }
+}
+
+}  // namespace
+
+BranchSiteLikelihood::ChildRows BranchSiteLikelihood::childRows(
+    int child, std::size_t slot, int h0,
+    const SweepWorkspace& ws) const noexcept {
+  ChildRows out;
+  if (!tree_.node(child).isLeaf()) {
+    out.panel = ws.prod[child].data();
+    return out;
+  }
+  const auto n = static_cast<std::size_t>(n_);
+  const bool perSite = options_.propagation == PropagationStrategy::PerSiteGemv;
+  out.table = propPtr_[slot]->data();
+  out.missing = missingRows_.row(slot);
+  out.states = leafState_[child].data() + h0;
+  out.stateStep = perSite ? 1 : n;
+  out.stride = perSite ? n : 1;
+  return out;
+}
+
+void BranchSiteLikelihood::downPass(int m, int h0, int len,
                                     SweepWorkspace& ws) {
   const int numNodes = tree_.numNodes();
   const auto& cls = activeClasses_[m];
   const int* nodeRep = nodeRep_.data() + static_cast<std::size_t>(m) * numNodes;
   const int* edgeRep = edgeRep_.data() + static_cast<std::size_t>(m) * numNodes;
-  const bool perSite = options_.propagation == PropagationStrategy::PerSiteGemv;
-  // A leaf child's product row h is row `state` of the stored P^T (column
-  // `state` of P under PerSiteGemv).  It is multiplied into dst when dst
-  // already holds a product (x * y == y * x, so these are the bits of
-  // product-then-Hadamard) and copied into it otherwise (1 * x == x, so
-  // these are the bits of multiplying a panel of ones).
-  const auto gatherLeaf = [&](int leaf, const Matrix& prop, std::size_t slot,
-                              MatrixView dst, bool multiply) {
-    const int* states = leafState_[leaf].data() + h0;
-    for (int h = 0; h < len; ++h) {
-      double* row = dst.row(h);
-      if (perSite && states[h] != seqio::kMissingState) {
-        const int col = states[h];
-        if (multiply)
-          for (int i = 0; i < n_; ++i) row[i] *= prop(i, col);
-        else
-          for (int i = 0; i < n_; ++i) row[i] = prop(i, col);
-      } else {
-        const double* src = gatherRow(prop, missingRows_, slot, states[h]);
-        if (multiply)
-          for (int i = 0; i < n_; ++i) row[i] *= src[i];
-        else
-          std::copy(src, src + n_, row);
-      }
-    }
+  const auto slotOf = [&](int node) {
+    return propIndex(node, cls.omegaFor(tree_.node(node).mark));
   };
 
   // A node is computed only when its panel does not hold class m's
@@ -239,64 +287,52 @@ void BranchSiteLikelihood::downPass(int m, int h0, int len, bool keepLeaves,
   // the pass computes exactly what class m does not share.
   for (int id : tree_.postOrder()) {
     if (tree_.node(id).isLeaf() || ws.downTag[id] == nodeRep[id]) continue;
-    Matrix& cpvStore = ws.down[id];
-    if (cpvStore.rows() != static_cast<std::size_t>(blockMax_))
-      cpvStore.resize(blockMax_, n_);
-    const MatrixView cpv = cpvStore.rowBlock(0, len);
-    auto& scaleLog = ws.sDown[id];
-    scaleLog.assign(len, 0.0);
-
-    // The first child's product is copied into the panel and each later
-    // one multiplied in: the bits of a panel of ones times every child.
     const auto& children = tree_.node(id).children;
-    for (std::size_t c = 0; c < children.size(); ++c) {
-      const int child = children[c];
-      const bool multiply = c > 0;
-      const bool leaf = tree_.node(child).isLeaf();
-      const std::size_t slot =
-          propIndex(child, cls.omegaFor(tree_.node(child).mark));
-      // Prebuilt before the parallel region; read-only here.
-      const Matrix& prop = *propPtr_[slot];
+    for (int child : children) {
       const bool held = ws.prodTag[child] == edgeRep[child];
       if (!held) ws.patternPropagations += len;
       ws.prodTag[child] = edgeRep[child];
-      if (leaf && !keepLeaves) {
-        // The table row is always at hand, so a held gather only skips the
-        // count.
-        gatherLeaf(child, prop, slot, cpv, multiply);
-        continue;
-      }
+      // A leaf's rows are read from its table, so a held gather only skips
+      // the count.
+      if (held || tree_.node(child).isLeaf()) continue;
       Matrix& store = ws.prod[child];
-      if (!held) {
-        if (store.rows() != static_cast<std::size_t>(blockMax_))
-          store.resize(blockMax_, n_);
-        const MatrixView out = store.rowBlock(0, len);
-        if (leaf)
-          gatherLeaf(child, prop, slot, out, /*multiply=*/false);
-        else
-          propagateBranch(prop, ws.down[child].rowBlock(0, len), out);
-      }
-      const auto product = ConstMatrixView(store.rowBlock(0, len)).span();
-      if (multiply)
-        linalg::hadamardInPlace(product, cpv.span());
-      else
-        linalg::copy(product, cpv.span());
-      // A leaf's scale log is zero; adding it would change no bit.
-      if (!leaf)
-        for (int h = 0; h < len; ++h) scaleLog[h] += ws.sDown[child][h];
+      if (store.rows() != static_cast<std::size_t>(blockMax_))
+        store.resize(blockMax_, n_);
+      // Prebuilt before the parallel region; read-only here.
+      propagateBranch(*propPtr_[slotOf(child)], ws.down[child].rowBlock(0, len),
+                      store.rowBlock(0, len));
     }
 
-    // Underflow rescue: renormalize any pattern row whose maximum dropped
-    // below the threshold, remembering the removed factor in log space.
+    Matrix& cpvStore = ws.down[id];
+    if (cpvStore.rows() != static_cast<std::size_t>(blockMax_))
+      cpvStore.resize(blockMax_, n_);
+    auto& scaleLog = ws.sDown[id];
+    scaleLog.resize(len);
+    ws.children.clear();
+    for (int child : children)
+      ws.children.push_back(childRows(child, slotOf(child), h0, ws));
+    // The first child's product row is copied and each later one multiplied
+    // in, in child order (the first two in one loop): the bits of a panel
+    // of ones times every child.  A leaf's scale log is zero; adding it
+    // would change no bit.
     for (int h = 0; h < len; ++h) {
-      double mx = 0.0;
-      double* row = cpv.row(h);
-      for (int i = 0; i < n_; ++i) mx = std::max(mx, row[i]);
-      if (mx > 0.0 && mx < options_.scalingThreshold) {
-        const double inv = 1.0 / mx;
-        for (int i = 0; i < n_; ++i) row[i] *= inv;
-        scaleLog[h] += std::log(mx);
+      double* row = cpvStore.row(h);
+      const PanelRow first = ws.children[0].row(h, n_);
+      if (children.size() == 1)
+        copyRow(row, first.data, first.stride, n_);
+      for (std::size_t c = 1; c < children.size(); ++c) {
+        const PanelRow src = ws.children[c].row(h, n_);
+        if (c == 1)
+          multiplyRows(row, first.data, first.stride, src.data, src.stride,
+                       n_);
+        else
+          multiplyRow(row, src.data, src.stride, n_);
       }
+      double sum = 0.0;
+      for (std::size_t c = 0; c < children.size(); ++c)
+        if (ws.children[c].panel) sum += ws.sDown[children[c]][h];
+      rescueRow(row, n_, options_.scalingThreshold, sum);
+      scaleLog[h] = sum;
     }
     ws.downTag[id] = nodeRep[id];
   }
@@ -501,7 +537,7 @@ void BranchSiteLikelihood::computeClassLikelihoods(const MixtureSpec& spec) {
   // whose root is aliased reads its representative's).
   const int root = tree_.root();
   forEachGroupBlock([&](int m, int h0, int len, SweepWorkspace& ws) {
-    downPass(m, h0, len, /*keepLeaves=*/false, ws);
+    downPass(m, h0, len, ws);
     const ConstMatrixView rootCpv = ws.down[root].rowBlock(0, len);
     for (int h = 0; h < len; ++h) {
       double f = 0.0;
@@ -589,9 +625,11 @@ double BranchSiteLikelihood::gradientBranchesFromState(std::span<double> gradT) 
   gradContrib_.assign(static_cast<std::size_t>(numClasses_) * slabSize, 0.0);
   std::vector<double>& contrib = gradContrib_;
   forEachGroupBlock([&](int m, int h0, int len, SweepWorkspace& ws) {
-    downPass(m, h0, len, /*keepLeaves=*/true, ws);
-    gradientUpPass(m, h0, len, mixMaxScaleLog_, mixMixture_, ws,
-                   std::span<double>(contrib.data() + m * slabSize, slabSize));
+    downPass(m, h0, len, ws);
+    // A class equal to a lower one on every edge had its slab written by
+    // that class's up pass, earlier in the same task.
+    if (rootRep(m) == m)
+      gradientUpPass(m, h0, len, mixMaxScaleLog_, mixMixture_, ws, contrib);
   });
   // Fixed (branch, class, pattern) reduction order: deterministic and
   // partition-independent like the task writes, with the innermost loop
@@ -650,7 +688,7 @@ void BranchSiteLikelihood::gradientUpPass(int m, int h0, int len,
                                           std::span<const double> maxScaleLog,
                                           std::span<const double> mixture,
                                           SweepWorkspace& ws,
-                                          std::span<double> gradOut) {
+                                          std::span<double> contrib) {
   const int numNodes = tree_.numNodes();
   if (static_cast<int>(ws.up.size()) != numNodes) {
     ws.up.resize(numNodes);
@@ -663,15 +701,19 @@ void BranchSiteLikelihood::gradientUpPass(int m, int h0, int len,
 
   // The up pass reads class m's down pass: per node the subtree panel D and
   // its scale log, per child the propagated panel prod = P * D_child (the
-  // outside recursion multiplies sibling prods together).  Its panel
-  // products run on the evaluator's kernel table, like the down pass's; a
-  // leaf child's dP rows are gathered from the dP^T-layout table.
+  // outside recursion multiplies sibling prods together; a leaf sibling's
+  // rows come from its table).  Its panel products run on the evaluator's
+  // kernel table, like the down pass's; a leaf child's dP rows are gathered
+  // from the dP^T-layout table.
   const int root = tree_.root();
   const auto& cls = activeClasses_[m];
   const bool perSite = options_.propagation == PropagationStrategy::PerSiteGemv;
   const auto slotOf = [&](int node) {
     return propIndex(node, cls.omegaFor(tree_.node(node).mark));
   };
+  // This pass writes the slabs of m and of every class whose root
+  // representative is m.
+  const std::size_t slabSize = static_cast<std::size_t>(numBranches()) * npat_;
 
   // Up (pre-order) pass.  The outside panel O_c of the edge above node c
   // satisfies   L_true(h) = sum_ij O_c(h,i) P_c(i,j) D_c(h,j) * e^{s_c + o_c},
@@ -697,17 +739,34 @@ void BranchSiteLikelihood::gradientUpPass(int m, int h0, int len,
     if (node.isLeaf()) continue;
     const ConstMatrixView u = ws.up[id].rowBlock(0, len);
     const auto& uScale = ws.uScale[id];
+    const auto& children = node.children;
+    ws.children.clear();
+    for (int s : children)
+      ws.children.push_back(childRows(s, slotOf(s), h0, ws));
 
-    for (int c : node.children) {
+    for (std::size_t ci = 0; ci < children.size(); ++ci) {
+      const int c = children[ci];
+      // O_c = U ⊙ Π siblings, one pass per pattern row: U's row copied and
+      // each sibling's product row multiplied in, in child order (U and the
+      // first sibling in one loop).
       const MatrixView o = ws.outside.rowBlock(0, len);
-      linalg::copy(u.span(), o.span());
-      ws.oScale.assign(len, 0.0);
-      for (int h = 0; h < len; ++h) ws.oScale[h] = uScale[h];
-      for (int s : node.children) {
-        if (s == c) continue;
-        linalg::hadamardInPlace(
-            ConstMatrixView(ws.prod[s].rowBlock(0, len)).span(), o.span());
-        for (int h = 0; h < len; ++h) ws.oScale[h] += ws.sDown[s][h];
+      ws.oScale.resize(len);
+      for (int h = 0; h < len; ++h) {
+        double* row = o.row(h);
+        bool first = true;
+        double scale = uScale[h];
+        for (std::size_t si = 0; si < children.size(); ++si) {
+          if (si == ci) continue;
+          const PanelRow src = ws.children[si].row(h, n_);
+          if (first)
+            multiplyRows(row, u.row(h), 1, src.data, src.stride, n_);
+          else
+            multiplyRow(row, src.data, src.stride, n_);
+          first = false;
+          scale += ws.sDown[children[si]][h];
+        }
+        if (first) copyRow(row, u.row(h), 1, n_);
+        ws.oScale[h] = scale;
       }
 
       const std::size_t slot = slotOf(c);
@@ -718,7 +777,7 @@ void BranchSiteLikelihood::gradientUpPass(int m, int h0, int len,
                      gradDerivT_[slot].view(), deriv);
       ws.patternPropagations += len;
 
-      const int k = nodeToBranch_[c];
+      const std::size_t k = static_cast<std::size_t>(nodeToBranch_[c]);
       for (int h = 0; h < len; ++h) {
         const double* dRow =
             leaf ? gatherRow(gradDerivT_[slot], gradMissingDerivRows_, slot,
@@ -732,9 +791,12 @@ void BranchSiteLikelihood::gradientUpPass(int m, int h0, int len,
         // bilinear form damps it, and the split keeps each factor finite.
         const double eHalf =
             std::exp(0.5 * (ws.sDown[c][h] + ws.oScale[h] - maxScaleLog[h0 + h]));
-        gradOut[static_cast<std::size_t>(k) * npat_ + h0 + h] =
-            patterns_.weights[h0 + h] * classProp_[m] *
-            ((dval * eHalf) * eHalf) / mixture[h0 + h];
+        const double form = (dval * eHalf) * eHalf;
+        for (int q = m; q < numClasses_; ++q)
+          if (rootRep(q) == m)
+            contrib[q * slabSize + k * npat_ + h0 + h] =
+                patterns_.weights[h0 + h] * classProp_[q] * form /
+                mixture[h0 + h];
       }
 
       if (!leaf) {
@@ -746,17 +808,11 @@ void BranchSiteLikelihood::gradientUpPass(int m, int h0, int len,
         linalg::gemm(kernels_.ops, ConstMatrixView(o), p.view(), uc);
         ws.patternPropagations += len;
         auto& us = ws.uScale[c];
-        us.assign(len, 0.0);
+        us.resize(len);
         for (int h = 0; h < len; ++h) {
-          us[h] = ws.oScale[h];
-          double mx = 0.0;
-          double* row = uc.row(h);
-          for (int i = 0; i < n_; ++i) mx = std::max(mx, row[i]);
-          if (mx > 0.0 && mx < options_.scalingThreshold) {
-            const double inv = 1.0 / mx;
-            for (int i = 0; i < n_; ++i) row[i] *= inv;
-            us[h] += std::log(mx);
-          }
+          double scale = ws.oScale[h];
+          rescueRow(uc.row(h), n_, options_.scalingThreshold, scale);
+          us[h] = scale;
         }
       }
     }

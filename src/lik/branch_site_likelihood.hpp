@@ -69,7 +69,10 @@ struct EvalCounters {
   /// Branch x class x pattern ops the down and up passes compute; a leaf
   /// branch's row gather counts as one propagation per pattern, like an
   /// internal branch's panel product row.  A product or gather read from a
-  /// representative class's panel (site-class sharing) is not counted.
+  /// representative class's panel (site-class sharing) is not counted, nor
+  /// is the up pass of a class equal to a lower class on every edge (class
+  /// 2b under the model A null), whose gradient terms that class's up pass
+  /// writes.
   std::int64_t patternPropagations = 0;
   /// Analytic branch-gradient sweeps (logLikelihoodGradientBranches calls);
   /// each replaces numBranches finite-difference evaluations.
@@ -207,21 +210,51 @@ class BranchSiteLikelihood {
   }
 
  private:
+  // Row h of a child's product panel, read in place: a row of the child's
+  // ws.prod panel, a row of a P^T table or a missing-codon row (stride 1),
+  // or column `state` of a stored P under PerSiteGemv (stride n).
+  struct PanelRow {
+    const double* data;
+    std::size_t stride;
+  };
+
+  // One child's product rows for a pattern block, resolved once per node:
+  // an internal child's ws.prod panel, or a leaf's codon states and the
+  // table and missing-codon row they index.
+  struct ChildRows {
+    const double* panel = nullptr;    // internal child: row h at h * n
+    const double* table = nullptr;    // leaf: its propagator table
+    const double* missing = nullptr;  // leaf: its missing-codon row
+    const int* states = nullptr;      // leaf: codon state per block row
+    std::size_t stateStep = 0;        // leaf: table offset per state
+    std::size_t stride = 1;           // leaf: element stride of a state row
+
+    PanelRow row(int h, std::size_t n) const noexcept {
+      if (panel) return {panel + h * n, 1};
+      const int state = states[h];
+      if (state == seqio::kMissingState) return {missing, 1};
+      return {table + state * stateStep, stride};
+    }
+  };
+
   // Per-worker scratch for one propagator build or one (sharing group,
   // pattern block) task of either sweep.  The down pass holds one class's
   // panel set at a time; downTag/prodTag name the representative class
   // whose values a panel holds (-1: none), so a later class of the same
-  // task reads a panel instead of recomputing it.  Concurrent tasks share
-  // nothing mutable, and results land in slots addressed by pattern index
-  // or propagator slot, which keeps every reduction order — and so lnL and
-  // the gradient — independent of the thread count and the block size.
+  // task reads a panel instead of recomputing it.  A leaf's product rows
+  // are never stored: both passes read them from the propagator table
+  // (childRows).  Concurrent tasks share nothing mutable, and results land
+  // in slots addressed by pattern index or propagator slot, which keeps
+  // every reduction order — and so lnL and the gradient — independent of
+  // the thread count and the block size.
   struct SweepWorkspace {
     // Build scratch, sized at construction so no worker allocates it.
     expm::ExpmWorkspace expm;
     std::vector<linalg::Matrix> down;         // per internal node: CPV panel
     std::vector<std::vector<double>> sDown;   // per node: subtree scale log
-    std::vector<linalg::Matrix> prod;         // per non-root node: P * CPV
-                                              // (gathered rows for a leaf)
+                                              // (zeros for a leaf)
+    std::vector<linalg::Matrix> prod;         // per internal non-root node:
+                                              // P * CPV
     std::vector<int> downTag, prodTag;        // per node, reset per task
     // Up pass (gradient sweep only).
     std::vector<linalg::Matrix> up;           // per internal node: outside
@@ -229,6 +262,7 @@ class BranchSiteLikelihood {
     linalg::Matrix outside;                   // one child's outside panel
     std::vector<double> oScale;               // its scale log
     linalg::Matrix deriv;                     // dP * internal child CPV
+    std::vector<ChildRows> children;          // one node's, per row pass
     std::int64_t patternPropagations = 0;
   };
 
@@ -258,12 +292,17 @@ class BranchSiteLikelihood {
 
   // Up (pre-order) pass of the gradient for site class m over patterns
   // [h0, h0 + len), on the panels class m's down pass left in ws, writing
-  // each branch's per-pattern contribution into the class slab gradOut
-  // (numBranches x numPatterns, branch-major) at [k * npat + h].
+  // each branch's per-pattern contribution into class m's slab of contrib
+  // (numClasses slabs of numBranches x numPatterns, branch-major) at
+  // [(m * numBranches + k) * npat + h].  A class whose root representative
+  // is m (equal to m on every edge, like class 2b to class 1 under the
+  // model A null) has m's outside panels and derivative forms, so this pass
+  // writes its slab too, scaled by its own proportion, and its own up pass
+  // is not run.
   void gradientUpPass(int m, int h0, int len,
                       std::span<const double> maxScaleLog,
                       std::span<const double> mixture, SweepWorkspace& ws,
-                      std::span<double> gradOut);
+                      std::span<double> contrib);
 
   // (Re)build eigenSystems_ / omegaToEigen_ for the spec, reusing them — and
   // keeping the propagator cache — when the spec is unchanged since the last
@@ -297,16 +336,26 @@ class BranchSiteLikelihood {
                                          : tableT.row(state);
   }
 
+  // The lowest class equal to class m on every edge of the tree.
+  int rootRep(int m) const noexcept {
+    return nodeRep_[static_cast<std::size_t>(m) * tree_.numNodes() +
+                    tree_.root()];
+  }
+
+  // child's product rows for the block starting at pattern h0, through
+  // propagator slot `slot`: an internal child's ws.prod panel, or a leaf's
+  // table rows (gatherRow's; column `state` of P under PerSiteGemv).
+  ChildRows childRows(int child, std::size_t slot, int h0,
+                      const SweepWorkspace& ws) const noexcept;
+
   // The down (post-order) pass of site class m over patterns [h0, h0 +
-  // len): leaf gathers and internal products, the children's Hadamard
-  // product in child order, the scale sum and the underflow rescue, run
-  // only at the nodes and edges where ws does not hold class m's
-  // representative's panel, leaving every panel current for class m.
-  // Every internal child's product is kept in ws.prod; a leaf's gathered
-  // rows are kept only with keepLeaves (the gradient sweep, whose up pass
-  // multiplies them into the siblings' outside panels), and otherwise go
-  // straight into the parent's panel.
-  void downPass(int m, int h0, int len, bool keepLeaves, SweepWorkspace& ws);
+  // len), run only at the nodes and edges where ws does not hold class m's
+  // representative's panel, leaving every panel current for class m.  At
+  // each such node the internal children's panel products go into ws.prod;
+  // then one pass per pattern row copies the first child's product row,
+  // multiplies in each later child's row in child order, sums the scale
+  // logs and does the underflow rescue.
+  void downPass(int m, int h0, int len, SweepWorkspace& ws);
 
   // The strategy's stored propagator at branch length t into the n x n
   // `out`: P for per-site-gemv, P^T for bundled-gemm.

@@ -11,11 +11,4 @@ namespace slim::linalg {
 /// Dot product sum_i x_i * y_i.  Sizes must match.
 double dot(std::span<const double> x, std::span<const double> y);
 
-/// Copy x into y.  Sizes must match.
-void copy(std::span<const double> x, std::span<double> y);
-
-/// In-place element-wise product: y_i *= x_i.  Sizes must match.
-/// (Used by Felsenstein pruning to combine child conditional vectors.)
-void hadamardInPlace(std::span<const double> x, std::span<double> y);
-
 }  // namespace slim::linalg

@@ -21,9 +21,12 @@
 // resolveKernels picks the one table an evaluator uses.
 //
 // Contract (asserted by tests/simd_kernel_test.cpp):
-//   * The fused sandwich entries of the naive and scalar tables reproduce
-//     their table's product followed by scaleSandwich and the clamp, bit
-//     for bit.
+//   * The fused sandwich entries of every table reproduce their table's
+//     product followed by scaleSandwich and the clamp, bit for bit.  The
+//     avx512 entries compute eight elements per reduction, and each
+//     element still gets the table's dot bits: the per-element dot's
+//     accumulator schedule, and its horizontal tree run in every lane of
+//     one transposed add network.
 //   * On every table, a sandwich entry's OutputLayout argument moves only
 //     where each finished element is stored: the Transposed output is the
 //     transpose of the Plain output bit for bit.

@@ -17,18 +17,12 @@ void buildExchangeability(const GeneticCode& gc, double kappa, double omega,
   SLIM_REQUIRE(s.rows() == static_cast<std::size_t>(n) && s.square(),
                "exchangeability matrix has wrong shape");
   s.fill(0.0);
-  for (int i = 0; i < n; ++i) {
-    const int ci = gc.codonOfSense(i);
-    for (int j = i + 1; j < n; ++j) {
-      const int cj = gc.codonOfSense(j);
-      const auto cls = bio::classifyCodonPair(gc, ci, cj);
-      if (cls.ndiff != 1) continue;
-      double v = 1.0;
-      if (cls.transition) v *= kappa;
-      if (!cls.synonymous) v *= omega;
-      s(i, j) = v;
-      s(j, i) = v;
-    }
+  for (const bio::SingleChangePair& pair : gc.singleChangePairs()) {
+    double v = 1.0;
+    if (pair.transition) v *= kappa;
+    if (!pair.synonymous) v *= omega;
+    s(pair.i, pair.j) = v;
+    s(pair.j, pair.i) = v;
   }
 }
 

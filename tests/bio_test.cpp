@@ -251,5 +251,30 @@ TEST(CodonPair, SymmetricInArguments) {
   }
 }
 
+// The per-code pair list is exactly the single-position pairs that
+// classifyCodonPair finds, in (i, j) order, with the same flags.
+TEST(CodonPair, SingleChangePairsMatchClassification) {
+  for (const GeneticCode* gc :
+       {&GeneticCode::universal(), &GeneticCode::vertebrateMitochondrial(),
+        &GeneticCode::yeastMitochondrial(),
+        &GeneticCode::invertebrateMitochondrial()}) {
+    std::vector<SingleChangePair> want;
+    for (int i = 0; i < gc->numSense(); ++i)
+      for (int j = i + 1; j < gc->numSense(); ++j) {
+        const auto c =
+            classifyCodonPair(*gc, gc->codonOfSense(i), gc->codonOfSense(j));
+        if (c.ndiff == 1) want.push_back({i, j, c.transition, c.synonymous});
+      }
+    const auto& got = gc->singleChangePairs();
+    ASSERT_EQ(got.size(), want.size()) << gc->name();
+    for (std::size_t p = 0; p < want.size(); ++p) {
+      EXPECT_EQ(got[p].i, want[p].i) << gc->name();
+      EXPECT_EQ(got[p].j, want[p].j) << gc->name();
+      EXPECT_EQ(got[p].transition, want[p].transition) << gc->name();
+      EXPECT_EQ(got[p].synonymous, want[p].synonymous) << gc->name();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace slim::bio

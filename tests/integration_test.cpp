@@ -164,6 +164,24 @@ TEST(Workload, CountersScaleWithTreeAndPatterns) {
   null.logLikelihood(sim::defaultSimulationParams());
   EXPECT_EQ(null.counters().patternPropagations,
             (2LL * numBranches + pathEdges) * npat);
+
+  // A gradient sweep repeats the down pass, and each class that runs an up
+  // pass adds one derivative row per branch and one outside product per
+  // internal branch.  Under H0 class 1's up pass also writes class 2b's
+  // terms, so only three classes run one.
+  long internalBranches = 0;
+  for (int id = 0; id < tree.numNodes(); ++id)
+    if (id != tree.root() && !tree.node(id).isLeaf()) ++internalBranches;
+  const long upPass = (numBranches + internalBranches) * npat;
+  std::vector<double> grad(numBranches);
+  eval.resetCounters();
+  eval.gradientBranchesAtLastEvaluation(grad);
+  EXPECT_EQ(eval.counters().patternPropagations,
+            (2LL * numBranches + 2 * pathEdges) * npat + 4 * upPass);
+  null.resetCounters();
+  null.gradientBranchesAtLastEvaluation(grad);
+  EXPECT_EQ(null.counters().patternPropagations,
+            (2LL * numBranches + pathEdges) * npat + 3 * upPass);
 }
 
 }  // namespace

@@ -102,15 +102,6 @@ TEST(Blas1, Dot) {
 TEST(Blas1, SizeMismatchThrows) {
   Vector x(3), y(4);
   EXPECT_THROW(dot(x.span(), y.span()), std::invalid_argument);
-  EXPECT_THROW(copy(x.span(), y.span()), std::invalid_argument);
-  EXPECT_THROW(hadamardInPlace(x.span(), y.span()), std::invalid_argument);
-}
-
-TEST(Blas1, HadamardInPlace) {
-  Vector x{1, 2, 3}, y{4, 5, 6};
-  hadamardInPlace(x.span(), y.span());
-  EXPECT_DOUBLE_EQ(y[0], 4.0);
-  EXPECT_DOUBLE_EQ(y[1], 10.0);
 }
 
 // ---------- BLAS-3 naive vs scalar table agreement (property sweep) -------

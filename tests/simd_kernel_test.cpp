@@ -1,9 +1,9 @@
 // Tests for the kernel tables (linalg/simd.hpp).
 //
 // The contract under test:
-//   * the fused-sandwich entries of the naive and scalar tables are
-//     bit-identical to their table's unfused product + scaleSandwich +
-//     clamp sequence;
+//   * the fused-sandwich entries of every table are bit-identical to their
+//     table's unfused product + scaleSandwich + clamp sequence, in both
+//     layouts, with exact zeros and negative products among the inputs;
 //   * the naive table and every compiled-and-supported SIMD level agree
 //     with scalar to tight elementwise tolerances on the kernels, and every
 //     SIMD level agrees to <= 1e-10 *relative* on the log-likelihood;
@@ -203,13 +203,17 @@ TEST(SimdKernels, FusedSandwichMatchesScalarOnEveryLevel) {
   }
 }
 
-// ---------- naive and scalar fusion is bit-exact ----------
+// ---------- the stored layout moves only the stores ----------
 
-// The two tables whose fused entries must reproduce the unfused sequence
-// bit for bit: the naive table (CodeML's product, then the sandwich and the
-// clamp) and the scalar reference.
-const SimdKernels* const kBitExactTables[] = {
-    &naiveKernels(), &simdKernels(SimdLevel::Scalar)};
+std::size_t bitMismatches(const Matrix& got, const Matrix& want) {
+  std::size_t bad = 0;
+  for (std::size_t k = 0; k < want.size(); ++k)
+    bad += std::bit_cast<std::uint64_t>(got.data()[k]) !=
+           std::bit_cast<std::uint64_t>(want.data()[k]);
+  return bad;
+}
+
+// ---------- every table's fusion is bit-exact ----------
 
 // Unfused reference: the table's product z, then scaleSandwich, then the
 // clamp when asked.
@@ -223,37 +227,59 @@ Matrix unfusedSandwich(const Matrix& z, const std::vector<double>& l,
   return out;
 }
 
-TEST(SimdKernels, FusedSandwichIsBitIdenticalToUnfused) {
-  const int n = 61;
-  const Matrix y = randomMatrix(n, n, 59);
-  const Matrix b = randomMatrix(n, n, 73);
-  const auto l = randomPositive(n, 61);
-  const auto r = randomPositive(n, 67);
-  for (const SimdKernels* kern : kBitExactTables) {
-    Matrix z(n, n), got(n, n);
-    kern->syrk(y.data(), z.data(), n, n);
-    kern->syrkSandwich(y.data(), l.data(), r.data(), got.data(), n, n,
-                       OutputLayout::Plain);
-    EXPECT_EQ(got, unfusedSandwich(z, l, r, true)) << kern->name;
-
-    kern->gemmNT(y.data(), b.data(), z.data(), n, n, n);
-    for (bool clampNegative : {true, false}) {
-      kern->gemmNTSandwich(y.data(), b.data(), l.data(), r.data(), got.data(),
-                           n, n, n, clampNegative, OutputLayout::Plain);
-      EXPECT_EQ(got, unfusedSandwich(z, l, r, clampNegative))
-          << kern->name << " clamp = " << clampNegative;
-    }
-  }
+// Uniform(-1, 1) entries with exact zeros: every seventh entry and the whole
+// first row, so the products include exact zeros beside negative values.
+Matrix operandWithZeros(std::size_t rows, std::size_t cols,
+                        std::uint64_t seed) {
+  Matrix m = randomMatrix(rows, cols, seed);
+  for (std::size_t e = 0; e < m.size(); e += 7) m.data()[e] = 0.0;
+  for (std::size_t j = 0; j < cols; ++j) m(0, j) = 0.0;
+  return m;
 }
 
-// ---------- the stored layout moves only the stores ----------
-
-std::size_t bitMismatches(const Matrix& got, const Matrix& want) {
+// Elements of a table's fused sandwich outputs on n x k operands whose bits
+// differ from its own unfused product followed by scaleSandwich and the
+// clamp: both layouts, and gemmNTSandwich with the clamp on and off.
+std::size_t fusionMismatches(const SimdKernels& kern, std::size_t n,
+                             std::size_t k) {
+  const Matrix y = operandWithZeros(n, k, 900 + n * k);
+  const Matrix b = operandWithZeros(n, k, 1000 + n * k);
+  const auto l = randomPositive(n, 1100 + n);
+  const auto r = randomPositive(n, 1200 + n);
+  Matrix z(n, n), got(n, n);
+  kern.syrk(y.data(), z.data(), n, k);
+  const Matrix wantSyrk = unfusedSandwich(z, l, r, true);
+  kern.gemmNT(y.data(), b.data(), z.data(), n, k, n);
   std::size_t bad = 0;
-  for (std::size_t k = 0; k < want.size(); ++k)
-    bad += std::bit_cast<std::uint64_t>(got.data()[k]) !=
-           std::bit_cast<std::uint64_t>(want.data()[k]);
+  for (OutputLayout layout : {OutputLayout::Plain, OutputLayout::Transposed}) {
+    const auto stored = [&](const Matrix& m) {
+      return layout == OutputLayout::Plain ? m : transposed(m);
+    };
+    kern.syrkSandwich(y.data(), l.data(), r.data(), got.data(), n, k, layout);
+    bad += bitMismatches(stored(got), wantSyrk);
+    for (bool clampNegative : {true, false}) {
+      kern.gemmNTSandwich(y.data(), b.data(), l.data(), r.data(), got.data(),
+                          n, k, n, clampNegative, layout);
+      bad += bitMismatches(stored(got),
+                           unfusedSandwich(z, l, r, clampNegative));
+    }
+  }
   return bad;
+}
+
+// The vector tables' sandwich entries reduce eight dots at once; their
+// unfused syrk and gemmNT reduce one, so this pins the blocked reduction to
+// the per-element one on every shape class: k below, at and past one, four
+// and eight vectors with and without a masked tail, and n with a partial
+// last block of eight.
+TEST(SimdKernels, FusedSandwichIsBitIdenticalToUnfused) {
+  constexpr std::size_t kSizes[] = {1,  3,  7,  8,  9,  31, 32,
+                                    33, 60, 61, 62, 64, 65};
+  for (const SimdKernels* kern : availableTables())
+    for (std::size_t n : kSizes)
+      for (std::size_t k : kSizes)
+        EXPECT_EQ(fusionMismatches(*kern, n, k), 0u)
+            << kern->name << " n=" << n << " k=" << k;
 }
 
 // Elements of a table's Transposed sandwich outputs whose bits differ from
@@ -358,7 +384,7 @@ TEST(SimdKernels, TransitionMatrixMatchesUnfusedSequenceBitwise) {
     return z;
   };
 
-  for (const SimdKernels* kern : kBitExactTables) {
+  for (const SimdKernels* kern : availableTables()) {
     expm::ExpmWorkspace ws;
     Matrix got(61, 61);
     for (double t : {1e-4, 0.05, 0.7, 4.0}) {
